@@ -3,6 +3,8 @@
 In a valid ultrametric space any two intersecting balls are nested, so
 the distinct closed balls form a tree under containment: singletons at
 the leaves, the whole space at the root, one layer per realized radius.
+Balls travel as point bitmasks from :meth:`UltrametricSpace.distinct_balls`
+and diameters come from the space's rank table.
 """
 from __future__ import annotations
 
@@ -27,30 +29,34 @@ def ball_tree(space: UltrametricSpace) -> list[BallNode]:
     Nodes are sorted by (size, members); each node's radius is the
     smallest radius generating it, which for a valid space is the set's
     diameter.  The parent is the index of the smallest strictly larger
-    ball.
+    ball.  Any superset of a ball contains its first member, so the
+    parent is looked up among the balls through that point only.
     """
-    distinct: set[frozenset[str]] = set()
-    for radius in space.realized_distances():
-        for point in space.points:
-            distinct.add(space.ball(point, radius))
+    points = space.points
+    balls = []
+    for _, _, mask in space.distinct_balls():
+        members = space.members(mask)
+        names = tuple(points[i] for i in members.tolist())
+        balls.append((len(names), names, mask, members))
+    balls.sort(key=lambda ball: ball[:2])
 
-    def ordered(members: frozenset[str]) -> tuple[str, ...]:
-        return tuple(p for p in space.points if p in members)
+    through: list[list[int]] = [[] for _ in points]
+    for j, ball in enumerate(balls):
+        for i in ball[3].tolist():
+            through[i].append(j)
 
-    sets = sorted(distinct, key=lambda s: (len(s), ordered(s)))
+    ranks, distances = space.ranks, space.realized_distances()
     nodes = []
-    for members in sets:
-        diameter = max(
-            (space.dist(a, b) for a in members for b in members),
-            default=Fraction(0),
-        )
-        parent = None
-        best_size = None
-        for j, other in enumerate(sets):
-            if members < other and (best_size is None or len(other) < best_size):
-                parent = j
-                best_size = len(other)
-        nodes.append(BallNode(ordered(members), diameter, parent))
+    for j, (_, names, mask, members) in enumerate(balls):
+        if members.size:
+            candidates = through[members[0]]
+            diameter = distances[ranks[members[:, None], members].max()]
+        else:
+            # The empty set is a ball only when some self-distance is
+            # positive; it lies inside every other ball.
+            candidates, diameter = range(len(balls)), Fraction(0)
+        parent = next((k for k in candidates if k != j and balls[k][2] & mask == mask), None)
+        nodes.append(BallNode(names, diameter, parent))
     return nodes
 
 

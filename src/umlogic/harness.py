@@ -206,14 +206,10 @@ def check_subspace_validity(
 ) -> PropertyReport:
     """Formulas valid on the space stay valid on every ball subspace."""
     shell = Model(space)
-    seen: set[frozenset[str]] = set()
     subspaces = []
-    for radius in space.realized_distances():
-        for point in space.points:
-            members = space.ball(point, radius)
-            if members not in seen:
-                seen.add(members)
-                subspaces.append((point, radius, epsilon_subspace(shell, point, radius).space))
+    for i, radius, _ in space.distinct_balls():
+        point = space.points[i]
+        subspaces.append((point, radius, epsilon_subspace(shell, point, radius).space))
 
     samples = 0
     discrepancies = 0

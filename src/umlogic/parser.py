@@ -11,6 +11,12 @@ Grammar (loosest to tightest binding)::
     grade    := NUMBER ('/' NUMBER)?            # "1/8", "0.125", "1"
 
 Atoms are identifiers.  Grade literals must denote rationals in [0, 1].
+
+A formula may nest at most :data:`MAX_DEPTH` levels deep, counting one
+level per node of its syntax tree and one per pair of parentheses on the
+way down (``a <-> b`` parses to two levels, an ``&`` over two ``->``).
+Deeper input is rejected with a :class:`ParseError`, so the recursive
+printer, desugaring and evaluators never run out of stack.
 """
 from __future__ import annotations
 
@@ -19,6 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade
+
+
+#: Deepest nesting :func:`parse` accepts; see the module docstring.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -34,6 +44,10 @@ class ParseError(ValueError):
         else:
             message = f"{message} at {where}"
         super().__init__(message)
+
+
+def _too_deep(tok: "_Token") -> ParseError:
+    return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column)
 
 
 @dataclass(frozen=True)
@@ -87,9 +101,20 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that also measures the nesting depth of what it builds.
+
+    After each rule returns, ``depth`` holds the depth of the formula it
+    returned.  ``open`` counts the levels enclosing the current position,
+    so input that will nest too deep is refused before the recursion gets
+    there; :func:`parse` checks the finished depth, which also bounds the
+    flat ``&``, ``|`` and ``<->`` chains that the rules build in loops.
+    """
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -101,62 +126,84 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nested(self, rule, tok: _Token) -> Formula:
+        """Run ``rule`` one level further in, below the operator ``tok``."""
+        self.open += 1
+        # Even a lone atom in there would sit MAX_DEPTH + 1 levels deep.
+        if self.open >= MAX_DEPTH:
+            raise _too_deep(tok)
+        result = rule()
+        self.open -= 1
+        return result
+
     def formula(self) -> Formula:
         left = self.implies()
         while self.peek().kind == "IFF":
+            depth = self.depth
             self.pos += 1
             right = self.implies()
             left = And(Implies(left, right), Implies(right, left))
+            self.depth = max(depth, self.depth) + 2
         return left
 
     def implies(self) -> Formula:
         left = self.or_()
-        if self.peek().kind == "ARROW":
+        tok = self.peek()
+        if tok.kind == "ARROW":
+            depth = self.depth
             self.pos += 1
-            return Implies(left, self.implies())
+            left = Implies(left, self.nested(self.implies, tok))
+            self.depth = max(depth, self.depth) + 1
         return left
 
     def or_(self) -> Formula:
         left = self.and_()
         while self.peek().kind == "PIPE":
+            depth = self.depth
             self.pos += 1
             left = Or(left, self.and_())
+            self.depth = max(depth, self.depth) + 1
         return left
 
     def and_(self) -> Formula:
         left = self.unary()
         while self.peek().kind == "AMP":
+            depth = self.depth
             self.pos += 1
             left = And(left, self.unary())
+            self.depth = max(depth, self.depth) + 1
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "TILDE":
             self.pos += 1
-            return Not(self.unary())
-        if tok.kind == "LBRACK":
+            result = Not(self.nested(self.unary, tok))
+        elif tok.kind == "LBRACK":
             self.pos += 1
             grade = self.grade()
             self.take("RBRACK", ("']'",))
-            return Box(grade, self.unary())
-        if tok.kind == "LT":
+            result = Box(grade, self.nested(self.unary, tok))
+        elif tok.kind == "LT":
             self.pos += 1
             grade = self.grade()
             self.take("GT", ("'>'",))
-            return Diamond(grade, self.unary())
-        if tok.kind == "NAME":
+            result = Diamond(grade, self.nested(self.unary, tok))
+        elif tok.kind == "LPAREN":
             self.pos += 1
-            return Atom(tok.text)
-        if tok.kind == "LPAREN":
-            self.pos += 1
-            inner = self.formula()
+            result = self.nested(self.formula, tok)
             self.take("RPAREN", ("')'",))
-            return inner
-        raise ParseError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column,
-            ("'~'", "'['", "'<'", "atom", "'('"),
-        )
+        elif tok.kind == "NAME":
+            self.pos += 1
+            self.depth = 1
+            return Atom(tok.text)
+        else:
+            raise ParseError(
+                f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column,
+                ("'~'", "'['", "'<'", "atom", "'('"),
+            )
+        self.depth += 1
+        return result
 
     def grade(self) -> Fraction:
         tok = self.take("NUMBER", ("grade literal",))
@@ -175,11 +222,14 @@ def parse(text: str) -> Formula:
     """Parse concrete syntax into a :class:`Formula`.
 
     Raises :class:`ParseError` with line/column diagnostics on bad input;
-    grade literals outside [0, 1] are rejected.
+    grade literals outside [0, 1] are rejected, and so is any formula
+    nested more than :data:`MAX_DEPTH` levels deep.
     """
     parser = _Parser(_tokenize(text))
     result = parser.formula()
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    if parser.depth > MAX_DEPTH:
+        raise _too_deep(parser.tokens[0])
     return result

@@ -123,9 +123,7 @@ def stability_degree(model: Model, world: str, f: Formula) -> DegreeReport:
         return DegreeReport("stability", None, attained=False)
     if mask == space.full_mask:
         return DegreeReport("stability", Fraction(1), attained=True)
-    row = space.matrix()[wi]
-    threshold = min(row[i] for i in range(space.n) if not mask >> i & 1)
-    return DegreeReport("stability", threshold, attained=False)
+    return DegreeReport("stability", space.nearest(wi, space.full_mask ^ mask), attained=False)
 
 
 def plausibility_degree(model: Model, world: str, f: Formula) -> DegreeReport:
@@ -140,6 +138,5 @@ def plausibility_degree(model: Model, world: str, f: Formula) -> DegreeReport:
     mask = truth_mask(model, f)
     if mask == 0:
         return DegreeReport("plausibility", None, attained=False)
-    row = space.matrix()[wi]
-    threshold = min(row[i] for i in range(space.n) if mask >> i & 1)
+    threshold = space.nearest(wi, mask)
     return DegreeReport("plausibility", threshold, attained=True, level=1 - threshold)

@@ -1,12 +1,17 @@
 """Finite ultrametric spaces, their validation, and models over them.
 
-A space is a finite ordered point set with an exact rational distance
-table.  Construction never checks the metric laws: :func:`validate_space`
+A space is a finite ordered point set with exact rational distances,
+stored as the ascending list of distinct distances (exact Fractions) and
+an n x n numpy table of integer ranks into that list.  The logic only
+asks which points lie inside a ball of some grade, so every reader works
+on the ranks; :meth:`UltrametricSpace.matrix` derives the Fraction table
+on demand.  Construction never checks the metric laws: :func:`validate_space`
 reports violations as data, so deliberately broken spaces (used to show
 which laws the strong triangle inequality buys) are representable.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -36,19 +41,34 @@ def _as_distance(value: Fraction | int | str) -> Fraction:
     return Fraction(str(value))
 
 
+def _rank_dtype(count: int) -> np.dtype:
+    """Smallest unsigned integer type holding ranks 0 .. count - 1."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
 class UltrametricSpace:
-    """Finite point set with a dense symmetric table of exact distances."""
+    """Finite point set with exact distances held as ranks into a sorted list."""
 
     def __init__(self, points: Sequence[str], matrix: Sequence[Sequence[Fraction | int | str]]):
+        n = len(points)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError("distance matrix shape does not match the point list")
+        flat = [v if type(v) is Fraction else _as_distance(v) for row in matrix for v in row]
+        distances = sorted(set(flat))
+        rank = {d: r for r, d in enumerate(distances)}
+        table = np.array([rank[d] for d in flat], dtype=_rank_dtype(len(distances)))
+        self._setup(points, distances, table.reshape(n, n))
+
+    def _setup(self, points: Sequence[str], distances: list[Fraction], ranks: np.ndarray) -> None:
+        """State shared by every constructor; the rank table is frozen, as ball masks are cached."""
         self._points = tuple(points)
         if len(set(self._points)) != len(self._points):
             raise ValueError("duplicate point names")
-        if len(matrix) != len(self._points) or any(len(row) != len(self._points) for row in matrix):
-            raise ValueError("distance matrix shape does not match the point list")
         self._index = {p: i for i, p in enumerate(self._points)}
-        self._matrix = tuple(tuple(_as_distance(v) for v in row) for row in matrix)
-        self._ball_masks: dict[Fraction, tuple[int, ...]] = {}
-        self._realized: list[Fraction] | None = None
+        self._distances = distances
+        ranks.setflags(write=False)
+        self._ranks = ranks
+        self._ball_masks: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_pairs(
@@ -78,20 +98,42 @@ class UltrametricSpace:
 
         ``sequences`` maps each point to a fixed-length binary string; the
         distance between two points is 2^-n for the 1-based position n where
-        their histories first differ.
+        their histories first differ.  The ranks come straight from the
+        histories: sorted, two histories agree on the shortest common prefix
+        of the adjacent pairs between them, so each row of the table is a
+        running minimum over adjacent common-prefix lengths.
         """
         seqs = []
         for p in points:
             if p not in sequences:
                 raise UnknownPointError(p)
             seq = sequences[p]
-            if not seq or any(c not in "01" for c in seq):
+            if not seq or seq.strip("01"):
                 raise ValueError(f"sequence for {p!r} is not a nonempty binary string")
             seqs.append(seq)
         if len(set(len(s) for s in seqs)) > 1:
             raise ValueError("sequences must all have the same length")
-        matrix = [[sequence_distance(a, b) for b in seqs] for a in seqs]
-        return cls(points, matrix)
+        n = len(seqs)
+        length = len(seqs[0]) if seqs else 0
+        order = sorted(range(n), key=seqs.__getitem__)
+        values = [int(seqs[i], 2) for i in order]
+        # Common-prefix length of each adjacent pair of sorted histories;
+        # ``length`` means the two histories are equal.
+        lcp = [length - (a ^ b).bit_length() for a, b in zip(values, values[1:])]
+        # Longer common prefix, smaller distance: rank 0 is distance 0.
+        levels = sorted(set(lcp) | {length}, reverse=True)
+        distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]]
+        rank_of = {m: r for r, m in enumerate(levels)}
+        dtype = _rank_dtype(len(distances))
+        adjacent = np.array([rank_of[m] for m in lcp], dtype=dtype)
+        table = np.zeros((n, n), dtype=dtype)
+        for i in range(n - 1):
+            table[i, i + 1:] = table[i + 1:, i] = np.maximum.accumulate(adjacent[i:])
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n)
+        space = cls.__new__(cls)
+        space._setup(points, distances, table[np.ix_(position, position)])
+        return space
 
     @property
     def points(self) -> tuple[str, ...]:
@@ -105,6 +147,11 @@ class UltrametricSpace:
     def full_mask(self) -> int:
         return (1 << len(self._points)) - 1
 
+    @property
+    def ranks(self) -> np.ndarray:
+        """The read-only n x n table of indexes into :meth:`realized_distances`."""
+        return self._ranks
+
     def index(self, x: str) -> int:
         try:
             return self._index[x]
@@ -115,10 +162,12 @@ class UltrametricSpace:
         return x in self._index
 
     def dist(self, x: str, y: str) -> Fraction:
-        return self._matrix[self.index(x)][self.index(y)]
+        return self._distances[self._ranks[self.index(x), self.index(y)]]
 
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._matrix
+        """The exact distance table, derived from the ranks on each call."""
+        d = self._distances
+        return tuple(tuple(d[r] for r in row) for row in self._ranks.tolist())
 
     def mask_of(self, names: Iterable[str]) -> int:
         mask = 0
@@ -129,86 +178,158 @@ class UltrametricSpace:
     def names_of(self, mask: int) -> frozenset[str]:
         return frozenset(p for i, p in enumerate(self._points) if mask >> i & 1)
 
+    def members(self, mask: int) -> np.ndarray:
+        """Ascending point indexes of the bits set in ``mask``."""
+        data = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(data, count=self.n, bitorder="little"))
+
     def ball_masks(self, eps: Fraction) -> tuple[int, ...]:
         """Per-point bitmasks of the closed ball {y : d(x, y) <= eps}."""
-        cached = self._ball_masks.get(eps)
+        below = bisect_right(self._distances, eps)
+        cached = self._ball_masks.get(below)
         if cached is None:
+            packed = np.packbits(self._ranks < below, axis=1, bitorder="little")
+            data, width = packed.tobytes(), packed.shape[1]
             cached = tuple(
-                sum(1 << j for j, d in enumerate(row) if d <= eps) for row in self._matrix
+                int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)
             )
-            self._ball_masks[eps] = cached
+            self._ball_masks[below] = cached
         return cached
 
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
         """The closed ball around ``x`` of radius ``eps``; always contains x."""
         return self.names_of(self.ball_masks(eps)[self.index(x)])
 
+    def distinct_balls(self) -> list[tuple[int, Fraction, int]]:
+        """Each distinct closed ball once, as (centre index, radius, mask).
+
+        Balls come in order of first appearance: radii ascending over the
+        realized distances, then centres in point order.
+        """
+        seen: dict[int, tuple[int, Fraction, int]] = {}
+        for radius in self._distances:
+            for i, mask in enumerate(self.ball_masks(radius)):
+                if mask not in seen:
+                    seen[mask] = (i, radius, mask)
+        return list(seen.values())
+
+    def nearest(self, i: int, mask: int) -> Fraction | None:
+        """Smallest distance from point ``i`` to a member of ``mask``; None if empty."""
+        idx = self.members(mask)
+        if not idx.size:
+            return None
+        return self._distances[self._ranks[i, idx].min()]
+
     def realized_distances(self) -> list[Fraction]:
         """Ascending deduplicated list of every distance the table realizes."""
-        if self._realized is None:
-            self._realized = sorted({d for row in self._matrix for d in row})
-        return list(self._realized)
+        return list(self._distances)
 
 
 def validate_space(space: UltrametricSpace) -> list[Violation]:
     """Check the five metric laws; empty report means the space is valid.
 
     Each violated law is reported once, with the first witnessing pair or
-    triple in point order.
+    triple in point order.  The checks run on the rank table, which orders
+    exactly as the distances do.
     """
     pts = space.points
-    m = space.matrix()
+    dist = space.realized_distances()
+    rank = space.ranks
     n = len(pts)
     violations = []
 
-    bad = next(((i, j) for i in range(n) for j in range(n) if m[i][j] < 0), None)
+    def first(bad: np.ndarray) -> tuple[int, int] | None:
+        hits = np.flatnonzero(bad)
+        return divmod(int(hits[0]), n) if hits.size else None
+
+    def d(i: int, j: int) -> Fraction:
+        return dist[rank[i, j]]
+
+    negatives = bisect_left(dist, 0)
+    bad = first(rank < negatives)
     if bad:
         i, j = bad
         violations.append(Violation(
-            "nonnegativity", (pts[i], pts[j]), f"d({pts[i]}, {pts[j]}) = {m[i][j]} < 0"))
+            "nonnegativity", (pts[i], pts[j]), f"d({pts[i]}, {pts[j]}) = {d(i, j)} < 0"))
 
-    bad = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != m[j][i]), None)
+    symmetric = True
+    bad = first(np.triu(rank != rank.T, 1))
     if bad:
         i, j = bad
+        symmetric = False
         violations.append(Violation(
             "symmetry", (pts[i], pts[j]),
-            f"d({pts[i]}, {pts[j]}) = {m[i][j]} but d({pts[j]}, {pts[i]}) = {m[j][i]}"))
+            f"d({pts[i]}, {pts[j]}) = {d(i, j)} but d({pts[j]}, {pts[i]}) = {d(j, i)}"))
 
-    bad = next((i for i in range(n) if m[i][i] != 0), None)
-    if bad is not None:
+    has_zero = negatives < len(dist) and dist[negatives] == 0
+    is_zero = rank == negatives if has_zero else np.zeros(rank.shape, dtype=bool)
+    nonzero = np.flatnonzero(~np.diagonal(is_zero))
+    if nonzero.size:
+        bad = int(nonzero[0])
         violations.append(Violation(
-            "zero-self-distance", (pts[bad],), f"d({pts[bad]}, {pts[bad]}) = {m[bad][bad]} != 0"))
+            "zero-self-distance", (pts[bad],), f"d({pts[bad]}, {pts[bad]}) = {d(bad, bad)} != 0"))
 
-    bad = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] == 0), None)
+    bad = first(np.triu(is_zero, 1))
     if bad:
         i, j = bad
         violations.append(Violation(
             "identity-of-indiscernibles", (pts[i], pts[j]),
             f"distinct points {pts[i]}, {pts[j]} at distance 0"))
 
-    bad = _strong_triangle_witness(m)
-    if bad:
-        i, j, k = bad
-        violations.append(Violation(
-            "strong-triangle", (pts[i], pts[j], pts[k]),
-            f"d({pts[i]}, {pts[j]}) = {m[i][j]} > max(d({pts[i]}, {pts[k]}), "
-            f"d({pts[j]}, {pts[k]})) = {max(m[i][k], m[j][k])}"))
+    if not (symmetric and _is_subdominant(rank)):
+        bad = _strong_triangle_witness(rank)
+        if bad:
+            i, j, k = bad
+            violations.append(Violation(
+                "strong-triangle", (pts[i], pts[j], pts[k]),
+                f"d({pts[i]}, {pts[j]}) = {d(i, j)} > max(d({pts[i]}, {pts[k]}), "
+                f"d({pts[j]}, {pts[k]})) = {max(d(i, k), d(j, k))}"))
 
     return violations
 
 
-def _strong_triangle_witness(m) -> tuple[int, int, int] | None:
+def _is_subdominant(rank: np.ndarray) -> bool:
+    """Whether a symmetric table satisfies the strong triangle inequality.
+
+    Gower & Ross (1969): off the diagonal, a symmetric table is ultrametric
+    iff it equals the cophenetic table of its single-linkage tree, i.e. the
+    minimax path distance over its minimum spanning tree.  Prim's algorithm
+    grows the tree one point at a time; the newcomer v, joined to u by an
+    edge of rank w, sits at max(w, minimax(u, t)) from every earlier t.
+    O(n^2) with n vectorised steps.
+    """
+    n = len(rank)
+    if n < 3:
+        return True
+    minimax = np.zeros_like(rank)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = rank[0].copy()
+    via = np.zeros(n, dtype=np.intp)
+    for _ in range(n - 1):
+        outside = np.flatnonzero(~in_tree)
+        v = int(outside[np.argmin(best[outside])])
+        row = np.maximum(minimax[via[v], in_tree], best[v])
+        minimax[v, in_tree] = row
+        minimax[in_tree, v] = row
+        in_tree[v] = True
+        closer = rank[v] < best
+        best[closer] = rank[v][closer]
+        via[closer] = v
+    np.fill_diagonal(minimax, np.diagonal(rank))
+    return bool(np.array_equal(minimax, rank))
+
+
+def _strong_triangle_witness(rank: np.ndarray) -> tuple[int, int, int] | None:
     """First triple (i, j, k), i < j, with d(i, j) > max(d(i, k), d(j, k)).
 
-    Distances are rank-encoded (order-preserving, still exact) so the cubic
-    sweep can run vectorised; the returned triple is the lexicographically
-    least one, matching a plain nested loop over i < j, then k.
+    The cubic sweep runs vectorised over the rank table; the returned
+    triple is the lexicographically least one, matching a plain nested
+    loop over i < j, then k.
     """
-    n = len(m)
+    n = len(rank)
     if n < 3:
         return None
-    ranks = {d: r for r, d in enumerate(sorted({d for row in m for d in row}))}
-    rank = np.array([[ranks[d] for d in row] for row in m], dtype=np.int32)
     best: tuple[int, int, int] | None = None
     for k in range(n):
         to_k = rank[:, k]

@@ -144,6 +144,34 @@ class TestAxiom:
         assert json.loads(out)["matches"] == []
 
 
+DEEP_FORMULAS = {
+    "tildes": "~" * 5000 + "p",
+    "parentheses": "(" * 3000 + "p" + ")" * 3000,
+    "boxes": "[1/2]" * 498 + "p",
+    "flat-and": " & ".join(["p"] * 3000),
+    "implies-chain": " -> ".join(["p"] * 3000),
+}
+
+
+class TestDeepFormulas:
+    """Nesting past the parser's cap is an operational error, never a traceback."""
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+    def test_axiom_exits_2(self, capsys, shape):
+        code, out, err = run(capsys, ["axiom", "--formula", DEEP_FORMULAS[shape]])
+        assert code == 2
+        assert out == ""
+        assert "deeper than" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+    def test_check_exits_2(self, capsys, tree_model, shape):
+        argv = ["check", "--model", str(tree_model), "--formula", DEEP_FORMULAS[shape], "--world", "w0"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "deeper than" in json.loads(err)["error"]
+
+
 class TestProve:
     def test_bundled_derivation(self, capsys):
         code, out, _ = run(capsys, ["prove", "--proof", str(DATA / "stability_chain.json")])

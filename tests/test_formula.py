@@ -20,7 +20,11 @@ from umlogic.formula import (
     subformulas,
 )
 from umlogic.generators import random_formula
-from umlogic.parser import ParseError, parse
+from umlogic.parser import MAX_DEPTH, ParseError, parse
+from umlogic.semantics import truth_mask
+from umlogic.space import Model
+
+from conftest import w_named_space
 
 P, Q = Atom("p"), Atom("q")
 
@@ -173,3 +177,40 @@ class TestGrades:
             p, q = rng.randint(0, 40), rng.randint(1, 40)
             r, s = rng.randint(0, 40), rng.randint(1, 40)
             assert (Fraction(p, q) <= Fraction(r, s)) == (p * s <= r * q)
+
+
+class TestNestingCap:
+    """Formulas at the cap survive every recursive pass; one level more is a ParseError."""
+
+    #: Shape name -> text of that shape nested exactly ``depth`` levels deep.
+    SHAPES = {
+        # And over Implies over a right-nested chain of depth - 3 arrows.
+        "iff": lambda depth: " -> ".join(["p"] * (depth - 2)) + " <-> q",
+        "implies": lambda depth: " -> ".join(["p"] * depth),
+        "diamond": lambda depth: "<1/2>" * (depth - 1) + "p",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_at_the_cap_every_pass_runs(self, shape):
+        text = self.SHAPES[shape](MAX_DEPTH)
+        f = parse(text)
+        core = desugar(f)
+        assert not set(format_formula(core)) & set("|-<>")  # only ~, & and [g] remain
+        assert format_formula(f).count("p") == text.count("p") * (2 if shape == "iff" else 1)
+        model = Model(w_named_space(2), {"p": ["w0", "w1"], "q": ["w2"]})
+        assert 0 <= truth_mask(model, f) <= model.space.full_mask
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_one_level_past_the_cap_is_rejected(self, shape):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH}"):
+            parse(self.SHAPES[shape](MAX_DEPTH + 1))
+
+    def test_parentheses_count_as_levels(self):
+        parse("(" * (MAX_DEPTH - 1) + "p" + ")" * (MAX_DEPTH - 1))
+        with pytest.raises(ParseError, match="deeper"):
+            parse("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH)
+
+    def test_flat_chains_are_capped_without_recursion(self):
+        for op in ("&", "|", "<->"):
+            with pytest.raises(ParseError, match="deeper"):
+                parse(f" {op} ".join(["p"] * 3000))

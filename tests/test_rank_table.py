@@ -1,0 +1,275 @@
+"""Differential tests: the rank-table space against the dense Fraction table it replaced.
+
+The reference functions below restate the earlier implementations over a
+tuple-of-tuples table of exact Fractions: the metric-law checks (with the
+strong triangle as a plain cubic loop, which the earlier code vectorised),
+pairwise ball masks, and the ball tree that scans every ball for
+supersets.  Each test builds the reference table independently of the
+space (from the input matrix, or from ``sequence_distance`` over
+histories); for generated spaces, whose input matrix is internal to the
+generator, it is read back through ``matrix()``.
+"""
+import json
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
+from umlogic.formula import Atom
+from umlogic.generators import LEVEL_POOL, random_ultrametric_space
+from umlogic.modelio import dump_model
+from umlogic.semantics import plausibility_degree, stability_degree
+from umlogic.space import (
+    Model,
+    UltrametricSpace,
+    Violation,
+    cantor_sequences,
+    sequence_distance,
+    validate_space,
+)
+
+
+# --- reference implementations over a dense Fraction table -------------------
+
+def ref_validate(pts, m):
+    n = len(pts)
+    violations = []
+    bad = next(((i, j) for i in range(n) for j in range(n) if m[i][j] < 0), None)
+    if bad:
+        i, j = bad
+        violations.append(Violation(
+            "nonnegativity", (pts[i], pts[j]), f"d({pts[i]}, {pts[j]}) = {m[i][j]} < 0"))
+    bad = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] != m[j][i]), None)
+    if bad:
+        i, j = bad
+        violations.append(Violation(
+            "symmetry", (pts[i], pts[j]),
+            f"d({pts[i]}, {pts[j]}) = {m[i][j]} but d({pts[j]}, {pts[i]}) = {m[j][i]}"))
+    bad = next((i for i in range(n) if m[i][i] != 0), None)
+    if bad is not None:
+        violations.append(Violation(
+            "zero-self-distance", (pts[bad],), f"d({pts[bad]}, {pts[bad]}) = {m[bad][bad]} != 0"))
+    bad = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j] == 0), None)
+    if bad:
+        i, j = bad
+        violations.append(Violation(
+            "identity-of-indiscernibles", (pts[i], pts[j]),
+            f"distinct points {pts[i]}, {pts[j]} at distance 0"))
+    bad = next(
+        ((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)
+         if k not in (i, j) and m[i][j] > max(m[i][k], m[j][k])),
+        None,
+    )
+    if bad:
+        i, j, k = bad
+        violations.append(Violation(
+            "strong-triangle", (pts[i], pts[j], pts[k]),
+            f"d({pts[i]}, {pts[j]}) = {m[i][j]} > max(d({pts[i]}, {pts[k]}), "
+            f"d({pts[j]}, {pts[k]})) = {max(m[i][k], m[j][k])}"))
+    return violations
+
+
+def ref_ball_masks(m, eps):
+    return tuple(sum(1 << j for j, d in enumerate(row) if d <= eps) for row in m)
+
+
+def ref_realized(m):
+    return sorted({d for row in m for d in row})
+
+
+def ref_ball_tree(pts, m):
+    index = {p: i for i, p in enumerate(pts)}
+    distinct = set()
+    for radius in ref_realized(m):
+        for mask in ref_ball_masks(m, radius):
+            distinct.add(frozenset(p for i, p in enumerate(pts) if mask >> i & 1))
+
+    def ordered(members):
+        return tuple(p for p in pts if p in members)
+
+    sets = sorted(distinct, key=lambda s: (len(s), ordered(s)))
+    nodes = []
+    for members in sets:
+        diameter = max((m[index[a]][index[b]] for a in members for b in members),
+                       default=Fraction(0))
+        parent, best_size = None, None
+        for j, other in enumerate(sets):
+            if members < other and (best_size is None or len(other) < best_size):
+                parent, best_size = j, len(other)
+        nodes.append(BallNode(ordered(members), diameter, parent))
+    return nodes
+
+
+def ref_dot(nodes):
+    lines = ["digraph balls {"]
+    for i, node in enumerate(nodes):
+        if len(node.members) == 1:
+            label = node.members[0]
+        else:
+            label = "{" + ",".join(node.members) + "} r=" + str(node.radius)
+        label = label.replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"];')
+    for i, node in enumerate(nodes):
+        if node.parent is not None:
+            lines.append(f"  n{node.parent} -> n{i};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_dump(pts, m, valuation):
+    data = {
+        "points": list(pts),
+        "distance": {"matrix": [[str(d) for d in row] for row in m]},
+        "valuation": {atom: sorted(members) for atom, members in valuation.items()},
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+# --- the spaces compared -----------------------------------------------------
+
+def generated_cases():
+    rng = random.Random(2024)
+    cases = []
+    for n in (1, 2, 3, 5, 8, 13, 21):
+        for k in range(4):
+            space = random_ultrametric_space(rng, n)
+            cases.append((f"generated-{n}-{k}", space, space.matrix()))
+    return cases
+
+
+def sequence_cases():
+    rng = random.Random(7)
+    cases = []
+    for depth in range(1, 7):
+        seqs = cantor_sequences(depth)
+        cases.append((f"cantor-{depth}", seqs, dict(zip(seqs, seqs))))
+    for length, n in ((1, 5), (3, 9), (6, 12), (80, 10)):
+        # A pool smaller than n, so duplicate histories (distance 0) occur;
+        # pool members share random-length prefixes, and length 80 exceeds
+        # a machine word.
+        bits = lambda k: "".join(rng.choice("01") for _ in range(k))  # noqa: E731
+        stem = bits(length)
+        pool = [stem[:cut] + bits(length - cut)
+                for cut in (rng.randint(0, length) for _ in range(n // 2 + 1))]
+        histories = [rng.choice(pool) for _ in range(n)]
+        names = [f"h{i}" for i in rng.sample(range(n), n)]
+        cases.append((f"histories-{length}x{n}", names, dict(zip(names, histories))))
+    out = []
+    for label, names, sequences in cases:
+        table = tuple(tuple(sequence_distance(sequences[a], sequences[b]) for b in names)
+                      for a in names)
+        out.append((label, UltrametricSpace.from_sequences(names, sequences), table))
+    return out
+
+
+def broken_cases():
+    F = Fraction
+    fixed = {
+        "triangle": [[0, F(1, 2), 1], [F(1, 2), 0, F(1, 2)], [1, F(1, 2), 0]],
+        "asymmetric": [[0, F(1, 2), F(1, 2)], [F(1, 4), 0, F(1, 2)], [F(1, 2), F(1, 2), 0]],
+        "negative": [[0, F(-1, 2)], [F(-1, 2), 0]],
+        "nonzero-diagonal": [[F(1, 8), F(1, 2)], [F(1, 2), 0]],
+        "all-at-once": [[F(1, 3), F(-1), 0, F(1, 2)], [F(1, 2), 0, F(1, 4), 1],
+                        [0, F(1, 4), F(2), F(1, 8)], [F(1, 2), 1, F(1, 8), 0]],
+        "no-zero-at-all": [[1, 2], [2, 1]],
+    }
+    cases = [(label, UltrametricSpace([f"p{i}" for i in range(len(m))], m),
+              tuple(tuple(F(v) for v in row) for row in m)) for label, m in fixed.items()]
+    rng = random.Random(99)
+    pool = list(LEVEL_POOL) + [F(0), F(-1, 4), F(3, 2)]
+    for k in range(40):
+        n = rng.randint(3, 9)
+        m = [list(row) for row in random_ultrametric_space(rng, n).matrix()]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            m[i][j] = rng.choice(pool)
+            if rng.random() < 0.5:
+                m[j][i] = m[i][j]
+        cases.append((f"perturbed-{k}", UltrametricSpace([f"p{i}" for i in range(n)], m),
+                      tuple(tuple(row) for row in m)))
+    return cases
+
+
+CASES = generated_cases() + sequence_cases() + broken_cases()
+IDS = [label for label, _, _ in CASES]
+
+
+def probe_grades(realized):
+    """Every realized distance, the midpoints between them, and one below and above."""
+    grades = list(realized) + [realized[0] - 1, realized[-1] + 1]
+    grades += [(a + b) / 2 for a, b in zip(realized, realized[1:])]
+    return grades
+
+
+@pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
+class TestAgainstDenseTable:
+    def test_matrix_view_and_distances(self, label, space, table):
+        assert space.matrix() == table
+        assert space.realized_distances() == ref_realized(table)
+        assert all(type(d) is Fraction for d in space.realized_distances())
+        assert space.ranks.dtype.kind == "u"
+
+    def test_validation_report(self, label, space, table):
+        assert validate_space(space) == ref_validate(space.points, table)
+
+    def test_ball_masks(self, label, space, table):
+        for eps in probe_grades(ref_realized(table)):
+            assert space.ball_masks(eps) == ref_ball_masks(table, eps), eps
+
+    def test_ball_tree_and_dot(self, label, space, table):
+        nodes = ref_ball_tree(space.points, table)
+        assert ball_tree(space) == nodes
+        assert dendrogram_dot(space) == ref_dot(nodes)
+
+    def test_distinct_ball_listing(self, label, space, table):
+        expected, seen = [], set()
+        for radius in ref_realized(table):
+            for i, mask in enumerate(ref_ball_masks(table, radius)):
+                if mask not in seen:
+                    seen.add(mask)
+                    expected.append((i, radius, mask))
+        assert space.distinct_balls() == expected
+
+    def test_dump_model(self, label, space, table):
+        rng = random.Random(label)
+        valuation = {"p": [x for x in space.points if rng.random() < 0.5]}
+        assert dump_model(Model(space, valuation)) == ref_dump(space.points, table, valuation)
+
+    def test_degree_thresholds(self, label, space, table):
+        rng = random.Random(label)
+        members = [x for x in space.points if rng.random() < 0.5] or [space.points[0]]
+        model = Model(space, {"p": members})
+        inside = {space.index(x) for x in members}
+        for x in space.points:
+            row = table[space.index(x)]
+            near = min(row[i] for i in inside)
+            assert plausibility_degree(model, x, Atom("p")).threshold == near
+            outside = [row[i] for i in range(space.n) if i not in inside]
+            report = stability_degree(model, x, Atom("p"))
+            if space.index(x) in inside and outside:
+                assert report.threshold == min(outside)
+
+
+def test_sequence_ranks_need_no_pairwise_fraction():
+    """A 1,024-world history space builds its table from eleven Fractions."""
+    seqs = cantor_sequences(10)
+    space = UltrametricSpace.from_sequences(seqs, dict(zip(seqs, seqs)))
+    assert len(space.realized_distances()) == 11
+    assert space.ranks.shape == (1024, 1024)
+    assert space.ranks.dtype == np.uint8
+
+
+def test_symmetric_validation_matches_the_sweep_on_random_tables():
+    """The O(n^2) single-linkage test agrees with the cubic sweep on symmetric tables."""
+    rng = random.Random(5)
+    levels = [Fraction(k, 4) for k in range(5)]
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.choice(levels[1:])
+        space = UltrametricSpace([f"p{i}" for i in range(n)], m)
+        assert validate_space(space) == ref_validate(space.points, m)
