@@ -9,6 +9,7 @@ strings, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -316,8 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "morphism" and len(args.model) != 2:
         print(json.dumps({"error": "morphism needs exactly two --model arguments"}), file=sys.stderr)
         return 2

@@ -39,35 +39,63 @@ def as_grade(value: int | str | Fraction) -> Fraction:
 
 
 class Formula:
-    """Base class for formulas; instances are immutable and hashable."""
+    """Base class for formulas; instances are immutable and hashable.
+
+    A node computes its hash once, from its children's cached hashes, so
+    hashing a formula costs one step per node however often it is looked
+    up.  String hashes are seeded per process, so the cached value is
+    left out of pickles and copies.
+    """
+
+    _hash: int | None = None
 
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # __match_args__ names the dataclass fields, in order.
+            h = hash(tuple(getattr(self, name) for name in self.__match_args__))
+            object.__setattr__(self, "_hash", h)
+        return h
 
-@dataclass(frozen=True)
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+def _node(cls):
+    """A frozen dataclass node that keeps :meth:`Formula.__hash__`."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -89,13 +117,13 @@ class _Graded(Formula):
             raise GradeError(f"grade {grade} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@_node
 class Box(_Graded):
     grade: Fraction
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(_Graded):
     grade: Fraction
     sub: Formula

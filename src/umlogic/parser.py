@@ -17,6 +17,11 @@ level per node of its syntax tree and one per pair of parentheses on the
 way down (``a <-> b`` parses to two levels, an ``&`` over two ``->``).
 Deeper input is rejected with a :class:`ParseError`, so the recursive
 printer, desugaring and evaluators never run out of stack.
+
+The sugar ``a <-> b`` copies both sides, so k nested biconditionals
+expand to a tree of about 2^k leaves, which the printer, desugaring and
+evaluators walk in full.  A formula whose expanded tree has more than
+:data:`MAX_NODES` nodes (parentheses are not nodes) is rejected too.
 """
 from __future__ import annotations
 
@@ -29,6 +34,9 @@ from .formula import And, Atom, Box, Diamond, Formula, GradeError, Implies, Not,
 
 #: Deepest nesting :func:`parse` accepts; see the module docstring.
 MAX_DEPTH = 100
+
+#: Most syntax-tree nodes :func:`parse` accepts, with ``<->`` expanded.
+MAX_NODES = 100_000
 
 
 class ParseError(ValueError):
@@ -101,13 +109,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive descent that also measures the nesting depth of what it builds.
+    """Recursive descent that also measures the depth and the size of what it builds.
 
-    After each rule returns, ``depth`` holds the depth of the formula it
-    returned.  ``open`` counts the levels enclosing the current position,
-    so input that will nest too deep is refused before the recursion gets
-    there; :func:`parse` checks the finished depth, which also bounds the
-    flat ``&``, ``|`` and ``<->`` chains that the rules build in loops.
+    After each rule returns, ``depth`` and ``size`` hold the depth and the
+    node count (``<->`` expanded) of the formula it returned.  ``open``
+    counts the levels enclosing the current position, so input that will
+    nest too deep is refused before the recursion gets there;
+    :func:`parse` checks the finished depth and size, which also bounds
+    the flat ``&``, ``|`` and ``<->`` chains that the rules build in loops.
     """
 
     def __init__(self, tokens: list[_Token]):
@@ -115,6 +124,7 @@ class _Parser:
         self.pos = 0
         self.open = 0
         self.depth = 0
+        self.size = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -139,39 +149,43 @@ class _Parser:
     def formula(self) -> Formula:
         left = self.implies()
         while self.peek().kind == "IFF":
-            depth = self.depth
+            depth, size = self.depth, self.size
             self.pos += 1
             right = self.implies()
             left = And(Implies(left, right), Implies(right, left))
             self.depth = max(depth, self.depth) + 2
+            self.size = 2 * (size + self.size) + 3
         return left
 
     def implies(self) -> Formula:
         left = self.or_()
         tok = self.peek()
         if tok.kind == "ARROW":
-            depth = self.depth
+            depth, size = self.depth, self.size
             self.pos += 1
             left = Implies(left, self.nested(self.implies, tok))
             self.depth = max(depth, self.depth) + 1
+            self.size += size + 1
         return left
 
     def or_(self) -> Formula:
         left = self.and_()
         while self.peek().kind == "PIPE":
-            depth = self.depth
+            depth, size = self.depth, self.size
             self.pos += 1
             left = Or(left, self.and_())
             self.depth = max(depth, self.depth) + 1
+            self.size += size + 1
         return left
 
     def and_(self) -> Formula:
         left = self.unary()
         while self.peek().kind == "AMP":
-            depth = self.depth
+            depth, size = self.depth, self.size
             self.pos += 1
             left = And(left, self.unary())
             self.depth = max(depth, self.depth) + 1
+            self.size += size + 1
         return left
 
     def unary(self) -> Formula:
@@ -193,9 +207,11 @@ class _Parser:
             self.pos += 1
             result = self.nested(self.formula, tok)
             self.take("RPAREN", ("')'",))
+            self.depth += 1
+            return result
         elif tok.kind == "NAME":
             self.pos += 1
-            self.depth = 1
+            self.depth = self.size = 1
             return Atom(tok.text)
         else:
             raise ParseError(
@@ -203,6 +219,7 @@ class _Parser:
                 ("'~'", "'['", "'<'", "atom", "'('"),
             )
         self.depth += 1
+        self.size += 1
         return result
 
     def grade(self) -> Fraction:
@@ -223,7 +240,8 @@ def parse(text: str) -> Formula:
 
     Raises :class:`ParseError` with line/column diagnostics on bad input;
     grade literals outside [0, 1] are rejected, and so is any formula
-    nested more than :data:`MAX_DEPTH` levels deep.
+    nested more than :data:`MAX_DEPTH` levels deep or expanding to more
+    than :data:`MAX_NODES` nodes.
     """
     parser = _Parser(_tokenize(text))
     result = parser.formula()
@@ -232,4 +250,7 @@ def parse(text: str) -> Formula:
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
     if parser.depth > MAX_DEPTH:
         raise _too_deep(parser.tokens[0])
+    if parser.size > MAX_NODES:
+        first = parser.tokens[0]
+        raise ParseError(f"formula expands to more than {MAX_NODES} nodes", first.line, first.column)
     return result

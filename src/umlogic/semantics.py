@@ -3,7 +3,11 @@
 The box modality of grade g denotes the graded interior I_g (truth across
 the whole closed g-ball), the diamond the graded closure C_g (truth
 somewhere in the ball).  Point sets travel as bitmasks internally; the
-public functions speak in point-name sets.
+public functions speak in point-name sets.  Both operators work per
+distinct ball of the grade, not per world: every centre of a ball sees
+the same ball, so a ball inside (or meeting) the set adds all its centres
+at once, and an evaluation costs one step per ball of
+:meth:`UltrametricSpace.ball_partition`.
 """
 from __future__ import annotations
 
@@ -18,18 +22,18 @@ from .space import Model, UltrametricSpace
 def interior_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose whole closed eps-ball lies inside ``mask``."""
     result = 0
-    for i, ball in enumerate(space.ball_masks(eps)):
+    for ball, centres in space.ball_partition(eps):
         if ball & mask == ball:
-            result |= 1 << i
+            result |= centres
     return result
 
 
 def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose closed eps-ball meets ``mask``."""
     result = 0
-    for i, ball in enumerate(space.ball_masks(eps)):
+    for ball, centres in space.ball_partition(eps):
         if ball & mask:
-            result |= 1 << i
+            result |= centres
     return result
 
 

@@ -5,15 +5,23 @@ stored as the ascending list of distinct distances (exact Fractions) and
 an n x n numpy table of integer ranks into that list.  The logic only
 asks which points lie inside a ball of some grade, so every reader works
 on the ranks; :meth:`UltrametricSpace.matrix` derives the Fraction table
-on demand.  Construction never checks the metric laws: :func:`validate_space`
-reports violations as data, so deliberately broken spaces (used to show
-which laws the strong triangle inequality buys) are representable.
+on demand.  For each grade asked about, the space caches the distinct
+closed balls once, each with the mask of the points whose ball it is
+(:meth:`UltrametricSpace.ball_partition`); the per-point masks, single
+balls and the listing of every ball are views of that cache.  In an
+ultrametric the balls of one grade partition the points, so evaluation
+costs one step per ball, not per point.
+
+Construction never checks the metric laws: :func:`validate_space` reports
+violations as data, so deliberately broken spaces (used to show which
+laws the strong triangle inequality buys) are representable.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,7 +76,7 @@ class UltrametricSpace:
         self._distances = distances
         ranks.setflags(write=False)
         self._ranks = ranks
-        self._ball_masks: dict[int, tuple[int, ...]] = {}
+        self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
 
     @classmethod
     def from_pairs(
@@ -176,29 +184,48 @@ class UltrametricSpace:
         return mask
 
     def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(p for i, p in enumerate(self._points) if mask >> i & 1)
+        return frozenset(map(self._points.__getitem__, self.members(mask).tolist()))
 
     def members(self, mask: int) -> np.ndarray:
         """Ascending point indexes of the bits set in ``mask``."""
         data = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
         return np.flatnonzero(np.unpackbits(data, count=self.n, bitorder="little"))
 
-    def ball_masks(self, eps: Fraction) -> tuple[int, ...]:
-        """Per-point bitmasks of the closed ball {y : d(x, y) <= eps}."""
+    def ball_partition(self, eps: Fraction) -> tuple[tuple[int, int], ...]:
+        """The distinct closed eps-balls, each once as a (ball, centres) pair of bitmasks.
+
+        ``centres`` holds the points whose closed eps-ball is ``ball``, so the
+        centres of all pairs partition the points; in an ultrametric every
+        point of a ball is a centre of it, and ``centres == ball``.  Pairs
+        come in order of their first centre.  Cached per rank of ``eps``.
+        """
         below = bisect_right(self._distances, eps)
-        cached = self._ball_masks.get(below)
+        cached = self._partitions.get(below)
         if cached is None:
             packed = np.packbits(self._ranks < below, axis=1, bitorder="little")
             data, width = packed.tobytes(), packed.shape[1]
-            cached = tuple(
-                int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)
-            )
-            self._ball_masks[below] = cached
+            # Group the points by the bytes of their ball; only distinct balls become ints.
+            centres: dict[bytes, int] = {}
+            for i, start in enumerate(range(0, len(data), width)):
+                row = data[start:start + width]
+                centres[row] = centres.get(row, 0) | 1 << i
+            cached = tuple((int.from_bytes(row, "little"), held) for row, held in centres.items())
+            self._partitions[below] = cached
         return cached
+
+    def ball_masks(self, eps: Fraction) -> tuple[int, ...]:
+        """Per-point bitmasks of the closed ball {y : d(x, y) <= eps}."""
+        masks = [0] * self.n
+        for ball, centres in self.ball_partition(eps):
+            for i in self.members(centres).tolist():
+                masks[i] = ball
+        return tuple(masks)
 
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
         """The closed ball around ``x`` of radius ``eps``; always contains x."""
-        return self.names_of(self.ball_masks(eps)[self.index(x)])
+        bit = 1 << self.index(x)
+        pairs = self.ball_partition(eps)
+        return self.names_of(next(ball for ball, centres in pairs if centres & bit))
 
     def distinct_balls(self) -> list[tuple[int, Fraction, int]]:
         """Each distinct closed ball once, as (centre index, radius, mask).
@@ -208,9 +235,9 @@ class UltrametricSpace:
         """
         seen: dict[int, tuple[int, Fraction, int]] = {}
         for radius in self._distances:
-            for i, mask in enumerate(self.ball_masks(radius)):
-                if mask not in seen:
-                    seen[mask] = (i, radius, mask)
+            for ball, centres in self.ball_partition(radius):
+                if ball not in seen:
+                    seen[ball] = ((centres & -centres).bit_length() - 1, radius, ball)
         return list(seen.values())
 
     def nearest(self, i: int, mask: int) -> Fraction | None:
@@ -373,21 +400,35 @@ def cantor_space(depth: int) -> UltrametricSpace:
 
 
 class Model:
-    """A space plus a valuation assigning each atom the set of points where it holds."""
+    """A space plus a valuation assigning each atom the set of points where it holds.
+
+    The space and the valuation are read-only, because each atom's bitmask
+    is computed once, here.
+    """
 
     def __init__(self, space: UltrametricSpace, valuation: Mapping[str, Iterable[str]] | None = None):
-        self.space = space
-        self.valuation: dict[str, frozenset[str]] = {}
+        self._space = space
+        self._valuation: dict[str, frozenset[str]] = {}
         for atom, members in (valuation or {}).items():
             members = frozenset(members)
             for p in members:
                 if p not in space:
                     raise UnknownPointError(p)
-            self.valuation[atom] = members
+            self._valuation[atom] = members
+        self._atom_masks = {atom: space.mask_of(held) for atom, held in self._valuation.items()}
+
+    @property
+    def space(self) -> UltrametricSpace:
+        return self._space
+
+    @property
+    def valuation(self) -> Mapping[str, frozenset[str]]:
+        """Atom -> points where it holds, as a read-only view."""
+        return MappingProxyType(self._valuation)
 
     def atom_set(self, name: str) -> frozenset[str]:
         """Points where ``name`` holds; atoms missing from the valuation are empty."""
-        return self.valuation.get(name, frozenset())
+        return self._valuation.get(name, frozenset())
 
     def atom_mask(self, name: str) -> int:
-        return self.space.mask_of(self.valuation.get(name, ()))
+        return self._atom_masks.get(name, 0)

@@ -4,7 +4,9 @@ A formula is valid in a space when it holds at every world under every
 valuation of its atoms.  Only atoms occurring in the formula are
 enumerated; each candidate valuation is an integer whose bit layout is
 documented at :func:`valid_in_model`, and evaluation runs vectorised over
-chunks of candidates with one bitmask per point set.
+chunks of candidates with one bitmask per point set.  A box takes one
+numpy pass per distinct ball of its grade, setting the ball's centres
+wherever the ball lies inside its operand.
 """
 from __future__ import annotations
 
@@ -57,9 +59,9 @@ def _eval_chunk(space: UltrametricSpace, order: list[Formula], atom_arrays: dict
         elif isinstance(g, Box):
             sub = values[g.sub]
             acc = np.zeros(size, dtype=np.uint64)
-            for w, ball in enumerate(space.ball_masks(g.grade)):
+            for ball, centres in space.ball_partition(g.grade):
                 b = np.uint64(ball)
-                acc |= ((sub & b) == b).astype(np.uint64) << np.uint64(w)
+                acc |= ((sub & b) == b).astype(np.uint64) * np.uint64(centres)
             values[g] = acc
         else:
             raise TypeError(f"not a core formula: {g!r}")

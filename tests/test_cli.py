@@ -2,11 +2,13 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from umlogic.cli import main
+from umlogic.parser import MAX_NODES
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,6 +172,61 @@ class TestDeepFormulas:
         assert code == 2
         assert out == ""
         assert "deeper than" in json.loads(err)["error"]
+
+
+def nested_iff(levels):
+    """``p <-> (p <-> (...))``: short text whose expanded tree has about 2^levels leaves."""
+    text = "p"
+    for _ in range(levels - 1):
+        text = f"p <-> ({text})"
+    return text
+
+
+class TestExpandedSize:
+    """Nested ``<->`` past the parser's node cap exits 2 before anything walks the expansion."""
+
+    @pytest.mark.parametrize("command", ["axiom", "check"])
+    def test_thirty_nested_biconditionals_exit_2(self, capsys, tree_model, command):
+        argv = [command, "--formula", nested_iff(30)]
+        if command == "check":
+            argv += ["--model", str(tree_model), "--world", "w0"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert f"more than {MAX_NODES} nodes" in json.loads(err)["error"]
+
+    def test_nested_biconditionals_under_the_cap_still_run(self, capsys, tree_model):
+        argv = ["check", "--model", str(tree_model), "--formula", nested_iff(8), "--world", "w0"]
+        code, _, err = run(capsys, argv)
+        assert code in (0, 1)
+        assert err == ""
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once; one call's values never reach the next."""
+
+    def test_appended_models_and_defaults_stay_per_call(self, capsys, tmp_path, tree_model):
+        one = tmp_path / "one.json"
+        assert main(["cantor", "--depth", "1", "--out", str(one)]) == 0
+        code, out, _ = run(capsys, ["union", "--model", str(one), "--model", str(tree_model)])
+        assert code == 0
+        assert len(json.loads(out)["points"]) == 2 + 8
+        code, out, _ = run(capsys, ["union", "--model", str(one)])
+        assert code == 0
+        assert len(json.loads(out)["points"]) == 2
+        code, _, err = run(capsys, ["morphism", "--model", str(one), "--map", str(one)])
+        assert code == 2
+        assert "exactly two" in json.loads(err)["error"]
+
+        formula = ["--model", str(tree_model), "--formula", "p -> p"]
+        code, _, err = run(capsys, ["valid", *formula, "--cap", "100"])
+        assert code == 2
+        assert "cap" in json.loads(err)["error"]
+        code, out, _ = run(capsys, ["valid", *formula])
+        assert code == 0
+        assert json.loads(out)["valuations_checked"] == 256
 
 
 class TestProve:

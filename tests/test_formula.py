@@ -20,7 +20,7 @@ from umlogic.formula import (
     subformulas,
 )
 from umlogic.generators import random_formula
-from umlogic.parser import MAX_DEPTH, ParseError, parse
+from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, parse
 from umlogic.semantics import truth_mask
 from umlogic.space import Model
 
@@ -214,3 +214,59 @@ class TestNestingCap:
         for op in ("&", "|", "<->"):
             with pytest.raises(ParseError, match="deeper"):
                 parse(f" {op} ".join(["p"] * 3000))
+
+
+def tree_size(f):
+    """Nodes of ``f`` counted as a tree: a subformula shared by two parents counts twice."""
+    stack, count = [f], 0
+    while stack:
+        g = stack.pop()
+        count += 1
+        if isinstance(g, (Not, Box, Diamond)):
+            stack.append(g.sub)
+        elif isinstance(g, (And, Or, Implies)):
+            stack += [g.left, g.right]
+    return count
+
+
+def balanced_and(leaves):
+    """A parenthesised conjunction of ``leaves`` (a list of texts) of logarithmic depth."""
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return f"({balanced_and(leaves[:half])}) & ({balanced_and(leaves[half:])})"
+
+
+def biconditionals(levels):
+    """``[1/2]p <-> ~(...)`` nested ``levels`` deep: each level doubles the expanded tree."""
+    text = "p"
+    for _ in range(levels):
+        text = f"[1/2]p <-> ~({text})"
+    return text
+
+
+class TestNodeCap:
+    """The expanded tree may have MAX_NODES nodes; one more is a ParseError."""
+
+    def test_exactly_the_cap_parses(self):
+        wide = biconditionals(13)
+        rest = MAX_NODES - 1 - tree_size(parse(wide))
+        leaves = ["p"] * ((rest + 1) // 2)
+        if rest % 2 == 0:
+            leaves[0] = "~p"
+        text = f"({wide}) & ({balanced_and(leaves)})"
+        assert tree_size(parse(text)) == MAX_NODES
+        with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes"):
+            parse(text.replace("& (p", "& (~p", 1))
+
+    def test_biconditionals_count_their_expansion(self):
+        """Each level doubles the expansion; parse accepts exactly the levels that fit."""
+        built, levels = P, 0
+        while tree_size(built) <= MAX_NODES:
+            assert parse(biconditionals(levels)) == built
+            left, right = Box(Fraction(1, 2), P), Not(built)
+            built = And(Implies(left, right), Implies(right, left))
+            levels += 1
+        with pytest.raises(ParseError, match=f"more than {MAX_NODES} nodes"):
+            parse(biconditionals(levels))
+        assert levels == 14  # thirteen levels fit, the fourteenth does not

@@ -1,0 +1,167 @@
+"""Property-based tests of the partition semantics, formula hashing and read-only models.
+
+Spaces are generated two ways: by ``random_ultrametric_space`` driven by a
+Hypothesis-controlled random source, and from sets of distinct binary
+histories.  Grades are realized distances of the space or arbitrary
+rationals in [0, 1].  The identities are those of the graded interior
+and closure that ``test_acceptance`` checks exhaustively on small spaces.
+"""
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import umlogic
+from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or
+from umlogic.parser import parse
+from umlogic.generators import random_ultrametric_space
+from umlogic.semantics import closure_mask, interior_mask, truth_mask
+from umlogic.space import Model, UltrametricSpace, validate_space
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+fractions01 = st.builds(
+    Fraction, st.integers(0, 64), st.integers(1, 64)).filter(lambda g: g <= 1)
+
+
+@st.composite
+def spaces(draw):
+    if draw(st.booleans()):
+        return random_ultrametric_space(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 12)))
+    length = draw(st.integers(1, 6))
+    histories = sorted(draw(st.sets(
+        st.text("01", min_size=length, max_size=length), min_size=1, max_size=12)))
+    names = [f"h{i}" for i in range(len(histories))]
+    return UltrametricSpace.from_sequences(names, dict(zip(names, histories)))
+
+
+@st.composite
+def space_grade_masks(draw):
+    """A valid space, a grade, and two subsets of its points as bitmasks."""
+    space = draw(spaces())
+    grade = draw(st.one_of(st.sampled_from(space.realized_distances()), fractions01))
+    masks = st.integers(0, space.full_mask)
+    return space, grade, draw(masks), draw(masks)
+
+
+def formulas(grades=fractions01):
+    leaves = st.sampled_from([Atom("p"), Atom("q"), Atom("r")])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Box, grades, sub),
+        st.builds(Diamond, grades, sub),
+    ), max_leaves=24)
+
+
+def rebuild(f):
+    """An equal formula made of new nodes, none of which has been hashed."""
+    if isinstance(f, Atom):
+        return Atom(str(f.name))
+    if isinstance(f, Not):
+        return Not(rebuild(f.sub))
+    if isinstance(f, (Box, Diamond)):
+        return type(f)(Fraction(f.grade.numerator, f.grade.denominator), rebuild(f.sub))
+    return type(f)(rebuild(f.left), rebuild(f.right))
+
+
+@SETTINGS
+@given(space_grade_masks())
+def test_generated_spaces_are_ultrametric(case):
+    space, grade, _, _ = case
+    assert validate_space(space) == []
+    for ball, centres in space.ball_partition(grade):
+        assert ball == centres
+
+
+@SETTINGS
+@given(space_grade_masks())
+def test_box_diamond_duality(case):
+    """(viii): the closure is the complement of the interior of the complement."""
+    space, grade, a, _ = case
+    full = space.full_mask
+    assert closure_mask(space, a, grade) == full ^ interior_mask(space, full ^ a, grade)
+    model = Model(space, {"p": space.names_of(a)})
+    assert truth_mask(model, Diamond(grade, Atom("p"))) == closure_mask(space, a, grade)
+    assert truth_mask(model, Box(grade, Atom("p"))) == interior_mask(space, a, grade)
+
+
+@SETTINGS
+@given(space_grade_masks(), fractions01)
+def test_interior_composes_to_the_larger_grade(case, other):
+    """(ii): I_e I_g A = I_max(e, g) A, which needs the strong triangle inequality."""
+    space, grade, a, _ = case
+    inner = interior_mask(space, a, other)
+    assert interior_mask(space, inner, grade) == interior_mask(space, a, max(grade, other))
+
+
+@SETTINGS
+@given(space_grade_masks())
+def test_interior_distributes_over_intersection(case):
+    """(v): I_e (A & B) = I_e A & I_e B."""
+    space, grade, a, b = case
+    assert interior_mask(space, a & b, grade) == interior_mask(space, a, grade) & interior_mask(space, b, grade)
+
+
+@SETTINGS
+@given(formulas())
+def test_cached_hash_equals_a_fresh_equal_formula(f):
+    first = hash(f)
+    assert hash(f) == first
+    twin = rebuild(f)
+    assert twin == f
+    assert hash(twin) == first
+
+
+@SETTINGS
+@given(formulas())
+def test_cached_hash_is_not_carried_by_pickles_or_copies(f):
+    hash(f)
+    for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert twin == f
+        assert "_hash" not in vars(twin)
+        assert hash(twin) == hash(f)
+
+
+def test_unpickled_formula_hashes_as_one_built_in_the_new_process():
+    """String hashes are seeded per process, so a pickle must not carry the cached hash."""
+    text = "[1/2](p -> q) & <1/4>~r"
+    f = parse(text)
+    hash(f)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(umlogic.__file__).parents[1]))
+    child = (
+        "import pickle, sys\n"
+        "from umlogic.parser import parse\n"
+        "f = pickle.loads(sys.stdin.buffer.read())\n"
+        f"fresh = parse({text!r})\n"
+        "print(hash(f) == hash(fresh), {fresh: 1}.get(f))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(f),
+                            capture_output=True, env=env, timeout=60)
+    assert result.stdout.decode().split() == ["True", "1"], result.stderr.decode()
+
+
+@SETTINGS
+@given(spaces(), st.data())
+def test_model_valuation_is_read_only(space, data):
+    held = data.draw(st.sets(st.sampled_from(space.points)))
+    model = Model(space, {"p": held})
+    assert model.atom_mask("p") == space.mask_of(held)
+    assert model.valuation == {"p": frozenset(held)}
+    with pytest.raises(AttributeError):
+        model.valuation = {}
+    with pytest.raises(TypeError):
+        model.valuation["p"] = frozenset()
+    with pytest.raises(AttributeError):
+        model.space = space
+    assert model.atom_mask("p") == space.mask_of(held)
