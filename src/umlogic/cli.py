@@ -32,6 +32,8 @@ from .modelio import (
     ModelFormatError,
     dump_model,
     load_model,
+    parse_valuation,
+    read_json,
 )
 from .parser import ParseError, parse
 from .proofs import ProofFormatError, check_proof, load_proof, verdict_to_dict
@@ -110,27 +112,11 @@ def _cmd_plausibility(args) -> int:
 def _cmd_cantor(args) -> int:
     sequences = cantor_sequences(args.depth)
     names = [f"w{i}" for i in range(len(sequences))]
-    valuation: dict[str, list[str]] = {}
-    if args.valuation:
-        try:
-            raw = json.loads(Path(args.valuation).read_text())
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{args.valuation}: {exc}") from None
-        if not isinstance(raw, dict) or not all(
-            isinstance(k, str) and isinstance(v, list) and all(isinstance(p, str) for p in v)
-            for k, v in raw.items()
-        ):
-            raise ModelFormatError("valuation file must map atoms to arrays of point names")
-        known = set(names)
-        for atom, members in raw.items():
-            unknown = sorted(set(members) - known)
-            if unknown:
-                raise ModelFormatError(f"valuation of {atom!r} names unknown point {unknown[0]!r}")
-            valuation[atom] = sorted(set(members))
+    valuation = parse_valuation(read_json(args.valuation), names) if args.valuation else {}
     payload = {
         "points": names,
         "distance": {"sequences": dict(zip(names, sequences))},
-        "valuation": valuation,
+        "valuation": {atom: sorted(set(members)) for atom, members in valuation.items()},
     }
     _write(_dumps(payload), args.out)
     return 0

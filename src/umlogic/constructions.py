@@ -9,13 +9,12 @@ balls pull back into k-inverse-scaled source balls.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from .modelio import ModelFormatError, parse_rational
+from .modelio import ModelFormatError, parse_rational, read_json
 from .space import Model, UltrametricSpace, UnknownPointError
 
 #: Distance between points of different components in a disjoint union.
@@ -40,10 +39,7 @@ class PointMap:
 
 def load_point_map(path: str | Path) -> PointMap:
     """Read a ``{"k": "1/2", "map": {src: tgt, ...}}`` JSON file."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("map"), dict):
         raise ModelFormatError('map file must be an object with a "map" object')
     mapping = data["map"]

@@ -48,13 +48,17 @@ def _parse_points(data: dict) -> list[str]:
     return points
 
 
-def _parse_valuation(data: dict) -> dict[str, list[str]]:
-    valuation = data.get("valuation", {})
+def parse_valuation(valuation, points: list[str]) -> dict[str, list[str]]:
+    """Check that ``valuation`` maps atoms to arrays of the given point names."""
     if not isinstance(valuation, dict):
         raise ModelFormatError('"valuation" must be an object mapping atoms to point arrays')
+    known = set(points)
     for atom, members in valuation.items():
         if not isinstance(members, list) or not all(isinstance(p, str) for p in members):
             raise ModelFormatError(f'valuation of "{atom}" must be an array of point names')
+        for p in members:
+            if p not in known:
+                raise ModelFormatError(f"valuation names unknown point {p!r}")
     return valuation
 
 
@@ -91,11 +95,7 @@ def model_from_dict(data, *, validate: bool = True) -> Model:
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
 
-    try:
-        model = Model(space, _parse_valuation(data))
-    except UnknownPointError as exc:
-        raise ModelFormatError(f"valuation names unknown point {exc.args[0]!r}") from None
-
+    model = Model(space, parse_valuation(data.get("valuation", {}), points))
     if validate:
         violations = validate_space(space)
         if violations:
@@ -103,12 +103,16 @@ def model_from_dict(data, *, validate: bool = True) -> Model:
     return model
 
 
-def load_model(path: str | Path, *, validate: bool = True) -> Model:
+def read_json(path: str | Path, error: type[ValueError] = ModelFormatError):
+    """Decode a JSON file; text that is malformed or nested too deeply to decode raises ``error``."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from None
-    return model_from_dict(data, validate=validate)
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def load_model(path: str | Path, *, validate: bool = True) -> Model:
+    return model_from_dict(read_json(path), validate=validate)
 
 
 def model_to_dict(model: Model) -> dict:

@@ -13,13 +13,13 @@ line, j the implication line), or ``"nec:i:grade"``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .axioms import SchemaError, instantiate_axiom, match_axiom
 from .formula import Box, Formula, GradeError, Implies, as_grade, desugar, format_formula
+from .modelio import read_json
 from .parser import ParseError, parse
 
 
@@ -222,11 +222,7 @@ def proof_from_json(data) -> Proof:
 
 
 def load_proof(path: str | Path) -> Proof:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ProofFormatError(f"{path}: {exc}") from None
-    return proof_from_json(data)
+    return proof_from_json(read_json(path, ProofFormatError))
 
 
 def verdict_to_dict(verdict: ProofVerdict) -> dict:

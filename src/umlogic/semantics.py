@@ -3,38 +3,82 @@
 The box modality of grade g denotes the graded interior I_g (truth across
 the whole closed g-ball), the diamond the graded closure C_g (truth
 somewhere in the ball).  Point sets travel as bitmasks internally; the
-public functions speak in point-name sets.  Both operators work per
+public functions speak in point-name sets.
+
+One evaluator, :func:`evaluate`, serves every query.  It runs children
+first over the subformulas of the formula as parsed, handling all seven
+constructors directly, so nothing is desugared first: a box takes the
+interior step and a diamond the closure step.  Both steps work per
 distinct ball of the grade, not per world: every centre of a ball sees
 the same ball, so a ball inside (or meeting) the set adds all its centres
-at once, and an evaluation costs one step per ball of
-:meth:`UltrametricSpace.ball_partition`.
+at once, and a step costs one pass per ball of
+:meth:`UltrametricSpace.ball_partition`.  The same code runs on one
+Python-int mask (:func:`truth_mask`) and on a numpy ``uint64`` batch of
+masks, one per valuation (:func:`umlogic.validity.valid_in_model`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .formula import And, Atom, Box, Formula, Not, desugar
+from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or, subformulas
 from .space import Model, UltrametricSpace
+
+
+def _ball_step(space: UltrametricSpace, value, eps: Fraction, full, meets: bool):
+    """Centres of the eps-balls inside ``value``, or meeting it when ``meets``.
+
+    ``value`` is an int mask or a numpy ``uint64`` batch of masks, and
+    ``full`` the all-points mask of the same type.  ``full & ball`` is
+    ``ball`` as that type: numpy compares a batch with a Python int much
+    more slowly than with a ``uint64``.
+    """
+    result = value & 0
+    for ball, centres in space.ball_partition(eps):
+        ball = full & ball
+        # ``value & ball`` gets no name: a batch temporary kept alive while
+        # the next one is made sends numpy to fresh pages on every ball.
+        hit = (value & ball != 0) if meets else (value & ball == ball)
+        result |= hit * (full & centres)
+    return result
 
 
 def interior_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose whole closed eps-ball lies inside ``mask``."""
-    result = 0
-    for ball, centres in space.ball_partition(eps):
-        if ball & mask == ball:
-            result |= centres
-    return result
+    return _ball_step(space, mask, eps, space.full_mask, meets=False)
 
 
 def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose closed eps-ball meets ``mask``."""
-    result = 0
-    for ball, centres in space.ball_partition(eps):
-        if ball & mask:
-            result |= centres
-    return result
+    return _ball_step(space, mask, eps, space.full_mask, meets=True)
+
+
+def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object], full):
+    """Truth set of ``f`` over ``space``, children first, one value per distinct subformula.
+
+    ``atom`` maps an atom name to its truth set and ``full`` is the set of
+    all points: Python ints for one valuation, or a numpy ``uint64`` batch
+    of masks and ``np.uint64(space.full_mask)`` for many at once.
+    """
+    values: dict[Formula, object] = {}
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            value = atom(g.name)
+        elif isinstance(g, Not):
+            value = full ^ values[g.sub]
+        elif isinstance(g, And):
+            value = values[g.left] & values[g.right]
+        elif isinstance(g, Or):
+            value = values[g.left] | values[g.right]
+        elif isinstance(g, Implies):
+            value = (full ^ values[g.left]) | values[g.right]
+        elif isinstance(g, (Box, Diamond)):
+            value = _ball_step(space, values[g.sub], g.grade, full, meets=isinstance(g, Diamond))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        values[g] = value
+    return values[f]
 
 
 def interior_eps(space: UltrametricSpace, members: Iterable[str], eps: Fraction) -> frozenset[str]:
@@ -54,33 +98,8 @@ class TruthSet:
 
 
 def truth_mask(model: Model, f: Formula) -> int:
-    """Truth set of ``f`` as a bitmask over the model's point order.
-
-    Evaluation desugars first, then runs bottom-up with one memoized mask
-    per distinct subformula.
-    """
-    space = model.space
-    full = space.full_mask
-    memo: dict[Formula, int] = {}
-
-    def eval_core(g: Formula) -> int:
-        cached = memo.get(g)
-        if cached is not None:
-            return cached
-        if isinstance(g, Atom):
-            result = model.atom_mask(g.name)
-        elif isinstance(g, Not):
-            result = full ^ eval_core(g.sub)
-        elif isinstance(g, And):
-            result = eval_core(g.left) & eval_core(g.right)
-        elif isinstance(g, Box):
-            result = interior_mask(space, eval_core(g.sub), g.grade)
-        else:
-            raise TypeError(f"not a core formula: {g!r}")
-        memo[g] = result
-        return result
-
-    return eval_core(desugar(f))
+    """Truth set of ``f`` as a bitmask over the model's point order."""
+    return evaluate(model.space, f, model.atom_mask, model.space.full_mask)
 
 
 def truthset(model: Model, f: Formula) -> TruthSet:

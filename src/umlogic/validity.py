@@ -3,10 +3,11 @@
 A formula is valid in a space when it holds at every world under every
 valuation of its atoms.  Only atoms occurring in the formula are
 enumerated; each candidate valuation is an integer whose bit layout is
-documented at :func:`valid_in_model`, and evaluation runs vectorised over
-chunks of candidates with one bitmask per point set.  A box takes one
-numpy pass per distinct ball of its grade, setting the ball's centres
-wherever the ball lies inside its operand.
+documented at :func:`valid_in_model`.  Evaluation runs vectorised over
+chunks of candidates, one ``uint64`` bitmask per candidate, through the
+same evaluator as single truth sets (:func:`umlogic.semantics.evaluate`)
+on the formula as parsed: a box or diamond takes one numpy pass per
+distinct ball of its grade.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import And, Atom, Box, Formula, Not, atoms, desugar, subformulas
+from .formula import Formula, atoms
+from .semantics import evaluate
 from .space import UltrametricSpace
 
 DEFAULT_CAP = 1 << 26
@@ -46,28 +48,6 @@ class ValidityResult:
         return self.valid
 
 
-def _eval_chunk(space: UltrametricSpace, order: list[Formula], atom_arrays: dict, size: int):
-    full = np.uint64(space.full_mask)
-    values: dict[Formula, np.ndarray] = {}
-    for g in order:
-        if isinstance(g, Atom):
-            values[g] = atom_arrays[g.name]
-        elif isinstance(g, Not):
-            values[g] = full ^ values[g.sub]
-        elif isinstance(g, And):
-            values[g] = values[g.left] & values[g.right]
-        elif isinstance(g, Box):
-            sub = values[g.sub]
-            acc = np.zeros(size, dtype=np.uint64)
-            for ball, centres in space.ball_partition(g.grade):
-                b = np.uint64(ball)
-                acc |= ((sub & b) == b).astype(np.uint64) * np.uint64(centres)
-            values[g] = acc
-        else:
-            raise TypeError(f"not a core formula: {g!r}")
-    return values[order[-1]]
-
-
 def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) -> ValidityResult:
     """Exhaustively check ``f`` at every world under every valuation of its atoms.
 
@@ -86,8 +66,6 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
     if total > min(cap, 1 << 62):
         raise EnumerationCapExceeded(total, min(cap, 1 << 62))
 
-    core = desugar(f)
-    order = subformulas(core)
     full = space.full_mask
     point_bits = np.uint64(full)
 
@@ -97,7 +75,7 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
         atom_arrays = {
             name: (idx >> np.uint64(j * n)) & point_bits for j, name in enumerate(names)
         }
-        result = _eval_chunk(space, order, atom_arrays, stop - start)
+        result = evaluate(space, f, atom_arrays.__getitem__, point_bits)
         bad = np.nonzero(result != point_bits)[0]
         if bad.size:
             encoded = int(idx[bad[0]])

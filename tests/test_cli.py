@@ -251,6 +251,26 @@ class TestProve:
         assert code == 2
 
 
+class TestDeepJson:
+    """A JSON file nested too deeply to decode is a format error with exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("command", ["valid", "prove", "cantor", "morphism"])
+    def test_exits_2(self, capsys, tree_model, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        argv = {
+            "valid": ["valid", "--model", str(deep), "--formula", "p"],
+            "prove": ["prove", "--proof", str(deep)],
+            "cantor": ["cantor", "--depth", "2", "--valuation", str(deep)],
+            "morphism": ["morphism", "--model", str(tree_model), "--model", str(tree_model),
+                         "--map", str(deep)],
+        }[command]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "recursion" in json.loads(err)["error"]
+
+
 class TestConstructions:
     def test_union_emits_loadable_model(self, capsys, tmp_path):
         one = tmp_path / "one.json"

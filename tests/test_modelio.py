@@ -73,6 +73,12 @@ class TestLoading:
         with pytest.raises(ModelFormatError, match="w9"):
             model_from_dict(data)
 
+    def test_first_unknown_point_in_file_order_is_named(self):
+        """Not the first in set order, which moves with the string hash seed."""
+        data = dict(SEQUENCE_MODEL, valuation={"p": ["zz", "yy", "xx", "ww", "vv"]})
+        with pytest.raises(ModelFormatError, match="unknown point 'zz'$"):
+            model_from_dict(data)
+
     @pytest.mark.parametrize(
         "mutate",
         [

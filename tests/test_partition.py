@@ -1,11 +1,14 @@
 """Differential tests: evaluation over each grade's ball partition against the per-world loops.
 
-Interior, closure and the vectorised validity evaluator now take one step
-per distinct ball of a grade (``UltrametricSpace.ball_partition``) and
-set all of the ball's centres at once.  The references below are the
-earlier loops, one step per world, reading each world's ball straight
-from the dense Fraction table (``ref_ball_masks``), so they share no code
-with the partition cache.  The spaces are those of ``test_rank_table``:
+Interior, closure and the evaluator shared by truth sets and validity
+(``semantics.evaluate``, run on numpy batches here) take one step per
+distinct ball of a grade (``UltrametricSpace.ball_partition``) and set
+all of the ball's centres at once, on the formula as parsed.  The
+references below are the earlier loops on the desugared formula, one step
+per world, reading each world's ball straight from the dense Fraction
+table (``ref_ball_masks``), so they share no code with the partition
+cache or the evaluator; ``ref_valid_in_model`` is the earlier enumeration
+driven by ``ref_eval_chunk``.  The spaces are those of ``test_rank_table``:
 generated ultrametrics, history spaces with duplicate points, and broken
 or perturbed tables, where a ball's centres differ from its members.
 """
@@ -15,11 +18,10 @@ import numpy as np
 import pytest
 
 from test_rank_table import CASES, IDS, probe_grades, ref_ball_masks, ref_realized
-from umlogic import validity
 from umlogic.formula import And, Atom, Box, Not, atoms, desugar, subformulas
 from umlogic.generators import random_formula, random_schema_instance
-from umlogic.semantics import closure_mask, interior_mask
-from umlogic.validity import valid_in_model
+from umlogic.semantics import closure_mask, evaluate, interior_mask
+from umlogic.validity import Counterexample, ValidityResult, valid_in_model
 
 
 # --- the replaced per-world loops --------------------------------------------
@@ -62,6 +64,33 @@ def ref_eval_chunk(space, order, atom_arrays, size):
         else:
             raise TypeError(f"not a core formula: {g!r}")
     return values[order[-1]]
+
+
+def ref_valid_in_model(space, f, chunk=1 << 18):
+    """The earlier ``validity.valid_in_model``: desugar, then enumerate with ``ref_eval_chunk``."""
+    names = sorted(atoms(f))
+    n = space.n
+    total = 1 << (n * len(names))
+    order = subformulas(desugar(f))
+    full = space.full_mask
+    point_bits = np.uint64(full)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        idx = np.arange(start, stop, dtype=np.uint64)
+        atom_arrays = {
+            name: (idx >> np.uint64(j * n)) & point_bits for j, name in enumerate(names)
+        }
+        result = ref_eval_chunk(space, order, atom_arrays, stop - start)
+        bad = np.nonzero(result != point_bits)[0]
+        if bad.size:
+            encoded = int(idx[bad[0]])
+            held = int(result[bad[0]])
+            valuation = {
+                name: space.names_of(encoded >> (j * n) & full) for j, name in enumerate(names)
+            }
+            world = next(space.points[i] for i in range(n) if not held >> i & 1)
+            return ValidityResult(False, Counterexample(valuation, world), start + int(bad[0]) + 1)
+    return ValidityResult(True, None, total)
 
 
 def sample_masks(rng, n, count=12):
@@ -112,18 +141,16 @@ class TestAgainstPerWorldLoops:
             for name in ("p", "q")
         }
         for f in sample_formulas(rng, formula_grades(table), 12):
-            order = subformulas(desugar(f))
-            got = validity._eval_chunk(space, order, atom_arrays, size)
-            assert np.array_equal(got, ref_eval_chunk(space, order, atom_arrays, size)), f
+            got = evaluate(space, f, atom_arrays.__getitem__, full)
+            want = ref_eval_chunk(space, subformulas(desugar(f)), atom_arrays, size)
+            assert np.array_equal(got, want), f
 
-    def test_valid_in_model(self, label, space, table, monkeypatch):
+    def test_valid_in_model(self, label, space, table):
         rng = random.Random(label)
         grades = formula_grades(table)
         formulas = sample_formulas(rng, grades, 6)
         for name in ("K", "T", "UM1", "TI", "UM2", "UM3", "D", "UM4"):
             formulas.append(random_schema_instance(rng, name, ("p", "q"), grades, formula_depth=1)[0])
         formulas = [f for f in formulas if space.n * len(atoms(f)) <= 16]
-        new = [valid_in_model(space, f) for f in formulas]
-        monkeypatch.setattr(validity, "_eval_chunk", ref_eval_chunk)
-        old = [valid_in_model(space, f) for f in formulas]
-        assert new == old
+        for f in formulas:
+            assert valid_in_model(space, f) == ref_valid_in_model(space, f), f

@@ -1,10 +1,12 @@
-"""Property-based tests of the partition semantics, formula hashing and read-only models.
+"""Property-based tests of the partition semantics, the evaluator, the printer, formula hashing and read-only models.
 
 Spaces are generated two ways: by ``random_ultrametric_space`` driven by a
 Hypothesis-controlled random source, and from sets of distinct binary
 histories.  Grades are realized distances of the space or arbitrary
 rationals in [0, 1].  The identities are those of the graded interior
 and closure that ``test_acceptance`` checks exhaustively on small spaces.
+The evaluator runs on formulas as parsed, all seven constructors
+included, and must agree with the same formulas after ``desugar``.
 """
 import copy
 import os
@@ -19,11 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import umlogic
-from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or
-from umlogic.parser import parse
+from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, desugar, format_formula
+from umlogic.parser import MAX_DEPTH, parse
 from umlogic.generators import random_ultrametric_space
 from umlogic.semantics import closure_mask, interior_mask, truth_mask
 from umlogic.space import Model, UltrametricSpace, validate_space
+from umlogic.validity import valid_in_model
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -32,12 +35,13 @@ fractions01 = st.builds(
 
 
 @st.composite
-def spaces(draw):
+def spaces(draw, max_points=12):
     if draw(st.booleans()):
-        return random_ultrametric_space(draw(st.randoms(use_true_random=False)), draw(st.integers(1, 12)))
+        return random_ultrametric_space(draw(st.randoms(use_true_random=False)),
+                                        draw(st.integers(1, max_points)))
     length = draw(st.integers(1, 6))
     histories = sorted(draw(st.sets(
-        st.text("01", min_size=length, max_size=length), min_size=1, max_size=12)))
+        st.text("01", min_size=length, max_size=length), min_size=1, max_size=max_points)))
     names = [f"h{i}" for i in range(len(histories))]
     return UltrametricSpace.from_sequences(names, dict(zip(names, histories)))
 
@@ -51,8 +55,8 @@ def space_grade_masks(draw):
     return space, grade, draw(masks), draw(masks)
 
 
-def formulas(grades=fractions01):
-    leaves = st.sampled_from([Atom("p"), Atom("q"), Atom("r")])
+def formulas(grades=fractions01, names=("p", "q", "r")):
+    leaves = st.sampled_from([Atom(name) for name in names])
     return st.recursive(leaves, lambda sub: st.one_of(
         st.builds(Not, sub),
         st.builds(And, sub, sub),
@@ -61,6 +65,14 @@ def formulas(grades=fractions01):
         st.builds(Box, grades, sub),
         st.builds(Diamond, grades, sub),
     ), max_leaves=24)
+
+
+def height(f):
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, (Not, Box, Diamond)):
+        return 1 + height(f.sub)
+    return 1 + max(height(f.left), height(f.right))
 
 
 def rebuild(f):
@@ -110,6 +122,33 @@ def test_interior_distributes_over_intersection(case):
     """(v): I_e (A & B) = I_e A & I_e B."""
     space, grade, a, b = case
     assert interior_mask(space, a & b, grade) == interior_mask(space, a, grade) & interior_mask(space, b, grade)
+
+
+@SETTINGS
+@given(spaces(), st.data())
+def test_truth_sets_agree_with_the_desugared_formula(space, data):
+    """The evaluator on a formula as parsed matches it on ``desugar``'s core form."""
+    grades = st.one_of(st.sampled_from(space.realized_distances()), fractions01)
+    f = data.draw(formulas(grades))
+    valuation = {name: data.draw(st.sets(st.sampled_from(space.points))) for name in ("p", "q", "r")}
+    model = Model(space, valuation)
+    assert truth_mask(model, f) == truth_mask(model, desugar(f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces(max_points=5), st.data())
+def test_validity_agrees_with_the_desugared_formula(space, data):
+    """Verdict, witness and ``valuations_checked`` do not depend on desugaring."""
+    grades = st.one_of(st.sampled_from(space.realized_distances()), fractions01)
+    f = data.draw(formulas(grades, names=("p", "q")))
+    assert valid_in_model(space, f) == valid_in_model(space, desugar(f))
+
+
+@SETTINGS
+@given(formulas().filter(lambda f: 2 * height(f) < MAX_DEPTH))
+def test_printed_formulas_parse_back(f):
+    """Each level adds at most one node and one pair of parentheses, so these stay under the cap."""
+    assert parse(format_formula(f)) == f
 
 
 @SETTINGS
