@@ -109,6 +109,9 @@ SCHEMAS: tuple[Schema, ...] = (
 
 _SCHEMA_BY_NAME = {s.name: s for s in SCHEMAS}
 
+# Templates in desugared form, for matching: (name, template, side condition).
+_MATCH_TEMPLATES = tuple((s.name, desugar(s.template), s.side_condition) for s in SCHEMAS)
+
 #: The eight schema names proper (directional variants excluded).
 SCHEMA_NAMES = ("K", "T", "UM1", "TI", "UM2", "UM3", "D", "UM4")
 
@@ -163,10 +166,10 @@ def match_axiom(f: Formula) -> list[tuple[str, dict]]:
     """
     target = desugar(f)
     matches = []
-    for schema in SCHEMAS:
+    for name, template, side_condition in _MATCH_TEMPLATES:
         bindings: dict = {}
         deferred: list = []
-        if not _match(desugar(schema.template), target, bindings, deferred):
+        if not _match(template, target, bindings, deferred):
             continue
         if any(
             bindings.get(slot.a) is None
@@ -175,9 +178,9 @@ def match_axiom(f: Formula) -> list[tuple[str, dict]]:
             for slot, grade in deferred
         ):
             continue
-        if schema.side_condition is not None and schema.side_condition(bindings) is not None:
+        if side_condition is not None and side_condition(bindings) is not None:
             continue
-        matches.append((schema.name, bindings))
+        matches.append((name, bindings))
     return matches
 
 

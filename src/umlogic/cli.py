@@ -52,6 +52,7 @@ _ERRORS = (
     SchemaError,
     ValueError,
     OSError,
+    MemoryError,
 )
 
 
@@ -317,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _ERRORS as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        # A MemoryError usually carries no message; name the error instead.
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 2
 
 

@@ -113,7 +113,9 @@ class _Graded(Formula):
             grade = self.grade
         # Non-numeric grade slots are allowed so axiom-schema templates can
         # carry grade metavariables; concrete formulas always hold Fractions.
-        if isinstance(grade, Fraction) and not 0 <= grade <= 1:
+        # A normalised denominator is positive, so comparing the numerator
+        # with it is 0 <= grade <= 1 without the `numbers` dispatch.
+        if isinstance(grade, Fraction) and not 0 <= grade.numerator <= grade.denominator:
             raise GradeError(f"grade {grade} outside [0, 1]")
 
 

@@ -22,11 +22,19 @@ The sugar ``a <-> b`` copies both sides, so k nested biconditionals
 expand to a tree of about 2^k leaves, which the printer, desugaring and
 evaluators walk in full.  A formula whose expanded tree has more than
 :data:`MAX_NODES` nodes (parentheses are not nodes) is rejected too.
+
+The tokenizer scans the whole text in one regex pass before parsing
+starts, so a bad character anywhere is reported ahead of any syntax
+error.  Tokens keep only their offset into the text; the line and column
+of a :class:`ParseError` are computed from it when the error is raised.
+Grade literals are interned by their text (:func:`parse_grade`), so a
+grade written many times is read once and every modality carrying it
+shares one :class:`~fractions.Fraction`.
 """
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .formula import And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade
@@ -54,58 +62,53 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def _too_deep(tok: "_Token") -> ParseError:
-    return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+def _error(text: str, offset: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """A :class:`ParseError` at ``offset`` into ``text``, with 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1, expected)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
+# A token is a tuple (kind, text, offset).  Operators take their kind from
+# _OP_KINDS; the catch-all BAD group matches any character no token can start with.
 _TOKEN_RE = re.compile(
     r"""
     (?P<WS>\s+)
-  | (?P<IFF><->)
-  | (?P<ARROW>->)
   | (?P<NUMBER>\d+\.\d+|\d+)
   | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<OP>[~&|()\[\]<>/])
+  | (?P<OP><->|->|[~&|()\[\]<>/])
+  | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _OP_KINDS = {
+    "<->": "IFF", "->": "ARROW",
     "~": "TILDE", "&": "AMP", "|": "PIPE", "(": "LPAREN", ")": "RPAREN",
     "[": "LBRACK", "]": "RBRACK", "<": "LT", ">": "GT", "/": "SLASH",
 }
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "WS":
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = m.start() + value.rfind("\n") + 1
-        else:
-            if kind == "OP":
-                kind = _OP_KINDS[value]
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+            continue
+        value = m.group()
+        if kind == "OP":
+            kind = _OP_KINDS[value]
+        elif kind == "BAD":
+            raise _error(text, m.start(), f"unexpected character {value!r}")
+        append((kind, value, m.start()))
+    append(("EOF", "", len(text)))
     return tokens
+
+
+@functools.lru_cache
+def parse_grade(text: str) -> Fraction:
+    """``as_grade(text)``, interned: repeated grade text yields the same Fraction."""
+    return as_grade(text)
 
 
 class _Parser:
@@ -119,36 +122,48 @@ class _Parser:
     the flat ``&``, ``|`` and ``<->`` chains that the rules build in loops.
     """
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.open = 0
         self.depth = 0
         self.size = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def take(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column, expected)
+    def error(self, message: str, token: tuple[str, str, int], expected: tuple[str, ...] = ()) -> ParseError:
+        return _error(self.text, token[2], message, expected)
+
+    def unexpected(self, expected: tuple[str, ...]) -> ParseError:
+        token = self.tokens[self.pos]
+        return self.error(f"unexpected {token[1] or 'end of input'!r}", token, expected)
+
+    def too_deep(self, token: tuple[str, str, int]) -> ParseError:
+        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", token)
+
+    def take(self, kind: str, expected: tuple[str, ...]) -> str:
+        """Consume a token of ``kind`` and return its text."""
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise self.unexpected(expected)
         self.pos += 1
-        return tok
+        return token[1]
 
-    def nested(self, rule, tok: _Token) -> Formula:
-        """Run ``rule`` one level further in, below the operator ``tok``."""
+    def nested(self, rule, token: tuple[str, str, int]) -> Formula:
+        """Run ``rule`` one level further in, below the operator ``token``."""
         self.open += 1
         # Even a lone atom in there would sit MAX_DEPTH + 1 levels deep.
         if self.open >= MAX_DEPTH:
-            raise _too_deep(tok)
+            raise self.too_deep(token)
         result = rule()
         self.open -= 1
         return result
 
     def formula(self) -> Formula:
         left = self.implies()
-        while self.peek().kind == "IFF":
+        while self.kind() == "IFF":
             depth, size = self.depth, self.size
             self.pos += 1
             right = self.implies()
@@ -159,18 +174,18 @@ class _Parser:
 
     def implies(self) -> Formula:
         left = self.or_()
-        tok = self.peek()
-        if tok.kind == "ARROW":
+        token = self.tokens[self.pos]
+        if token[0] == "ARROW":
             depth, size = self.depth, self.size
             self.pos += 1
-            left = Implies(left, self.nested(self.implies, tok))
+            left = Implies(left, self.nested(self.implies, token))
             self.depth = max(depth, self.depth) + 1
             self.size += size + 1
         return left
 
     def or_(self) -> Formula:
         left = self.and_()
-        while self.peek().kind == "PIPE":
+        while self.kind() == "PIPE":
             depth, size = self.depth, self.size
             self.pos += 1
             left = Or(left, self.and_())
@@ -180,7 +195,7 @@ class _Parser:
 
     def and_(self) -> Formula:
         left = self.unary()
-        while self.peek().kind == "AMP":
+        while self.kind() == "AMP":
             depth, size = self.depth, self.size
             self.pos += 1
             left = And(left, self.unary())
@@ -189,50 +204,47 @@ class _Parser:
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
+        token = self.tokens[self.pos]
+        kind = token[0]
+        if kind == "NAME":
             self.pos += 1
-            result = Not(self.nested(self.unary, tok))
-        elif tok.kind == "LBRACK":
+            self.depth = self.size = 1
+            return Atom(token[1])
+        if kind == "TILDE":
+            self.pos += 1
+            result = Not(self.nested(self.unary, token))
+        elif kind == "LBRACK":
             self.pos += 1
             grade = self.grade()
             self.take("RBRACK", ("']'",))
-            result = Box(grade, self.nested(self.unary, tok))
-        elif tok.kind == "LT":
+            result = Box(grade, self.nested(self.unary, token))
+        elif kind == "LT":
             self.pos += 1
             grade = self.grade()
             self.take("GT", ("'>'",))
-            result = Diamond(grade, self.nested(self.unary, tok))
-        elif tok.kind == "LPAREN":
+            result = Diamond(grade, self.nested(self.unary, token))
+        elif kind == "LPAREN":
             self.pos += 1
-            result = self.nested(self.formula, tok)
+            result = self.nested(self.formula, token)
             self.take("RPAREN", ("')'",))
             self.depth += 1
             return result
-        elif tok.kind == "NAME":
-            self.pos += 1
-            self.depth = self.size = 1
-            return Atom(tok.text)
         else:
-            raise ParseError(
-                f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column,
-                ("'~'", "'['", "'<'", "atom", "'('"),
-            )
+            raise self.unexpected(("'~'", "'['", "'<'", "atom", "'('"))
         self.depth += 1
         self.size += 1
         return result
 
     def grade(self) -> Fraction:
-        tok = self.take("NUMBER", ("grade literal",))
-        text = tok.text
-        if self.peek().kind == "SLASH":
+        token = self.tokens[self.pos]
+        text = self.take("NUMBER", ("grade literal",))
+        if self.kind() == "SLASH":
             self.pos += 1
-            denom = self.take("NUMBER", ("denominator",))
-            text = f"{text}/{denom.text}"
+            text = f"{text}/{self.take('NUMBER', ('denominator',))}"
         try:
-            return as_grade(text)
+            return parse_grade(text)
         except GradeError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
+            raise self.error(str(exc), token) from None
 
 
 def parse(text: str) -> Formula:
@@ -243,14 +255,13 @@ def parse(text: str) -> Formula:
     nested more than :data:`MAX_DEPTH` levels deep or expanding to more
     than :data:`MAX_NODES` nodes.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     result = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    token = parser.tokens[parser.pos]
+    if token[0] != "EOF":
+        raise parser.error(f"trailing input {token[1]!r}", token)
     if parser.depth > MAX_DEPTH:
-        raise _too_deep(parser.tokens[0])
+        raise parser.too_deep(parser.tokens[0])
     if parser.size > MAX_NODES:
-        first = parser.tokens[0]
-        raise ParseError(f"formula expands to more than {MAX_NODES} nodes", first.line, first.column)
+        raise parser.error(f"formula expands to more than {MAX_NODES} nodes", parser.tokens[0])
     return result

@@ -18,9 +18,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .axioms import SchemaError, instantiate_axiom, match_axiom
-from .formula import Box, Formula, GradeError, Implies, as_grade, desugar, format_formula
+from .formula import Box, Formula, GradeError, Implies, desugar, format_formula
 from .modelio import read_json
-from .parser import ParseError, parse
+from .parser import ParseError, parse, parse_grade
 
 
 class ProofFormatError(ValueError):
@@ -74,13 +74,18 @@ class ProofVerdict:
     theorem_lines: tuple[int, ...] = ()
 
 
+def _same(a: Formula, b: Formula) -> bool:
+    """Equal up to desugaring.  Equal surface forms desugar alike, so they are not desugared."""
+    return a == b or desugar(a) == desugar(b)
+
+
 def _check_axiom_step(line: ProofLine, step: AxiomStep) -> str | None:
     if step.bindings is not None:
         try:
             instance = instantiate_axiom(step.name, step.bindings)
         except SchemaError as exc:
             return str(exc)
-        if desugar(instance) != desugar(line.formula):
+        if not _same(instance, line.formula):
             return (
                 f"formula is not the {step.name} instance under the given bindings "
                 f"(expected {format_formula(instance)})"
@@ -121,7 +126,7 @@ def check_proof(proof: Proof) -> ProofVerdict:
             problem = earlier(just.antecedent) or earlier(just.implication)
             if problem is None:
                 expected = Implies(formulas[just.antecedent], line.formula)
-                if desugar(formulas[just.implication]) != desugar(expected):
+                if not _same(formulas[just.implication], expected):
                     problem = (
                         f"line {just.implication} is not the implication from "
                         f"line {just.antecedent} to this line"
@@ -131,7 +136,7 @@ def check_proof(proof: Proof) -> ProofVerdict:
         elif isinstance(just, Nec):
             problem = earlier(just.source)
             if problem is None:
-                if desugar(line.formula) != desugar(Box(just.grade, formulas[just.source])):
+                if not _same(line.formula, Box(just.grade, formulas[just.source])):
                     problem = f"formula is not line {just.source} boxed at grade {just.grade}"
                 else:
                     tainted = premise_tainted[just.source]
@@ -163,7 +168,7 @@ def _parse_bindings(raw, context: str) -> dict:
             if key in _FORMULA_KEYS:
                 bindings[key] = parse(value)
             elif key in _GRADE_KEYS:
-                bindings[key] = as_grade(value)
+                bindings[key] = parse_grade(value)
             else:
                 raise ProofFormatError(f"{context}: unknown binding key {key!r}")
         except (ParseError, GradeError) as exc:
@@ -190,7 +195,7 @@ def _parse_justification(text, bind, context: str) -> Justification:
         if len(parts) != 2 or not parts[0].strip().isdigit():
             raise ProofFormatError(f"{context}: malformed necessitation justification {text!r}")
         try:
-            grade = as_grade(parts[1])
+            grade = parse_grade(parts[1])
         except GradeError as exc:
             raise ProofFormatError(f"{context}: {exc}") from None
         return Nec(int(parts[0]), grade)

@@ -24,12 +24,17 @@ _CHUNK = 1 << 18
 
 
 class EnumerationCapExceeded(Exception):
-    """The valuation space is larger than the configured cap."""
+    """The valuation space is larger than the configured cap.
+
+    ``needed`` is a power of two, 2^(points * atoms), and is reported as
+    such: in decimal it could pass the interpreter's limit on the digits
+    of an integer converted to text.
+    """
 
     def __init__(self, needed: int, cap: int):
         self.needed = needed
         self.cap = cap
-        super().__init__(f"{needed} valuations exceed the enumeration cap {cap}")
+        super().__init__(f"2^{needed.bit_length() - 1} valuations exceed the enumeration cap {cap}")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from umlogic import cli
 from umlogic.cli import main
 from umlogic.parser import MAX_NODES
 
@@ -130,6 +132,19 @@ class TestValid:
         code, _, err = run(capsys, ["valid", "--model", str(tree_model), "--formula", "p -> p", "--cap", "100"])
         assert code == 2
         assert "cap" in json.loads(err)["error"]
+
+    def test_cap_exceeded_on_a_big_model(self, capsys, tmp_path):
+        # 2^(128 * 120) has 4,624 decimal digits, past the interpreter's
+        # limit for converting an int to text.
+        model = tmp_path / "model.json"
+        assert main(["cantor", "--depth", "7", "--out", str(model)]) == 0
+        # Twelve parenthesised groups of ten, to stay below the nesting cap.
+        formula = " & ".join(
+            "(" + " & ".join(f"a{i}" for i in range(k, k + 10)) + ")" for k in range(0, 120, 10))
+        code, out, err = run(capsys, ["valid", "--model", str(model), "--formula", formula])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"2^15360 valuations exceed the enumeration cap {1 << 26}"
 
 
 class TestAxiom:
@@ -365,11 +380,26 @@ class TestHarnessCommand:
         assert first == second
 
 
+class TestExitCodes:
+    def test_memory_error_exits_2(self, capsys, monkeypatch, tree_model):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "valid_in_model", exhausted)
+        code, out, err = run(capsys, ["valid", "--model", str(tree_model), "--formula", "p"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "MemoryError"}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # The subprocess does not inherit pytest's pythonpath setting.
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-m", "umlogic.cli", "cantor", "--depth", "1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["points"] == ["w0", "w1"]

@@ -1,0 +1,503 @@
+"""Differential tests of the proof-checking fast paths against the code they replaced.
+
+The references below are the earlier implementations, kept verbatim in
+substance: a tokenizer that matches one token at a time and tracks line
+and column as it goes, the parser that read those tokens, and a proof
+checker that desugars both sides of every comparison and every schema
+template on each match.  The fast paths must give the same tokens,
+positions, formulas, error texts and verdicts.
+"""
+import contextlib
+import io
+import json
+import random
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from umlogic import cli
+from umlogic.axioms import SCHEMAS, SchemaError, _match, instantiate_axiom
+from umlogic.formula import (
+    And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade, desugar, format_formula,
+)
+from umlogic.generators import random_formula
+from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, _error, _tokenize, parse
+from umlogic.proofs import (
+    MP, AxiomStep, Nec, Premise, Proof, ProofFormatError, ProofVerdict, check_proof, proof_from_json,
+)
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+
+# --- reference tokenizer and parser -----------------------------------------
+
+@dataclass(frozen=True)
+class RefToken:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<IFF><->)
+  | (?P<ARROW>->)
+  | (?P<NUMBER>\d+\.\d+|\d+)
+  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<OP>[~&|()\[\]<>/])
+    """,
+    re.VERBOSE,
+)
+
+_REF_OP_KINDS = {
+    "~": "TILDE", "&": "AMP", "|": "PIPE", "(": "LPAREN", ")": "RPAREN",
+    "[": "LBRACK", "]": "RBRACK", "<": "LT", ">": "GT", "/": "SLASH",
+}
+
+
+def ref_tokenize(text: str) -> list[RefToken]:
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "WS":
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + value.rfind("\n") + 1
+        else:
+            if kind == "OP":
+                kind = _REF_OP_KINDS[value]
+            tokens.append(RefToken(kind, value, line, m.start() - line_start + 1))
+        pos = m.end()
+    tokens.append(RefToken("EOF", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _ref_too_deep(tok: RefToken) -> ParseError:
+    return ParseError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+
+
+class RefParser:
+    def __init__(self, tokens: list[RefToken]):
+        self.tokens = tokens
+        self.pos = 0
+        self.open = 0
+        self.depth = 0
+        self.size = 0
+
+    def peek(self) -> RefToken:
+        return self.tokens[self.pos]
+
+    def take(self, kind, expected):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column, expected)
+        self.pos += 1
+        return tok
+
+    def nested(self, rule, tok):
+        self.open += 1
+        if self.open >= MAX_DEPTH:
+            raise _ref_too_deep(tok)
+        result = rule()
+        self.open -= 1
+        return result
+
+    def formula(self):
+        left = self.implies()
+        while self.peek().kind == "IFF":
+            depth, size = self.depth, self.size
+            self.pos += 1
+            right = self.implies()
+            left = And(Implies(left, right), Implies(right, left))
+            self.depth = max(depth, self.depth) + 2
+            self.size = 2 * (size + self.size) + 3
+        return left
+
+    def implies(self):
+        left = self.or_()
+        tok = self.peek()
+        if tok.kind == "ARROW":
+            depth, size = self.depth, self.size
+            self.pos += 1
+            left = Implies(left, self.nested(self.implies, tok))
+            self.depth = max(depth, self.depth) + 1
+            self.size += size + 1
+        return left
+
+    def or_(self):
+        left = self.and_()
+        while self.peek().kind == "PIPE":
+            depth, size = self.depth, self.size
+            self.pos += 1
+            left = Or(left, self.and_())
+            self.depth = max(depth, self.depth) + 1
+            self.size += size + 1
+        return left
+
+    def and_(self):
+        left = self.unary()
+        while self.peek().kind == "AMP":
+            depth, size = self.depth, self.size
+            self.pos += 1
+            left = And(left, self.unary())
+            self.depth = max(depth, self.depth) + 1
+            self.size += size + 1
+        return left
+
+    def unary(self):
+        tok = self.peek()
+        if tok.kind == "TILDE":
+            self.pos += 1
+            result = Not(self.nested(self.unary, tok))
+        elif tok.kind == "LBRACK":
+            self.pos += 1
+            grade = self.grade()
+            self.take("RBRACK", ("']'",))
+            result = Box(grade, self.nested(self.unary, tok))
+        elif tok.kind == "LT":
+            self.pos += 1
+            grade = self.grade()
+            self.take("GT", ("'>'",))
+            result = Diamond(grade, self.nested(self.unary, tok))
+        elif tok.kind == "LPAREN":
+            self.pos += 1
+            result = self.nested(self.formula, tok)
+            self.take("RPAREN", ("')'",))
+            self.depth += 1
+            return result
+        elif tok.kind == "NAME":
+            self.pos += 1
+            self.depth = self.size = 1
+            return Atom(tok.text)
+        else:
+            raise ParseError(
+                f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column,
+                ("'~'", "'['", "'<'", "atom", "'('"),
+            )
+        self.depth += 1
+        self.size += 1
+        return result
+
+    def grade(self):
+        tok = self.take("NUMBER", ("grade literal",))
+        text = tok.text
+        if self.peek().kind == "SLASH":
+            self.pos += 1
+            denom = self.take("NUMBER", ("denominator",))
+            text = f"{text}/{denom.text}"
+        try:
+            return as_grade(text)
+        except GradeError as exc:
+            raise ParseError(str(exc), tok.line, tok.column) from None
+
+
+def ref_parse(text: str) -> Formula:
+    parser = RefParser(ref_tokenize(text))
+    result = parser.formula()
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    if parser.depth > MAX_DEPTH:
+        raise _ref_too_deep(parser.tokens[0])
+    if parser.size > MAX_NODES:
+        first = parser.tokens[0]
+        raise ParseError(f"formula expands to more than {MAX_NODES} nodes", first.line, first.column)
+    return result
+
+
+# --- reference proof checker --------------------------------------------------
+
+def ref_match_axiom(f: Formula) -> list[tuple[str, dict]]:
+    target = desugar(f)
+    matches = []
+    for schema in SCHEMAS:
+        bindings: dict = {}
+        deferred: list = []
+        if not _match(desugar(schema.template), target, bindings, deferred):
+            continue
+        if any(
+            bindings.get(slot.a) is None
+            or bindings.get(slot.b) is None
+            or max(bindings[slot.a], bindings[slot.b]) != grade
+            for slot, grade in deferred
+        ):
+            continue
+        if schema.side_condition is not None and schema.side_condition(bindings) is not None:
+            continue
+        matches.append((schema.name, bindings))
+    return matches
+
+
+def _ref_check_axiom_step(line, step):
+    if step.bindings is not None:
+        try:
+            instance = instantiate_axiom(step.name, step.bindings)
+        except SchemaError as exc:
+            return str(exc)
+        if desugar(instance) != desugar(line.formula):
+            return (
+                f"formula is not the {step.name} instance under the given bindings "
+                f"(expected {format_formula(instance)})"
+            )
+        return None
+    if not any(name == step.name for name, _ in ref_match_axiom(line.formula)):
+        return f"formula is not an instance of schema {step.name}"
+    return None
+
+
+def ref_check_proof(proof: Proof) -> ProofVerdict:
+    formulas = {}
+    premise_tainted = {}
+    previous = 0
+
+    def earlier(cited):
+        if cited not in formulas:
+            return f"cites line {cited}, which does not exist earlier in the proof"
+        return None
+
+    for line in proof.lines:
+        if line.number <= previous:
+            return ProofVerdict(False, line.number, "line numbers must be strictly increasing")
+        just = line.justification
+        problem = None
+        tainted = False
+        if isinstance(just, Premise):
+            tainted = True
+        elif isinstance(just, AxiomStep):
+            problem = _ref_check_axiom_step(line, just)
+        elif isinstance(just, MP):
+            problem = earlier(just.antecedent) or earlier(just.implication)
+            if problem is None:
+                expected = Implies(formulas[just.antecedent], line.formula)
+                if desugar(formulas[just.implication]) != desugar(expected):
+                    problem = (
+                        f"line {just.implication} is not the implication from "
+                        f"line {just.antecedent} to this line"
+                    )
+                else:
+                    tainted = premise_tainted[just.antecedent] or premise_tainted[just.implication]
+        elif isinstance(just, Nec):
+            problem = earlier(just.source)
+            if problem is None:
+                if desugar(line.formula) != desugar(Box(just.grade, formulas[just.source])):
+                    problem = f"formula is not line {just.source} boxed at grade {just.grade}"
+                else:
+                    tainted = premise_tainted[just.source]
+        else:
+            raise ProofFormatError(f"unknown justification {just!r}")
+        if problem is not None:
+            return ProofVerdict(False, line.number, problem)
+        formulas[line.number] = line.formula
+        premise_tainted[line.number] = tainted
+        previous = line.number
+    theorems = tuple(n for n in formulas if not premise_tainted[n])
+    return ProofVerdict(True, theorem_lines=theorems)
+
+
+# --- tokenizer and parser -----------------------------------------------------
+
+# Characters of the syntax, whitespace of several kinds (a line separator
+# and a form feed are whitespace but do not start a line), decimals, a
+# Unicode digit, and characters no token starts with.
+_CHARS = list("pqr_x19 ~&|()[]<>/-.0\n\t\r") + [" ", "\x0c", "٣", "$", "é", "!", "+"]
+_FRAGMENTS = [
+    "p", "q1", "_r", " ", "  ", "\n", "\n\n ", "\t", "~", "&", "|", "->", "<->", "(", ")",
+    "[1/2]", "<1/4>", "[0.5]", "<1>", "[0]", "[3/2]", "<1/0>", "[1.]", "[.5]", "[2]", "[1/",
+    "1/3", "0.125", "-", "$", "é", "[", "]", "<", ">", "/",
+]
+GRADES = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4),
+          Fraction(1)]
+
+
+def _printed(rnd: random.Random, spacing: str) -> str:
+    """A random well-formed formula, printed with ``spacing`` between binary operands."""
+    return format_formula(random_formula(rnd, ["p", "q"], GRADES, 4)).replace(" ", spacing)
+
+
+texts = st.one_of(
+    st.text(alphabet=st.sampled_from(_CHARS), max_size=40),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
+    st.builds(_printed, st.randoms(use_true_random=False), st.sampled_from([" ", "\n", " \n\t", "\r\n"])),
+)
+
+
+def _outcome(fn, text):
+    try:
+        return ("ok", fn(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column, exc.expected)
+
+
+def _positions(text):
+    """Tokens of the fast tokenizer as (kind, text, line, column)."""
+    result = []
+    for kind, value, offset in _tokenize(text):
+        where = _error(text, offset, "")
+        result.append((kind, value, where.line, where.column))
+    return result
+
+
+def _check_text(text):
+    expected = _outcome(lambda t: [(k.kind, k.text, k.line, k.column) for k in ref_tokenize(t)], text)
+    assert _outcome(_positions, text) == expected
+    assert _outcome(parse, text) == _outcome(ref_parse, text)
+
+
+@SETTINGS
+@given(texts)
+def test_tokens_formulas_and_errors_match_the_reference(text):
+    _check_text(text)
+
+
+HAND_WRITTEN = [
+    "~" * (MAX_DEPTH + 20) + "p",
+    "(" * (MAX_DEPTH + 5) + "p" + ")" * (MAX_DEPTH + 5),
+    "\n".join(["p &"] * (MAX_DEPTH + 3)) + " p",
+    " & ".join(f"(p{i} -> q)" for i in range(60)),
+    "p <-> " * 16 + "q",
+    "p\n & \n(q ->\n\n $)",
+    "[1/2]\n\n  [3/2]p",
+    "(p & q\n",
+    "p\n\n q",
+    "",
+    "   \n  ",
+]
+
+
+@pytest.mark.parametrize("text", HAND_WRITTEN)
+def test_hand_written_cases_match_the_reference(text):
+    _check_text(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts)
+def test_cli_stderr_matches_the_reference(text):
+    expected = _outcome(ref_parse, text)
+    if expected[0] == "ok":
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["axiom", f"--formula={text}"])
+    assert code == 2
+    assert err.getvalue() == json.dumps({"error": expected[1]}) + "\n"
+
+
+def test_grades_are_interned_by_text():
+    f = parse("[1/2]p & <1/2>[0.5]q")
+    assert f.left.grade is f.right.grade is parse("[1/2]r").grade
+    assert f.right.sub.grade == Fraction(1, 2)
+
+
+# --- proof checking -----------------------------------------------------------
+
+def derivation(rng: random.Random, blocks: int, desugared: float) -> list[dict]:
+    """A JSON derivation using every justification kind, with some lines in desugared form.
+
+    Each block starts from a premise phi.  With probability ``desugared``
+    a line (or a binding) is written after ``desugar``, so that its
+    comparison falls back to the desugared forms.
+    """
+    lines: list[dict] = []
+
+    def text(f):
+        return format_formula(desugar(f) if rng.random() < desugared else f)
+
+    def add(f, by, bind=None):
+        entry = {"n": len(lines) + 1, "formula": text(f), "by": by}
+        if bind is not None:
+            entry["bind"] = {k: str(v) if isinstance(v, Fraction) else text(v) for k, v in bind.items()}
+        lines.append(entry)
+        return entry["n"]
+
+    for _ in range(blocks):
+        phi = random_formula(rng, ["p", "q", "r"], GRADES, 3)
+        e, g = rng.choice(GRADES), rng.choice(GRADES)
+        hi, lo = max(e, g), min(e, g)
+        p = add(phi, "premise")
+        um4 = add(Implies(phi, Box(e, Diamond(e, phi))), "axiom:UM4")
+        add(Box(e, Diamond(e, phi)), f"mp:{p},{um4}")
+        t = add(Implies(Box(e, phi), phi), "axiom:T", {"eps": e, "phi": phi})
+        nec = add(Box(g, Implies(Box(e, phi), phi)), f"nec:{t}:{g}")
+        k = add(instantiate_axiom("K", {"eps": g, "phi": Box(e, phi), "psi": phi}), "axiom:K",
+                {"eps": g, "phi": Box(e, phi), "psi": phi})
+        add(Implies(Box(g, Box(e, phi)), Box(g, phi)), f"mp:{nec},{k}")
+        add(Implies(Box(hi, phi), Box(lo, phi)), "axiom:UM3", {"gamma": hi, "delta": lo, "phi": phi})
+        name = rng.choice(["D", "TI", "UM1", "UM2", "D-ltr", "TI-rtl"])
+        bind = {"phi": phi, "eps": e, "gamma": hi, "delta": g}
+        schema = next(s for s in SCHEMAS if s.name == name)
+        used = {key: bind[key] for key in schema.formula_vars + schema.grade_vars}
+        add(instantiate_axiom(name, used), f"axiom:{name}")
+        add(Box(e, phi), f"nec:{p}:{e}")
+    return lines
+
+
+def mutants(rng: random.Random, lines: list[dict]) -> list[list[dict]]:
+    """One-line corruptions: each rule's formula negated, plus wrong citations and grades."""
+    kinds = {
+        "bind": lambda e: "bind" in e,
+        "axiom": lambda e: e["by"].startswith("axiom:") and "bind" not in e,
+        "mp": lambda e: e["by"].startswith("mp:"),
+        "nec": lambda e: e["by"].startswith("nec:"),
+    }
+    result = []
+    for is_kind in kinds.values():
+        mutated = [dict(line) for line in lines]
+        target = rng.choice([line for line in mutated if is_kind(line)])
+        target["formula"] = f"~({target['formula']})"
+        result.append(mutated)
+    mutated = [dict(line) for line in lines]
+    target = rng.choice([line for line in mutated if line["by"].startswith("mp:")])
+    a, b = target["by"][3:].split(",")
+    target["by"] = f"mp:{b},{a}"
+    result.append(mutated)
+    mutated = [dict(line) for line in lines]
+    target = rng.choice([line for line in mutated if line["by"].startswith("nec:")])
+    source = target["by"].split(":")[1]
+    target["by"] = f"nec:{source}:{rng.choice(['1/8', '1/3', '1', '0'])}"
+    result.append(mutated)
+    mutated = [dict(line) for line in lines]
+    target = rng.choice([line for line in mutated if "bind" in line])
+    target["by"] = "axiom:" + rng.choice(["K", "T", "UM3", "UM4"])
+    result.append(mutated)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_check_proof_matches_the_reference(seed):
+    rng = random.Random(seed)
+    lines = derivation(rng, 4, desugared=(0.0, 0.3, 1.0)[seed % 3])
+    proof = proof_from_json(lines)
+    verdict = check_proof(proof)
+    assert verdict.accepted, verdict
+    assert verdict == ref_check_proof(proof)
+    for mutated in mutants(rng, lines):
+        proof = proof_from_json(mutated)
+        assert check_proof(proof) == ref_check_proof(proof)
+
+
+def test_desugared_lines_take_the_fallback():
+    """Lines written as ``~(a & ~b)`` for ``a -> b`` are accepted through the desugared comparison."""
+    proof = proof_from_json([
+        {"n": 1, "formula": "p", "by": "premise"},
+        {"n": 2, "formula": "~(p & ~[1/2]<1/2>p)", "by": "axiom:UM4", "bind": {"eps": "1/2", "phi": "p"}},
+        {"n": 3, "formula": "[1/2]~[1/2]~p", "by": "mp:1,2"},
+        {"n": 4, "formula": "[1/4][1/2]<1/2>p", "by": "nec:3:1/4"},
+        {"n": 5, "formula": "[1/4]<1/2>[1/2]~p", "by": "nec:3:1/4"},
+    ])
+    verdict = check_proof(proof)
+    assert verdict == ref_check_proof(proof)
+    assert (verdict.accepted, verdict.failed_line) == (False, 5)
+    assert verdict.reason == "formula is not line 3 boxed at grade 1/4"

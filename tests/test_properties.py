@@ -7,6 +7,8 @@ rationals in [0, 1].  The identities are those of the graded interior
 and closure that ``test_acceptance`` checks exhaustively on small spaces.
 The evaluator runs on formulas as parsed, all seven constructors
 included, and must agree with the same formulas after ``desugar``.
+Arbitrary JSON read as a proof raises nothing the CLI would not report
+as an input error.
 """
 import copy
 import os
@@ -21,8 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import umlogic
+from umlogic import cli
 from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, desugar, format_formula
 from umlogic.parser import MAX_DEPTH, parse
+from umlogic.proofs import check_proof, proof_from_json
 from umlogic.generators import random_ultrametric_space
 from umlogic.semantics import closure_mask, interior_mask, truth_mask
 from umlogic.space import Model, UltrametricSpace, validate_space
@@ -204,3 +208,35 @@ def test_model_valuation_is_read_only(space, data):
     with pytest.raises(AttributeError):
         model.space = space
     assert model.atom_mask("p") == space.mask_of(held)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda sub: st.lists(sub, max_size=4) | st.dictionaries(st.text(max_size=6), sub, max_size=4),
+    max_leaves=12,
+)
+formula_texts = st.text(alphabet="pq_~&|()[]<>/-.019 \n$", max_size=30)
+justifications = st.one_of(
+    st.sampled_from(["premise", "axiom:T", "axiom:K", "axiom:UM3", "axiom:X", "mp:1,2", "nec:1:1/2"]),
+    st.builds("{}{}".format, st.sampled_from(["axiom:", "mp:", "nec:", "nec:1:", "mp:1,"]), formula_texts),
+    json_values,
+)
+proof_entries = st.fixed_dictionaries(
+    {"n": st.integers(-1, 6) | json_values, "formula": formula_texts | json_values, "by": justifications},
+    optional={"bind": st.dictionaries(st.sampled_from(["phi", "psi", "eps", "gamma", "delta", "zeta"]),
+                                      formula_texts | json_values, max_size=4) | json_values},
+)
+
+
+@SETTINGS
+@given(st.one_of(json_values, st.lists(proof_entries | json_values, max_size=6)))
+def test_proof_input_raises_only_reported_errors(data):
+    """Any JSON value as a proof file fails, if at all, with an error the CLI reports with exit 2."""
+    try:
+        proof = proof_from_json(data)
+    except cli._ERRORS:
+        return
+    try:
+        check_proof(proof)
+    except cli._ERRORS:
+        pass
