@@ -13,8 +13,12 @@ distinct ball of the grade, not per world: every centre of a ball sees
 the same ball, so a ball inside (or meeting) the set adds all its centres
 at once, and a step costs one pass per ball of
 :meth:`UltrametricSpace.ball_partition`.  The same code runs on one
-Python-int mask (:func:`truth_mask`) and on a numpy ``uint64`` batch of
-masks, one per valuation (:func:`umlogic.validity.valid_in_model`).
+Python-int mask (:func:`truth_mask`) and on a numpy batch of masks, one
+per valuation (:func:`umlogic.validity.valid_in_model`), in the narrowest
+unsigned type that holds n bits.  On a batch over n points with
+2^n <= :data:`CHUNK`, a modal step is a function from the 2^n masks to
+themselves, so it is tabulated once by the per-ball step
+(:meth:`UltrametricSpace.step_table`) and applied as one lookup per mask.
 """
 from __future__ import annotations
 
@@ -22,17 +26,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or, subformulas
 from .space import Model, UltrametricSpace
+
+#: The most masks in one batch: validity evaluates its candidates CHUNK at
+#: a time, and a batch takes modal steps by table only while the table,
+#: 2^n masks, is no bigger than this.
+CHUNK = 1 << 18
 
 
 def _ball_step(space: UltrametricSpace, value, eps: Fraction, full, meets: bool):
     """Centres of the eps-balls inside ``value``, or meeting it when ``meets``.
 
-    ``value`` is an int mask or a numpy ``uint64`` batch of masks, and
+    ``value`` is an int mask or a numpy batch of unsigned masks, and
     ``full`` the all-points mask of the same type.  ``full & ball`` is
     ``ball`` as that type: numpy compares a batch with a Python int much
-    more slowly than with a ``uint64``.
+    more slowly than with a scalar of the batch's own type.
     """
     result = value & 0
     for ball, centres in space.ball_partition(eps):
@@ -58,9 +69,10 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
     """Truth set of ``f`` over ``space``, children first, one value per distinct subformula.
 
     ``atom`` maps an atom name to its truth set and ``full`` is the set of
-    all points: Python ints for one valuation, or a numpy ``uint64`` batch
-    of masks and ``np.uint64(space.full_mask)`` for many at once.
+    all points: Python ints for one valuation, or a numpy batch of masks
+    and ``full`` as a scalar of the batch's unsigned type for many at once.
     """
+    lookup = isinstance(full, np.generic) and 1 << space.n <= CHUNK
     values: dict[Formula, object] = {}
     for g in subformulas(f):
         if isinstance(g, Atom):
@@ -74,7 +86,11 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
         elif isinstance(g, Implies):
             value = (full ^ values[g.left]) | values[g.right]
         elif isinstance(g, (Box, Diamond)):
-            value = _ball_step(space, values[g.sub], g.grade, full, meets=isinstance(g, Diamond))
+            meets = isinstance(g, Diamond)
+            if lookup:
+                value = np.take(space.step_table(g.grade, meets, full.dtype, _ball_step), values[g.sub])
+            else:
+                value = _ball_step(space, values[g.sub], g.grade, full, meets)
         else:
             raise TypeError(f"not a formula: {g!r}")
         values[g] = value

@@ -10,7 +10,9 @@ closed balls once, each with the mask of the points whose ball it is
 (:meth:`UltrametricSpace.ball_partition`); the per-point masks, single
 balls and the listing of every ball are views of that cache.  In an
 ultrametric the balls of one grade partition the points, so evaluation
-costs one step per ball, not per point.
+costs one step per ball, not per point.  Beside the partitions, a space
+caches the modal steps that batch evaluation tabulates over every mask
+(:meth:`UltrametricSpace.step_table`).
 
 Construction never checks the metric laws: :func:`validate_space` reports
 violations as data, so deliberately broken spaces (used to show which
@@ -22,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,6 +79,7 @@ class UltrametricSpace:
         ranks.setflags(write=False)
         self._ranks = ranks
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
 
     @classmethod
     def from_pairs(
@@ -212,6 +215,22 @@ class UltrametricSpace:
             cached = tuple((int.from_bytes(row, "little"), held) for row, held in centres.items())
             self._partitions[below] = cached
         return cached
+
+    def step_table(self, eps: Fraction, meets: bool, dtype: np.dtype, step: Callable) -> np.ndarray:
+        """A modal step of grade ``eps`` applied to every mask of the points, as a read-only array.
+
+        Entry m is ``step(self, m, eps, full, meets)`` for the mask m, with
+        masks and ``full`` of the unsigned ``dtype``; ``step`` runs once, on
+        ``np.arange(2 ** n)``.  Cached per rank of ``eps``, ``meets`` and
+        ``dtype``, as the partition is per rank.
+        """
+        key = (bisect_right(self._distances, eps), meets, dtype)
+        table = self._step_tables.get(key)
+        if table is None:
+            table = step(self, np.arange(1 << self.n, dtype=dtype), eps, dtype.type(self.full_mask), meets)
+            table.setflags(write=False)
+            self._step_tables[key] = table
+        return table
 
     def ball_masks(self, eps: Fraction) -> tuple[int, ...]:
         """Per-point bitmasks of the closed ball {y : d(x, y) <= eps}."""
@@ -382,14 +401,22 @@ def sequence_distance(x: str, y: str) -> Fraction:
     return Fraction(0)
 
 
+#: The deepest binary-history space built: 2^16 = 65,536 worlds, whose
+#: n x n rank table already takes 4 GiB.  Each level more quadruples the
+#: table, and ``cantor_sequences(40)`` would build 2^40 strings.
+MAX_CANTOR_DEPTH = 16
+
+
 def cantor_sequences(depth: int) -> list[str]:
     """All binary histories of the given depth, in event-tree leaf order.
 
     The leftmost leaf (every event happened) comes first, so index i in the
-    result names the i-th leaf of the depth-n binary event tree.
+    result names the i-th leaf of the depth-n binary event tree.  Depths
+    outside 1 .. :data:`MAX_CANTOR_DEPTH` raise ValueError before anything
+    is built.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if not 1 <= depth <= MAX_CANTOR_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_CANTOR_DEPTH}, not {depth}")
     return [format(i, f"0{depth}b") for i in range(2 ** depth - 1, -1, -1)]
 
 

@@ -11,6 +11,7 @@ import pytest
 from umlogic import cli
 from umlogic.cli import main
 from umlogic.parser import MAX_NODES
+from umlogic.space import MAX_CANTOR_DEPTH
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,6 +103,11 @@ class TestCantor:
     def test_depth_zero_rejected(self, capsys):
         code, _, err = run(capsys, ["cantor", "--depth", "0"])
         assert code == 2
+
+    def test_depth_past_bound_rejected(self, capsys):
+        code, out, err = run(capsys, ["cantor", "--depth", str(MAX_CANTOR_DEPTH + 1)])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"depth must be between 1 and {MAX_CANTOR_DEPTH}, not {MAX_CANTOR_DEPTH + 1}"}
 
     def test_valuation_with_unknown_point(self, capsys, tmp_path):
         val = tmp_path / "val.json"

@@ -11,6 +11,13 @@ cache or the evaluator; ``ref_valid_in_model`` is the earlier enumeration
 driven by ``ref_eval_chunk``.  The spaces are those of ``test_rank_table``:
 generated ultrametrics, history spaces with duplicate points, and broken
 or perturbed tables, where a ball's centres differ from its members.
+
+A batch over n points with 2^n <= ``semantics.CHUNK`` takes each modal
+step as a lookup in a table that the per-ball step built over all 2^n
+masks (``UltrametricSpace.step_table``); batches come in every unsigned
+type that holds n bits.  The batch tests run on both sides of that
+threshold, lowering ``CHUNK`` below 2^n for the per-ball side, and
+``valid_in_model`` is compared on each side of the dtype and table bounds.
 """
 import random
 
@@ -18,10 +25,14 @@ import numpy as np
 import pytest
 
 from test_rank_table import CASES, IDS, probe_grades, ref_ball_masks, ref_realized
-from umlogic.formula import And, Atom, Box, Not, atoms, desugar, subformulas
-from umlogic.generators import random_formula, random_schema_instance
-from umlogic.semantics import closure_mask, evaluate, interior_mask
+from umlogic import semantics
+from umlogic.formula import And, Atom, Box, Diamond, Not, atoms, desugar, subformulas
+from umlogic.generators import random_formula, random_schema_instance, random_ultrametric_space
+from umlogic.parser import parse
+from umlogic.semantics import _ball_step, closure_mask, evaluate, interior_mask
 from umlogic.validity import Counterexample, ValidityResult, valid_in_model
+
+BATCH_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 # --- the replaced per-world loops --------------------------------------------
@@ -128,22 +139,33 @@ class TestAgainstPerWorldLoops:
                 assert interior_mask(space, mask, eps) == ref_interior(table, mask, eps)
                 assert closure_mask(space, mask, eps) == ref_closure(table, mask, eps)
 
-    def test_eval_chunk(self, label, space, table):
+    def test_eval_chunk(self, label, space, table, monkeypatch):
         if space.n > 64:
             pytest.skip("a chunk holds at most 64 points per valuation")
         rng = random.Random(label)
         arrays = np.random.default_rng(len(label))
-        full = np.uint64(space.full_mask)
         size = 257
         top = np.iinfo(np.uint64).max
         atom_arrays = {
-            name: arrays.integers(0, top, size, dtype=np.uint64, endpoint=True) & full
+            name: arrays.integers(0, top, size, dtype=np.uint64, endpoint=True) & np.uint64(space.full_mask)
             for name in ("p", "q")
         }
-        for f in sample_formulas(rng, formula_grades(table), 12):
-            got = evaluate(space, f, atom_arrays.__getitem__, full)
-            want = ref_eval_chunk(space, subformulas(desugar(f)), atom_arrays, size)
-            assert np.array_equal(got, want), f
+        formulas = sample_formulas(rng, formula_grades(table), 12)
+        wants = [ref_eval_chunk(space, subformulas(desugar(f)), atom_arrays, size) for f in formulas]
+        modal = any(isinstance(g, (Box, Diamond)) for f in formulas for g in subformulas(f))
+        tables = []
+        step_table = space.step_table
+        monkeypatch.setattr(space, "step_table", lambda *args: tables.append(args) or step_table(*args))
+        # The real threshold (by table up to 18 points), then one just below 2^n (per ball).
+        for chunk in (semantics.CHUNK, (1 << space.n) - 1):
+            monkeypatch.setattr(semantics, "CHUNK", chunk)
+            tables.clear()
+            for dtype in (d for d in BATCH_DTYPES if np.iinfo(d).bits >= space.n):
+                narrow = {name: values.astype(dtype) for name, values in atom_arrays.items()}
+                for f, want in zip(formulas, wants):
+                    got = evaluate(space, f, narrow.__getitem__, dtype(space.full_mask))
+                    assert got.dtype == dtype and np.array_equal(got, want), (f, dtype, chunk)
+            assert bool(tables) == (modal and 1 << space.n <= chunk)
 
     def test_valid_in_model(self, label, space, table):
         rng = random.Random(label)
@@ -154,3 +176,41 @@ class TestAgainstPerWorldLoops:
         formulas = [f for f in formulas if space.n * len(atoms(f)) <= 16]
         for f in formulas:
             assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
+
+
+# --- the dtype and table bounds ----------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 18, 19])
+def test_valid_in_model_at_bounds(n):
+    """uint8 up to 8 points, uint16 up to 16, tables up to 18; one atom past 9 keeps this fast."""
+    rng = random.Random(n)
+    space = random_ultrametric_space(rng, n)
+    grades = formula_grades(space.matrix())
+    names = ("p", "q") if n <= 9 else ("p",)
+    formulas = [random_schema_instance(rng, schema, names, grades, formula_depth=1)[0]
+                for schema in ("K", "T", "UM3", "D")]
+    # Refuted early, late (p everywhere: the last candidate, in the second
+    # chunk at 19 points) and by a diamond; then valid with a diamond.
+    texts = ["<1/2>p -> [1/2]p", "~[1]p", "<1/4>p -> p", "p -> <1/4>[1/2]<1/2>p"]
+    if len(names) == 2:
+        texts += ["[1/2](p -> q) -> ([1/2]p -> [1/2]q)", "<1/2>p & <1/2>q -> <1/2>(p & q)"]
+    formulas += [parse(text) for text in texts]
+    for f in formulas:
+        assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
+
+
+def test_step_tables_are_read_only_and_per_space():
+    first, second = (random_ultrametric_space(random.Random(3), 9) for _ in range(2))
+    assert first.matrix() == second.matrix()
+    grade = first.realized_distances()[1]
+    above = (grade + first.realized_distances()[2]) / 2
+    for meets in (False, True):
+        for dtype in map(np.dtype, BATCH_DTYPES[1:]):
+            table = first.step_table(grade, meets, dtype, _ball_step)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+            # Cached per rank: a grade between the same two distances gets the same table.
+            assert first.step_table(above, meets, dtype, _ball_step) is table
+            other = second.step_table(grade, meets, dtype, _ball_step)
+            assert np.array_equal(other, table) and not np.shares_memory(other, table)

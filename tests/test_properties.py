@@ -7,8 +7,8 @@ rationals in [0, 1].  The identities are those of the graded interior
 and closure that ``test_acceptance`` checks exhaustively on small spaces.
 The evaluator runs on formulas as parsed, all seven constructors
 included, and must agree with the same formulas after ``desugar``.
-Arbitrary JSON read as a proof raises nothing the CLI would not report
-as an input error.
+Arbitrary JSON read as a proof or as a model raises nothing the CLI
+would not report as an input error.
 """
 import copy
 import os
@@ -28,6 +28,7 @@ from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, desugar, 
 from umlogic.parser import MAX_DEPTH, parse
 from umlogic.proofs import check_proof, proof_from_json
 from umlogic.generators import random_ultrametric_space
+from umlogic.modelio import model_from_dict
 from umlogic.semantics import closure_mask, interior_mask, truth_mask
 from umlogic.space import Model, UltrametricSpace, validate_space
 from umlogic.validity import valid_in_model
@@ -238,5 +239,37 @@ def test_proof_input_raises_only_reported_errors(data):
         return
     try:
         check_proof(proof)
+    except cli._ERRORS:
+        pass
+
+
+point_names = st.sampled_from(["a", "b", "c"])
+distances = st.sampled_from(["0", "1/2", "1/4", "1", "-1/2", "1/0", "0.5", "x", 0, 1, -1, 0.5, True, None, []])
+
+
+@st.composite
+def model_dicts(draw):
+    """Model files well formed in shape, with at most one field replaced by arbitrary JSON."""
+    points = draw(st.lists(point_names, min_size=1, max_size=3))
+    n = len(points)
+    square = st.lists(st.lists(distances, min_size=n, max_size=n), min_size=n, max_size=n)
+    histories = st.dictionaries(point_names, st.sampled_from(["0", "1", "01", "10", "", "x", 1, None]), max_size=3)
+    data = {
+        "points": points,
+        "distance": draw(st.builds(dict, matrix=square) | st.builds(dict, sequences=histories)),
+        "valuation": draw(st.dictionaries(st.text(max_size=2), st.lists(point_names, max_size=3), max_size=2)),
+    }
+    broken = draw(st.sampled_from([None, *data]))
+    if broken:
+        data[broken] = draw(json_values)
+    return data
+
+
+@SETTINGS
+@given(json_values | model_dicts(), st.booleans())
+def test_model_input_raises_only_reported_errors(data, validate):
+    """Any JSON value as a model file fails, if at all, with an error the CLI reports with exit 2."""
+    try:
+        model_from_dict(data, validate=validate)
     except cli._ERRORS:
         pass
