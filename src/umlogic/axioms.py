@@ -111,6 +111,7 @@ _SCHEMA_BY_NAME = {s.name: s for s in SCHEMAS}
 
 # Templates in desugared form, for matching: (name, template, side condition).
 _MATCH_TEMPLATES = tuple((s.name, desugar(s.template), s.side_condition) for s in SCHEMAS)
+_MATCH_BY_NAME = {entry[0]: (entry,) for entry in _MATCH_TEMPLATES}
 
 #: The eight schema names proper (directional variants excluded).
 SCHEMA_NAMES = ("K", "T", "UM1", "TI", "UM2", "UM3", "D", "UM4")
@@ -157,30 +158,39 @@ def _match(template: Formula, target: Formula, bindings: dict, deferred: list) -
     raise TypeError(f"unexpected template node: {template!r}")
 
 
-def match_axiom(f: Formula) -> list[tuple[str, dict]]:
+def _match_schema(template: Formula, side_condition, target: Formula) -> dict | None:
+    """Bindings under which the desugared ``target`` instantiates one template, or None."""
+    bindings: dict = {}
+    deferred: list = []
+    if not _match(template, target, bindings, deferred):
+        return None
+    if any(
+        bindings.get(slot.a) is None
+        or bindings.get(slot.b) is None
+        or max(bindings[slot.a], bindings[slot.b]) != grade
+        for slot, grade in deferred
+    ):
+        return None
+    if side_condition is not None and side_condition(bindings) is not None:
+        return None
+    return bindings
+
+
+def match_axiom(f: Formula, name: str | None = None) -> list[tuple[str, dict]]:
     """Every (schema name, bindings) under which ``f`` is an axiom instance.
 
     Returns schemas in declaration order; side conditions (TI's max, UM3's
     gamma >= delta) are honored.  Formula bindings are reported in
-    desugared form.
+    desugared form.  Given a ``name``, only that schema is tried, and an
+    unknown name matches nothing.
     """
     target = desugar(f)
+    templates = _MATCH_TEMPLATES if name is None else _MATCH_BY_NAME.get(name, ())
     matches = []
-    for name, template, side_condition in _MATCH_TEMPLATES:
-        bindings: dict = {}
-        deferred: list = []
-        if not _match(template, target, bindings, deferred):
-            continue
-        if any(
-            bindings.get(slot.a) is None
-            or bindings.get(slot.b) is None
-            or max(bindings[slot.a], bindings[slot.b]) != grade
-            for slot, grade in deferred
-        ):
-            continue
-        if side_condition is not None and side_condition(bindings) is not None:
-            continue
-        matches.append((name, bindings))
+    for schema, template, side_condition in templates:
+        bindings = _match_schema(template, side_condition, target)
+        if bindings is not None:
+            matches.append((schema, bindings))
     return matches
 
 

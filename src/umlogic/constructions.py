@@ -5,17 +5,22 @@ which no formula grade (at most 1) can reach, so each component is
 modally blind to the others.  Ball subspaces restrict both distances and
 the valuation.  Bounded morphisms are maps with a positive rational
 scaling constant k: distances shrink forward by at most k, and target
-balls pull back into k-inverse-scaled source balls.
+balls pull back into k-inverse-scaled source balls.  Derived spaces are
+built from rank tables (:meth:`UltrametricSpace.from_ranks`), and the
+morphism checks compare whole rank tables.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .modelio import ModelFormatError, parse_rational, read_json
-from .space import Model, UltrametricSpace, UnknownPointError
+from .space import Model, UltrametricSpace, _first_pair, read_rational
 
 #: Distance between points of different components in a disjoint union.
 UNION_DISTANCE = Fraction(2)
@@ -29,7 +34,7 @@ class PointMap:
     k: Fraction = Fraction(1)
 
     def __post_init__(self):
-        self.k = Fraction(self.k)
+        self.k = read_rational(self.k) if isinstance(self.k, str) else Fraction(self.k)
         if self.k <= 0:
             raise ValueError(f"scaling constant must be positive, got {self.k}")
 
@@ -64,25 +69,27 @@ def disjoint_union(models: Sequence[Model]) -> Model:
     """
     if not models:
         raise ValueError("disjoint union needs at least one model")
-    points = []
-    offsets = []
-    for i, model in enumerate(models):
-        offsets.append(len(points))
-        points.extend(union_point(i, p) for p in model.space.points)
-
-    matrix = [[UNION_DISTANCE] * len(points) for _ in points]
-    for i, model in enumerate(models):
-        block = model.space.matrix()
-        base = offsets[i]
-        for a, row in enumerate(block):
-            for b, d in enumerate(row):
-                matrix[base + a][base + b] = d
+    spaces = [model.space for model in models]
+    points = [union_point(i, p) for i, space in enumerate(spaces) for p in space.points]
+    # Each component uses all its distances; cross blocks, once two components have points, use 2.
+    merged = set().union(*(space.realized_distances() for space in spaces))
+    if sum(space.n > 0 for space in spaces) > 1:
+        merged.add(UNION_DISTANCE)
+    distances = sorted(merged)
+    rank_of = {d: r for r, d in enumerate(distances)}
+    table = np.full((len(points), len(points)), rank_of.get(UNION_DISTANCE, 0),
+                    dtype=np.min_scalar_type(len(distances)))
+    start = 0
+    for space in spaces:
+        remap = np.array([rank_of[d] for d in space.realized_distances()], dtype=table.dtype)
+        table[start:start + space.n, start:start + space.n] = remap[space.ranks]
+        start += space.n
 
     valuation: dict[str, set[str]] = {}
     for i, model in enumerate(models):
         for atom, members in model.valuation.items():
             valuation.setdefault(atom, set()).update(union_point(i, p) for p in members)
-    return Model(UltrametricSpace(points, matrix), valuation)
+    return Model(UltrametricSpace.from_ranks(points, distances, table), valuation)
 
 
 def epsilon_subspace(model: Model, center: str, eps: Fraction) -> Model:
@@ -91,10 +98,15 @@ def epsilon_subspace(model: Model, center: str, eps: Fraction) -> Model:
     members = space.ball(center, eps)
     kept = [p for p in space.points if p in members]
     index = [space.index(p) for p in kept]
-    m = space.matrix()
-    matrix = [[m[a][b] for b in index] for a in index]
+    ranks = space.ranks[np.ix_(index, index)]
+    # Distances between points outside the ball drop out; renumber the ones kept.
+    realized = space.realized_distances()
+    used = np.zeros(len(realized), dtype=bool)
+    used[ranks] = True
+    renumber = (np.cumsum(used) - 1).astype(ranks.dtype)
+    distances = [d for d, is_used in zip(realized, used) if is_used]
     valuation = {atom: held & members for atom, held in model.valuation.items()}
-    return Model(UltrametricSpace(kept, matrix), valuation)
+    return Model(UltrametricSpace.from_ranks(kept, distances, renumber[ranks]), valuation)
 
 
 def scale_space(space: UltrametricSpace, factor: Fraction) -> UltrametricSpace:
@@ -102,7 +114,9 @@ def scale_space(space: UltrametricSpace, factor: Fraction) -> UltrametricSpace:
     factor = Fraction(factor)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    return UltrametricSpace(space.points, [[d * factor for d in row] for row in space.matrix()])
+    # A positive factor keeps the distances in order, so the ranks stay.
+    scaled = [d * factor for d in space.realized_distances()]
+    return UltrametricSpace.from_ranks(space.points, scaled, space.ranks)
 
 
 @dataclass
@@ -129,12 +143,14 @@ class MorphismCheck:
         return out
 
 
-def _require_total(src: UltrametricSpace, tgt: UltrametricSpace, pm: PointMap) -> None:
+def _images(src: UltrametricSpace, tgt: UltrametricSpace, pm: PointMap) -> np.ndarray:
+    """Target index of each source point's image; the map must be total into the target."""
+    image = []
     for p in src.points:
         if p not in pm.mapping:
             raise ValueError(f"map is not total: source point {p!r} has no image")
-        if pm.mapping[p] not in tgt:
-            raise UnknownPointError(pm.mapping[p])
+        image.append(tgt.index(pm.mapping[p]))
+    return np.array(image, dtype=np.intp)
 
 
 def check_frame_morphism(src: UltrametricSpace, tgt: UltrametricSpace, pm: PointMap) -> MorphismCheck:
@@ -143,41 +159,25 @@ def check_frame_morphism(src: UltrametricSpace, tgt: UltrametricSpace, pm: Point
     Forward: d'(f w, f v) <= k * d(w, v) for every pair.  Back: for every
     source w and target v', some v with f(v) = v' lies within
     k^-1 * d'(f w, v') of w.  Checking at the realized distances is
-    exhaustive because balls change only at realized radii.
+    exhaustive because balls change only at realized radii.  Each source
+    distance is scaled by k and placed in the target's distances once.
     """
-    _require_total(src, tgt, pm)
-    f = pm.mapping
-
-    forward = next(
-        (
-            (w, v)
-            for i, w in enumerate(src.points)
-            for v in src.points[i + 1:]
-            if tgt.dist(f[w], f[v]) > pm.k * src.dist(w, v)
-        ),
-        None,
-    )
-
-    preimages: dict[str, list[str]] = {}
-    for p in src.points:
-        preimages.setdefault(f[p], []).append(p)
-    back = next(
-        (
-            (w, v2)
-            for w in src.points
-            for v2 in tgt.points
-            if not any(
-                src.dist(w, v) * pm.k <= tgt.dist(f[w], v2) for v in preimages.get(v2, ())
-            )
-        ),
-        None,
-    )
-
+    image = _images(src, tgt, pm)
+    targets = tgt.realized_distances()
+    scaled = [pm.k * d for d in src.realized_distances()]
+    dtype = np.min_scalar_type(len(targets))
+    above = np.array([bisect_right(targets, x) for x in scaled], dtype=dtype)
+    reach = np.array([bisect_left(targets, x) for x in scaled], dtype=dtype)
+    forward = _first_pair(np.triu(tgt.ranks[np.ix_(image, image)] >= above[src.ranks], 1))
+    # Least rank from w that a preimage of v' allows; len(targets) when v' has none.
+    nearest = np.full((src.n, tgt.n), len(targets), dtype=dtype)
+    np.minimum.at(nearest, (slice(None), image), reach[src.ranks])
+    back = _first_pair(tgt.ranks[image] < nearest)
     return MorphismCheck(
         ok=forward is None and back is None,
         k=pm.k,
-        forward_witness=forward,
-        back_witness=back,
+        forward_witness=forward and (src.points[forward[0]], src.points[forward[1]]),
+        back_witness=back and (src.points[back[0]], tgt.points[back[1]]),
     )
 
 
@@ -218,24 +218,27 @@ def bilipschitz_bounds(src: UltrametricSpace, tgt: UltrametricSpace, pm: PointMa
     Non-bijective maps are rejected: collapsing two points makes the lower
     bound k^-1 d(x, y) <= d'(f x, f y) unsatisfiable.
     """
-    _require_total(src, tgt, pm)
-    images = [pm.mapping[p] for p in src.points]
-    if len(set(images)) != len(images) or len(images) != tgt.n:
+    image = _images(src, tgt, pm)
+    if len(set(image.tolist())) != len(image) or len(image) != tgt.n:
         return BilipschitzReport(
             ok=False,
             reason="map is not a bijection onto the target, so no two-sided bound exists",
         )
 
+    sources, targets = src.realized_distances(), tgt.realized_distances()
+    mapped = tgt.ranks[np.ix_(image, image)]
+    zero = (np.array([d == 0 for d in sources], dtype=bool)[src.ranks]
+            | np.array([d == 0 for d in targets], dtype=bool)[mapped])
+    degenerate = _first_pair(np.triu(zero, 1))
+    if degenerate:
+        w, v = (src.points[i] for i in degenerate)
+        return BilipschitzReport(ok=False, reason=f"degenerate zero distance on pair ({w}, {v})")
+    # Each distinct (source rank, target rank) pair is divided once.
+    pairs = np.triu(np.ones((src.n, src.n), dtype=bool), 1)
+    seen = np.zeros((len(sources), len(targets)), dtype=bool)
+    seen[src.ranks[pairs], mapped[pairs]] = True
     tightest = Fraction(1)
-    for i, w in enumerate(src.points):
-        for v in src.points[i + 1:]:
-            d = src.dist(w, v)
-            d2 = tgt.dist(pm.mapping[w], pm.mapping[v])
-            if d == 0 or d2 == 0:
-                return BilipschitzReport(
-                    ok=False,
-                    reason=f"degenerate zero distance on pair ({w}, {v})",
-                )
-            ratio = d2 / d
-            tightest = max(tightest, ratio, 1 / ratio)
+    for a, b in np.argwhere(seen).tolist():
+        ratio = targets[b] / sources[a]
+        tightest = max(tightest, ratio, 1 / ratio)
     return BilipschitzReport(ok=True, tightest_k=tightest, satisfied_by_supplied_k=pm.k >= tightest)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .space import read_rational
+
 
 class GradeError(ValueError):
     """Raised for grade values outside [0, 1] or unreadable grade text."""
@@ -28,7 +30,7 @@ def as_grade(value: int | str | Fraction) -> Fraction:
         grade = Fraction(value)
     elif isinstance(value, str):
         try:
-            grade = Fraction(value)
+            grade = read_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise GradeError(f"unreadable grade {value!r}") from exc
     else:

@@ -29,6 +29,11 @@ from .space import Model, UltrametricSpace
 from .validity import DEFAULT_CAP, valid_in_model
 
 
+#: Inclusive size bounds.  Two atoms over two 6-point components make 2^24 valuations,
+#: within the enumeration cap; random formulas grow about 2.7-fold per four levels of depth.
+_BOUNDS = {"component_points": (1, 6), "samples": (0, 10_000), "formula_depth": (0, 12)}
+
+
 @dataclass
 class HarnessConfig:
     seed: int = 2024
@@ -36,6 +41,11 @@ class HarnessConfig:
     formula_depth: int = 3
     component_points: int = 4
     atom_names: tuple[str, ...] = ("p", "q")
+
+    def __post_init__(self):
+        for name, (low, high) in _BOUNDS.items():
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must be between {low} and {high}, not {getattr(self, name)}")
 
 
 @dataclass

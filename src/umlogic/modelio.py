@@ -5,7 +5,8 @@ A model file is an object with "points" (ordered array of names),
 "sequences": point -> binary history, distances derived from the first
 differing position), and an optional "valuation" (atom -> point names).
 Rationals cross the file boundary as strings like "1/8"; floats are
-rejected to keep the arithmetic exact.
+rejected to keep the arithmetic exact, and exponent notation ("1e9") so
+that reading a number stays cheap.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .space import Model, UltrametricSpace, UnknownPointError, Violation, validate_space
+from .space import Model, UltrametricSpace, UnknownPointError, Violation, read_rational, validate_space
 
 
 class ModelFormatError(ValueError):
@@ -35,7 +36,7 @@ def parse_rational(value, *, what: str = "distance") -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return read_rational(value)
         except (ValueError, ZeroDivisionError):
             raise ModelFormatError(f"unreadable {what} {value!r}") from None
     raise ModelFormatError(f"unreadable {what} {value!r}")
@@ -118,9 +119,10 @@ def load_model(path: str | Path, *, validate: bool = True) -> Model:
 def model_to_dict(model: Model) -> dict:
     """Canonical matrix-form dictionary; point order preserved, sets sorted."""
     space = model.space
+    texts = [str(d) for d in space.realized_distances()]
     return {
         "points": list(space.points),
-        "distance": {"matrix": [[str(d) for d in row] for row in space.matrix()]},
+        "distance": {"matrix": [[texts[r] for r in row] for row in space.ranks.tolist()]},
         "valuation": {atom: sorted(members) for atom, members in model.valuation.items()},
     }
 

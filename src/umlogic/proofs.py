@@ -91,7 +91,7 @@ def _check_axiom_step(line: ProofLine, step: AxiomStep) -> str | None:
                 f"(expected {format_formula(instance)})"
             )
         return None
-    if not any(name == step.name for name, _ in match_axiom(line.formula)):
+    if not match_axiom(line.formula, step.name):
         return f"formula is not an instance of schema {step.name}"
     return None
 

@@ -4,9 +4,12 @@ A space is a finite ordered point set with exact rational distances,
 stored as the ascending list of distinct distances (exact Fractions) and
 an n x n numpy table of integer ranks into that list.  The logic only
 asks which points lie inside a ball of some grade, so every reader works
-on the ranks; :meth:`UltrametricSpace.matrix` derives the Fraction table
-on demand.  For each grade asked about, the space caches the distinct
-closed balls once, each with the mask of the points whose ball it is
+on the ranks, and derived spaces are built from rank tables by
+:meth:`UltrametricSpace.from_ranks`: Fractions are made once per distinct
+distance, never once per pair.  :meth:`UltrametricSpace.matrix` derives
+the Fraction table on demand, for callers outside the library.  For each
+grade asked about, the space caches the distinct closed balls once, each
+with the mask of the points whose ball it is
 (:meth:`UltrametricSpace.ball_partition`); the per-point masks, single
 balls and the listing of every ball are views of that cache.  In an
 ultrametric the balls of one grade partition the points, so evaluation
@@ -14,9 +17,11 @@ costs one step per ball, not per point.  Beside the partitions, a space
 caches the modal steps that batch evaluation tabulates over every mask
 (:meth:`UltrametricSpace.step_table`).
 
-Construction never checks the metric laws: :func:`validate_space` reports
-violations as data, so deliberately broken spaces (used to show which
-laws the strong triangle inequality buys) are representable.
+Rational text is read by :func:`read_rational`, which refuses exponent
+notation.  Construction never checks the metric laws:
+:func:`validate_space` reports violations as data, so deliberately
+broken spaces (used to show which laws the strong triangle inequality
+buys) are representable.
 """
 from __future__ import annotations
 
@@ -45,15 +50,21 @@ class Violation:
     detail: str
 
 
+def read_rational(text: str) -> Fraction:
+    """Exact rational from ``"p/q"`` or finite-decimal text.
+
+    Exponent notation is refused: ``Fraction("1e999999999")`` would
+    compute 10^999999999 before any range check could run.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 def _as_distance(value: Fraction | int | str) -> Fraction:
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
-    return Fraction(str(value))
-
-
-def _rank_dtype(count: int) -> np.dtype:
-    """Smallest unsigned integer type holding ranks 0 .. count - 1."""
-    return np.min_scalar_type(max(count - 1, 0))
+    return read_rational(value) if isinstance(value, str) else Fraction(str(value))
 
 
 class UltrametricSpace:
@@ -66,18 +77,17 @@ class UltrametricSpace:
         flat = [v if type(v) is Fraction else _as_distance(v) for row in matrix for v in row]
         distances = sorted(set(flat))
         rank = {d: r for r, d in enumerate(distances)}
-        table = np.array([rank[d] for d in flat], dtype=_rank_dtype(len(distances)))
-        self._setup(points, distances, table.reshape(n, n))
+        self._setup(points, distances, np.array([rank[d] for d in flat]).reshape(n, n))
 
     def _setup(self, points: Sequence[str], distances: list[Fraction], ranks: np.ndarray) -> None:
-        """State shared by every constructor; the rank table is frozen, as ball masks are cached."""
+        """State shared by every constructor; ranks take the smallest unsigned type and are frozen."""
         self._points = tuple(points)
         if len(set(self._points)) != len(self._points):
             raise ValueError("duplicate point names")
         self._index = {p: i for i, p in enumerate(self._points)}
         self._distances = distances
-        ranks.setflags(write=False)
-        self._ranks = ranks
+        self._ranks = ranks.astype(np.min_scalar_type(max(len(distances) - 1, 0)), copy=False)
+        self._ranks.setflags(write=False)
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
         self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
 
@@ -131,19 +141,35 @@ class UltrametricSpace:
         # Common-prefix length of each adjacent pair of sorted histories;
         # ``length`` means the two histories are equal.
         lcp = [length - (a ^ b).bit_length() for a, b in zip(values, values[1:])]
-        # Longer common prefix, smaller distance: rank 0 is distance 0.
+        # Longer common prefix, smaller distance: rank 0 is distance 0,
+        # which an empty space does not realize.
         levels = sorted(set(lcp) | {length}, reverse=True)
-        distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]]
+        distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]] if n else []
         rank_of = {m: r for r, m in enumerate(levels)}
-        dtype = _rank_dtype(len(distances))
+        dtype = np.min_scalar_type(len(distances))
         adjacent = np.array([rank_of[m] for m in lcp], dtype=dtype)
         table = np.zeros((n, n), dtype=dtype)
         for i in range(n - 1):
             table[i, i + 1:] = table[i + 1:, i] = np.maximum.accumulate(adjacent[i:])
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n)
+        return cls.from_ranks(points, distances, table[np.ix_(position, position)])
+
+    @classmethod
+    def from_ranks(
+        cls, points: Sequence[str], distances: Sequence[Fraction], ranks: np.ndarray
+    ) -> "UltrametricSpace":
+        """A space from ascending distinct distances and an n x n table of ranks into them.
+
+        The table must use every distance, as :meth:`realized_distances`
+        reports them all.  It is frozen, and copied only to take the
+        smallest unsigned type.
+        """
+        n = len(points)
+        if ranks.shape != (n, n):
+            raise ValueError("rank table shape does not match the point list")
         space = cls.__new__(cls)
-        space._setup(points, distances, table[np.ix_(position, position)])
+        space._setup(points, list(distances), ranks)
         return space
 
     @property
@@ -271,6 +297,12 @@ class UltrametricSpace:
         return list(self._distances)
 
 
+def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
+    """Row and column of the first True entry of a 2-D mask, in row-major order."""
+    hits = np.flatnonzero(bad)
+    return divmod(int(hits[0]), bad.shape[1]) if hits.size else None
+
+
 def validate_space(space: UltrametricSpace) -> list[Violation]:
     """Check the five metric laws; empty report means the space is valid.
 
@@ -281,25 +313,20 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
     pts = space.points
     dist = space.realized_distances()
     rank = space.ranks
-    n = len(pts)
     violations = []
-
-    def first(bad: np.ndarray) -> tuple[int, int] | None:
-        hits = np.flatnonzero(bad)
-        return divmod(int(hits[0]), n) if hits.size else None
 
     def d(i: int, j: int) -> Fraction:
         return dist[rank[i, j]]
 
     negatives = bisect_left(dist, 0)
-    bad = first(rank < negatives)
+    bad = _first_pair(rank < negatives)
     if bad:
         i, j = bad
         violations.append(Violation(
             "nonnegativity", (pts[i], pts[j]), f"d({pts[i]}, {pts[j]}) = {d(i, j)} < 0"))
 
     symmetric = True
-    bad = first(np.triu(rank != rank.T, 1))
+    bad = _first_pair(np.triu(rank != rank.T, 1))
     if bad:
         i, j = bad
         symmetric = False
@@ -315,7 +342,7 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
         violations.append(Violation(
             "zero-self-distance", (pts[bad],), f"d({pts[bad]}, {pts[bad]}) = {d(bad, bad)} != 0"))
 
-    bad = first(np.triu(is_zero, 1))
+    bad = _first_pair(np.triu(is_zero, 1))
     if bad:
         i, j = bad
         violations.append(Violation(

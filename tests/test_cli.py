@@ -10,6 +10,7 @@ import pytest
 
 from umlogic import cli
 from umlogic.cli import main
+from umlogic.harness import _BOUNDS
 from umlogic.parser import MAX_NODES
 from umlogic.space import MAX_CANTOR_DEPTH
 
@@ -384,6 +385,63 @@ class TestHarnessCommand:
         _, first, _ = run(capsys, ["harness", "--seed", "6", "--samples", "10"])
         _, second, _ = run(capsys, ["harness", "--seed", "6", "--samples", "10"])
         assert first == second
+
+
+HUGE = "1e999999999"
+
+
+class TestExponentNotation:
+    """Rational text in exponent notation exits 2 at once instead of computing 10^999999999."""
+
+    def run_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert "unreadable" in json.loads(err)["error"]
+
+    def write(self, tmp_path, name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_matrix_entry(self, capsys, tmp_path):
+        model = self.write(tmp_path, "m.json", {"points": ["a", "b"],
+                                                "distance": {"matrix": [["0", HUGE], [HUGE, "0"]]}})
+        self.run_fast(capsys, ["validate-model", "--model", model])
+
+    def test_map_scaling_constant(self, capsys, tree_model, tmp_path):
+        names = [f"w{i}" for i in range(8)]
+        point_map = self.write(tmp_path, "map.json", {"k": HUGE, "map": dict(zip(names, names))})
+        self.run_fast(capsys, ["morphism", "--model", str(tree_model), "--model", str(tree_model),
+                               "--map", point_map])
+
+    def test_proof_binding(self, capsys, tmp_path):
+        proof = self.write(tmp_path, "p.json", [
+            {"n": 1, "formula": "[1/2]p -> p", "by": "axiom:T", "bind": {"eps": HUGE, "phi": "p"}}])
+        self.run_fast(capsys, ["prove", "--proof", proof])
+
+    def test_necessitation_grade(self, capsys, tmp_path):
+        proof = self.write(tmp_path, "p.json", [{"n": 1, "formula": "p", "by": "premise"},
+                                                {"n": 2, "formula": "[1]p", "by": f"nec:1:{HUGE}"}])
+        self.run_fast(capsys, ["prove", "--proof", proof])
+
+    def test_subspace_grade(self, capsys, tree_model):
+        self.run_fast(capsys, ["subspace", "--model", str(tree_model), "--world", "w0", "--grade", HUGE])
+
+
+class TestHarnessBounds:
+    """A harness size one past its bound exits 2 before anything is built."""
+
+    @pytest.mark.parametrize("flag, field", [("--points", "component_points"), ("--samples", "samples"),
+                                             ("--depth", "formula_depth")])
+    def test_one_past_the_bound_exits_2(self, capsys, flag, field):
+        low, high = _BOUNDS[field]
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["harness", flag, str(high + 1)])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f"{field} must be between {low} and {high}, not {high + 1}"
 
 
 class TestExitCodes:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umlogic import cli
-from umlogic.axioms import SCHEMAS, SchemaError, _match, instantiate_axiom
+from umlogic.axioms import SCHEMAS, SchemaError, _match, instantiate_axiom, match_axiom
 from umlogic.formula import (
     And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade, desugar, format_formula,
 )
@@ -486,6 +486,30 @@ def test_check_proof_matches_the_reference(seed):
     for mutated in mutants(rng, lines):
         proof = proof_from_json(mutated)
         assert check_proof(proof) == ref_check_proof(proof)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_named_schema_matching_matches_the_reference(seed):
+    """Matching one named schema finds exactly that schema's entry among all matches."""
+    rng = random.Random(seed)
+    names = [s.name for s in SCHEMAS] + ["UM9", "k", ""]
+    candidates = [random_formula(rng, ["p", "q"], GRADES, 3) for _ in range(20)]
+    for schema in SCHEMAS:
+        bind = {"phi": random_formula(rng, ["p"], GRADES, 2), "psi": Atom("q"),
+                "eps": rng.choice(GRADES), "gamma": Fraction(1), "delta": rng.choice(GRADES)}
+        candidates.append(instantiate_axiom(schema.name, bind))
+    for f in candidates:
+        everything = ref_match_axiom(f)
+        assert match_axiom(f) == everything
+        for name in names:
+            assert match_axiom(f, name) == [m for m in everything if m[0] == name]
+
+
+def test_unknown_schema_name_keeps_its_message():
+    proof = proof_from_json([{"n": 1, "formula": "[1/2]p -> p", "by": "axiom:UM9"}])
+    verdict = check_proof(proof)
+    assert verdict == ref_check_proof(proof)
+    assert verdict.reason == "formula is not an instance of schema UM9"
 
 
 def test_desugared_lines_take_the_fallback():

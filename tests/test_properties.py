@@ -7,6 +7,7 @@ rationals in [0, 1].  The identities are those of the graded interior
 and closure that ``test_acceptance`` checks exhaustively on small spaces.
 The evaluator runs on formulas as parsed, all seven constructors
 included, and must agree with the same formulas after ``desugar``.
+Truth at a world of a component is truth at its copy in a disjoint union.
 Arbitrary JSON read as a proof or as a model raises nothing the CLI
 would not report as an input error.
 """
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 import umlogic
 from umlogic import cli
+from umlogic.constructions import disjoint_union, union_point
 from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, desugar, format_formula
 from umlogic.parser import MAX_DEPTH, parse
 from umlogic.proofs import check_proof, proof_from_json
@@ -193,6 +195,30 @@ def test_unpickled_formula_hashes_as_one_built_in_the_new_process():
     result = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(f),
                             capture_output=True, env=env, timeout=60)
     assert result.stdout.decode().split() == ["True", "1"], result.stderr.decode()
+
+
+@st.composite
+def components(draw):
+    """One to three models of at most four points, with random valuations of p, q and r."""
+    models = []
+    for _ in range(draw(st.integers(1, 3))):
+        space = draw(spaces(max_points=4))
+        masks = st.integers(0, space.full_mask)
+        models.append(Model(space, {name: space.names_of(draw(masks)) for name in ("p", "q", "r")}))
+    return models
+
+
+@SETTINGS
+@given(components(), st.data())
+def test_union_keeps_truth_at_every_component_world(models, data):
+    union = disjoint_union(models)
+    realized = [g for g in union.space.realized_distances() if g <= 1]
+    f = data.draw(formulas(st.one_of(st.sampled_from(realized), fractions01)))
+    in_union = truth_mask(union, f)
+    for i, model in enumerate(models):
+        mask = truth_mask(model, f)
+        for j, w in enumerate(model.space.points):
+            assert mask >> j & 1 == in_union >> union.space.index(union_point(i, w)) & 1, (i, w)
 
 
 @SETTINGS

@@ -3,8 +3,9 @@
 The reference functions below restate the earlier implementations over a
 tuple-of-tuples table of exact Fractions: the metric-law checks (with the
 strong triangle as a plain cubic loop, which the earlier code vectorised),
-pairwise ball masks, and the ball tree that scans every ball for
-supersets.  Each test builds the reference table independently of the
+pairwise ball masks, the ball tree that scans every ball for supersets,
+and the constructions, morphism checks and model output that built or
+read a Fraction matrix pair by pair.  Each test builds the reference table independently of the
 space (from the input matrix, or from ``sequence_distance`` over
 histories); for generated spaces, whose input matrix is internal to the
 generator, it is read back through ``matrix()``.
@@ -16,10 +17,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from umlogic.constructions import (
+    UNION_DISTANCE,
+    BilipschitzReport,
+    PointMap,
+    bilipschitz_bounds,
+    check_bounded_morphism,
+    check_frame_morphism,
+    disjoint_union,
+    epsilon_subspace,
+    scale_space,
+    union_point,
+)
 from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
 from umlogic.formula import Atom
 from umlogic.generators import LEVEL_POOL, random_ultrametric_space
-from umlogic.modelio import dump_model
+from umlogic.modelio import dump_model, model_from_dict
 from umlogic.semantics import plausibility_degree, stability_degree
 from umlogic.space import (
     Model,
@@ -125,6 +138,65 @@ def ref_dump(pts, m, valuation):
         "valuation": {atom: sorted(members) for atom, members in valuation.items()},
     }
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def ref_union(components):
+    """Disjoint union of (points, table, valuation) triples as one such triple."""
+    points = [union_point(i, p) for i, (pts, _, _) in enumerate(components) for p in pts]
+    matrix = [[UNION_DISTANCE] * len(points) for _ in points]
+    base = 0
+    for pts, m, _ in components:
+        for a, row in enumerate(m):
+            for b, d in enumerate(row):
+                matrix[base + a][base + b] = d
+        base += len(pts)
+    valuation = {}
+    for i, (_, _, val) in enumerate(components):
+        for atom, members in val.items():
+            valuation.setdefault(atom, set()).update(union_point(i, p) for p in members)
+    return points, matrix, valuation
+
+
+def ref_subspace(pts, m, valuation, center, eps):
+    ball = ref_ball_masks(m, eps)[pts.index(center)]
+    kept = [i for i in range(len(pts)) if ball >> i & 1]
+    members = {pts[i] for i in kept}
+    return ([pts[i] for i in kept], [[m[a][b] for b in kept] for a in kept],
+            {atom: set(held) & members for atom, held in valuation.items()})
+
+
+def ref_frame(src_pts, sm, tgt_pts, tm, image, k):
+    """(forward witness, back witness) of the pairwise forward and back loops."""
+    n = len(src_pts)
+    forward = next(((src_pts[i], src_pts[j]) for i in range(n) for j in range(i + 1, n)
+                    if tm[image[i]][image[j]] > k * sm[i][j]), None)
+    back = next(((src_pts[i], tgt_pts[t]) for i in range(n) for t in range(len(tgt_pts))
+                 if not any(sm[i][j] * k <= tm[image[i]][t] for j in range(n) if image[j] == t)),
+                None)
+    return forward, back
+
+
+def ref_atom_witness(src_pts, src_val, tgt_pts, tgt_val, image):
+    names = sorted(set(src_val) | set(tgt_val))
+    return next(((name, w) for name in names for i, w in enumerate(src_pts)
+                 if (w in src_val.get(name, ())) != (tgt_pts[image[i]] in tgt_val.get(name, ()))),
+                None)
+
+
+def ref_bilipschitz(src_pts, sm, tgt_n, tm, image, k):
+    if len(set(image)) != len(image) or len(image) != tgt_n:
+        return BilipschitzReport(
+            ok=False, reason="map is not a bijection onto the target, so no two-sided bound exists")
+    tightest = Fraction(1)
+    for i in range(len(src_pts)):
+        for j in range(i + 1, len(src_pts)):
+            d, d2 = sm[i][j], tm[image[i]][image[j]]
+            if d == 0 or d2 == 0:
+                return BilipschitzReport(
+                    ok=False, reason=f"degenerate zero distance on pair ({src_pts[i]}, {src_pts[j]})")
+            ratio = d2 / d
+            tightest = max(tightest, ratio, 1 / ratio)
+    return BilipschitzReport(ok=True, tightest_k=tightest, satisfied_by_supplied_k=k >= tightest)
 
 
 # --- the spaces compared -----------------------------------------------------
@@ -273,3 +345,143 @@ def test_symmetric_validation_matches_the_sweep_on_random_tables():
                 m[i][j] = m[j][i] = rng.choice(levels[1:])
         space = UltrametricSpace([f"p{i}" for i in range(n)], m)
         assert validate_space(space) == ref_validate(space.points, m)
+
+
+# --- constructions, morphism checks and model output on the rank table --------
+
+SCALES = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 4))
+
+
+def case_model(label, space):
+    rng = random.Random(label)
+    return Model(space, {"p": [x for x in space.points if rng.random() < 0.5], "q": []})
+
+
+def plain_valuation(model):
+    return {atom: set(held) for atom, held in model.valuation.items()}
+
+
+def assert_same_model(built, points, matrix, valuation):
+    """``built`` equals the model the matrix constructor makes from a Fraction table."""
+    expected = Model(UltrametricSpace(points, matrix), valuation)
+    assert built.space.points == expected.space.points
+    assert built.space.matrix() == expected.space.matrix()
+    assert built.space.realized_distances() == expected.space.realized_distances()
+    assert built.space.ranks.dtype == expected.space.ranks.dtype
+    assert dump_model(built) == ref_dump(points, matrix, valuation)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=IDS)
+class TestConstructionsAgainstDenseTable:
+    def test_disjoint_union(self, index):
+        label, space, table = CASES[index]
+        other_label, other, other_table = CASES[(index + 1) % len(CASES)]
+        model, other_model = case_model(label, space), case_model(other_label, other)
+        one = (space.points, table, plain_valuation(model))
+        two = (other.points, other_table, plain_valuation(other_model))
+        for parts, models in (([one], [model]), ([one, one], [model, model]),
+                              ([one, two], [model, other_model])):
+            assert_same_model(disjoint_union(models), *ref_union(parts))
+
+    def test_epsilon_subspace(self, index):
+        label, space, table = CASES[index]
+        model = case_model(label, space)
+        for center in space.points[:4] + space.points[-1:]:
+            for eps in probe_grades(ref_realized(table)):
+                expected = ref_subspace(space.points, table, plain_valuation(model), center, eps)
+                assert_same_model(epsilon_subspace(model, center, eps), *expected)
+
+    def test_scale_space(self, index):
+        label, space, table = CASES[index]
+        for factor in SCALES:
+            scaled = Model(scale_space(space, factor))
+            assert_same_model(scaled, space.points, [[d * factor for d in row] for row in table], {})
+
+    def test_morphism_checks(self, index):
+        label, space, table = CASES[index]
+        other_label, other, other_table = CASES[(index + 7) % len(CASES)]
+        rng = random.Random(label)
+        n = space.n
+        shuffled = rng.sample(range(n), n)
+        maps = [  # (target, its table, image index of each source point)
+            (space, table, list(range(n))),
+            (space, table, shuffled),
+            (space, table, [rng.randrange(n) for _ in range(n)]),
+            (other, other_table, [rng.randrange(other.n) for _ in range(n)]),
+        ]
+        src_model = case_model(label, space)
+        for tgt, tgt_table, image in maps:
+            tgt_model = case_model(label + "target", tgt)
+            for k in SCALES:
+                pm = PointMap({p: tgt.points[image[i]] for i, p in enumerate(space.points)}, k)
+                forward, back = ref_frame(space.points, table, tgt.points, tgt_table, image, k)
+                frame = check_frame_morphism(space, tgt, pm)
+                assert (frame.forward_witness, frame.back_witness) == (forward, back)
+                assert frame.ok == (forward is None and back is None)
+                atom = ref_atom_witness(space.points, plain_valuation(src_model), tgt.points,
+                                        plain_valuation(tgt_model), image)
+                bounded = check_bounded_morphism(src_model, tgt_model, pm)
+                assert (bounded.forward_witness, bounded.back_witness, bounded.atom_witness) == (
+                    forward, back, atom)
+                assert bounded.ok == (forward is None and back is None and atom is None)
+                assert bilipschitz_bounds(space, tgt, pm) == ref_bilipschitz(
+                    space.points, table, tgt.n, tgt_table, image, k)
+
+
+def test_constructions_never_build_the_fraction_matrix(monkeypatch):
+    """Constructions, morphism checks and model output all run on the rank table."""
+    def refuse(self):
+        raise AssertionError("matrix() called")
+
+    monkeypatch.setattr(UltrametricSpace, "matrix", refuse)
+    seqs = cantor_sequences(3)
+    model = model_from_dict({"points": seqs, "distance": {"sequences": dict(zip(seqs, seqs))},
+                             "valuation": {"p": seqs[:2]}})
+    space = model.space
+    identity = PointMap({p: p for p in space.points}, Fraction(1, 2))
+    union = disjoint_union([model, model])
+    sub = epsilon_subspace(union, union.space.points[0], Fraction(1, 4))
+    scaled = scale_space(space, Fraction(1, 2))
+    assert check_frame_morphism(space, scaled, identity).ok
+    assert check_bounded_morphism(model, Model(scaled, model.valuation), identity).ok
+    assert bilipschitz_bounds(space, scaled, identity).tightest_k == 2
+    for built in (model, union, sub, Model(scaled)):
+        assert dump_model(built)
+
+
+EMPTY_SPACES = [("matrix", UltrametricSpace([], [])), ("sequences", UltrametricSpace.from_sequences([], {}))]
+
+
+@pytest.mark.parametrize("label, empty", EMPTY_SPACES, ids=[label for label, _ in EMPTY_SPACES])
+def test_constructions_on_empty_spaces_match_the_dense_table(label, empty):
+    """No points: no distance is realized, and every check passes as the pair loops did."""
+    label_one, one, one_table = CASES[0]
+    model = case_model(label_one, one)
+    for parts, models in (([([], [], {})], [Model(empty)]),
+                          ([([], [], {})] * 2, [Model(empty)] * 2),
+                          ([([], [], {}), (one.points, one_table, plain_valuation(model))],
+                           [Model(empty), model])):
+        assert_same_model(disjoint_union(models), *ref_union(parts))
+    assert_same_model(Model(scale_space(empty, Fraction(1, 2))), [], [], {})
+    pm = PointMap({}, Fraction(1, 2))
+    frame = check_frame_morphism(empty, empty, pm)
+    assert (frame.ok, frame.forward_witness, frame.back_witness) == (True, None, None)
+    assert check_frame_morphism(empty, one, pm).back_witness == ref_frame([], [], one.points,
+                                                                          one_table, [], pm.k)[1]
+    assert bilipschitz_bounds(empty, empty, pm) == ref_bilipschitz([], [], 0, [], [], pm.k)
+
+
+@pytest.mark.parametrize("n", [23, 24, 25])
+def test_subspace_renumbering_across_rank_types(n):
+    """Near 256 distances the sub-table may need a narrower rank type than its parent."""
+    rng = random.Random(n)
+    values = rng.sample(range(1, 1000), n * (n - 1) // 2)
+    table = [[Fraction(0)] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), value in zip(pairs, values):
+        table[i][j] = table[j][i] = Fraction(value, 1000)
+    points = [f"p{i}" for i in range(n)]
+    model = Model(UltrametricSpace(points, table))
+    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 5)):
+        assert_same_model(epsilon_subspace(model, "p0", eps),
+                          *ref_subspace(points, table, {}, "p0", eps))

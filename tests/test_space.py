@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from umlogic.constructions import PointMap
 from umlogic.generators import random_ultrametric_space
 from umlogic.space import (
     Model,
@@ -186,6 +188,20 @@ class TestConstruction:
     def test_from_sequences_rejects_ragged(self):
         with pytest.raises(ValueError, match="same length"):
             UltrametricSpace.from_sequences(["a", "b"], {"a": "10", "b": "1"})
+
+    def test_from_sequences_of_no_points_realizes_no_distance(self):
+        assert UltrametricSpace.from_sequences([], {}).realized_distances() == []
+
+    @pytest.mark.parametrize("build", [
+        lambda text: UltrametricSpace(["a"], [[text]]),
+        lambda text: UltrametricSpace.from_pairs(["a", "b"], {("a", "b"): text}),
+        lambda text: PointMap({}, text),
+    ], ids=["matrix", "pairs", "point-map"])
+    def test_exponent_notation_rejected_at_once(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent notation"):
+            build("1e999999999")
+        assert time.perf_counter() - start < 1
 
 
 class TestModel:
