@@ -6,7 +6,10 @@ A model file is an object with "points" (ordered array of names),
 differing position), and an optional "valuation" (atom -> point names).
 Rationals cross the file boundary as strings like "1/8"; floats are
 rejected to keep the arithmetic exact, and exponent notation ("1e9") so
-that reading a number stays cheap.
+that reading a number stays cheap.  A matrix is validated law by law; a
+space built from sequences is an ultrametric by construction, so only
+duplicate histories can make it invalid, and histories longer than
+``space.MAX_HISTORY_LENGTH`` are a format error.
 """
 from __future__ import annotations
 

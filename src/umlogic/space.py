@@ -21,7 +21,10 @@ Rational text is read by :func:`read_rational`, which refuses exponent
 notation.  Construction never checks the metric laws:
 :func:`validate_space` reports violations as data, so deliberately
 broken spaces (used to show which laws the strong triangle inequality
-buys) are representable.
+buys) are representable.  A space built from binary histories is an
+ultrametric by construction; it remembers its first pair of equal
+histories, the one law it can break, and is validated without reading
+its table.
 """
 from __future__ import annotations
 
@@ -67,6 +70,13 @@ def _as_distance(value: Fraction | int | str) -> Fraction:
     return read_rational(value) if isinstance(value, str) else Fraction(str(value))
 
 
+#: The longest binary history :meth:`UltrametricSpace.from_sequences`
+#: takes.  Histories first differing at event n are 1/2^n apart, and
+#: 2^14284 is the largest power of two whose decimal text (4,300 digits)
+#: the interpreter prints by default, so every realized distance prints.
+MAX_HISTORY_LENGTH = 14284
+
+
 class UltrametricSpace:
     """Finite point set with exact distances held as ranks into a sorted list."""
 
@@ -90,6 +100,10 @@ class UltrametricSpace:
         self._ranks.setflags(write=False)
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
         self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
+        # Set by from_sequences alone: the first pair of points, in point
+        # order, with equal histories, or () when all differ.  None for a
+        # table that came from elsewhere, which validation checks in full.
+        self._history_twins: tuple[int, int] | tuple[()] | None = None
 
     @classmethod
     def from_pairs(
@@ -122,13 +136,20 @@ class UltrametricSpace:
         their histories first differ.  The ranks come straight from the
         histories: sorted, two histories agree on the shortest common prefix
         of the adjacent pairs between them, so each row of the table is a
-        running minimum over adjacent common-prefix lengths.
+        running minimum over adjacent common-prefix lengths.  That is the
+        cophenetic table of a single-linkage tree, so every metric law
+        holds by construction except identity of indiscernibles, which
+        equal histories break; :func:`validate_space` checks only that.
+        Histories longer than :data:`MAX_HISTORY_LENGTH` raise ValueError
+        before anything is built.
         """
         seqs = []
         for p in points:
             if p not in sequences:
                 raise UnknownPointError(p)
             seq = sequences[p]
+            if len(seq) > MAX_HISTORY_LENGTH:
+                raise ValueError(f"sequence for {p!r} is longer than {MAX_HISTORY_LENGTH} events")
             if not seq or seq.strip("01"):
                 raise ValueError(f"sequence for {p!r} is not a nonempty binary string")
             seqs.append(seq)
@@ -153,7 +174,12 @@ class UltrametricSpace:
             table[i, i + 1:] = table[i + 1:, i] = np.maximum.accumulate(adjacent[i:])
         position = np.empty(n, dtype=np.intp)
         position[order] = np.arange(n)
-        return cls.from_ranks(points, distances, table[np.ix_(position, position)])
+        space = cls.from_ranks(points, distances, table[np.ix_(position, position)])
+        # The stable sort keeps each group of equal histories adjacent and in
+        # point order, so the least adjacent equal pair is the first in point order.
+        space._history_twins = min(
+            ((order[k], order[k + 1]) for k, m in enumerate(lcp) if m == length), default=())
+        return space
 
     @classmethod
     def from_ranks(
@@ -303,14 +329,25 @@ def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
     return divmod(int(hits[0]), bad.shape[1]) if hits.size else None
 
 
+def _indiscernible(pts: Sequence[str], i: int, j: int) -> Violation:
+    return Violation(
+        "identity-of-indiscernibles", (pts[i], pts[j]), f"distinct points {pts[i]}, {pts[j]} at distance 0")
+
+
 def validate_space(space: UltrametricSpace) -> list[Violation]:
     """Check the five metric laws; empty report means the space is valid.
 
     Each violated law is reported once, with the first witnessing pair or
     triple in point order.  The checks run on the rank table, which orders
-    exactly as the distances do.
+    exactly as the distances do.  A space built by
+    :meth:`UltrametricSpace.from_sequences` can break only identity of
+    indiscernibles, and its first pair of equal histories was found when
+    it was built, so it is checked in O(1).
     """
     pts = space.points
+    twins = space._history_twins
+    if twins is not None:
+        return [_indiscernible(pts, *twins)] if twins else []
     dist = space.realized_distances()
     rank = space.ranks
     violations = []
@@ -344,10 +381,7 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
 
     bad = _first_pair(np.triu(is_zero, 1))
     if bad:
-        i, j = bad
-        violations.append(Violation(
-            "identity-of-indiscernibles", (pts[i], pts[j]),
-            f"distinct points {pts[i]}, {pts[j]} at distance 0"))
+        violations.append(_indiscernible(pts, *bad))
 
     if not (symmetric and _is_subdominant(rank)):
         bad = _strong_triangle_witness(rank)

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from umlogic import cli
 from umlogic.cli import main
 from umlogic.harness import _BOUNDS
 from umlogic.parser import MAX_NODES
-from umlogic.space import MAX_CANTOR_DEPTH
+from umlogic.modelio import dump_model, load_model
+from umlogic.space import MAX_CANTOR_DEPTH, MAX_HISTORY_LENGTH
 
 DATA = Path(__file__).parent / "data"
 
@@ -442,6 +444,79 @@ class TestHarnessBounds:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == f"{field} must be between {low} and {high}, not {high + 1}"
+
+
+def history_file(tmp_path, name, histories, valuation=None):
+    path = tmp_path / name
+    path.write_text(json.dumps({"points": list(histories), "distance": {"sequences": histories},
+                                "valuation": valuation or {}}))
+    return str(path)
+
+
+# Several groups of equal histories; the first group in sorted history order
+# ({d, f} at 000) is not the one holding the first pair in point order.
+DUPLICATE_HISTORIES = [
+    {"a": "110", "b": "011", "c": "110", "d": "000", "e": "011", "f": "000", "g": "110"},
+    {"f": "101", "e": "000", "d": "101", "c": "000", "b": "111", "a": "101"},
+    {"x": "1", "y": "0", "z": "0"},
+]
+
+
+class TestDuplicateHistories:
+    """A history file is checked only for equal histories, with the report of the law-by-law check."""
+
+    @pytest.mark.parametrize("histories", DUPLICATE_HISTORIES)
+    def test_report_matches_the_matrix_form(self, capsys, tmp_path, histories):
+        path = history_file(tmp_path, "h.json", histories)
+        twin = tmp_path / "m.json"
+        twin.write_text(dump_model(load_model(path, validate=False)))
+        for argv in (["validate-model"], ["check", "--formula", "p", "--world", next(iter(histories))]):
+            results = [run(capsys, [argv[0], "--model", str(model), *argv[1:]]) for model in (path, twin)]
+            assert results[0] == results[1]
+            assert results[0][0] == (1 if argv[0] == "validate-model" else 2)
+
+    def test_first_pair_in_point_order(self, capsys, tmp_path):
+        path = history_file(tmp_path, "h.json", DUPLICATE_HISTORIES[0])
+        detail = "distinct points a, c at distance 0"
+        code, out, err = run(capsys, ["validate-model", "--model", path])
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"valid": False, "violations": [
+            {"condition": "identity-of-indiscernibles", "witness": ["a", "c"], "detail": detail}]}
+        assert run(capsys, ["check", "--model", path, "--formula", "p", "--world", "a"]) == (
+            2, "", json.dumps({"error": detail}) + "\n")
+
+
+class TestHistoryLengthBound:
+    """Histories up to MAX_HISTORY_LENGTH events load and print their distances; longer ones exit 2."""
+
+    COMMANDS = (["check", "--formula", "p", "--world", "a"], ["stability", "--formula", "p", "--world", "a"],
+                ["plausibility", "--formula", "p", "--world", "b"], ["dot"],
+                ["subspace", "--world", "a", "--grade", "1"], ["validate-model"])
+
+    def two_points(self, tmp_path, length):
+        return history_file(tmp_path, f"h{length}.json", {"a": "0" * length, "b": "0" * (length - 1) + "1"},
+                            {"p": ["a"]})
+
+    def test_every_distance_at_the_bound_prints(self, capsys, tmp_path):
+        path = self.two_points(tmp_path, MAX_HISTORY_LENGTH)
+        smallest = str(Fraction(1, 2 ** MAX_HISTORY_LENGTH))
+        for argv in self.COMMANDS:
+            code, out, err = run(capsys, [argv[0], "--model", path, *argv[1:]])
+            assert (code, err) == (0, ""), argv
+        assert json.loads(run(capsys, ["stability", "--model", path, "--formula", "p", "--world", "a"])[1]) == {
+            "kind": "stability", "threshold": smallest, "attained": False}
+        assert smallest in run(capsys, ["dot", "--model", path])[1]
+
+    def test_one_event_past_the_bound_exits_2(self, capsys, tmp_path):
+        path = self.two_points(tmp_path, MAX_HISTORY_LENGTH + 1)
+        for argv in self.COMMANDS:
+            code, out, err = run(capsys, [argv[0], "--model", path, *argv[1:]])
+            assert (code, out) == (2, ""), argv
+            assert json.loads(err) == {"error": f"sequence for 'a' is longer than {MAX_HISTORY_LENGTH} events"}
+
+    def test_the_bound_is_the_longest_printable_denominator(self):
+        digits = sys.int_info.default_max_str_digits
+        assert 2 ** MAX_HISTORY_LENGTH < 10 ** digits <= 2 ** (MAX_HISTORY_LENGTH + 1)
 
 
 class TestExitCodes:

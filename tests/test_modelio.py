@@ -12,7 +12,7 @@ from umlogic.modelio import (
     model_to_dict,
     save_model,
 )
-from umlogic.space import Model, cantor_space
+from umlogic.space import MAX_HISTORY_LENGTH, Model, cantor_space
 
 SEQUENCE_MODEL = {
     "points": ["w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"],
@@ -106,6 +106,16 @@ class TestLoading:
     def test_not_an_object(self):
         with pytest.raises(ModelFormatError):
             model_from_dict([1, 2])
+
+    def test_history_length_bound(self):
+        def two_points(length):
+            histories = {"a": "0" * length, "b": "0" * (length - 1) + "1"}
+            return {"points": ["a", "b"], "distance": {"sequences": histories}}
+
+        space = model_from_dict(two_points(MAX_HISTORY_LENGTH)).space
+        assert [str(d) for d in space.realized_distances()] == ["0", f"1/{2 ** MAX_HISTORY_LENGTH}"]
+        with pytest.raises(ModelFormatError, match=f"longer than {MAX_HISTORY_LENGTH} events"):
+            model_from_dict(two_points(MAX_HISTORY_LENGTH + 1))
 
 
 class TestRoundTrip:

@@ -9,13 +9,21 @@ The evaluator runs on formulas as parsed, all seven constructors
 included, and must agree with the same formulas after ``desugar``.
 Truth at a world of a component is truth at its copy in a disjoint union.
 Arbitrary JSON read as a proof or as a model raises nothing the CLI
-would not report as an input error.
+would not report as an input error.  The stability and plausibility
+thresholds predict the truth of the box and diamond at every grade, and
+generated command lines, over every subcommand and small files some of
+them broken, exit only with 0, 1 or 2.
 """
+import contextlib
 import copy
+import io
+import itertools
+import json
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,8 +38,15 @@ from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, desugar, 
 from umlogic.parser import MAX_DEPTH, parse
 from umlogic.proofs import check_proof, proof_from_json
 from umlogic.generators import random_ultrametric_space
-from umlogic.modelio import model_from_dict
-from umlogic.semantics import closure_mask, interior_mask, truth_mask
+from umlogic.modelio import model_from_dict, model_to_dict
+from umlogic.semantics import (
+    closure_mask,
+    holds,
+    interior_mask,
+    plausibility_degree,
+    stability_degree,
+    truth_mask,
+)
 from umlogic.space import Model, UltrametricSpace, validate_space
 from umlogic.validity import valid_in_model
 
@@ -299,3 +314,127 @@ def test_model_input_raises_only_reported_errors(data, validate):
         model_from_dict(data, validate=validate)
     except cli._ERRORS:
         pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces(), st.data())
+def test_degree_thresholds_predict_modal_truth(space, data):
+    """[g]f holds at w iff g is under the stability threshold or it is attained; <g>f iff g reaches plausibility."""
+    realized = space.realized_distances()
+    grades = sorted({g for g in realized + [(a + b) / 2 for a, b in zip(realized, realized[1:])]
+                     + [Fraction(0), Fraction(1)] if g <= 1})
+    f = data.draw(formulas(st.sampled_from(grades)))
+    model = Model(space, {name: data.draw(st.sets(st.sampled_from(space.points))) for name in ("p", "q", "r")})
+    world = data.draw(st.sampled_from(space.points))
+    stability = stability_degree(model, world, f)
+    plausibility = plausibility_degree(model, world, f)
+    for g in grades:
+        assert holds(model, world, Box(g, f)) == (
+            stability.threshold is not None and (stability.attained or g < stability.threshold)), g
+        assert holds(model, world, Diamond(g, f)) == (
+            plausibility.threshold is not None and g >= plausibility.threshold), g
+
+
+# --- the exit-code contract of the command line -------------------------------
+
+NAMES = ["x0", "x1", "h0", "h1", "a", "w0", "0:x0", "zz", ""]
+
+
+@st.composite
+def good_models(draw):
+    """A model file of at most three points, in matrix form or as histories that may repeat."""
+    space = draw(spaces(max_points=3))
+    masks = st.integers(0, space.full_mask)
+    data = model_to_dict(Model(space, {name: space.names_of(draw(masks)) for name in ("p", "q")}))
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 3))
+        names = data["points"] = [f"h{i}" for i in range(space.n)]
+        data["distance"] = {"sequences": {name: draw(st.text("01", min_size=length, max_size=length))
+                                          for name in names}}
+        data["valuation"] = {atom: [f"h{space.index(x)}" for x in held] for atom, held in data["valuation"].items()}
+    return data
+
+
+#: JSON for a model, proof, valuation or point-map file, or text that is not JSON.
+file_contents = st.one_of(
+    good_models().map(json.dumps),
+    model_dicts().map(json.dumps),
+    st.lists(proof_entries | json_values, max_size=6).map(json.dumps),
+    st.dictionaries(st.sampled_from(["p", "q"]), st.lists(st.sampled_from(["w0", "w1", "a", "w9"]), max_size=3))
+    .map(json.dumps),
+    st.fixed_dictionaries({"map": st.dictionaries(st.sampled_from(NAMES), st.sampled_from(NAMES))},
+                          optional={"k": st.sampled_from(["1", "1/2", "2", "0", "-1", "x", 1, 0.5])}).map(json.dumps),
+    json_values.map(json.dumps),
+    st.sampled_from(["", "{", "[" * 100_000, "\xff", "NaN", "1" * 5000]),
+)
+formula_args = st.sampled_from(["p", "[1/2]p -> p", "<1/4>(p & q)", "[1]q", "~p | r", "p & ~p", "[p",
+                                "[2]p", "<1e9>p", "", "(" * 300 + "p" + ")" * 300]) | formula_texts
+world_args = st.sampled_from(NAMES)
+grade_args = st.sampled_from(["0", "1/2", "1/4", "1", "2", "-1", "x", "1/0", "1e9", ""])
+COMMANDS = {
+    "check": {"--model": "file", "--formula": formula_args, "--world": world_args},
+    "truthset": {"--model": "file", "--formula": formula_args},
+    "stability": {"--model": "file", "--formula": formula_args, "--world": world_args},
+    "plausibility": {"--model": "file", "--formula": formula_args, "--world": world_args},
+    "cantor": {"--depth": st.sampled_from(["-1", "0", "1", "3", "17", "x"]), "--valuation": "file"},
+    "valid": {"--model": "file", "--formula": formula_args, "--cap": st.sampled_from(["-1", "0", "64", "4096", "x"])},
+    "axiom": {"--formula": formula_args},
+    "prove": {"--proof": "file"},
+    "union": {"--model": "files"},
+    "ball": {"--model": "file", "--world": world_args, "--grade": grade_args},
+    "subspace": {"--model": "file", "--world": world_args, "--grade": grade_args},
+    "morphism": {"--model": "files", "--map": "file", "--frame": None, "--bilipschitz": None},
+    "harness": {"--seed": st.sampled_from(["0", "7", "-3", "x"]),
+                "--samples": st.sampled_from(["-1", "0", "5", "10001"]),
+                "--depth": st.sampled_from(["-1", "0", "2", "13"]),
+                "--points": st.sampled_from(["0", "1", "2", "7"])},
+    "dot": {"--model": "file"},
+    "validate-model": {"--model": "file"},
+}
+
+
+@st.composite
+def command_lines(draw, directory):
+    """An argv for one subcommand: each option kept or dropped, its files written under ``directory``."""
+    count = itertools.count()
+
+    def file_arg():
+        path = directory / f"f{next(count)}.json"
+        kind = draw(st.sampled_from(["written", "written", "written", "missing", "directory"]))
+        if kind == "written":
+            path.write_text(draw(file_contents))
+        return str(directory if kind == "directory" else path)
+
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, value in COMMANDS[command].items():
+        if draw(st.integers(0, 9)) == 9:
+            continue
+        if value is None:
+            argv.append(flag)
+        elif value == "file":
+            argv += [flag, file_arg()]
+        elif value == "files":
+            for _ in range(draw(st.integers(1, 3))):
+                argv += [flag, file_arg()]
+        else:
+            argv += [flag, draw(value)]
+    extra = draw(st.sampled_from([[], [], [], ["--out", str(directory / "out.json")], ["--out", str(directory)],
+                                  ["--bogus"], ["--help"]]))
+    if draw(st.integers(0, 9)) == 9:
+        argv = draw(st.sampled_from([[], ["nope"], ["--version"]]))
+    return argv + extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_command_line_exits_only_with_0_1_or_2(data):
+    """Generated argv over every subcommand, with small files some of them broken, exits 0, 1 or 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(command_lines(Path(tmp)), label="argv")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), argv

@@ -8,7 +8,9 @@ and the constructions, morphism checks and model output that built or
 read a Fraction matrix pair by pair.  Each test builds the reference table independently of the
 space (from the input matrix, or from ``sequence_distance`` over
 histories); for generated spaces, whose input matrix is internal to the
-generator, it is read back through ``matrix()``.
+generator, it is read back through ``matrix()``.  A space built from
+histories is validated only for equal histories; its report is compared
+with the same rank table validated law by law.
 """
 import json
 import random
@@ -16,6 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import umlogic.space as space_module
 
 from umlogic.constructions import (
     UNION_DISTANCE,
@@ -39,6 +45,7 @@ from umlogic.space import (
     UltrametricSpace,
     Violation,
     cantor_sequences,
+    cantor_space,
     sequence_distance,
     validate_space,
 )
@@ -485,3 +492,63 @@ def test_subspace_renumbering_across_rank_types(n):
     for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 5)):
         assert_same_model(epsilon_subspace(model, "p0", eps),
                           *ref_subspace(points, table, {}, "p0", eps))
+
+
+# --- validation of history spaces against the law-by-law path -----------------
+
+HISTORY_CASES = [(label, space) for label, space, _ in CASES if label.startswith(("cantor-", "histories-"))]
+HISTORY_CASES += [("empty", UltrametricSpace.from_sequences([], {})),
+                  ("one-point", UltrametricSpace.from_sequences(["x"], {"x": "0"})),
+                  ("two-equal", UltrametricSpace.from_sequences(["y", "x"], {"x": "01", "y": "01"}))]
+
+
+def law_by_law(space):
+    """The same table as a space from ranks, which validation checks law by law."""
+    return UltrametricSpace.from_ranks(space.points, space.realized_distances(), space.ranks)
+
+
+@pytest.mark.parametrize("label, space", HISTORY_CASES, ids=[label for label, _ in HISTORY_CASES])
+def test_history_validation_matches_the_law_by_law_path(label, space):
+    assert validate_space(space) == validate_space(law_by_law(space))
+
+
+@st.composite
+def history_files(draw):
+    """Point names and histories: prefixes shared, duplicates likely, some past 64 bits."""
+    length = draw(st.sampled_from([1, 2, 5, 63, 64, 65, 130]))
+    bits = lambda k: draw(st.text("01", min_size=k, max_size=k))  # noqa: E731
+    stem = bits(length)
+    pool = [stem[:cut] + bits(length - cut)
+            for cut in draw(st.lists(st.integers(0, length), min_size=1, max_size=5))]
+    n = draw(st.integers(0, 12))
+    names = draw(st.permutations([f"h{i}" for i in range(n)]))
+    return names, {name: draw(st.sampled_from(pool)) for name in names}
+
+
+@settings(max_examples=300, deadline=None)
+@given(history_files())
+def test_generated_history_validation_matches_both_references(case):
+    names, sequences = case
+    space = UltrametricSpace.from_sequences(names, sequences)
+    table = [[sequence_distance(sequences[a], sequences[b]) for b in names] for a in names]
+    assert validate_space(space) == validate_space(law_by_law(space)) == ref_validate(space.points, table)
+
+
+def test_history_validation_runs_no_table_pass(monkeypatch):
+    """A history space is checked without the rank table; a table from elsewhere is checked in full."""
+    expected = [validate_space(law_by_law(space)) for _, space in HISTORY_CASES]
+    symmetric, asymmetric = law_by_law(cantor_space(3)), CASES[IDS.index("asymmetric")][1]
+
+    def refuse(name):
+        def raise_(*args):
+            raise AssertionError(f"{name} reached")
+        return raise_
+
+    monkeypatch.setattr(space_module, "_is_subdominant", refuse("_is_subdominant"))
+    monkeypatch.setattr(space_module, "_strong_triangle_witness", refuse("_strong_triangle_witness"))
+    with pytest.raises(AssertionError, match="_is_subdominant reached"):
+        validate_space(symmetric)
+    with pytest.raises(AssertionError, match="_strong_triangle_witness reached"):
+        validate_space(asymmetric)
+    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
+    assert [validate_space(space) for _, space in HISTORY_CASES] == expected
