@@ -27,6 +27,7 @@ from .formula import (
     Implies,
     Not,
     Or,
+    _GradeSlot,
     as_grade,
     desugar,
 )
@@ -44,14 +45,14 @@ class FormulaVar(Formula):
 
 
 @dataclass(frozen=True)
-class GradeVar:
+class GradeVar(_GradeSlot):
     """Grade metavariable occupying a modality's grade slot."""
 
     name: str
 
 
 @dataclass(frozen=True)
-class GradeMaxOf:
+class GradeMaxOf(_GradeSlot):
     """Grade slot constrained to the max of two bound grade metavariables."""
 
     a: str

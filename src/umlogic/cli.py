@@ -178,10 +178,16 @@ def _cmd_morphism(args) -> int:
     pm = load_point_map(args.map)
     if args.bilipschitz:
         report = bilipschitz_bounds(src.space, tgt.space, pm)
+        try:
+            tightest = _grade_str(report.tightest_k)
+        except ValueError:
+            # Only the interpreter's limit on the digits of integer text stops str().
+            raise ValueError(f"tightest_k has more than {sys.get_int_max_str_digits()} digits, "
+                             "the limit for printing an integer") from None
         payload = {
             "ok": report.ok,
             "reason": report.reason,
-            "tightest_k": _grade_str(report.tightest_k),
+            "tightest_k": tightest,
             "satisfied_by_supplied_k": report.satisfied_by_supplied_k,
         }
         _write(_dumps(payload), args.out)

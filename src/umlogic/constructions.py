@@ -34,7 +34,7 @@ class PointMap:
     k: Fraction = Fraction(1)
 
     def __post_init__(self):
-        self.k = read_rational(self.k) if isinstance(self.k, str) else Fraction(self.k)
+        self.k = read_rational(self.k)
         if self.k <= 0:
             raise ValueError(f"scaling constant must be positive, got {self.k}")
 
@@ -111,7 +111,7 @@ def epsilon_subspace(model: Model, center: str, eps: Fraction) -> Model:
 
 def scale_space(space: UltrametricSpace, factor: Fraction) -> UltrametricSpace:
     """Copy of the space with every distance multiplied by a positive factor."""
-    factor = Fraction(factor)
+    factor = read_rational(factor)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
     # A positive factor keeps the distances in order, so the ranks stay.

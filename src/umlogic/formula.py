@@ -21,20 +21,15 @@ class GradeError(ValueError):
 def as_grade(value: int | str | Fraction) -> Fraction:
     """Convert ``value`` to an exact grade in [0, 1].
 
-    Accepts Fractions, ints, and strings in either ``"p/q"`` or finite
-    decimal form (``"0.125"``).
+    Reads ``value`` with :func:`~umlogic.space.read_rational`: Fractions,
+    ints, and strings in either ``"p/q"`` or finite decimal form
+    (``"0.125"``).  Floats, bools, exponent notation and other values are
+    unreadable and raise :class:`GradeError`, as do grades outside [0, 1].
     """
-    if isinstance(value, Fraction):
-        grade = value
-    elif isinstance(value, int):
-        grade = Fraction(value)
-    elif isinstance(value, str):
-        try:
-            grade = read_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GradeError(f"unreadable grade {value!r}") from exc
-    else:
-        raise GradeError(f"unreadable grade {value!r}")
+    try:
+        grade = read_rational(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise GradeError(f"unreadable grade {value!r}") from exc
     if not 0 <= grade <= 1:
         raise GradeError(f"grade {grade} outside [0, 1]")
     return grade
@@ -103,22 +98,23 @@ class Implies(Formula):
     right: Formula
 
 
+class _GradeSlot:
+    """Base of the grade metavariables that axiom-schema templates put in a grade slot."""
+
+
 class _Graded(Formula):
     """Shared grade validation for Box and Diamond."""
 
     def __post_init__(self):
         grade = self.grade
-        if isinstance(grade, bool):
-            raise GradeError(f"grade {grade!r} is not a rational")
-        if isinstance(grade, int):
-            object.__setattr__(self, "grade", Fraction(grade))
-            grade = self.grade
-        # Non-numeric grade slots are allowed so axiom-schema templates can
-        # carry grade metavariables; concrete formulas always hold Fractions.
-        # A normalised denominator is positive, so comparing the numerator
-        # with it is 0 <= grade <= 1 without the `numbers` dispatch.
-        if isinstance(grade, Fraction) and not 0 <= grade.numerator <= grade.denominator:
-            raise GradeError(f"grade {grade} outside [0, 1]")
+        # Parsed formulas hold Fractions; a normalised denominator is
+        # positive, so comparing the numerator with it is 0 <= grade <= 1
+        # without the `numbers` dispatch.
+        if type(grade) is Fraction:
+            if not 0 <= grade.numerator <= grade.denominator:
+                raise GradeError(f"grade {grade} outside [0, 1]")
+        elif not isinstance(grade, _GradeSlot):
+            object.__setattr__(self, "grade", as_grade(grade))
 
 
 @_node

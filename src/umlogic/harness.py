@@ -1,9 +1,10 @@
 """Empirical preservation checks: unions, subspaces, morphism transfer.
 
-Each check returns a :class:`PropertyReport` with sample and discrepancy
-counts plus the first witness found, and :func:`preservation_harness`
-bundles them over seeded random inputs.  All randomness flows from the
-single seed in the config, so reports are reproducible.
+Each check counts its samples and discrepancies into a
+:class:`PropertyReport`, which keeps the first witness found, and
+:func:`preservation_harness` bundles them over seeded random inputs.
+All randomness flows from the single seed in the config, so reports are
+reproducible.
 """
 from __future__ import annotations
 
@@ -51,13 +52,19 @@ class HarnessConfig:
 @dataclass
 class PropertyReport:
     name: str
-    samples: int
-    discrepancies: int
+    samples: int = 0
+    discrepancies: int = 0
     first_witness: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.discrepancies == 0
+
+    def discrepancy(self, witness: str) -> None:
+        """Count one discrepancy; the first one counted keeps its witness."""
+        self.discrepancies += 1
+        if self.first_witness is None:
+            self.first_witness = witness
 
 
 @dataclass
@@ -88,22 +95,18 @@ def axiom_instances(
 def check_union_invariance(models: Sequence[Model], formulas: Sequence[Formula]) -> PropertyReport:
     """Satisfaction of each formula at component worlds is unchanged by the union."""
     union = disjoint_union(models)
-    samples = 0
-    discrepancies = 0
-    witness = None
+    report = PropertyReport("union-invariance")
     for f in formulas:
         union_mask = truth_mask(union, f)
         for i, model in enumerate(models):
             component_mask = truth_mask(model, f)
             for j, w in enumerate(model.space.points):
-                samples += 1
+                report.samples += 1
                 in_component = bool(component_mask >> j & 1)
                 in_union = bool(union_mask >> union.space.index(union_point(i, w)) & 1)
                 if in_component != in_union:
-                    discrepancies += 1
-                    if witness is None:
-                        witness = f"{format_formula(f)} at component {i} world {w}"
-    return PropertyReport("union-invariance", samples, discrepancies, witness)
+                    report.discrepancy(f"{format_formula(f)} at component {i} world {w}")
+    return report
 
 
 def check_union_invariance_exhaustive(
@@ -138,18 +141,14 @@ def check_union_invariance_exhaustive(
         return sig[-1] == expected
 
     reps: dict[tuple[int, ...], Formula] = {}
-    discrepancies = 0
-    witness = None
+    report = PropertyReport("union-invariance-exhaustive")
 
     def add(sig: tuple[int, ...], formula: Formula) -> None:
-        nonlocal discrepancies, witness
         if sig in reps:
             return
         reps[sig] = formula
         if not consistent(sig):
-            discrepancies += 1
-            if witness is None:
-                witness = format_formula(formula)
+            report.discrepancy(format_formula(formula))
 
     for name in atom_names:
         add(tuple(m.atom_mask(name) for m in models) + (union.atom_mask(name),), Atom(name))
@@ -174,7 +173,8 @@ def check_union_invariance_exhaustive(
             # signatures, so the depth budget is already exhaustive.
             break
 
-    return PropertyReport("union-invariance-exhaustive", len(reps), discrepancies, witness)
+    report.samples = len(reps)
+    return report
 
 
 def check_union_validity(
@@ -184,29 +184,20 @@ def check_union_validity(
 ) -> PropertyReport:
     """Formulas valid on every component stay valid on the disjoint union."""
     union_space = disjoint_union([Model(s) for s in spaces]).space
-    samples = 0
-    discrepancies = 0
-    witness = None
-
-    def note(problem: str) -> None:
-        nonlocal discrepancies, witness
-        discrepancies += 1
-        if witness is None:
-            witness = problem
-
+    report = PropertyReport("union-validity")
     for f in formulas:
         text = format_formula(f)
         for i, s in enumerate(spaces):
-            samples += 1
+            report.samples += 1
             if not valid_in_model(s, f, cap).valid:
-                note(f"{text} invalid on component {i}")
+                report.discrepancy(f"{text} invalid on component {i}")
                 break
         else:
-            samples += 1
+            report.samples += 1
             result = valid_in_model(union_space, f, cap)
             if not result.valid:
-                note(f"{text} invalid on the union at world {result.witness.world}")
-    return PropertyReport("union-validity", samples, discrepancies, witness)
+                report.discrepancy(f"{text} invalid on the union at world {result.witness.world}")
+    return report
 
 
 def check_subspace_validity(
@@ -221,22 +212,18 @@ def check_subspace_validity(
         point = space.points[i]
         subspaces.append((point, radius, epsilon_subspace(shell, point, radius).space))
 
-    samples = 0
-    discrepancies = 0
-    witness = None
+    report = PropertyReport("subspace-validity")
     for f in formulas:
         text = format_formula(f)
-        samples += 1
+        report.samples += 1
         if not valid_in_model(space, f, cap).valid:
-            discrepancies += 1
-            witness = witness or f"{text} invalid on the parent space"
+            report.discrepancy(f"{text} invalid on the parent space")
             continue
         for point, radius, sub in subspaces:
-            samples += 1
+            report.samples += 1
             if not valid_in_model(sub, f, cap).valid:
-                discrepancies += 1
-                witness = witness or f"{text} invalid on the ball around {point} of radius {radius}"
-    return PropertyReport("subspace-validity", samples, discrepancies, witness)
+                report.discrepancy(f"{text} invalid on the ball around {point} of radius {radius}")
+    return report
 
 
 def check_morphism_transfer(
@@ -259,23 +246,18 @@ def check_morphism_transfer(
     if grades is None:
         grades = formula_grades(src.space)
 
-    samples = 0
-    discrepancies = 0
-    witness = None
+    report = PropertyReport("morphism-transfer")
 
     def compare(f_src: Formula, f_tgt: Formula, forward_only: bool) -> None:
-        nonlocal samples, discrepancies, witness
         src_mask = truth_mask(src, f_src)
         tgt_mask = truth_mask(tgt, f_tgt)
         for i, w in enumerate(src.space.points):
-            samples += 1
+            report.samples += 1
             here = bool(src_mask >> i & 1)
             there = bool(tgt_mask >> tgt.space.index(pm(w)) & 1)
             bad = (here and not there) if forward_only else (here != there)
             if bad:
-                discrepancies += 1
-                if witness is None:
-                    witness = f"{format_formula(f_src)} vs {format_formula(f_tgt)} at {w}"
+                report.discrepancy(f"{format_formula(f_src)} vs {format_formula(f_tgt)} at {w}")
 
     for f in formulas:
         if pm.k == 1:
@@ -285,7 +267,7 @@ def check_morphism_transfer(
             for eps in grades:
                 if pm.k * eps <= 1:
                     compare(Diamond(eps, f), Diamond(pm.k * eps, f), forward_only=True)
-    return PropertyReport("morphism-transfer", samples, discrepancies, witness)
+    return report
 
 
 def preservation_harness(config: HarnessConfig) -> HarnessReport:

@@ -33,16 +33,13 @@ class InvalidSpaceError(ValueError):
 
 
 def parse_rational(value, *, what: str = "distance") -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    """A file's rational through :func:`~umlogic.space.read_rational`; every failure is a format error."""
+    if isinstance(value, (bool, float)):
         raise ModelFormatError(f"{what} {value!r} must be an exact-rational string, not a float/bool")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return read_rational(value)
-        except (ValueError, ZeroDivisionError):
-            raise ModelFormatError(f"unreadable {what} {value!r}") from None
-    raise ModelFormatError(f"unreadable {what} {value!r}")
+    try:
+        return read_rational(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ModelFormatError(f"unreadable {what} {value!r}") from None
 
 
 def _parse_points(data: dict) -> list[str]:

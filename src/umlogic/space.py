@@ -17,8 +17,11 @@ costs one step per ball, not per point.  Beside the partitions, a space
 caches the modal steps that batch evaluation tabulates over every mask
 (:meth:`UltrametricSpace.step_table`).
 
-Rational text is read by :func:`read_rational`, which refuses exponent
-notation.  Construction never checks the metric laws:
+Every number a caller gives (a matrix entry, a pair distance, and
+elsewhere a grade, a scaling constant or a factor) is read by
+:func:`read_rational`, which keeps Fractions, converts ints, parses
+text without exponent notation and refuses floats and bools.
+Construction never checks the metric laws:
 :func:`validate_space` reports violations as data, so deliberately
 broken spaces (used to show which laws the strong triangle inequality
 buys) are representable.  A space built from binary histories is an
@@ -53,21 +56,25 @@ class Violation:
     detail: str
 
 
-def read_rational(text: str) -> Fraction:
-    """Exact rational from ``"p/q"`` or finite-decimal text.
+def read_rational(value: Fraction | int | str) -> Fraction:
+    """The exact rational a caller gave: the one reader of numbers in the library.
 
-    Exponent notation is refused: ``Fraction("1e999999999")`` would
-    compute 10^999999999 before any range check could run.
+    A Fraction is returned unchanged (so interned grades stay shared), an
+    int is converted, and ``"p/q"`` or finite-decimal text is parsed.
+    Exponent notation raises ValueError: ``Fraction("1e999999999")``
+    would compute 10^999999999 before any range check could run.
+    Anything else, floats and bools included, raises TypeError, because a
+    float is already rounded and a verdict on d(x, y) <= eps can flip.
     """
-    if "e" in text.lower():
-        raise ValueError(f"exponent notation in {text!r}")
-    return Fraction(text)
-
-
-def _as_distance(value: Fraction | int | str) -> Fraction:
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        if "e" in value.lower():
+            raise ValueError(f"exponent notation in {value!r}")
         return Fraction(value)
-    return read_rational(value) if isinstance(value, str) else Fraction(str(value))
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"{value!r} is not an exact rational: give a Fraction, an int or text like '1/8'")
 
 
 #: The longest binary history :meth:`UltrametricSpace.from_sequences`
@@ -84,7 +91,7 @@ class UltrametricSpace:
         n = len(points)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("distance matrix shape does not match the point list")
-        flat = [v if type(v) is Fraction else _as_distance(v) for row in matrix for v in row]
+        flat = [read_rational(v) for row in matrix for v in row]
         distances = sorted(set(flat))
         rank = {d: r for r, d in enumerate(distances)}
         self._setup(points, distances, np.array([rank[d] for d in flat]).reshape(n, n))
@@ -120,7 +127,7 @@ class UltrametricSpace:
                 missing = x if x not in index else y
                 raise UnknownPointError(missing)
             i, j = index[x], index[y]
-            matrix[i][j] = matrix[j][i] = _as_distance(value)
+            matrix[i][j] = matrix[j][i] = read_rational(value)
             seen.add(frozenset((i, j)))
         expected = {frozenset((i, j)) for i in range(len(points)) for j in range(i + 1, len(points))}
         if seen != expected:

@@ -337,6 +337,24 @@ class TestConstructions:
         assert code == 0
         assert json.loads(out)["tightest_k"] == "1"
 
+    def test_morphism_bilipschitz_past_the_digit_limit(self, capsys, tmp_path):
+        # Each file prints, but the ratio of their distances, (10^4300 - 1)^2,
+        # has 8,600 digits.
+        digits = sys.int_info.default_max_str_digits
+        nines = "9" * digits
+        models = []
+        for name, d in (("a.json", "1/" + nines), ("b.json", nines)):
+            models += ["--model", str(tmp_path / name)]
+            (tmp_path / name).write_text(json.dumps(
+                {"points": ["x", "y"], "distance": {"matrix": [["0", d], [d, "0"]]}}))
+        pm = tmp_path / "map.json"
+        pm.write_text(json.dumps({"map": {"x": "x", "y": "y"}}))
+        code, out, err = run(capsys, ["morphism", *models, "--map", str(pm), "--bilipschitz"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == (
+            f"tightest_k has more than {digits} digits, the limit for printing an integer")
+
     def test_morphism_needs_two_models(self, capsys, tree_model, tmp_path):
         pm = tmp_path / "map.json"
         pm.write_text(json.dumps({"map": {}}))

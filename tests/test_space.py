@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from umlogic.constructions import PointMap
+from umlogic.constructions import PointMap, scale_space
+from umlogic.formula import Atom, Box, Diamond, GradeError, Implies, as_grade
 from umlogic.generators import random_ultrametric_space
+from umlogic.semantics import truthset
 from umlogic.space import (
     Model,
     UltrametricSpace,
@@ -15,6 +17,7 @@ from umlogic.space import (
     sequence_distance,
     validate_space,
 )
+from umlogic.validity import valid_in_model
 
 from conftest import w_named_space
 
@@ -202,6 +205,38 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exponent notation"):
             build("1e999999999")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("value", [0.5, True, None], ids=["float", "bool", "none"])
+    @pytest.mark.parametrize("build", [
+        lambda value: UltrametricSpace(["a"], [[value]]),
+        lambda value: UltrametricSpace.from_pairs(["a", "b"], {("a", "b"): value}),
+        lambda value: PointMap({}, value),
+        lambda value: scale_space(cantor_space(1), value),
+        as_grade,
+        lambda value: Box(value, Atom("p")),
+        lambda value: Diamond(value, Atom("p")),
+    ], ids=["matrix", "pairs", "point-map", "scale", "as-grade", "box", "diamond"])
+    def test_inexact_numbers_refused_by_the_one_reader(self, build, value):
+        # Grade readers wrap the reader's TypeError in a GradeError.
+        with pytest.raises((TypeError, GradeError)) as info:
+            build(value)
+        refusal = info.value if isinstance(info.value, TypeError) else info.value.__cause__
+        assert isinstance(refusal, TypeError)
+        assert "is not an exact rational" in str(refusal)
+
+    def test_text_grade_is_read(self):
+        assert Box("1/2", Atom("p")) == Box(Fraction(1, 2), Atom("p"))
+
+    def test_float_grade_is_refused_not_rounded(self):
+        # 0.3 as a float is slightly below 3/10, so [0.3]p would miss b.
+        s = UltrametricSpace.from_pairs(["a", "b"], {("a", "b"): "3/10"})
+        p = Atom("p")
+        assert truthset(Model(s, {"p": ["a"]}), Box(Fraction(3, 10), p)).points == frozenset()
+        assert not valid_in_model(s, Implies(p, Box(Fraction(3, 10), p))).valid
+        with pytest.raises(GradeError):
+            truthset(Model(s, {"p": ["a"]}), Box(0.3, p))
+        with pytest.raises(GradeError):
+            valid_in_model(s, Implies(p, Box(0.3, p)))
 
 
 class TestModel:
