@@ -3,8 +3,12 @@
 In a valid ultrametric space any two intersecting balls are nested, so
 the distinct closed balls form a tree under containment: singletons at
 the leaves, the whole space at the root, one layer per realized radius.
-Balls travel as point bitmasks from :meth:`UltrametricSpace.distinct_balls`
-and diameters come from the space's rank table.
+A space built from histories is that tree already: its balls are runs of
+leaves, each with its parent, as :meth:`UltrametricSpace.tree_balls`
+lists them, so no ball is searched for.  Any other space lists its balls
+as point bitmasks from :meth:`UltrametricSpace.distinct_balls`, takes
+diameters from its rank table and looks each parent up among the balls
+through a point.
 """
 from __future__ import annotations
 
@@ -29,9 +33,12 @@ def ball_tree(space: UltrametricSpace) -> list[BallNode]:
     Nodes are sorted by (size, members); each node's radius is the
     smallest radius generating it, which for a valid space is the set's
     diameter.  The parent is the index of the smallest strictly larger
-    ball.  Any superset of a ball contains its first member, so the
-    parent is looked up among the balls through that point only.
+    ball.
     """
+    if space.tree is not None:
+        return _tree_balls(space)
+    # Any superset of a ball contains its first member, so the parent is
+    # looked up among the balls through that point only.
     points = space.points
     balls = []
     for _, _, mask in space.distinct_balls():
@@ -58,6 +65,22 @@ def ball_tree(space: UltrametricSpace) -> list[BallNode]:
         parent = next((k for k in candidates if k != j and balls[k][2] & mask == mask), None)
         nodes.append(BallNode(names, diameter, parent))
     return nodes
+
+
+def _tree_balls(space: UltrametricSpace) -> list[BallNode]:
+    """:func:`ball_tree` of a tree, from its runs of leaves and their nesting."""
+    points, distances, leaves = space.points, space.realized_distances(), space.tree[0].tolist()
+    balls = []
+    for j, (start, end, rank, parent) in enumerate(space.tree_balls()):
+        names = tuple(map(points.__getitem__, sorted(leaves[start:end])))
+        balls.append((len(names), names, j, rank, parent))
+    # Balls of one size are disjoint, so (size, members) never ties and the rest is not compared.
+    balls.sort()
+    place = [0] * len(balls)
+    for i, ball in enumerate(balls):
+        place[ball[2]] = i
+    return [BallNode(names, distances[rank], None if parent is None else place[parent])
+            for _, names, _, rank, parent in balls]
 
 
 def dendrogram_dot(space: UltrametricSpace) -> str:

@@ -105,10 +105,16 @@ def model_from_dict(data, *, validate: bool = True) -> Model:
 
 
 def read_json(path: str | Path, error: type[ValueError] = ModelFormatError):
-    """Decode a JSON file; text that is malformed or nested too deeply to decode raises ``error``."""
+    """Decode a JSON file; text that cannot be decoded raises ``error`` naming the file.
+
+    That covers malformed text, nesting too deep to decode and an integer
+    longer than the interpreter converts (4,300 digits by default), which
+    ``json`` reports as a plain ValueError.
+    """
+    text = Path(path).read_text()
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: {exc}") from None
 
 

@@ -2,14 +2,22 @@
 
 A space is a finite ordered point set with exact rational distances,
 stored as the ascending list of distinct distances (exact Fractions) and
-an n x n numpy table of integer ranks into that list.  The logic only
-asks which points lie inside a ball of some grade, so every reader works
-on the ranks, and derived spaces are built from rank tables by
+integer ranks into that list, held in one of two ways.  A space built
+from binary histories is held as the tree the histories make: its points
+in sorted-history order (the leaves of the tree, left to right) and the
+rank of the distance between each adjacent pair (the merge heights).  A
+ball of any grade is then a run of adjacent leaves, so no n x n array is
+built when the space is loaded.  Any other space (a matrix, a union, a
+subspace, a rescaling) is held as an n x n numpy table of ranks, built by
 :meth:`UltrametricSpace.from_ranks`: Fractions are made once per distinct
-distance, never once per pair.  :meth:`UltrametricSpace.matrix` derives
-the Fraction table on demand, for callers outside the library.  For each
-grade asked about, the space caches the distinct closed balls once, each
-with the mask of the points whose ball it is
+distance, never once per pair.  :attr:`UltrametricSpace.ranks` is the
+table either way; a tree derives it on first read and keeps it, so only
+the callers that need every pair (constructions, morphism checks, model
+output) pay for it.  :meth:`UltrametricSpace.matrix` derives the
+Fraction table on demand, for callers outside the library.
+
+For each grade asked about, the space caches the distinct closed balls
+once, each with the mask of the points whose ball it is
 (:meth:`UltrametricSpace.ball_partition`); the per-point masks, single
 balls and the listing of every ball are views of that cache.  In an
 ultrametric the balls of one grade partition the points, so evaluation
@@ -17,17 +25,17 @@ costs one step per ball, not per point.  Beside the partitions, a space
 caches the modal steps that batch evaluation tabulates over every mask
 (:meth:`UltrametricSpace.step_table`).
 
-Every number a caller gives (a matrix entry, a pair distance, and
-elsewhere a grade, a scaling constant or a factor) is read by
+Every number a caller gives (a matrix entry, a pair distance, a radius,
+and elsewhere a grade, a scaling constant or a factor) is read by
 :func:`read_rational`, which keeps Fractions, converts ints, parses
 text without exponent notation and refuses floats and bools.
 Construction never checks the metric laws:
 :func:`validate_space` reports violations as data, so deliberately
 broken spaces (used to show which laws the strong triangle inequality
 buys) are representable.  A space built from binary histories is an
-ultrametric by construction; it remembers its first pair of equal
-histories, the one law it can break, and is validated without reading
-its table.
+ultrametric by construction; the one law it can break is identity of
+indiscernibles, by equal histories, which are adjacent leaves at
+distance 0, so it is validated without a table.
 """
 from __future__ import annotations
 
@@ -84,8 +92,19 @@ def read_rational(value: Fraction | int | str) -> Fraction:
 MAX_HISTORY_LENGTH = 14284
 
 
+def _bitmask(indexes: list[int]) -> int:
+    """The bitmask with the given distinct point indexes set."""
+    if len(indexes) < 64:
+        return sum(map((1).__lshift__, indexes))
+    indexes = np.array(indexes)
+    low = int(indexes.min())
+    bits = np.zeros(int(indexes.max()) - low + 1, dtype=np.uint8)
+    bits[indexes - low] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little") << low
+
+
 class UltrametricSpace:
-    """Finite point set with exact distances held as ranks into a sorted list."""
+    """Finite point set with exact distances held as ranks into a sorted list, by a tree or a table."""
 
     def __init__(self, points: Sequence[str], matrix: Sequence[Sequence[Fraction | int | str]]):
         n = len(points)
@@ -96,21 +115,29 @@ class UltrametricSpace:
         rank = {d: r for r, d in enumerate(distances)}
         self._setup(points, distances, np.array([rank[d] for d in flat]).reshape(n, n))
 
-    def _setup(self, points: Sequence[str], distances: list[Fraction], ranks: np.ndarray) -> None:
-        """State shared by every constructor; ranks take the smallest unsigned type and are frozen."""
+    def _setup(self, points: Sequence[str], distances: list[Fraction], ranks: np.ndarray | None) -> None:
+        """State shared by every constructor; ranks take the smallest unsigned type and are frozen.
+
+        ``ranks`` is None only for a tree, which :meth:`from_sequences` sets next.
+        """
         self._points = tuple(points)
         if len(set(self._points)) != len(self._points):
             raise ValueError("duplicate point names")
         self._index = {p: i for i, p in enumerate(self._points)}
         self._distances = distances
-        self._ranks = ranks.astype(np.min_scalar_type(max(len(distances) - 1, 0)), copy=False)
-        self._ranks.setflags(write=False)
+        self._ranks = None if ranks is None else self._frozen(ranks)
+        self._tree: tuple[np.ndarray, np.ndarray] | None = None
+        self._position: np.ndarray | None = None  # each point's place among a tree's leaves
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
         self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
-        # Set by from_sequences alone: the first pair of points, in point
-        # order, with equal histories, or () when all differ.  None for a
-        # table that came from elsewhere, which validation checks in full.
-        self._history_twins: tuple[int, int] | tuple[()] | None = None
+        self._nesting: tuple[list[tuple[int, int, int, int | None]], list[int]] | None = None
+        self._ball_masks: dict[int, int] = {}
+
+    def _frozen(self, ranks: np.ndarray) -> np.ndarray:
+        """Ranks in the smallest unsigned type that holds every rank, read-only."""
+        ranks = ranks.astype(np.min_scalar_type(max(len(self._distances) - 1, 0)), copy=False)
+        ranks.setflags(write=False)
+        return ranks
 
     @classmethod
     def from_pairs(
@@ -140,15 +167,17 @@ class UltrametricSpace:
 
         ``sequences`` maps each point to a fixed-length binary string; the
         distance between two points is 2^-n for the 1-based position n where
-        their histories first differ.  The ranks come straight from the
-        histories: sorted, two histories agree on the shortest common prefix
-        of the adjacent pairs between them, so each row of the table is a
-        running minimum over adjacent common-prefix lengths.  That is the
-        cophenetic table of a single-linkage tree, so every metric law
-        holds by construction except identity of indiscernibles, which
-        equal histories break; :func:`validate_space` checks only that.
-        Histories longer than :data:`MAX_HISTORY_LENGTH` raise ValueError
-        before anything is built.
+        their histories first differ.  Sorted, two histories agree on the
+        shortest common prefix of the adjacent pairs between them, so the
+        space is held as the single-linkage tree those prefixes make
+        (:attr:`tree`): the points in sorted-history order and the rank of
+        each adjacent pair's distance, O(n) numbers.  Balls, nearest
+        points and the dendrogram read the tree; the n x n table
+        (:attr:`ranks`) is derived only when a caller reads it.  Every
+        metric law holds by construction except identity of
+        indiscernibles, which equal histories break; :func:`validate_space`
+        checks only that.  Histories longer than :data:`MAX_HISTORY_LENGTH`
+        raise ValueError before anything is built.
         """
         seqs = []
         for p in points:
@@ -174,18 +203,13 @@ class UltrametricSpace:
         levels = sorted(set(lcp) | {length}, reverse=True)
         distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]] if n else []
         rank_of = {m: r for r, m in enumerate(levels)}
-        dtype = np.min_scalar_type(len(distances))
-        adjacent = np.array([rank_of[m] for m in lcp], dtype=dtype)
-        table = np.zeros((n, n), dtype=dtype)
-        for i in range(n - 1):
-            table[i, i + 1:] = table[i + 1:, i] = np.maximum.accumulate(adjacent[i:])
-        position = np.empty(n, dtype=np.intp)
-        position[order] = np.arange(n)
-        space = cls.from_ranks(points, distances, table[np.ix_(position, position)])
-        # The stable sort keeps each group of equal histories adjacent and in
-        # point order, so the least adjacent equal pair is the first in point order.
-        space._history_twins = min(
-            ((order[k], order[k + 1]) for k, m in enumerate(lcp) if m == length), default=())
+        space = cls.__new__(cls)
+        space._setup(points, distances, None)
+        leaves = np.array(order, dtype=np.intp)
+        space._tree = (leaves, space._frozen(np.array([rank_of[m] for m in lcp])))
+        leaves.setflags(write=False)
+        space._position = np.empty(n, dtype=np.intp)
+        space._position[leaves] = np.arange(n)
         return space
 
     @classmethod
@@ -219,8 +243,28 @@ class UltrametricSpace:
 
     @property
     def ranks(self) -> np.ndarray:
-        """The read-only n x n table of indexes into :meth:`realized_distances`."""
+        """The read-only n x n table of indexes into :meth:`realized_distances`.
+
+        A tree derives it on first read, each row of the sorted order a
+        running maximum over the adjacent ranks, and keeps it.
+        """
+        if self._ranks is None:
+            leaves, adjacent = self._tree
+            n = len(leaves)
+            table = np.zeros((n, n), dtype=adjacent.dtype)
+            for i in range(n - 1):
+                table[i, i + 1:] = table[i + 1:, i] = np.maximum.accumulate(adjacent[i:])
+            self._ranks = self._frozen(table[np.ix_(self._position, self._position)])
         return self._ranks
+
+    @property
+    def tree(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """A space from histories: its leaves (point indexes in sorted-history order) and adjacent ranks.
+
+        Both arrays are read-only; two leaves are as far apart as the
+        largest adjacent rank between them.  None for a table.
+        """
+        return self._tree
 
     def index(self, x: str) -> int:
         try:
@@ -232,12 +276,16 @@ class UltrametricSpace:
         return x in self._index
 
     def dist(self, x: str, y: str) -> Fraction:
-        return self._distances[self._ranks[self.index(x), self.index(y)]]
+        i, j = self.index(x), self.index(y)
+        if self._tree is None:
+            return self._distances[self._ranks[i, j]]
+        low, high = sorted((self._position[i], self._position[j]))
+        return self._distances[self._tree[1][low:high].max(initial=0)]
 
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """The exact distance table, derived from the ranks on each call."""
         d = self._distances
-        return tuple(tuple(d[r] for r in row) for row in self._ranks.tolist())
+        return tuple(tuple(d[r] for r in row) for row in self.ranks.tolist())
 
     def mask_of(self, names: Iterable[str]) -> int:
         mask = 0
@@ -259,21 +307,41 @@ class UltrametricSpace:
         ``centres`` holds the points whose closed eps-ball is ``ball``, so the
         centres of all pairs partition the points; in an ultrametric every
         point of a ball is a centre of it, and ``centres == ball``.  Pairs
-        come in order of their first centre.  Cached per rank of ``eps``.
+        come in order of their first centre.  Cached per rank of ``eps``,
+        which is read by :func:`read_rational`.  A tree cuts its leaves
+        where an adjacent rank reaches past ``eps``; a table groups its
+        rows.
         """
-        below = bisect_right(self._distances, eps)
+        below = bisect_right(self._distances, read_rational(eps))
         cached = self._partitions.get(below)
         if cached is None:
-            packed = np.packbits(self._ranks < below, axis=1, bitorder="little")
-            data, width = packed.tobytes(), packed.shape[1]
-            # Group the points by the bytes of their ball; only distinct balls become ints.
-            centres: dict[bytes, int] = {}
-            for i, start in enumerate(range(0, len(data), width)):
-                row = data[start:start + width]
-                centres[row] = centres.get(row, 0) | 1 << i
-            cached = tuple((int.from_bytes(row, "little"), held) for row, held in centres.items())
+            if not self.n:
+                cached = ()
+            elif self._tree is not None:
+                cached = self._runs(below)
+            else:
+                packed = np.packbits(self._ranks < below, axis=1, bitorder="little")
+                data, width = packed.tobytes(), packed.shape[1]
+                # Group the points by the bytes of their ball; only distinct balls become ints.
+                centres: dict[bytes, int] = {}
+                for i, start in enumerate(range(0, len(data), width)):
+                    row = data[start:start + width]
+                    centres[row] = centres.get(row, 0) | 1 << i
+                cached = tuple((int.from_bytes(row, "little"), held) for row, held in centres.items())
             self._partitions[below] = cached
         return cached
+
+    def _runs(self, below: int) -> tuple[tuple[int, int], ...]:
+        """The tree's balls of the radii below rank ``below``: maximal runs of leaves joined by lower ranks."""
+        leaves, adjacent = self._tree
+        if not below:
+            # A negative radius: every ball is empty, and every point its centre.
+            return ((0, self.full_mask),)
+        cuts, order = (np.flatnonzero(adjacent >= below) + 1).tolist(), leaves.tolist()
+        runs = [order[start:end] for start, end in zip([0, *cuts], [*cuts, len(order)])]
+        # Runs are disjoint, so their least points order them without ties.
+        runs.sort(key=min)
+        return tuple((ball, ball) for ball in map(_bitmask, runs))
 
     def step_table(self, eps: Fraction, meets: bool, dtype: np.dtype, step: Callable) -> np.ndarray:
         """A modal step of grade ``eps`` applied to every mask of the points, as a read-only array.
@@ -281,9 +349,10 @@ class UltrametricSpace:
         Entry m is ``step(self, m, eps, full, meets)`` for the mask m, with
         masks and ``full`` of the unsigned ``dtype``; ``step`` runs once, on
         ``np.arange(2 ** n)``.  Cached per rank of ``eps``, ``meets`` and
-        ``dtype``, as the partition is per rank.
+        ``dtype``, as the partition is per rank; ``eps`` is read by
+        :func:`read_rational`.
         """
-        key = (bisect_right(self._distances, eps), meets, dtype)
+        key = (bisect_right(self._distances, read_rational(eps)), meets, dtype)
         table = self._step_tables.get(key)
         if table is None:
             table = step(self, np.arange(1 << self.n, dtype=dtype), eps, dtype.type(self.full_mask), meets)
@@ -319,11 +388,88 @@ class UltrametricSpace:
         return list(seen.values())
 
     def nearest(self, i: int, mask: int) -> Fraction | None:
-        """Smallest distance from point ``i`` to a member of ``mask``; None if empty."""
-        idx = self.members(mask)
-        if not idx.size:
+        """Smallest distance from point ``i`` to a member of ``mask``; None if empty.
+
+        A tree returns the diameter of the smallest ball around ``i`` that
+        meets ``mask``, walking up from ``i``'s leaf; each ball's mask is
+        built on first use and kept.  A table takes the least rank in
+        ``i``'s row.
+        """
+        if self._tree is None:
+            idx = self.members(mask)
+            if not idx.size:
+                return None
+            return self._distances[self._ranks[i, idx].min()]
+        if not mask:
             return None
-        return self._distances[self._ranks[i, idx].min()]
+        balls, smallest = self._nested()
+        ball = smallest[self._position[i]]
+        while not self._ball_mask(ball) & mask:
+            ball = balls[ball][3]
+        return self._distances[balls[ball][2]]
+
+    def _ball_mask(self, ball: int) -> int:
+        """The points of ball ``ball`` of :meth:`tree_balls` as a bitmask, kept once built."""
+        mask = self._ball_masks.get(ball)
+        if mask is None:
+            start, end = self._nested()[0][ball][:2]
+            mask = self._ball_masks[ball] = _bitmask(self._tree[0][start:end].tolist())
+        return mask
+
+    def tree_balls(self) -> list[tuple[int, int, int, int | None]] | None:
+        """Each distinct ball of a tree once, as (start, end, rank, parent); None for a table.
+
+        The ball is the run of leaves ``tree[0][start:end]``, its diameter
+        is ``realized_distances()[rank]``, and ``parent`` indexes the
+        smallest ball strictly containing it, None for the whole space.
+        Built on first use and kept.
+        """
+        return None if self._tree is None else self._nested()[0]
+
+    def _nested(self) -> tuple[list[tuple[int, int, int, int | None]], list[int]]:
+        """The tree's balls (see :meth:`tree_balls`) and the index of the smallest ball around each leaf.
+
+        The run that adjacent pair k merges into reaches, on each side, up
+        to the nearest adjacent pair of higher rank; a stack of the pairs
+        whose run is still open finds both ends in one pass, and pairs of
+        equal rank in one run share it.  A leaf is a ball of its own
+        unless a rank-0 pair (equal histories) joins it to a neighbour.
+        A run's parent is the run merging across its lower boundary.
+        """
+        if self._nesting is None:
+            heights, n = self._tree[1].tolist(), self.n
+            runs: list[list[int]] = []  # [start, end, rank of the diameter]
+            run_of = [0] * len(heights)
+            open_pairs: list[int] = []
+            for k, height in enumerate(heights):
+                while open_pairs and heights[open_pairs[-1]] < height:
+                    runs[run_of[open_pairs.pop()]][1] = k + 1
+                if open_pairs and heights[open_pairs[-1]] == height:
+                    run_of[k] = run_of[open_pairs[-1]]
+                else:
+                    run_of[k] = len(runs)
+                    runs.append([open_pairs[-1] + 1 if open_pairs else 0, n, height])
+                    open_pairs.append(k)
+            smallest = []
+            for p in range(n):
+                if p and not heights[p - 1]:
+                    smallest.append(run_of[p - 1])
+                elif p < n - 1 and not heights[p]:
+                    smallest.append(run_of[p])
+                else:
+                    smallest.append(len(runs))
+                    runs.append([p, p + 1, 0])
+            balls = []
+            for start, end, rank in runs:
+                if not start and end == n:
+                    parent = None
+                elif end == n or start and heights[start - 1] <= heights[end - 1]:
+                    parent = run_of[start - 1]
+                else:
+                    parent = run_of[end - 1]
+                balls.append((start, end, rank, parent))
+            self._nesting = (balls, smallest)
+        return self._nesting
 
     def realized_distances(self) -> list[Fraction]:
         """Ascending deduplicated list of every distance the table realizes."""
@@ -348,12 +494,16 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
     triple in point order.  The checks run on the rank table, which orders
     exactly as the distances do.  A space built by
     :meth:`UltrametricSpace.from_sequences` can break only identity of
-    indiscernibles, and its first pair of equal histories was found when
-    it was built, so it is checked in O(1).
+    indiscernibles, and its equal histories are adjacent leaves of its
+    tree at rank 0, so it is checked in O(n) without a table.
     """
     pts = space.points
-    twins = space._history_twins
-    if twins is not None:
+    if space.tree is not None:
+        leaves, adjacent = space.tree
+        # The stable sort keeps each group of equal histories adjacent and in
+        # point order, so the least adjacent equal pair is the first in point order.
+        equal = np.flatnonzero(adjacent == 0)
+        twins = min(zip(leaves[equal].tolist(), leaves[equal + 1].tolist()), default=None)
         return [_indiscernible(pts, *twins)] if twins else []
     dist = space.realized_distances()
     rank = space.ranks
@@ -469,9 +619,11 @@ def sequence_distance(x: str, y: str) -> Fraction:
     return Fraction(0)
 
 
-#: The deepest binary-history space built: 2^16 = 65,536 worlds, whose
-#: n x n rank table already takes 4 GiB.  Each level more quadruples the
-#: table, and ``cantor_sequences(40)`` would build 2^40 strings.
+#: The deepest binary-history space built: 2^16 = 65,536 worlds.  The
+#: space holds its tree, O(n) numbers, but its n x n rank table, which
+#: model output and the constructions derive, would take 4 GiB, and each
+#: level more quadruples it; ``cantor_sequences(40)`` would build 2^40
+#: strings.
 MAX_CANTOR_DEPTH = 16
 
 

@@ -295,6 +295,31 @@ class TestDeepJson:
         assert "recursion" in json.loads(err)["error"]
 
 
+class TestHugeJsonInteger:
+    """A JSON integer past the interpreter's 4,300-digit limit is a format error naming the file."""
+
+    @pytest.mark.parametrize("command", ["check", "valid", "prove", "cantor", "morphism"])
+    def test_exits_2_naming_the_file(self, capsys, tree_model, tmp_path, command):
+        huge = "9" * 4301
+        model = tmp_path / "huge-model.json"
+        model.write_text('{"points": ["a", "b"], "distance": {"matrix": [["0", %s], ["1", "0"]]}}' % huge)
+        other = tmp_path / "huge.json"
+        other.write_text('{"k": %s, "map": {}}' % huge)
+        argv, path = {
+            "check": (["check", "--model", str(model), "--formula", "p", "--world", "a"], model),
+            "valid": (["valid", "--model", str(model), "--formula", "p"], model),
+            "prove": (["prove", "--proof", str(other)], other),
+            "cantor": (["cantor", "--depth", "2", "--valuation", str(other)], other),
+            "morphism": (["morphism", "--model", str(tree_model), "--model", str(tree_model),
+                          "--map", str(other)], other),
+        }[command]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)["error"]
+        assert message.startswith(f"{path}: ") and "4300 digits" in message
+
+
 class TestConstructions:
     def test_union_emits_loadable_model(self, capsys, tmp_path):
         one = tmp_path / "one.json"

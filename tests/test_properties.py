@@ -1,10 +1,12 @@
 """Property-based tests of the partition semantics, the evaluator, the printer, formula hashing and read-only models.
 
 Spaces are generated two ways: by ``random_ultrametric_space`` driven by a
-Hypothesis-controlled random source, and from sets of distinct binary
-histories.  Grades are realized distances of the space or arbitrary
-rationals in [0, 1].  The identities are those of the graded interior
-and closure that ``test_acceptance`` checks exhaustively on small spaces.
+Hypothesis-controlled random source, which makes a space held as a rank
+table, and from sets of distinct binary histories, which makes a space
+held as its tree.  Grades are realized distances of the space or
+arbitrary rationals in [0, 1].  The identities (i)-(ix) are those of the
+graded interior and closure that ``test_acceptance`` checks exhaustively
+on small spaces over realized grades.
 The evaluator runs on formulas as parsed, all seven constructors
 included, and must agree with the same formulas after ``desugar``.
 Truth at a world of a component is truth at its copy in a disjoint union.
@@ -54,6 +56,8 @@ SETTINGS = settings(max_examples=150, deadline=None)
 
 fractions01 = st.builds(
     Fraction, st.integers(0, 64), st.integers(1, 64)).filter(lambda g: g <= 1)
+#: Any rational in [0, 1], denominators unbounded.
+rationals01 = st.fractions(min_value=0, max_value=1)
 
 
 @st.composite
@@ -144,6 +148,58 @@ def test_interior_distributes_over_intersection(case):
     """(v): I_e (A & B) = I_e A & I_e B."""
     space, grade, a, b = case
     assert interior_mask(space, a & b, grade) == interior_mask(space, a, grade) & interior_mask(space, b, grade)
+
+
+@st.composite
+def space_grades_mask(draw):
+    """A valid space, two grades realized or arbitrary in [0, 1], and a subset of its points as a bitmask."""
+    space = draw(spaces())
+    grades = st.one_of(st.sampled_from(space.realized_distances()), rationals01)
+    return space, draw(grades), draw(grades), draw(st.integers(0, space.full_mask))
+
+
+@SETTINGS
+@given(space_grades_mask())
+def test_interior_shrinks_as_the_grade_grows(case):
+    """(i): I_e A is inside I_g A when e >= g."""
+    space, e, g, a = case
+    e, g = max(e, g), min(e, g)
+    assert interior_mask(space, a, e) & ~interior_mask(space, a, g) == 0
+
+
+@SETTINGS
+@given(space_grades_mask())
+def test_interior_of_grade_zero_is_the_set(case):
+    """(iii): I_0 A = A, which needs identity of indiscernibles."""
+    space, _, _, a = case
+    assert interior_mask(space, a, Fraction(0)) == a
+
+
+@SETTINGS
+@given(space_grades_mask())
+def test_interior_is_inside_the_set(case):
+    """(iv): I_e A is inside A."""
+    space, e, _, a = case
+    assert interior_mask(space, a, e) & ~a == 0
+
+
+@SETTINGS
+@given(space_grades_mask())
+def test_set_is_inside_its_closure(case):
+    """(vi): A is inside C_e A."""
+    space, e, _, a = case
+    assert a & ~closure_mask(space, a, e) == 0
+
+
+@SETTINGS
+@given(space_grades_mask())
+def test_closure_is_open_at_its_grade(case):
+    """(vii) and (ix): C_e A, and so A, is inside I_e C_e A."""
+    space, e, _, a = case
+    closure = closure_mask(space, a, e)
+    interior_of_closure = interior_mask(space, closure, e)
+    assert closure & ~interior_of_closure == 0
+    assert a & ~interior_of_closure == 0
 
 
 @SETTINGS

@@ -11,9 +11,17 @@ histories); for generated spaces, whose input matrix is internal to the
 generator, it is read back through ``matrix()``.  A space built from
 histories is validated only for equal histories; its report is compared
 with the same rank table validated law by law.
+
+A space built from histories is held as its single-linkage tree, and its
+balls, nearest points, distances, ball listing and dendrogram are read
+from the tree.  Each of those readers is compared with the same space
+rebuilt from its rank table (``as_table``), which reads them from the
+table, on every history space here and on generated history files with
+duplicates.
 """
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,8 +46,8 @@ from umlogic.constructions import (
 from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
 from umlogic.formula import Atom
 from umlogic.generators import LEVEL_POOL, random_ultrametric_space
-from umlogic.modelio import dump_model, model_from_dict
-from umlogic.semantics import plausibility_degree, stability_degree
+from umlogic.modelio import dump_model, load_model, model_from_dict
+from umlogic.semantics import plausibility_degree, stability_degree, truthset
 from umlogic.space import (
     Model,
     UltrametricSpace,
@@ -494,7 +502,7 @@ def test_subspace_renumbering_across_rank_types(n):
                           *ref_subspace(points, table, {}, "p0", eps))
 
 
-# --- validation of history spaces against the law-by-law path -----------------
+# --- history spaces: validation and the tree's readers against the table ------
 
 HISTORY_CASES = [(label, space) for label, space, _ in CASES if label.startswith(("cantor-", "histories-"))]
 HISTORY_CASES += [("empty", UltrametricSpace.from_sequences([], {})),
@@ -502,14 +510,14 @@ HISTORY_CASES += [("empty", UltrametricSpace.from_sequences([], {})),
                   ("two-equal", UltrametricSpace.from_sequences(["y", "x"], {"x": "01", "y": "01"}))]
 
 
-def law_by_law(space):
-    """The same table as a space from ranks, which validation checks law by law."""
+def as_table(space):
+    """The same space held as its rank table, which validation checks law by law."""
     return UltrametricSpace.from_ranks(space.points, space.realized_distances(), space.ranks)
 
 
 @pytest.mark.parametrize("label, space", HISTORY_CASES, ids=[label for label, _ in HISTORY_CASES])
 def test_history_validation_matches_the_law_by_law_path(label, space):
-    assert validate_space(space) == validate_space(law_by_law(space))
+    assert validate_space(space) == validate_space(as_table(space))
 
 
 @st.composite
@@ -531,13 +539,13 @@ def test_generated_history_validation_matches_both_references(case):
     names, sequences = case
     space = UltrametricSpace.from_sequences(names, sequences)
     table = [[sequence_distance(sequences[a], sequences[b]) for b in names] for a in names]
-    assert validate_space(space) == validate_space(law_by_law(space)) == ref_validate(space.points, table)
+    assert validate_space(space) == validate_space(as_table(space)) == ref_validate(space.points, table)
 
 
 def test_history_validation_runs_no_table_pass(monkeypatch):
     """A history space is checked without the rank table; a table from elsewhere is checked in full."""
-    expected = [validate_space(law_by_law(space)) for _, space in HISTORY_CASES]
-    symmetric, asymmetric = law_by_law(cantor_space(3)), CASES[IDS.index("asymmetric")][1]
+    expected = [validate_space(as_table(space)) for _, space in HISTORY_CASES]
+    symmetric, asymmetric = as_table(cantor_space(3)), CASES[IDS.index("asymmetric")][1]
 
     def refuse(name):
         def raise_(*args):
@@ -552,3 +560,90 @@ def test_history_validation_runs_no_table_pass(monkeypatch):
         validate_space(asymmetric)
     monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
     assert [validate_space(space) for _, space in HISTORY_CASES] == expected
+
+
+def tree_grades(space):
+    """``probe_grades`` of the space, which include a negative radius; three for an empty space."""
+    realized = space.realized_distances()
+    return probe_grades(realized) if realized else [Fraction(-1), Fraction(0), Fraction(1)]
+
+
+def assert_tree_matches_table(space, masks):
+    table = as_table(space)
+    assert space.tree is not None and table.tree is None
+    for eps in tree_grades(space):
+        assert space.ball_partition(eps) == table.ball_partition(eps), eps
+    masks = [0, space.full_mask, *masks, *(1 << i for i in range(space.n))]
+    for i in range(space.n):
+        for mask in masks:
+            assert space.nearest(i, mask) == table.nearest(i, mask), (i, mask)
+    assert [space.dist(x, y) for x in space.points for y in space.points] == [
+        table.dist(x, y) for x in table.points for y in table.points]
+    assert space.distinct_balls() == table.distinct_balls()
+    assert ball_tree(space) == ball_tree(table)
+    assert dendrogram_dot(space) == dendrogram_dot(table)
+
+
+def wide_history_space():
+    """150 points named out of history order, with duplicates: balls of 64 and more scattered points."""
+    rng = random.Random(64)
+    histories = [format(rng.randrange(2 ** 9), "09b") for _ in range(150)]
+    names = [f"w{i}" for i in rng.sample(range(150), 150)]
+    return UltrametricSpace.from_sequences(names, dict(zip(names, histories)))
+
+
+TREE_CASES = HISTORY_CASES + [("wide", wide_history_space())]
+
+
+@pytest.mark.parametrize("label, space", TREE_CASES, ids=[label for label, _ in TREE_CASES])
+def test_tree_readers_match_the_table(label, space):
+    rng = random.Random(label)
+    assert_tree_matches_table(space, [rng.getrandbits(space.n) for _ in range(6)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(history_files(), st.data())
+def test_generated_tree_readers_match_the_table(case, data):
+    names, sequences = case
+    space = UltrametricSpace.from_sequences(names, sequences)
+    masks = data.draw(st.lists(st.integers(0, space.full_mask), max_size=4))
+    assert_tree_matches_table(space, masks)
+
+
+def test_tree_readers_build_no_table(monkeypatch):
+    """Validation, balls, nearest points, distances and the dendrogram read a history space's tree alone."""
+    def refuse(self):
+        raise AssertionError("ranks reached")
+
+    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse))
+    seqs = cantor_sequences(4)
+    for names, sequences in ((seqs, dict(zip(seqs, seqs))),
+                             (["b", "a", "c"], {"a": "01", "b": "01", "c": "11"})):
+        space = UltrametricSpace.from_sequences(names, sequences)
+        validate_space(space)
+        for eps in tree_grades(space):
+            space.ball_partition(eps)
+        space.distinct_balls()
+        assert space.nearest(0, space.full_mask) == 0
+        first, last = names[0], names[-1]
+        assert space.dist(first, last) == sequence_distance(sequences[first], sequences[last])
+        dendrogram_dot(space)
+        stability_degree(Model(space, {"p": names[:1]}), first, Atom("p"))
+
+
+def test_depth_14_truthset_allocates_no_table(tmp_path):
+    """16,384 worlds: the rank table alone would take 256 MiB; load and truthset stay under 64 MiB."""
+    seqs = cantor_sequences(14)
+    names = [f"w{i}" for i in range(len(seqs))]
+    path = tmp_path / "cantor14.json"
+    path.write_text(json.dumps({"points": names, "distance": {"sequences": dict(zip(names, seqs))},
+                                "valuation": {"p": names[::3]}}))
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        points = truthset(model, Atom("p")).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == len(names[::3])
+    assert peak < 64 * 2 ** 20, peak

@@ -2,12 +2,20 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from umlogic.constructions import PointMap, scale_space
+from umlogic.constructions import PointMap, epsilon_subspace, scale_space
 from umlogic.formula import Atom, Box, Diamond, GradeError, Implies, as_grade
 from umlogic.generators import random_ultrametric_space
-from umlogic.semantics import truthset
+from umlogic.semantics import (
+    _ball_step,
+    closure_eps,
+    closure_mask,
+    interior_eps,
+    interior_mask,
+    truthset,
+)
 from umlogic.space import (
     Model,
     UltrametricSpace,
@@ -223,6 +231,48 @@ class TestConstruction:
         refusal = info.value if isinstance(info.value, TypeError) else info.value.__cause__
         assert isinstance(refusal, TypeError)
         assert "is not an exact rational" in str(refusal)
+
+    # a and b 3/10 apart as a table; 1/4 apart as a tree, from histories.
+    RADIUS_SPACES = {
+        "table": lambda: UltrametricSpace.from_pairs(["a", "b"], {("a", "b"): "3/10"}),
+        "tree": lambda: UltrametricSpace.from_sequences(["a", "b"], {"a": "00", "b": "01"}),
+    }
+    RADIUS_READERS = {
+        "ball": lambda s, r: s.ball("a", r),
+        "ball-partition": lambda s, r: s.ball_partition(r),
+        "ball-masks": lambda s, r: s.ball_masks(r),
+        "step-table": lambda s, r: s.step_table(r, False, np.dtype(np.uint8), _ball_step),
+        "interior-mask": lambda s, r: interior_mask(s, 1, r),
+        "closure-mask": lambda s, r: closure_mask(s, 1, r),
+        "interior-eps": lambda s, r: interior_eps(s, ["a"], r),
+        "closure-eps": lambda s, r: closure_eps(s, ["a"], r),
+        "epsilon-subspace": lambda s, r: epsilon_subspace(Model(s), "a", r).space.points,
+    }
+
+    @pytest.mark.parametrize("value", [0.3, True, None], ids=["float", "bool", "none"])
+    @pytest.mark.parametrize("shape", RADIUS_SPACES)
+    @pytest.mark.parametrize("reader", RADIUS_READERS)
+    def test_inexact_radii_refused_by_the_one_reader(self, reader, shape, value):
+        space = self.RADIUS_SPACES[shape]()
+        with pytest.raises(TypeError, match="is not an exact rational"):
+            self.RADIUS_READERS[reader](space, value)
+
+    @pytest.mark.parametrize("shape", RADIUS_SPACES)
+    @pytest.mark.parametrize("reader", RADIUS_READERS)
+    def test_radius_as_text_is_the_exact_radius(self, reader, shape):
+        space = self.RADIUS_SPACES[shape]()
+        exact = space.dist("a", "b")
+        read = self.RADIUS_READERS[reader]
+        result = read(space, str(exact))
+        assert result is not None and np.array_equal(result, read(space, exact))
+        assert np.array_equal(read(space, 1), read(space, Fraction(1)))
+
+    def test_float_radius_is_refused_not_rounded(self):
+        # 0.3 as a float is slightly below 3/10, so its ball would miss b.
+        space = self.RADIUS_SPACES["table"]()
+        assert space.ball("a", Fraction(3, 10)) == {"a", "b"}
+        with pytest.raises(TypeError):
+            space.ball("a", 0.3)
 
     def test_text_grade_is_read(self):
         assert Box("1/2", Atom("p")) == Box(Fraction(1, 2), Atom("p"))
