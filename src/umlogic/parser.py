@@ -30,6 +30,21 @@ of a :class:`ParseError` are computed from it when the error is raised.
 Grade literals are interned by their text (:func:`parse_grade`), so a
 grade written many times is read once and every modality carrying it
 shares one :class:`~fractions.Fraction`.
+
+:func:`parse` takes an optional memo, a dict that the caller keeps for a
+batch of texts (a proof file's lines and bindings).  It maps the exact
+source text of each whole text and each parenthesised group parsed
+through it to the formula and the depth and size that a fresh parse of
+it sets.  A group whose text is in the memo is not parsed again: the
+parser reuses the stored formula, restores its depth and size, and skips
+its tokens.  It uses a hit only while the levels enclosing the group
+plus its depth stay below :data:`MAX_DEPTH`; deeper, it parses the group
+again, so a "nested deeper" error keeps its line and column, and the
+:data:`MAX_NODES` check sees the same sizes either way.  Only groups and
+texts that parsed are stored, never an error, so every
+:class:`ParseError` is computed afresh.  Equal texts parsed through one
+memo give one shared :class:`Formula` object.  Without a memo, nothing
+is looked up or stored.
 """
 from __future__ import annotations
 
@@ -68,17 +83,20 @@ def _error(text: str, offset: int, message: str, expected: tuple[str, ...] = ())
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1, expected)
 
 
-# A token is a tuple (kind, text, offset).  Operators take their kind from
-# _OP_KINDS; the catch-all BAD group matches any character no token can start with.
+# A token is a tuple (kind, text, offset).  Each match is one token and the
+# whitespace before it, as the groups (space, NUMBER, NAME, OP, BAD); at the
+# end of the text only the space matches.  Operators take their kind from
+# _OP_KINDS, and BAD is any other character that is not whitespace.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>\s+)
-  | (?P<NUMBER>\d+\.\d+|\d+)
-  | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<OP><->|->|[~&|()\[\]<>/])
-  | (?P<BAD>.)
+    (\s*)
+    (?: (\d+\.\d+|\d+)
+      | ([A-Za-z_][A-Za-z0-9_]*)
+      | (<->|->|[~&|()\[\]<>/])
+      | (\S)
+      | \Z )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 _OP_KINDS = {
@@ -91,18 +109,36 @@ _OP_KINDS = {
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "WS":
-            continue
-        value = m.group()
-        if kind == "OP":
-            kind = _OP_KINDS[value]
-        elif kind == "BAD":
-            raise _error(text, m.start(), f"unexpected character {value!r}")
-        append((kind, value, m.start()))
+    offset = 0
+    for space, number, name, op, bad in _TOKEN_RE.findall(text):
+        offset += len(space)
+        if op:
+            append((_OP_KINDS[op], op, offset))
+            offset += len(op)
+        elif name:
+            append(("NAME", name, offset))
+            offset += len(name)
+        elif number:
+            append(("NUMBER", number, offset))
+            offset += len(number)
+        elif bad:
+            raise _error(text, offset, f"unexpected character {bad!r}")
+        else:
+            break
     append(("EOF", "", len(text)))
     return tokens
+
+
+def _closing(tokens: list[tuple[str, str, int]]) -> dict[int, int]:
+    """The index of the matching ``)`` token for each ``(`` token that has one."""
+    closing, stack = {}, []
+    for i, token in enumerate(tokens):
+        kind = token[0]
+        if kind == "LPAREN":
+            stack.append(i)
+        elif kind == "RPAREN" and stack:
+            closing[stack.pop()] = i
+    return closing
 
 
 @functools.lru_cache
@@ -122,9 +158,12 @@ class _Parser:
     the flat ``&``, ``|`` and ``<->`` chains that the rules build in loops.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: dict | None = None):
         self.text = text
         self.tokens = _tokenize(text)
+        self.memo = memo
+        if memo is not None:
+            self.closing = _closing(self.tokens)
         self.pos = 0
         self.open = 0
         self.depth = 0
@@ -224,15 +263,32 @@ class _Parser:
             self.take("GT", ("'>'",))
             result = Diamond(grade, self.nested(self.unary, token))
         elif kind == "LPAREN":
-            self.pos += 1
-            result = self.nested(self.formula, token)
-            self.take("RPAREN", ("')'",))
-            self.depth += 1
-            return result
+            return self.group(token)
         else:
             raise self.unexpected(("'~'", "'['", "'<'", "atom", "'('"))
         self.depth += 1
         self.size += 1
+        return result
+
+    def group(self, token: tuple[str, str, int]) -> Formula:
+        """A parenthesised formula, looked up in and stored to the memo when there is one."""
+        key = None
+        if self.memo is not None:
+            end = self.closing.get(self.pos)
+            if end is not None:
+                key = self.text[token[2]:self.tokens[end][2] + 1]
+                hit = self.memo.get(key)
+                # Inside the group a fresh parse opens fewer levels than its depth.
+                if hit is not None and self.open + hit[1] < MAX_DEPTH:
+                    result, self.depth, self.size = hit
+                    self.pos = end + 1
+                    return result
+        self.pos += 1
+        result = self.nested(self.formula, token)
+        self.take("RPAREN", ("')'",))
+        self.depth += 1
+        if key is not None:
+            self.memo[key] = (result, self.depth, self.size)
         return result
 
     def grade(self) -> Fraction:
@@ -247,15 +303,22 @@ class _Parser:
             raise self.error(str(exc), token) from None
 
 
-def parse(text: str) -> Formula:
+def parse(text: str, memo: dict | None = None) -> Formula:
     """Parse concrete syntax into a :class:`Formula`.
 
     Raises :class:`ParseError` with line/column diagnostics on bad input;
     grade literals outside [0, 1] are rejected, and so is any formula
     nested more than :data:`MAX_DEPTH` levels deep or expanding to more
-    than :data:`MAX_NODES` nodes.
+    than :data:`MAX_NODES` nodes.  ``memo``, a dict kept by the caller
+    across a batch of texts, parses each repeated text and parenthesised
+    group once; the result is the same as without it (module docstring).
     """
-    parser = _Parser(text)
+    if memo is not None:
+        hit = memo.get(text)
+        # A group stored from inside a longer text may break the limits on its own.
+        if hit is not None and hit[1] <= MAX_DEPTH and hit[2] <= MAX_NODES:
+            return hit[0]
+    parser = _Parser(text, memo)
     result = parser.formula()
     token = parser.tokens[parser.pos]
     if token[0] != "EOF":
@@ -264,4 +327,6 @@ def parse(text: str) -> Formula:
         raise parser.too_deep(parser.tokens[0])
     if parser.size > MAX_NODES:
         raise parser.error(f"formula expands to more than {MAX_NODES} nodes", parser.tokens[0])
+    if memo is not None:
+        memo[text] = (result, parser.depth, parser.size)
     return result

@@ -10,6 +10,12 @@ The JSON wire format is an array of objects
 ``{"n": int, "formula": str, "by": str, "bind": {..}?}`` where ``by`` is
 one of ``"premise"``, ``"axiom:NAME"``, ``"mp:i,j"`` (i the antecedent
 line, j the implication line), or ``"nec:i:grade"``.
+
+:func:`proof_from_json` parses every formula and binding text of one file
+through one parser memo (see :mod:`umlogic.parser`), so each distinct
+parenthesised span of the file is parsed once, and equal spans become one
+shared :class:`Formula`.  The memo lives for that one call, so nothing is
+kept between files.
 """
 from __future__ import annotations
 
@@ -157,7 +163,7 @@ _GRADE_KEYS = ("eps", "gamma", "delta")
 _FORMULA_KEYS = ("phi", "psi")
 
 
-def _parse_bindings(raw, context: str) -> dict:
+def _parse_bindings(raw, context: str, memo: dict) -> dict:
     if not isinstance(raw, dict):
         raise ProofFormatError(f'{context}: "bind" must be an object')
     bindings: dict = {}
@@ -166,7 +172,7 @@ def _parse_bindings(raw, context: str) -> dict:
             raise ProofFormatError(f"{context}: binding {key!r} must be a string")
         try:
             if key in _FORMULA_KEYS:
-                bindings[key] = parse(value)
+                bindings[key] = parse(value, memo)
             elif key in _GRADE_KEYS:
                 bindings[key] = parse_grade(value)
             else:
@@ -176,23 +182,23 @@ def _parse_bindings(raw, context: str) -> dict:
     return bindings
 
 
-def _parse_justification(text, bind, context: str) -> Justification:
+def _parse_justification(text, bind, context: str, memo: dict) -> Justification:
     if not isinstance(text, str):
         raise ProofFormatError(f'{context}: "by" must be a string')
     if text == "premise":
         return Premise()
     if text.startswith("axiom:"):
         name = text[len("axiom:"):]
-        bindings = _parse_bindings(bind, context) if bind is not None else None
+        bindings = _parse_bindings(bind, context, memo) if bind is not None else None
         return AxiomStep(name, bindings)
     if text.startswith("mp:"):
         parts = text[len("mp:"):].split(",")
-        if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
             raise ProofFormatError(f"{context}: malformed modus ponens justification {text!r}")
         return MP(int(parts[0]), int(parts[1]))
     if text.startswith("nec:"):
         parts = text[len("nec:"):].split(":")
-        if len(parts) != 2 or not parts[0].strip().isdigit():
+        if len(parts) != 2 or not parts[0].strip().isdecimal():
             raise ProofFormatError(f"{context}: malformed necessitation justification {text!r}")
         try:
             grade = parse_grade(parts[1])
@@ -203,10 +209,11 @@ def _parse_justification(text, bind, context: str) -> Justification:
 
 
 def proof_from_json(data) -> Proof:
-    """Parse the JSON array form of a proof."""
+    """Parse the JSON array form of a proof, each repeated span once (module docstring)."""
     if not isinstance(data, list):
         raise ProofFormatError("proof file must be a JSON array of line objects")
     lines = []
+    memo: dict = {}
     for i, entry in enumerate(data):
         context = f"entry {i}"
         if not isinstance(entry, dict):
@@ -218,10 +225,10 @@ def proof_from_json(data) -> Proof:
         if not isinstance(text, str):
             raise ProofFormatError(f'{context}: "formula" must be a string')
         try:
-            formula = parse(text)
+            formula = parse(text, memo)
         except ParseError as exc:
             raise ProofFormatError(f"{context}: {exc}") from None
-        justification = _parse_justification(entry.get("by"), entry.get("bind"), context)
+        justification = _parse_justification(entry.get("by"), entry.get("bind"), context, memo)
         lines.append(ProofLine(number, formula, justification))
     return Proof(lines)
 

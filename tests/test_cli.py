@@ -274,6 +274,19 @@ class TestProve:
         code, _, err = run(capsys, ["prove", "--proof", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("by, formula, rule", [
+        ("mp:²,1", "p", "modus ponens"),
+        ("nec:¹:1/2", "[1/2]p", "necessitation"),
+    ])
+    def test_superscript_line_numbers_are_malformed(self, capsys, tmp_path, by, formula, rule):
+        """Superscript digits pass ``str.isdigit`` but not ``int``; the entry is named, not the int error."""
+        path = tmp_path / "superscript.json"
+        path.write_text(json.dumps([{"n": 1, "formula": "p", "by": "premise"},
+                                    {"n": 2, "formula": formula, "by": by}]))
+        code, out, err = run(capsys, ["prove", "--proof", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"entry 1: malformed {rule} justification {by!r}"}
+
 
 class TestDeepJson:
     """A JSON file nested too deeply to decode is a format error with exit 2, never a traceback."""

@@ -5,7 +5,9 @@ substance: a tokenizer that matches one token at a time and tracks line
 and column as it goes, the parser that read those tokens, and a proof
 checker that desugars both sides of every comparison and every schema
 template on each match.  The fast paths must give the same tokens,
-positions, formulas, error texts and verdicts.
+positions, formulas, error texts and verdicts.  The parser memo that a
+proof load shares across its texts is checked against parsing each text
+fresh, which is what :func:`parse` does without one.
 """
 import contextlib
 import io
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umlogic import cli
+from umlogic import cli, proofs
 from umlogic.axioms import SCHEMAS, SchemaError, _match, instantiate_axiom, match_axiom
 from umlogic.formula import (
     And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade, desugar, format_formula,
@@ -525,3 +527,165 @@ def test_desugared_lines_take_the_fallback():
     assert verdict == ref_check_proof(proof)
     assert (verdict.accepted, verdict.failed_line) == (False, 5)
     assert verdict.reason == "formula is not line 3 boxed at grade 1/4"
+
+
+# --- the parser memo ----------------------------------------------------------
+
+SPACINGS = [" ", "  ", "\n", " \n\t", "\r\n"]
+
+
+def _through_one_memo(batch):
+    memo = {}
+    return [_outcome(lambda t: parse(t, memo), text) for text in batch]
+
+
+def _check_batch(batch):
+    assert _through_one_memo(batch) == [_outcome(parse, text) for text in batch]
+
+
+@st.composite
+def memo_batches(draw):
+    """Texts that repeat earlier spans: bare, wrapped in ``~``, ``[g]`` and ``( .. -> .. )``, re-spaced."""
+    rnd = draw(st.randoms(use_true_random=False))
+    spans = [_printed(rnd, rnd.choice(SPACINGS)) for _ in range(rnd.randint(1, 4))]
+    batch = []
+    for _ in range(rnd.randint(1, 12)):
+        a, b, space = rnd.choice(spans), rnd.choice(spans), rnd.choice(SPACINGS)
+        grade = rnd.choice(["1/2", "0", "1", "0.25"])
+        text = rnd.choice([
+            a, f"({a})", f"~({a})", f"~{a}", f"[{grade}]({a})", f"<{grade}>{a}",
+            f"({a}{space}->{space}{b})", f"({a}) &{space}({b})", a.replace(" ", space),
+        ])
+        spans.append(text)
+        batch.append(text)
+    for broken in draw(st.lists(texts, max_size=3)):
+        batch.insert(rnd.randint(0, len(batch)), broken)
+    return batch
+
+
+@SETTINGS
+@given(memo_batches())
+def test_one_memo_matches_fresh_parses(batch):
+    _check_batch(batch)
+
+
+def _iff_chain(n):
+    """``(p <-> p <-> ...)`` with ``n`` biconditionals: it expands to 6 * 2^n - 5 nodes."""
+    return "(" + "p <-> " * n + "p)"
+
+
+HAND_WRITTEN_BATCHES = {
+    "bad character after a reused span": ["(p & q)", "(p & q) $", "[1/2](p & q)$", "(p & q)"],
+    "unmatched paren": ["(p & q)", "((p & q) & r", "(p & q", "(p & q))", "(p & q)"],
+    "a chain of reused spans too deep": ["(p & q)", " & ".join(["(p & q)"] * 120),
+                                         " & ".join(["(p & q)"] * (MAX_DEPTH - 2)),
+                                         " & ".join(["(p & q)"] * (MAX_DEPTH - 1))],
+    "a span stored inside a text too deep": ["~(" + "p & " * MAX_DEPTH + "p)", "(" + "p & " * MAX_DEPTH + "p)",
+                                             "(" + "p & " * (MAX_DEPTH - 2) + "p)"],
+    "spans of spans": ["((p -> q) & (q -> p))", "(p -> q)", "~((p -> q) & (q -> p)) -> (p -> q)"],
+    "reused past MAX_NODES": [_iff_chain(13), f"{_iff_chain(13)} & {_iff_chain(13)}",
+                              f"({_iff_chain(13)} & {_iff_chain(13)}) & {_iff_chain(13)}",
+                              f"~{_iff_chain(14)}", f"{_iff_chain(14)} & p",
+                              f"~({_iff_chain(13)} & {_iff_chain(13)} & {_iff_chain(13)})",
+                              f"({_iff_chain(13)} & {_iff_chain(13)} & {_iff_chain(13)})"],
+}
+
+
+@pytest.mark.parametrize("batch", HAND_WRITTEN_BATCHES.values(), ids=HAND_WRITTEN_BATCHES)
+def test_hand_written_batches_match_fresh_parses(batch):
+    _check_batch(batch)
+
+
+@pytest.mark.parametrize("opened", range(MAX_DEPTH - 6, MAX_DEPTH + 1))
+def test_a_shallow_span_reused_deep_gives_the_fresh_error(opened):
+    """A span cached at the top is not reused where a fresh parse would nest too deep."""
+    span = "(" + "~" * 40 + "(p & q))"
+    batch = [span, "~" * opened + span, "(" * opened + span + ")" * opened,
+             "~" * opened + "(p & q)", "(" * (MAX_DEPTH - 1) + "p & q" + ")" * (MAX_DEPTH - 1)]
+    _check_batch(batch)
+    if opened == MAX_DEPTH - 1:
+        outcome = _through_one_memo(["(p & q)", "~" * opened + "(p & q)"])[1]
+        assert outcome == ("error", f"formula nested deeper than {MAX_DEPTH} levels at line 1, column {MAX_DEPTH}",
+                           1, MAX_DEPTH, ())
+
+
+def test_a_memo_hit_shares_the_node_and_only_successes_are_kept():
+    memo = {}
+    first = parse("(p -> q) & r", memo)
+    assert parse("~(p -> q)", memo).sub is first.left
+    assert parse("(p -> q) & r", memo) is first
+    with pytest.raises(ParseError):
+        parse("(p -> ) & r", memo)
+    assert set(memo) == {"(p -> q)", "(p -> q) & r", "~(p -> q)"}
+
+
+def _nodes(f: Formula) -> list[Formula]:
+    """Every node of ``f``, shared ones as often as they occur."""
+    result = [f]
+    for name in f.__match_args__:
+        value = getattr(f, name)
+        if isinstance(value, Formula):
+            result += _nodes(value)
+    return result
+
+
+def _proof_nodes(proof: Proof) -> set[int]:
+    ids = set()
+    for line in proof.lines:
+        formulas = [line.formula]
+        if isinstance(line.justification, AxiomStep) and line.justification.bindings:
+            formulas += [v for v in line.justification.bindings.values() if isinstance(v, Formula)]
+        ids.update(id(node) for f in formulas for node in _nodes(f))
+    return ids
+
+
+def test_the_memo_lives_for_one_load():
+    lines = derivation(random.Random(7), 3, desugared=0.0)
+    one, two = proof_from_json(lines), proof_from_json(lines)
+    assert one == two
+    assert not _proof_nodes(one) & _proof_nodes(two)
+    # Within one load, equal spans are one node.
+    premise, um4 = proof_from_json([
+        {"n": 1, "formula": "(p -> q)", "by": "premise"},
+        {"n": 2, "formula": "((p -> q) -> [1/2]<1/2>(p -> q))", "by": "axiom:UM4"},
+    ]).lines
+    assert um4.formula.left is um4.formula.right.sub.sub is premise.formula
+    text = lines[1]["formula"]
+    assert parse(text) == parse(text, {})
+    first, second = parse(text), parse(text)
+    assert not {id(n) for n in _nodes(first)} & {id(n) for n in _nodes(second)}
+
+
+def _load(data):
+    try:
+        proof = proof_from_json(data)
+    except ProofFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", proof, check_proof(proof))
+
+
+def syntax_mutants(rng: random.Random, lines: list[dict]) -> list[list[dict]]:
+    """One-line corruptions that fail to parse, in a formula or in a binding."""
+    result = []
+    for corrupt in (lambda t: t + " $", lambda t: "(" + t, lambda t: t + ")", lambda t: "~" * MAX_DEPTH + t):
+        mutated = [dict(line) for line in lines]
+        target = rng.choice(mutated[1:])
+        target["formula"] = corrupt(target["formula"])
+        result.append(mutated)
+    mutated = [dict(line) for line in lines]
+    target = rng.choice([line for line in mutated if "phi" in line.get("bind", {})])
+    target["bind"] = dict(target["bind"], phi="(" + target["bind"]["phi"])
+    result.append(mutated)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_memo_load_matches_a_memo_less_load(seed, monkeypatch):
+    rng = random.Random(seed)
+    lines = derivation(rng, 4, desugared=(0.0, 0.3, 1.0)[seed % 3])
+    files = [lines] + mutants(rng, lines) + syntax_mutants(rng, lines)
+    with_memo = [_load(data) for data in files]
+    assert with_memo[0][0] == "ok" and with_memo[0][2].accepted
+    assert [outcome[0] for outcome in with_memo[-5:]] == ["error"] * 5
+    monkeypatch.setattr(proofs, "parse", lambda text, memo=None: parse(text))
+    assert with_memo == [_load(data) for data in files]
