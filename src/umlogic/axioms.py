@@ -76,10 +76,6 @@ _DELTA = GradeVar("delta")
 _GD_MAX = GradeMaxOf("gamma", "delta")
 
 
-def _iff(left: Formula, right: Formula) -> Formula:
-    return And(Implies(left, right), Implies(right, left))
-
-
 def _um3_side(bindings: dict) -> str | None:
     if bindings["gamma"] >= bindings["delta"]:
         return None

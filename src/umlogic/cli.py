@@ -316,8 +316,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: The options parsed with ``type=int``.  Before Python 3.13, argparse reads
+#: an explicit ``--opt=--`` as [] ([[]] when repeated) and calls no type.
+_INT_OPTIONS = ("cap", "depth", "points", "samples", "seed")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    for name, value in vars(args).items():  # give ``--opt=--`` its value "--"
+        if value == [] and name in _INT_OPTIONS:
+            _parser().error(f"argument --{name}: invalid int value: '--'")
+        if isinstance(value, list):
+            setattr(args, name, "--" if value == [] else ["--" if v == [] else v for v in value])
     if args.command == "morphism" and len(args.model) != 2:
         print(json.dumps({"error": "morphism needs exactly two --model arguments"}), file=sys.stderr)
         return 2

@@ -3,12 +3,12 @@
 In a valid ultrametric space any two intersecting balls are nested, so
 the distinct closed balls form a tree under containment: singletons at
 the leaves, the whole space at the root, one layer per realized radius.
-A space built from histories is that tree already: its balls are runs of
-leaves, each with its parent, as :meth:`UltrametricSpace.tree_balls`
-lists them, so no ball is searched for.  Any other space lists its balls
-as point bitmasks from :meth:`UltrametricSpace.distinct_balls`, takes
-diameters from its rank table and looks each parent up among the balls
-through a point.
+Every space that satisfies the laws up to identity of indiscernibles is
+held as that tree already: its balls are runs of leaves, each with its
+parent, as :meth:`UltrametricSpace.tree_balls` lists them, so no ball is
+searched for.  A space that breaks a law lists its balls as point
+bitmasks from :meth:`UltrametricSpace.distinct_balls`, takes diameters
+from its rank table and looks each parent up among all the balls.
 """
 from __future__ import annotations
 
@@ -37,8 +37,6 @@ def ball_tree(space: UltrametricSpace) -> list[BallNode]:
     """
     if space.tree is not None:
         return _tree_balls(space)
-    # Any superset of a ball contains its first member, so the parent is
-    # looked up among the balls through that point only.
     points = space.points
     balls = []
     for _, _, mask in space.distinct_balls():
@@ -47,22 +45,13 @@ def ball_tree(space: UltrametricSpace) -> list[BallNode]:
         balls.append((len(names), names, mask, members))
     balls.sort(key=lambda ball: ball[:2])
 
-    through: list[list[int]] = [[] for _ in points]
-    for j, ball in enumerate(balls):
-        for i in ball[3].tolist():
-            through[i].append(j)
-
     ranks, distances = space.ranks, space.realized_distances()
     nodes = []
     for j, (_, names, mask, members) in enumerate(balls):
-        if members.size:
-            candidates = through[members[0]]
-            diameter = distances[ranks[members[:, None], members].max()]
-        else:
-            # The empty set is a ball only when some self-distance is
-            # positive; it lies inside every other ball.
-            candidates, diameter = range(len(balls)), Fraction(0)
-        parent = next((k for k in candidates if k != j and balls[k][2] & mask == mask), None)
+        # The empty set is a ball only when some self-distance is positive.
+        diameter = distances[ranks[members[:, None], members].max()] if members.size else Fraction(0)
+        # Balls are sorted by size, so the first strict superset is a smallest one.
+        parent = next((k for k, ball in enumerate(balls) if k != j and ball[2] & mask == mask), None)
         nodes.append(BallNode(names, diameter, parent))
     return nodes
 

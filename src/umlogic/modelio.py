@@ -6,10 +6,12 @@ A model file is an object with "points" (ordered array of names),
 differing position), and an optional "valuation" (atom -> point names).
 Rationals cross the file boundary as strings like "1/8"; floats are
 rejected to keep the arithmetic exact, and exponent notation ("1e9") so
-that reading a number stays cheap.  A matrix is validated law by law; a
-space built from sequences is an ultrametric by construction, so only
-duplicate histories can make it invalid, and histories longer than
-``space.MAX_HISTORY_LENGTH`` are a format error.
+that reading a number stays cheap.  A space built from sequences is an
+ultrametric by construction, and a matrix that satisfies the laws up to
+identity of indiscernibles is held as its single-linkage tree; either is
+validated in O(n), where only points at distance 0 can make it invalid.
+A matrix that breaks another law is validated law by law on its table.
+Histories longer than ``space.MAX_HISTORY_LENGTH`` are a format error.
 """
 from __future__ import annotations
 

@@ -2,40 +2,37 @@
 
 A space is a finite ordered point set with exact rational distances,
 stored as the ascending list of distinct distances (exact Fractions) and
-integer ranks into that list, held in one of two ways.  A space built
-from binary histories is held as the tree the histories make: its points
-in sorted-history order (the leaves of the tree, left to right) and the
-rank of the distance between each adjacent pair (the merge heights).  A
-ball of any grade is then a run of adjacent leaves, so no n x n array is
-built when the space is loaded.  Any other space (a matrix, a union, a
-subspace, a rescaling) is held as an n x n numpy table of ranks, built by
-:meth:`UltrametricSpace.from_ranks`: Fractions are made once per distinct
-distance, never once per pair.  :attr:`UltrametricSpace.ranks` is the
-table either way; a tree derives it on first read and keeps it, so only
-the callers that need every pair (constructions, morphism checks, model
-output) pay for it.  :meth:`UltrametricSpace.matrix` derives the
-Fraction table on demand, for callers outside the library.
+integer ranks into that list.  A finite ultrametric is a rooted tree of
+nested balls, so every space that satisfies the metric laws up to
+identity of indiscernibles is held as that tree
+(:attr:`UltrametricSpace.tree`): its points as leaves, left to right, and
+the rank of each adjacent pair's distance.  A ball of any grade is a run
+of adjacent leaves.  Binary histories give the tree by sorting, with no
+n x n array.  A table of ranks (a matrix, union, subspace or rescaling,
+by :meth:`UltrametricSpace.from_ranks`) gives it by Prim's single-linkage
+tree and is kept as :attr:`UltrametricSpace.ranks`, which a history tree
+derives on first read.  Only a space that breaks a law is held as its
+table alone.  :meth:`UltrametricSpace.matrix` derives the Fraction table
+on demand, for callers outside the library.
 
 For each grade asked about, the space caches the distinct closed balls
 once, each with the mask of the points whose ball it is
-(:meth:`UltrametricSpace.ball_partition`); the per-point masks, single
-balls and the listing of every ball are views of that cache.  In an
-ultrametric the balls of one grade partition the points, so evaluation
-costs one step per ball, not per point.  Beside the partitions, a space
-caches the modal steps that batch evaluation tabulates over every mask
+(:meth:`UltrametricSpace.ball_partition`); single balls and the listing
+of every ball are views of that cache.  In an ultrametric the balls of
+one grade partition the points, so evaluation costs one step per ball,
+not per point.  Beside the partitions, a space caches the modal steps
+that batch evaluation tabulates over every mask
 (:meth:`UltrametricSpace.step_table`).
 
 Every number a caller gives (a matrix entry, a pair distance, a radius,
 and elsewhere a grade, a scaling constant or a factor) is read by
 :func:`read_rational`, which keeps Fractions, converts ints, parses
 text without exponent notation and refuses floats and bools.
-Construction never checks the metric laws:
+Construction never rejects a space for breaking the metric laws:
 :func:`validate_space` reports violations as data, so deliberately
 broken spaces (used to show which laws the strong triangle inequality
-buys) are representable.  A space built from binary histories is an
-ultrametric by construction; the one law it can break is identity of
-indiscernibles, by equal histories, which are adjacent leaves at
-distance 0, so it is validated without a table.
+buys) are representable.  A tree can break only identity of
+indiscernibles, by twins at adjacent leaves, so it is validated in O(n).
 """
 from __future__ import annotations
 
@@ -118,7 +115,9 @@ class UltrametricSpace:
     def _setup(self, points: Sequence[str], distances: list[Fraction], ranks: np.ndarray | None) -> None:
         """State shared by every constructor; ranks take the smallest unsigned type and are frozen.
 
-        ``ranks`` is None only for a tree, which :meth:`from_sequences` sets next.
+        A table whose least distance is 0, whose diagonal is rank 0 and which
+        :func:`_single_linkage` accepts is also held as that tree.  ``ranks``
+        is None only for :meth:`from_sequences`, which plants its tree next.
         """
         self._points = tuple(points)
         if len(set(self._points)) != len(self._points):
@@ -132,6 +131,17 @@ class UltrametricSpace:
         self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
         self._nesting: tuple[list[tuple[int, int, int, int | None]], list[int]] | None = None
         self._ball_masks: dict[int, int] = {}
+        if ranks is not None and not (distances and distances[0]) and not np.diagonal(self._ranks).any():
+            tree = _single_linkage(self._ranks)
+            if tree is not None:
+                self._plant(*tree)
+
+    def _plant(self, leaves: np.ndarray, adjacent: np.ndarray) -> None:
+        """Hold the space as the tree with these leaves (point indexes, left to right) and adjacent ranks."""
+        leaves.setflags(write=False)
+        self._tree = (leaves, self._frozen(adjacent))
+        self._position = np.empty(self.n, dtype=np.intp)
+        self._position[leaves] = np.arange(self.n)
 
     def _frozen(self, ranks: np.ndarray) -> np.ndarray:
         """Ranks in the smallest unsigned type that holds every rank, read-only."""
@@ -205,11 +215,7 @@ class UltrametricSpace:
         rank_of = {m: r for r, m in enumerate(levels)}
         space = cls.__new__(cls)
         space._setup(points, distances, None)
-        leaves = np.array(order, dtype=np.intp)
-        space._tree = (leaves, space._frozen(np.array([rank_of[m] for m in lcp])))
-        leaves.setflags(write=False)
-        space._position = np.empty(n, dtype=np.intp)
-        space._position[leaves] = np.arange(n)
+        space._plant(np.array(order, dtype=np.intp), np.array([rank_of[m] for m in lcp]))
         return space
 
     @classmethod
@@ -220,7 +226,8 @@ class UltrametricSpace:
 
         The table must use every distance, as :meth:`realized_distances`
         reports them all.  It is frozen, and copied only to take the
-        smallest unsigned type.
+        smallest unsigned type.  A table valid up to identity of
+        indiscernibles is held as its single-linkage tree too (:attr:`tree`).
         """
         n = len(points)
         if ranks.shape != (n, n):
@@ -245,8 +252,9 @@ class UltrametricSpace:
     def ranks(self) -> np.ndarray:
         """The read-only n x n table of indexes into :meth:`realized_distances`.
 
-        A tree derives it on first read, each row of the sorted order a
-        running maximum over the adjacent ranks, and keeps it.
+        A space built from a table keeps the table it was given.  A tree
+        from histories derives it on first read, each row of the leaf order
+        a running maximum over the adjacent ranks, and keeps it.
         """
         if self._ranks is None:
             leaves, adjacent = self._tree
@@ -259,10 +267,12 @@ class UltrametricSpace:
 
     @property
     def tree(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """A space from histories: its leaves (point indexes in sorted-history order) and adjacent ranks.
+        """The single-linkage tree: its leaves (point indexes, left to right) and adjacent ranks.
 
         Both arrays are read-only; two leaves are as far apart as the
-        largest adjacent rank between them.  None for a table.
+        largest adjacent rank between them.  Leaves are in sorted-history
+        order for histories and in Prim's visiting order for a table.  None
+        for a space that breaks a law other than identity of indiscernibles.
         """
         return self._tree
 
@@ -277,7 +287,7 @@ class UltrametricSpace:
 
     def dist(self, x: str, y: str) -> Fraction:
         i, j = self.index(x), self.index(y)
-        if self._tree is None:
+        if self._ranks is not None:
             return self._distances[self._ranks[i, j]]
         low, high = sorted((self._position[i], self._position[j]))
         return self._distances[self._tree[1][low:high].max(initial=0)]
@@ -309,8 +319,8 @@ class UltrametricSpace:
         point of a ball is a centre of it, and ``centres == ball``.  Pairs
         come in order of their first centre.  Cached per rank of ``eps``,
         which is read by :func:`read_rational`.  A tree cuts its leaves
-        where an adjacent rank reaches past ``eps``; a table groups its
-        rows.
+        where an adjacent rank reaches past ``eps``; a space without a tree
+        groups the rows of its table.
         """
         below = bisect_right(self._distances, read_rational(eps))
         cached = self._partitions.get(below)
@@ -360,14 +370,6 @@ class UltrametricSpace:
             self._step_tables[key] = table
         return table
 
-    def ball_masks(self, eps: Fraction) -> tuple[int, ...]:
-        """Per-point bitmasks of the closed ball {y : d(x, y) <= eps}."""
-        masks = [0] * self.n
-        for ball, centres in self.ball_partition(eps):
-            for i in self.members(centres).tolist():
-                masks[i] = ball
-        return tuple(masks)
-
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
         """The closed ball around ``x`` of radius ``eps``; always contains x."""
         bit = 1 << self.index(x)
@@ -392,8 +394,8 @@ class UltrametricSpace:
 
         A tree returns the diameter of the smallest ball around ``i`` that
         meets ``mask``, walking up from ``i``'s leaf; each ball's mask is
-        built on first use and kept.  A table takes the least rank in
-        ``i``'s row.
+        built on first use and kept.  A space without a tree takes the
+        least rank in ``i``'s row.
         """
         if self._tree is None:
             idx = self.members(mask)
@@ -417,7 +419,7 @@ class UltrametricSpace:
         return mask
 
     def tree_balls(self) -> list[tuple[int, int, int, int | None]] | None:
-        """Each distinct ball of a tree once, as (start, end, rank, parent); None for a table.
+        """Each distinct ball of a tree once, as (start, end, rank, parent); None without a tree.
 
         The ball is the run of leaves ``tree[0][start:end]``, its diameter
         is ``realized_distances()[rank]``, and ``parent`` indexes the
@@ -431,9 +433,10 @@ class UltrametricSpace:
 
         The run that adjacent pair k merges into reaches, on each side, up
         to the nearest adjacent pair of higher rank; a stack of the pairs
-        whose run is still open finds both ends in one pass, and pairs of
-        equal rank in one run share it.  A leaf is a ball of its own
-        unless a rank-0 pair (equal histories) joins it to a neighbour.
+        whose run is still open finds both ends in one pass.  Pairs of
+        equal rank in one run share it, and the latest stands for it on the
+        stack.  A leaf is a ball of its own unless a rank-0 pair (twins)
+        joins it to a neighbour.
         A run's parent is the run merging across its lower boundary.
         """
         if self._nesting is None:
@@ -445,7 +448,9 @@ class UltrametricSpace:
                 while open_pairs and heights[open_pairs[-1]] < height:
                     runs[run_of[open_pairs.pop()]][1] = k + 1
                 if open_pairs and heights[open_pairs[-1]] == height:
+                    # A node of three or more children: runs below it open after k, not after the first pair.
                     run_of[k] = run_of[open_pairs[-1]]
+                    open_pairs[-1] = k
                 else:
                     run_of[k] = len(runs)
                     runs.append([open_pairs[-1] + 1 if open_pairs else 0, n, height])
@@ -491,17 +496,17 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
     """Check the five metric laws; empty report means the space is valid.
 
     Each violated law is reported once, with the first witnessing pair or
-    triple in point order.  The checks run on the rank table, which orders
-    exactly as the distances do.  A space built by
-    :meth:`UltrametricSpace.from_sequences` can break only identity of
-    indiscernibles, and its equal histories are adjacent leaves of its
-    tree at rank 0, so it is checked in O(n) without a table.
+    triple in point order.  A tree (:attr:`UltrametricSpace.tree`) can
+    break only identity of indiscernibles, by twins at adjacent leaves, so
+    it is checked in O(n).  Any other space is checked law by law on its
+    rank table, which orders as the distances do; the cubic sweep for the
+    strong triangle runs only when :func:`_single_linkage` refuses it.
     """
     pts = space.points
     if space.tree is not None:
         leaves, adjacent = space.tree
-        # The stable sort keeps each group of equal histories adjacent and in
-        # point order, so the least adjacent equal pair is the first in point order.
+        # Both constructors keep each group of twins adjacent and in point
+        # order, so the least adjacent twin pair is the first in point order.
         equal = np.flatnonzero(adjacent == 0)
         twins = min(zip(leaves[equal].tolist(), leaves[equal + 1].tolist()), default=None)
         return [_indiscernible(pts, *twins)] if twins else []
@@ -519,11 +524,9 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
         violations.append(Violation(
             "nonnegativity", (pts[i], pts[j]), f"d({pts[i]}, {pts[j]}) = {d(i, j)} < 0"))
 
-    symmetric = True
     bad = _first_pair(np.triu(rank != rank.T, 1))
     if bad:
         i, j = bad
-        symmetric = False
         violations.append(Violation(
             "symmetry", (pts[i], pts[j]),
             f"d({pts[i]}, {pts[j]}) = {d(i, j)} but d({pts[j]}, {pts[i]}) = {d(j, i)}"))
@@ -540,7 +543,7 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
     if bad:
         violations.append(_indiscernible(pts, *bad))
 
-    if not (symmetric and _is_subdominant(rank)):
+    if _single_linkage(rank) is None:
         bad = _strong_triangle_witness(rank)
         if bad:
             i, j, k = bad
@@ -552,36 +555,34 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
     return violations
 
 
-def _is_subdominant(rank: np.ndarray) -> bool:
-    """Whether a symmetric table satisfies the strong triangle inequality.
+def _single_linkage(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Prim's single-linkage tree of a table as (leaves, adjacent ranks); None unless the table is that tree's.
 
-    Gower & Ross (1969): off the diagonal, a symmetric table is ultrametric
-    iff it equals the cophenetic table of its single-linkage tree, i.e. the
-    minimax path distance over its minimum spanning tree.  Prim's algorithm
-    grows the tree one point at a time; the newcomer v, joined to u by an
-    edge of rank w, sits at max(w, minimax(u, t)) from every earlier t.
-    O(n^2) with n vectorised steps.
+    Gower & Ross (1969): off the diagonal, a table is an ultrametric iff it
+    is the cophenetic table of its single-linkage tree.  Prim's algorithm
+    from point 0 visits each ball of an ultrametric as one run, and each
+    point's key as it joins is its merge height with its predecessor.  Each
+    joining point's row and column must be the running maximum of the
+    adjacent ranks back to the earlier points, so no second n x n array is
+    built.  Twins have equal rows and ``argmin`` takes the lowest index
+    among equal keys, so each group of twins is adjacent and in point order.
     """
     n = len(rank)
-    if n < 3:
-        return True
-    minimax = np.zeros_like(rank)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = rank[0].copy()
-    via = np.zeros(n, dtype=np.intp)
-    for _ in range(n - 1):
-        outside = np.flatnonzero(~in_tree)
-        v = int(outside[np.argmin(best[outside])])
-        row = np.maximum(minimax[via[v], in_tree], best[v])
-        minimax[v, in_tree] = row
-        minimax[in_tree, v] = row
-        in_tree[v] = True
-        closer = rank[v] < best
-        best[closer] = rank[v][closer]
-        via[closer] = v
-    np.fill_diagonal(minimax, np.diagonal(rank))
-    return bool(np.array_equal(minimax, rank))
+    joined = np.iinfo(np.int64).max  # the key of every point in the tree
+    key = np.full(n, joined)
+    key[:1] = 0
+    leaves = np.zeros(n, dtype=np.intp)
+    heights = np.zeros(n, dtype=rank.dtype)  # each leaf's key as it joined
+    outside = np.ones(n, dtype=bool)
+    for k in range(n):
+        v = leaves[k] = int(np.argmin(key))
+        heights[k], key[v], outside[v] = key[v], joined, False
+        span = np.maximum.accumulate(heights[k:0:-1])[::-1]
+        earlier = leaves[:k]
+        if not (np.array_equal(rank[v, earlier], span) and np.array_equal(rank[earlier, v], span)):
+            return None
+        np.minimum(key, rank[v], out=key, where=outside)
+    return leaves, heights[1:]
 
 
 def _strong_triangle_witness(rank: np.ndarray) -> tuple[int, int, int] | None:

@@ -253,6 +253,31 @@ class TestParserReuse:
         assert json.loads(out)["valuations_checked"] == 256
 
 
+class TestExplicitDashes:
+    """``--opt=--`` gives the option the value ``--`` on every Python; argparse before 3.13 read it as []."""
+
+    def test_formula_of_two_dashes_is_a_parse_error(self, capsys):
+        code, _, err = run(capsys, ["axiom", "--formula=--"])
+        assert (code, json.loads(err)) == (2, {"error": "unexpected character '-' at line 1, column 1"})
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--model=--", "--formula=p", "--world=w0"],
+        ["union", "--model=--"],
+        ["morphism", "--model=--", "--model=--", "--map=--"],
+    ], ids=["single", "repeated", "repeated-twice"])
+    def test_model_named_two_dashes_is_a_missing_file(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "'--'" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [["cantor", "--depth=--"], ["harness", "--seed=--"]], ids=["cantor", "harness"])
+    def test_int_option_of_two_dashes_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid int value: '--'" in capsys.readouterr().err
+
+
 class TestProve:
     def test_bundled_derivation(self, capsys):
         code, out, _ = run(capsys, ["prove", "--proof", str(DATA / "stability_chain.json")])

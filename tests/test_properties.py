@@ -1,9 +1,9 @@
 """Property-based tests of the partition semantics, the evaluator, the printer, formula hashing and read-only models.
 
 Spaces are generated two ways: by ``random_ultrametric_space`` driven by a
-Hypothesis-controlled random source, which makes a space held as a rank
-table, and from sets of distinct binary histories, which makes a space
-held as its tree.  Grades are realized distances of the space or
+Hypothesis-controlled random source, which makes a rank table held as its
+Prim single-linkage tree (nodes of any arity), and from sets of distinct
+binary histories, which makes a binary tree by sorting.  Grades are realized distances of the space or
 arbitrary rationals in [0, 1].  The identities (i)-(ix) are those of the
 graded interior and closure that ``test_acceptance`` checks exhaustively
 on small spaces over realized grades.

@@ -8,16 +8,16 @@ and the constructions, morphism checks and model output that built or
 read a Fraction matrix pair by pair.  Each test builds the reference table independently of the
 space (from the input matrix, or from ``sequence_distance`` over
 histories); for generated spaces, whose input matrix is internal to the
-generator, it is read back through ``matrix()``.  A space built from
-histories is validated only for equal histories; its report is compared
-with the same rank table validated law by law.
+generator, it is read back through ``matrix()``.
 
-A space built from histories is held as its single-linkage tree, and its
-balls, nearest points, distances, ball listing and dendrogram are read
-from the tree.  Each of those readers is compared with the same space
-rebuilt from its rank table (``as_table``), which reads them from the
-table, on every history space here and on generated history files with
-duplicates.
+Every space that satisfies the laws up to identity of indiscernibles is
+held as its single-linkage tree: a space from histories by sorting them,
+a table (generated spaces, unions, subspaces, rescalings) by Prim's
+algorithm.  Its balls, nearest points, distances, ball listing,
+dendrogram and validation report are read from the tree, and each is
+compared with the dense references on every space here, on generated
+history files with duplicates and on generated tables with twins.  The
+broken and perturbed tables keep the table and its readers.
 """
 import json
 import random
@@ -105,6 +105,24 @@ def ref_ball_masks(m, eps):
 
 def ref_realized(m):
     return sorted({d for row in m for d in row})
+
+
+def ref_partition(m, eps):
+    """The distinct eps-balls, each with the points whose ball it is, in order of first centre."""
+    centres = {}
+    for i, ball in enumerate(ref_ball_masks(m, eps)):
+        centres[ball] = centres.get(ball, 0) | 1 << i
+    return tuple(centres.items())
+
+
+def ref_distinct_balls(m):
+    expected, seen = [], set()
+    for radius in ref_realized(m):
+        for i, mask in enumerate(ref_ball_masks(m, radius)):
+            if mask not in seen:
+                seen.add(mask)
+                expected.append((i, radius, mask))
+    return expected
 
 
 def ref_ball_tree(pts, m):
@@ -243,12 +261,13 @@ def sequence_cases():
         histories = [rng.choice(pool) for _ in range(n)]
         names = [f"h{i}" for i in rng.sample(range(n), n)]
         cases.append((f"histories-{length}x{n}", names, dict(zip(names, histories))))
-    out = []
-    for label, names, sequences in cases:
-        table = tuple(tuple(sequence_distance(sequences[a], sequences[b]) for b in names)
-                      for a in names)
-        out.append((label, UltrametricSpace.from_sequences(names, sequences), table))
-    return out
+    return [history_case(*case) for case in cases]
+
+
+def history_case(label, names, sequences):
+    """(label, the space of the histories, its dense table by ``sequence_distance``)."""
+    table = tuple(tuple(sequence_distance(sequences[a], sequences[b]) for b in names) for a in names)
+    return label, UltrametricSpace.from_sequences(names, sequences), table
 
 
 def broken_cases():
@@ -283,6 +302,15 @@ CASES = generated_cases() + sequence_cases() + broken_cases()
 IDS = [label for label, _, _ in CASES]
 
 
+def per_point_balls(space, eps):
+    """Each point's closed eps-ball as a bitmask, read from the ball partition."""
+    masks = [0] * space.n
+    for ball, centres in space.ball_partition(eps):
+        for i in space.members(centres).tolist():
+            masks[i] = ball
+    return tuple(masks)
+
+
 def probe_grades(realized):
     """Every realized distance, the midpoints between them, and one below and above."""
     grades = list(realized) + [realized[0] - 1, realized[-1] + 1]
@@ -303,7 +331,7 @@ class TestAgainstDenseTable:
 
     def test_ball_masks(self, label, space, table):
         for eps in probe_grades(ref_realized(table)):
-            assert space.ball_masks(eps) == ref_ball_masks(table, eps), eps
+            assert per_point_balls(space, eps) == ref_ball_masks(table, eps), eps
 
     def test_ball_tree_and_dot(self, label, space, table):
         nodes = ref_ball_tree(space.points, table)
@@ -311,13 +339,7 @@ class TestAgainstDenseTable:
         assert dendrogram_dot(space) == ref_dot(nodes)
 
     def test_distinct_ball_listing(self, label, space, table):
-        expected, seen = [], set()
-        for radius in ref_realized(table):
-            for i, mask in enumerate(ref_ball_masks(table, radius)):
-                if mask not in seen:
-                    seen.add(mask)
-                    expected.append((i, radius, mask))
-        assert space.distinct_balls() == expected
+        assert space.distinct_balls() == ref_distinct_balls(table)
 
     def test_dump_model(self, label, space, table):
         rng = random.Random(label)
@@ -502,22 +524,21 @@ def test_subspace_renumbering_across_rank_types(n):
                           *ref_subspace(points, table, {}, "p0", eps))
 
 
-# --- history spaces: validation and the tree's readers against the table ------
+# --- trees: validation and the tree's readers against the dense table --------
 
-HISTORY_CASES = [(label, space) for label, space, _ in CASES if label.startswith(("cantor-", "histories-"))]
-HISTORY_CASES += [("empty", UltrametricSpace.from_sequences([], {})),
-                  ("one-point", UltrametricSpace.from_sequences(["x"], {"x": "0"})),
-                  ("two-equal", UltrametricSpace.from_sequences(["y", "x"], {"x": "01", "y": "01"}))]
+def labels(cases):
+    return [label for label, _, _ in cases]
 
 
-def as_table(space):
-    """The same space held as its rank table, which validation checks law by law."""
-    return UltrametricSpace.from_ranks(space.points, space.realized_distances(), space.ranks)
+HISTORY_CASES = [case for case in CASES if case[0].startswith(("cantor-", "histories-"))]
+HISTORY_CASES += [history_case("empty", [], {}),
+                  history_case("one-point", ["x"], {"x": "0"}),
+                  history_case("two-equal", ["y", "x"], {"x": "01", "y": "01"})]
 
 
-@pytest.mark.parametrize("label, space", HISTORY_CASES, ids=[label for label, _ in HISTORY_CASES])
-def test_history_validation_matches_the_law_by_law_path(label, space):
-    assert validate_space(space) == validate_space(as_table(space))
+@pytest.mark.parametrize("label, space, table", HISTORY_CASES, ids=labels(HISTORY_CASES))
+def test_history_validation_matches_the_law_by_law_path(label, space, table):
+    assert validate_space(space) == ref_validate(space.points, table)
 
 
 @st.composite
@@ -536,30 +557,39 @@ def history_files(draw):
 @settings(max_examples=300, deadline=None)
 @given(history_files())
 def test_generated_history_validation_matches_both_references(case):
+    """The history tree, the Prim tree of its table and the law-by-law reference agree."""
     names, sequences = case
-    space = UltrametricSpace.from_sequences(names, sequences)
-    table = [[sequence_distance(sequences[a], sequences[b]) for b in names] for a in names]
-    assert validate_space(space) == validate_space(as_table(space)) == ref_validate(space.points, table)
+    _, space, table = history_case("generated", names, sequences)
+    assert validate_space(space) == validate_space(UltrametricSpace(names, table)) == ref_validate(
+        space.points, table)
 
 
 def test_history_validation_runs_no_table_pass(monkeypatch):
-    """A history space is checked without the rank table; a table from elsewhere is checked in full."""
-    expected = [validate_space(as_table(space)) for _, space in HISTORY_CASES]
-    symmetric, asymmetric = as_table(cantor_space(3)), CASES[IDS.index("asymmetric")][1]
+    """A tree is checked without its table; a broken table runs the sweep only when Prim refuses it."""
+    expected = [ref_validate(space.points, table) for _, space, table in HISTORY_CASES]
+    matrix = UltrametricSpace(cantor_space(3).points, cantor_space(3).matrix())
+    triangle, asymmetric = (CASES[IDS.index(label)][1] for label in ("triangle", "asymmetric"))
+    # Off its diagonal a tree, but not held as one: d(a, a) is 1/8.
+    laminar_table = [[Fraction(1, 8), Fraction(1, 2), 1], [Fraction(1, 2), 0, 1], [1, 1, 0]]
+    laminar = UltrametricSpace(["a", "b", "c"], laminar_table)
+    assert matrix.tree is not None and laminar.tree is None
 
     def refuse(name):
         def raise_(*args):
             raise AssertionError(f"{name} reached")
         return raise_
 
-    monkeypatch.setattr(space_module, "_is_subdominant", refuse("_is_subdominant"))
     monkeypatch.setattr(space_module, "_strong_triangle_witness", refuse("_strong_triangle_witness"))
-    with pytest.raises(AssertionError, match="_is_subdominant reached"):
-        validate_space(symmetric)
-    with pytest.raises(AssertionError, match="_strong_triangle_witness reached"):
-        validate_space(asymmetric)
+    assert validate_space(laminar) == ref_validate(laminar.points, laminar_table)
+    for broken in (triangle, asymmetric):
+        with pytest.raises(AssertionError, match="_strong_triangle_witness reached"):
+            validate_space(broken)
+    monkeypatch.setattr(space_module, "_single_linkage", refuse("_single_linkage"))
+    with pytest.raises(AssertionError, match="_single_linkage reached"):
+        validate_space(triangle)
     monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
-    assert [validate_space(space) for _, space in HISTORY_CASES] == expected
+    assert validate_space(matrix) == []
+    assert [validate_space(space) for _, space, _ in HISTORY_CASES] == expected
 
 
 def tree_grades(space):
@@ -568,20 +598,33 @@ def tree_grades(space):
     return probe_grades(realized) if realized else [Fraction(-1), Fraction(0), Fraction(1)]
 
 
-def assert_tree_matches_table(space, masks):
-    table = as_table(space)
-    assert space.tree is not None and table.tree is None
+def assert_readers_match_the_table(space, table, masks):
+    """Balls, nearest points, distances, the ball listing and the dendrogram against the dense table."""
+    pts, n = space.points, space.n
     for eps in tree_grades(space):
-        assert space.ball_partition(eps) == table.ball_partition(eps), eps
-    masks = [0, space.full_mask, *masks, *(1 << i for i in range(space.n))]
-    for i in range(space.n):
+        assert space.ball_partition(eps) == ref_partition(table, eps), eps
+    masks = [0, space.full_mask, *masks, *(1 << i for i in range(n))]
+    for i in range(n):
         for mask in masks:
-            assert space.nearest(i, mask) == table.nearest(i, mask), (i, mask)
-    assert [space.dist(x, y) for x in space.points for y in space.points] == [
-        table.dist(x, y) for x in table.points for y in table.points]
-    assert space.distinct_balls() == table.distinct_balls()
-    assert ball_tree(space) == ball_tree(table)
-    assert dendrogram_dot(space) == dendrogram_dot(table)
+            near = min((table[i][j] for j in range(n) if mask >> j & 1), default=None)
+            assert space.nearest(i, mask) == near, (i, mask)
+    assert [space.dist(x, y) for x in pts for y in pts] == [d for row in table for d in row]
+    assert space.distinct_balls() == ref_distinct_balls(table)
+    nodes = ref_ball_tree(pts, table)
+    assert ball_tree(space) == nodes
+    assert dendrogram_dot(space) == ref_dot(nodes)
+    if space.tree is None:
+        assert space.tree_balls() is None
+        return
+    # Each run of leaves is a distinct ball, with its diameter and the smallest ball above it.
+    leaves, distances, balls = space.tree[0].tolist(), space.realized_distances(), space.tree_balls()
+    members = [frozenset(pts[i] for i in leaves[start:end]) for start, end, _, _ in balls]
+    found = {(members[j], distances[rank], None if parent is None else members[parent])
+             for j, (_, _, rank, parent) in enumerate(balls)}
+    assert len(found) == len(balls)
+    assert found == {(frozenset(node.members), node.radius,
+                      None if node.parent is None else frozenset(nodes[node.parent].members))
+                     for node in nodes}
 
 
 def wide_history_space():
@@ -589,25 +632,119 @@ def wide_history_space():
     rng = random.Random(64)
     histories = [format(rng.randrange(2 ** 9), "09b") for _ in range(150)]
     names = [f"w{i}" for i in rng.sample(range(150), 150)]
-    return UltrametricSpace.from_sequences(names, dict(zip(names, histories)))
+    return history_case("wide", names, dict(zip(names, histories)))
 
 
-TREE_CASES = HISTORY_CASES + [("wide", wide_history_space())]
+def three_children():
+    """Leaves a, b, c, d at adjacent ranks [2, 2, 1]: the root's children are {a}, {b} and {c, d}."""
+    table = [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, Fraction(1, 2)], [1, 1, Fraction(1, 2), 0]]
+    table = tuple(tuple(map(Fraction, row)) for row in table)
+    return "three-children", UltrametricSpace(list("abcd"), table), table
 
 
-@pytest.mark.parametrize("label, space", TREE_CASES, ids=[label for label, _ in TREE_CASES])
-def test_tree_readers_match_the_table(label, space):
+GENERATED_CASES = [case for case in CASES if case[0].startswith("generated-")]
+TREE_CASES = HISTORY_CASES + [wide_history_space()] + GENERATED_CASES + [three_children()]
+# Mostly broken, so held as tables; a perturbation may leave a valid table, held as a tree.
+PERTURBED_CASES = [case for case in CASES if not case[0].startswith(("generated-", "cantor-", "histories-"))]
+
+
+@pytest.mark.parametrize("label, space, table", TREE_CASES, ids=labels(TREE_CASES))
+def test_tree_readers_match_the_table(label, space, table):
+    assert space.tree is not None
     rng = random.Random(label)
-    assert_tree_matches_table(space, [rng.getrandbits(space.n) for _ in range(6)])
+    assert_readers_match_the_table(space, table, [rng.getrandbits(space.n) for _ in range(6)])
+
+
+@pytest.mark.parametrize("label, space, table", PERTURBED_CASES, ids=labels(PERTURBED_CASES))
+def test_perturbed_table_readers_match_the_table(label, space, table):
+    rng = random.Random(label)
+    assert_readers_match_the_table(space, table, [rng.getrandbits(space.n) for _ in range(6)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(history_files(), st.data())
 def test_generated_tree_readers_match_the_table(case, data):
-    names, sequences = case
-    space = UltrametricSpace.from_sequences(names, sequences)
+    _, space, table = history_case("generated", *case)
     masks = data.draw(st.lists(st.integers(0, space.full_mask), max_size=4))
-    assert_tree_matches_table(space, masks)
+    assert_readers_match_the_table(space, table, masks)
+
+
+def test_a_run_shared_by_three_children_ends_where_it_should():
+    """A lower pair after two equal pairs opens its ball after the second, not after the first."""
+    _, space, table = three_children()
+    assert [part.tolist() for part in space.tree] == [[0, 1, 2, 3], [2, 2, 1]]
+    assert space.tree_balls() == [(0, 4, 2, None), (2, 4, 1, 0), (0, 1, 0, 0), (1, 2, 0, 0),
+                                  (2, 3, 0, 1), (3, 4, 0, 1)]
+    assert space.nearest(space.index("c"), space.mask_of(["b"])) == 1
+    assert space.ball("c", Fraction(1, 2)) == {"c", "d"}
+    assert ball_tree(space) == ref_ball_tree(space.points, table)
+
+
+# --- the tree built from a table ----------------------------------------------
+
+def assert_tree_exactly_when_valid(points, table):
+    """A table is held as a tree iff it breaks no law but identity of indiscernibles; it keeps the table."""
+    space = UltrametricSpace(points, table)
+    laws = {violation.condition for violation in ref_validate(points, table)}
+    assert (space.tree is not None) == (laws <= {"identity-of-indiscernibles"}), laws
+    assert space.matrix() == tuple(map(tuple, table))
+    if space.tree is not None:
+        leaves, adjacent = (part.tolist() for part in space.tree)
+        distances = space.realized_distances()
+        assert sorted(leaves) == list(range(len(points)))
+        for i, a in enumerate(leaves):
+            for j in range(i + 1, len(leaves)):
+                b = leaves[j]
+                assert table[a][b] == table[b][a] == distances[max(adjacent[i:j])], (a, b)
+
+
+@pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
+def test_matrix_tree_exactly_when_valid(label, space, table):
+    assert_tree_exactly_when_valid(space.points, table)
+
+
+@st.composite
+def tables_with_twins(draw):
+    """History tables or generated tables with repeated points, some with entries changed."""
+    if draw(st.booleans()):
+        names, sequences = draw(history_files())
+        table = [[sequence_distance(sequences[a], sequences[b]) for b in names] for a in names]
+    else:
+        base = random_ultrametric_space(random.Random(draw(st.integers(0, 2 ** 32))), draw(st.integers(1, 8)))
+        copies = draw(st.lists(st.integers(0, base.n - 1), min_size=1, max_size=12))
+        table = [[base.dist(base.points[a], base.points[b]) for b in copies] for a in copies]
+        names = [f"p{i}" for i in range(len(copies))]
+    pool = list(LEVEL_POOL) + [Fraction(0), Fraction(-1, 4), Fraction(3, 2), Fraction(1, 64)]
+    for _ in range(draw(st.integers(0, 2)) if names else 0):
+        i, j = draw(st.integers(0, len(names) - 1)), draw(st.integers(0, len(names) - 1))
+        table[i][j] = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            table[j][i] = table[i][j]
+    return names, table
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_twins())
+def test_generated_tables_are_trees_exactly_when_valid(case):
+    assert_tree_exactly_when_valid(*case)
+
+
+def test_a_valid_table_builds_no_second_table():
+    """2,048 points: the rank table takes 4 MiB, and growing its tree allocates under a quarter of that."""
+    seqs = cantor_sequences(11)
+    source = cantor_space(11)
+    order = random.Random(11).sample(range(len(seqs)), len(seqs))
+    ranks = np.ascontiguousarray(source.ranks[np.ix_(order, order)])
+    points, distances = [seqs[i] for i in order], source.realized_distances()
+    tracemalloc.start()
+    try:
+        space = UltrametricSpace.from_ranks(points, distances, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.tree is not None and space.ranks is ranks
+    assert validate_space(space) == []
+    assert peak < ranks.nbytes // 4, peak
 
 
 def test_tree_readers_build_no_table(monkeypatch):

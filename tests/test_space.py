@@ -232,15 +232,16 @@ class TestConstruction:
         assert isinstance(refusal, TypeError)
         assert "is not an exact rational" in str(refusal)
 
-    # a and b 3/10 apart as a table; 1/4 apart as a tree, from histories.
+    # a and b 3/10 apart as a table, whose c breaks the strong triangle
+    # inequality so that no tree is built; 1/4 apart as a tree, from histories.
     RADIUS_SPACES = {
-        "table": lambda: UltrametricSpace.from_pairs(["a", "b"], {("a", "b"): "3/10"}),
+        "table": lambda: UltrametricSpace.from_pairs(
+            ["a", "b", "c"], {("a", "b"): "3/10", ("b", "c"): "3/10", ("a", "c"): "1"}),
         "tree": lambda: UltrametricSpace.from_sequences(["a", "b"], {"a": "00", "b": "01"}),
     }
     RADIUS_READERS = {
         "ball": lambda s, r: s.ball("a", r),
         "ball-partition": lambda s, r: s.ball_partition(r),
-        "ball-masks": lambda s, r: s.ball_masks(r),
         "step-table": lambda s, r: s.step_table(r, False, np.dtype(np.uint8), _ball_step),
         "interior-mask": lambda s, r: interior_mask(s, 1, r),
         "closure-mask": lambda s, r: closure_mask(s, 1, r),
@@ -270,6 +271,7 @@ class TestConstruction:
     def test_float_radius_is_refused_not_rounded(self):
         # 0.3 as a float is slightly below 3/10, so its ball would miss b.
         space = self.RADIUS_SPACES["table"]()
+        assert space.tree is None
         assert space.ball("a", Fraction(3, 10)) == {"a", "b"}
         with pytest.raises(TypeError):
             space.ball("a", 0.3)
