@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .axioms import SchemaError, match_axiom
+from .axioms import match_axiom
 from .constructions import (
     bilipschitz_bounds,
     check_bounded_morphism,
@@ -25,35 +25,17 @@ from .constructions import (
     load_point_map,
 )
 from .dendrogram import dendrogram_dot
-from .formula import GradeError, as_grade, format_formula
+from .formula import as_grade, format_formula
 from .harness import HarnessConfig, preservation_harness, report_to_dict
-from .modelio import (
-    InvalidSpaceError,
-    ModelFormatError,
-    dump_model,
-    load_model,
-    parse_valuation,
-    read_json,
-)
-from .parser import ParseError, parse
-from .proofs import ProofFormatError, check_proof, load_proof, verdict_to_dict
+from .modelio import dump_model, load_model, parse_valuation, read_json
+from .parser import parse
+from .proofs import check_proof, load_proof, verdict_to_dict
 from .semantics import holds, plausibility_degree, stability_degree, truthset
 from .space import UnknownPointError, cantor_sequences, validate_space
 from .validity import DEFAULT_CAP, EnumerationCapExceeded, valid_in_model
 
-_ERRORS = (
-    ParseError,
-    GradeError,
-    ModelFormatError,
-    InvalidSpaceError,
-    UnknownPointError,
-    EnumerationCapExceeded,
-    ProofFormatError,
-    SchemaError,
-    ValueError,
-    OSError,
-    MemoryError,
-)
+# Every library error for bad input is a ValueError, except the two named after it.
+_ERRORS = (ValueError, UnknownPointError, EnumerationCapExceeded, OSError, MemoryError)
 
 
 def _dumps(obj) -> str:

@@ -5,9 +5,11 @@ which no formula grade (at most 1) can reach, so each component is
 modally blind to the others.  Ball subspaces restrict both distances and
 the valuation.  Bounded morphisms are maps with a positive rational
 scaling constant k: distances shrink forward by at most k, and target
-balls pull back into k-inverse-scaled source balls.  Derived spaces are
-built from rank tables (:meth:`UltrametricSpace.from_ranks`), and the
-morphism checks compare whole rank tables.
+balls pull back into k-inverse-scaled source balls.  Unions, ball
+subspaces and rescalings take spaces held as trees
+(:attr:`UltrametricSpace.tree`) and build the result's tree from them
+(:meth:`UltrametricSpace.from_tree`); a space that breaks a metric law
+raises ValueError.  The morphism checks compare whole rank tables.
 """
 from __future__ import annotations
 
@@ -61,52 +63,65 @@ def union_point(component: int, name: str) -> str:
     return f"{component}:{name}"
 
 
+def _tree(space: UltrametricSpace, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The space's single-linkage tree; ValueError for a space that breaks a metric law."""
+    if space.tree is None:
+        raise ValueError(f"{name} breaks a metric law other than identity of indiscernibles")
+    return space.tree
+
+
 def disjoint_union(models: Sequence[Model]) -> Model:
     """Union of the models, components kept at distance 2 from each other.
 
     Point names are tagged with their component index; valuations merge
-    atom-wise across components.
+    atom-wise across components.  The trees join at distance 2, so no
+    component beside another may have a distance above 2.
     """
     if not models:
         raise ValueError("disjoint union needs at least one model")
     spaces = [model.space for model in models]
+    trees = [_tree(space, f"component {i}") for i, space in enumerate(spaces)]
     points = [union_point(i, p) for i, space in enumerate(spaces) for p in space.points]
-    # Each component uses all its distances; cross blocks, once two components have points, use 2.
     merged = set().union(*(space.realized_distances() for space in spaces))
     if sum(space.n > 0 for space in spaces) > 1:
+        if max(merged) > UNION_DISTANCE:
+            raise ValueError(f"component distance {max(merged)} is above the union distance {UNION_DISTANCE}")
         merged.add(UNION_DISTANCE)
     distances = sorted(merged)
     rank_of = {d: r for r, d in enumerate(distances)}
-    table = np.full((len(points), len(points)), rank_of.get(UNION_DISTANCE, 0),
-                    dtype=np.min_scalar_type(len(distances)))
-    start = 0
-    for space in spaces:
-        remap = np.array([rank_of[d] for d in space.realized_distances()], dtype=table.dtype)
-        table[start:start + space.n, start:start + space.n] = remap[space.ranks]
-        start += space.n
+    leaves, adjacent = [], []
+    for space, (order, heights) in zip(spaces, trees):
+        if space.n:
+            remap = np.array([rank_of[d] for d in space.realized_distances()])
+            # A pair at the union distance, the largest, joins each nonempty component to the one before.
+            adjacent += [len(distances) - 1] * bool(leaves) + remap[heights].tolist()
+            leaves += (order + len(leaves)).tolist()
 
     valuation: dict[str, set[str]] = {}
     for i, model in enumerate(models):
         for atom, members in model.valuation.items():
             valuation.setdefault(atom, set()).update(union_point(i, p) for p in members)
-    return Model(UltrametricSpace.from_ranks(points, distances, table), valuation)
+    return Model(UltrametricSpace.from_tree(points, distances, leaves, adjacent), valuation)
 
 
 def epsilon_subspace(model: Model, center: str, eps: Fraction) -> Model:
-    """The closed ball around ``center`` with distances and valuation restricted."""
+    """The closed ball around ``center`` with distances and valuation restricted.
+
+    The ball is a run of leaves; they are renumbered to the kept points'
+    order, and their adjacent ranks over the distances still used.
+    """
     space = model.space
     members = space.ball(center, eps)
-    kept = [p for p in space.points if p in members]
-    index = [space.index(p) for p in kept]
-    ranks = space.ranks[np.ix_(index, index)]
-    # Distances between points outside the ball drop out; renumber the ones kept.
-    realized = space.realized_distances()
-    used = np.zeros(len(realized), dtype=bool)
-    used[ranks] = True
-    renumber = (np.cumsum(used) - 1).astype(ranks.dtype)
-    distances = [d for d, is_used in zip(realized, used) if is_used]
-    valuation = {atom: held & members for atom, held in model.valuation.items()}
-    return Model(UltrametricSpace.from_ranks(kept, distances, renumber[ranks]), valuation)
+    order, heights = _tree(space, "the space")
+    index = np.array(sorted(map(space.index, members)), dtype=np.intp)
+    run = np.flatnonzero(np.isin(order, index))
+    # Distances between points outside the ball drop out, but not each point's 0 to itself.
+    ranks = heights[run[:-1]]
+    used = np.unique(np.append(ranks, 0)) if members else ranks
+    realized, kept = space.realized_distances(), [space.points[i] for i in index.tolist()]
+    sub = UltrametricSpace.from_tree(kept, [realized[r] for r in used.tolist()],
+                                     np.searchsorted(index, order[run]), np.searchsorted(used, ranks))
+    return Model(sub, {atom: held & members for atom, held in model.valuation.items()})
 
 
 def scale_space(space: UltrametricSpace, factor: Fraction) -> UltrametricSpace:
@@ -114,9 +129,9 @@ def scale_space(space: UltrametricSpace, factor: Fraction) -> UltrametricSpace:
     factor = read_rational(factor)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    # A positive factor keeps the distances in order, so the ranks stay.
+    # A positive factor keeps the distances in order, so the tree keeps its ranks.
     scaled = [d * factor for d in space.realized_distances()]
-    return UltrametricSpace.from_ranks(space.points, scaled, space.ranks)
+    return UltrametricSpace.from_tree(space.points, scaled, *_tree(space, "the space"))
 
 
 @dataclass

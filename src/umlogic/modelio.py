@@ -80,9 +80,8 @@ def model_from_dict(data, *, validate: bool = True) -> Model:
             isinstance(row, list) and len(row) == len(points) for row in matrix
         ):
             raise ModelFormatError(f'"matrix" must be a {len(points)}x{len(points)} array')
-        parsed = [[parse_rational(v) for v in row] for row in matrix]
         try:
-            space = UltrametricSpace(points, parsed)
+            space = UltrametricSpace(points, matrix, read=parse_rational)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
     else:

@@ -8,12 +8,11 @@ identity of indiscernibles is held as that tree
 (:attr:`UltrametricSpace.tree`): its points as leaves, left to right, and
 the rank of each adjacent pair's distance.  A ball of any grade is a run
 of adjacent leaves.  Binary histories give the tree by sorting, with no
-n x n array.  A table of ranks (a matrix, union, subspace or rescaling,
-by :meth:`UltrametricSpace.from_ranks`) gives it by Prim's single-linkage
-tree and is kept as :attr:`UltrametricSpace.ranks`, which a history tree
-derives on first read.  Only a space that breaks a law is held as its
-table alone.  :meth:`UltrametricSpace.matrix` derives the Fraction table
-on demand, for callers outside the library.
+n x n array, and unions, ball subspaces and rescalings build it from
+their inputs' trees (:meth:`UltrametricSpace.from_tree`).  Only a matrix
+gives it by Prim's single-linkage tree of its table, which it keeps as
+:attr:`UltrametricSpace.ranks`; a tree derives that table on first read.
+Only a space that breaks a law is held as its table alone.
 
 For each grade asked about, the space caches the distinct closed balls
 once, each with the mask of the points whose ball it is
@@ -90,9 +89,12 @@ MAX_HISTORY_LENGTH = 14284
 
 
 def _bitmask(indexes: list[int]) -> int:
-    """The bitmask with the given distinct point indexes set."""
-    if len(indexes) < 64:
-        return sum(map((1).__lshift__, indexes))
+    """The bitmask with the given point indexes set; an index may repeat."""
+    if len(indexes) < 256:  # below this, or-ing bits in one at a time beats numpy's fixed cost
+        mask = 0
+        for i in indexes:
+            mask |= 1 << i
+        return mask
     indexes = np.array(indexes)
     low = int(indexes.min())
     bits = np.zeros(int(indexes.max()) - low + 1, dtype=np.uint8)
@@ -103,21 +105,35 @@ def _bitmask(indexes: list[int]) -> int:
 class UltrametricSpace:
     """Finite point set with exact distances held as ranks into a sorted list, by a tree or a table."""
 
-    def __init__(self, points: Sequence[str], matrix: Sequence[Sequence[Fraction | int | str]]):
+    def __init__(self, points: Sequence[str], matrix: Sequence[Sequence[Fraction | int | str]],
+                 *, read: Callable[[object], Fraction] = read_rational):
+        """A space from an n x n table of distances; ``read`` reads each entry distinct by type and value once.
+
+        So ``True`` is read apart from ``1``, and the first entry refused in row-major order raises.
+        """
         n = len(points)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("distance matrix shape does not match the point list")
-        flat = [read_rational(v) for row in matrix for v in row]
-        distances = sorted(set(flat))
+        code_of: dict = {}
+        try:
+            codes = [code_of.setdefault((type(v), v), len(code_of)) for row in matrix for v in row]
+        except TypeError:  # an unhashable entry: read them all in order, so the first refused raises
+            list(map(read, (v for row in matrix for v in row)))
+            raise
+        # Keys are in order of first appearance, so the first one refused is the first bad entry.
+        numbers = [read(v) for _, v in code_of]
+        distances = sorted(set(numbers))
         rank = {d: r for r, d in enumerate(distances)}
-        self._setup(points, distances, np.array([rank[d] for d in flat]).reshape(n, n))
+        ranks = np.array([rank[d] for d in numbers], dtype=np.intp)[np.array(codes, dtype=np.intp)]
+        self._setup(points, distances, ranks.reshape(n, n))
 
-    def _setup(self, points: Sequence[str], distances: list[Fraction], ranks: np.ndarray | None) -> None:
-        """State shared by every constructor; ranks take the smallest unsigned type and are frozen.
+    def _setup(self, points: Sequence[str], distances: list[Fraction], ranks: np.ndarray | None,
+               tree: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """State shared by every constructor: a table of ranks, or a tree as :attr:`tree` holds it.
 
-        A table whose least distance is 0, whose diagonal is rank 0 and which
-        :func:`_single_linkage` accepts is also held as that tree.  ``ranks``
-        is None only for :meth:`from_sequences`, which plants its tree next.
+        Ranks take the smallest unsigned type and are frozen.  A table whose
+        least distance is 0, whose diagonal is rank 0 and which
+        :func:`_single_linkage` accepts is also held as that tree.
         """
         self._points = tuple(points)
         if len(set(self._points)) != len(self._points):
@@ -125,23 +141,18 @@ class UltrametricSpace:
         self._index = {p: i for i, p in enumerate(self._points)}
         self._distances = distances
         self._ranks = None if ranks is None else self._frozen(ranks)
-        self._tree: tuple[np.ndarray, np.ndarray] | None = None
-        self._position: np.ndarray | None = None  # each point's place among a tree's leaves
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
         self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
         self._nesting: tuple[list[tuple[int, int, int, int | None]], list[int]] | None = None
         self._ball_masks: dict[int, int] = {}
         if ranks is not None and not (distances and distances[0]) and not np.diagonal(self._ranks).any():
             tree = _single_linkage(self._ranks)
-            if tree is not None:
-                self._plant(*tree)
-
-    def _plant(self, leaves: np.ndarray, adjacent: np.ndarray) -> None:
-        """Hold the space as the tree with these leaves (point indexes, left to right) and adjacent ranks."""
-        leaves.setflags(write=False)
-        self._tree = (leaves, self._frozen(adjacent))
-        self._position = np.empty(self.n, dtype=np.intp)
-        self._position[leaves] = np.arange(self.n)
+        self._tree = self._position = None  # the tree, and each point's place among its leaves
+        if tree is not None:
+            tree[0].setflags(write=False)
+            self._tree = (tree[0], self._frozen(tree[1]))
+            self._position = np.empty(self.n, dtype=np.intp)
+            self._position[tree[0]] = np.arange(self.n)
 
     def _frozen(self, ranks: np.ndarray) -> np.ndarray:
         """Ranks in the smallest unsigned type that holds every rank, read-only."""
@@ -213,27 +224,24 @@ class UltrametricSpace:
         levels = sorted(set(lcp) | {length}, reverse=True)
         distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]] if n else []
         rank_of = {m: r for r, m in enumerate(levels)}
-        space = cls.__new__(cls)
-        space._setup(points, distances, None)
-        space._plant(np.array(order, dtype=np.intp), np.array([rank_of[m] for m in lcp]))
-        return space
+        return cls.from_tree(points, distances, order, [rank_of[m] for m in lcp])
 
     @classmethod
-    def from_ranks(
-        cls, points: Sequence[str], distances: Sequence[Fraction], ranks: np.ndarray
+    def from_tree(
+        cls, points: Sequence[str], distances: Sequence[Fraction], leaves, adjacent
     ) -> "UltrametricSpace":
-        """A space from ascending distinct distances and an n x n table of ranks into them.
+        """The space held as a single-linkage tree: the inverse of :attr:`tree`.
 
-        The table must use every distance, as :meth:`realized_distances`
-        reports them all.  It is frozen, and copied only to take the
-        smallest unsigned type.  A table valid up to identity of
-        indiscernibles is held as its single-linkage tree too (:attr:`tree`).
+        ``distances`` ascend from 0, each realized by some adjacent pair or
+        the diagonal.  ``leaves`` lists each point index once, with every
+        group of twins in point order, as :func:`validate_space` expects.
+        Arrays are frozen, and copied only to take an index or rank type.
         """
         n = len(points)
-        if ranks.shape != (n, n):
-            raise ValueError("rank table shape does not match the point list")
+        if len(leaves) != n or len(adjacent) != max(n - 1, 0):
+            raise ValueError("tree shape does not match the point list")
         space = cls.__new__(cls)
-        space._setup(points, list(distances), ranks)
+        space._setup(points, list(distances), None, (np.asarray(leaves, dtype=np.intp), np.asarray(adjacent)))
         return space
 
     @property
@@ -252,13 +260,12 @@ class UltrametricSpace:
     def ranks(self) -> np.ndarray:
         """The read-only n x n table of indexes into :meth:`realized_distances`.
 
-        A space built from a table keeps the table it was given.  A tree
-        from histories derives it on first read, each row of the leaf order
+        A space built from a matrix keeps the table it was given.  A space
+        built as a tree derives it on first read, each row of the leaf order
         a running maximum over the adjacent ranks, and keeps it.
         """
         if self._ranks is None:
-            leaves, adjacent = self._tree
-            n = len(leaves)
+            adjacent, n = self._tree[1], self.n
             table = np.zeros((n, n), dtype=adjacent.dtype)
             for i in range(n - 1):
                 table[i, i + 1:] = table[i + 1:, i] = np.maximum.accumulate(adjacent[i:])
@@ -271,8 +278,11 @@ class UltrametricSpace:
 
         Both arrays are read-only; two leaves are as far apart as the
         largest adjacent rank between them.  Leaves are in sorted-history
-        order for histories and in Prim's visiting order for a table.  None
-        for a space that breaks a law other than identity of indiscernibles.
+        order for histories and in Prim's visiting order for a matrix; a
+        union concatenates its components' leaves, a ball subspace keeps a
+        run of its parent's, and a rescaling keeps its input's tree
+        (:meth:`from_tree`).  None for a space that breaks a law other
+        than identity of indiscernibles.
         """
         return self._tree
 
@@ -292,16 +302,13 @@ class UltrametricSpace:
         low, high = sorted((self._position[i], self._position[j]))
         return self._distances[self._tree[1][low:high].max(initial=0)]
 
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The exact distance table, derived from the ranks on each call."""
-        d = self._distances
-        return tuple(tuple(d[r] for r in row) for row in self.ranks.tolist())
-
     def mask_of(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.index(name)
-        return mask
+        """The bitmask of the named points; the first unknown name, in the order given, raises."""
+        try:
+            indexes = [self._index[name] for name in names]
+        except KeyError as exc:
+            raise UnknownPointError(exc.args[0]) from None
+        return _bitmask(indexes)
 
     def names_of(self, mask: int) -> frozenset[str]:
         return frozenset(map(self._points.__getitem__, self.members(mask).tolist()))
@@ -371,10 +378,9 @@ class UltrametricSpace:
         return table
 
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
-        """The closed ball around ``x`` of radius ``eps``; always contains x."""
+        """The closed ball around ``x`` of radius ``eps``: it contains x, or nothing for a negative radius."""
         bit = 1 << self.index(x)
-        pairs = self.ball_partition(eps)
-        return self.names_of(next(ball for ball, centres in pairs if centres & bit))
+        return self.names_of(next(ball for ball, centres in self.ball_partition(eps) if centres & bit))
 
     def distinct_balls(self) -> list[tuple[int, Fraction, int]]:
         """Each distinct closed ball once, as (centre index, radius, mask).
@@ -505,7 +511,7 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
     pts = space.points
     if space.tree is not None:
         leaves, adjacent = space.tree
-        # Both constructors keep each group of twins adjacent and in point
+        # Every constructor keeps each group of twins adjacent and in point
         # order, so the least adjacent twin pair is the first in point order.
         equal = np.flatnonzero(adjacent == 0)
         twins = min(zip(leaves[equal].tolist(), leaves[equal + 1].tolist()), default=None)
@@ -622,7 +628,7 @@ def sequence_distance(x: str, y: str) -> Fraction:
 
 #: The deepest binary-history space built: 2^16 = 65,536 worlds.  The
 #: space holds its tree, O(n) numbers, but its n x n rank table, which
-#: model output and the constructions derive, would take 4 GiB, and each
+#: model output and the morphism checks derive, would take 4 GiB, and each
 #: level more quadruples it; ``cantor_sequences(40)`` would build 2^40
 #: strings.
 MAX_CANTOR_DEPTH = 16
@@ -651,19 +657,15 @@ class Model:
     """A space plus a valuation assigning each atom the set of points where it holds.
 
     The space and the valuation are read-only, because each atom's bitmask
-    is computed once, here.
+    is computed once, here; the first unknown point of an atom, in the
+    order given, raises :class:`UnknownPointError`.
     """
 
     def __init__(self, space: UltrametricSpace, valuation: Mapping[str, Iterable[str]] | None = None):
         self._space = space
-        self._valuation: dict[str, frozenset[str]] = {}
-        for atom, members in (valuation or {}).items():
-            members = frozenset(members)
-            for p in members:
-                if p not in space:
-                    raise UnknownPointError(p)
-            self._valuation[atom] = members
-        self._atom_masks = {atom: space.mask_of(held) for atom, held in self._valuation.items()}
+        listed = {atom: list(members) for atom, members in (valuation or {}).items()}
+        self._atom_masks = {atom: space.mask_of(names) for atom, names in listed.items()}
+        self._valuation = {atom: frozenset(names) for atom, names in listed.items()}
 
     @property
     def space(self) -> UltrametricSpace:

@@ -5,6 +5,12 @@ import pytest
 from umlogic.space import Model, UltrametricSpace, cantor_sequences
 
 
+def dense_table(space: UltrametricSpace) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact distance table of a space, built from its ranks in test code."""
+    distances = space.realized_distances()
+    return tuple(tuple(distances[r] for r in row) for row in space.ranks.tolist())
+
+
 def w_named_space(depth: int) -> UltrametricSpace:
     """Binary-history space with points renamed w0, w1, ... in event-tree order."""
     sequences = cantor_sequences(depth)

@@ -369,6 +369,14 @@ class TestConstructions:
         assert "2" in {d for row in payload["distance"]["matrix"] for d in row}
         assert main(["validate-model", "--model", str(out_path)]) == 0
 
+    def test_union_past_distance_two_exits_2(self, capsys, tmp_path):
+        wide, single = tmp_path / "wide.json", tmp_path / "single.json"
+        wide.write_text(json.dumps({"points": ["a", "b"], "distance": {"matrix": [["0", "3"], ["3", "0"]]}}))
+        single.write_text(json.dumps({"points": ["c"], "distance": {"matrix": [["0"]]}}))
+        code, out, err = run(capsys, ["union", "--model", str(wide), "--model", str(single)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "component distance 3 is above the union distance 2"
+
     def test_ball_extraction(self, capsys, tree_model, tmp_path):
         out_path = tmp_path / "ball.json"
         code = main(["ball", "--model", str(tree_model), "--world", "w0",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense_table
 from umlogic.constructions import (
     PointMap,
     bilipschitz_bounds,
@@ -45,7 +46,7 @@ class TestDisjointUnion:
         m = Model(cantor_space(2), {"p": ["11", "10"]})
         union = disjoint_union([m])
         assert union.space.points == tuple(union_point(0, p) for p in m.space.points)
-        assert union.space.matrix() == m.space.matrix()
+        assert dense_table(union.space) == dense_table(m.space)
         assert union.atom_set("p") == {"0:11", "0:10"}
 
     def test_two_depth1_components_realized_distances(self):
@@ -73,6 +74,25 @@ class TestDisjointUnion:
         with pytest.raises(ValueError):
             disjoint_union([])
 
+    def test_component_distance_above_two_refused(self):
+        wide = Model(UltrametricSpace(["a", "b"], [[0, 3], [3, 0]]), {"p": ["a"]})
+        single = Model(UltrametricSpace(["c"], [[0]]))
+        with pytest.raises(ValueError, match="^component distance 3 is above the union distance 2$"):
+            disjoint_union([single, wide])
+        # Alone, or beside empty components, nothing sits at distance 2.
+        empty = Model(UltrametricSpace([], []))
+        assert disjoint_union([empty, wide, empty]).space.realized_distances() == [0, 3]
+        at_two = Model(UltrametricSpace(["a", "b"], [[0, 2], [2, 0]]))
+        assert validate_space(disjoint_union([at_two, single]).space) == []
+
+    def test_a_space_without_a_tree_is_refused(self, triangle_space):
+        with pytest.raises(ValueError, match="component 1 breaks a metric law"):
+            disjoint_union([Model(cantor_space(1)), Model(triangle_space)])
+        with pytest.raises(ValueError, match="the space breaks a metric law"):
+            epsilon_subspace(Model(triangle_space), "a", Fraction(1, 2))
+        with pytest.raises(ValueError, match="the space breaks a metric law"):
+            scale_space(triangle_space, 2)
+
 
 class TestEpsilonSubspace:
     def test_depth3_eighth_ball(self):
@@ -92,7 +112,7 @@ class TestEpsilonSubspace:
         m = Model(cantor_space(2), {"q": ["00"]})
         sub = epsilon_subspace(m, "11", Fraction(1))
         assert sub.space.points == m.space.points
-        assert sub.space.matrix() == m.space.matrix()
+        assert dense_table(sub.space) == dense_table(m.space)
 
     def test_subspaces_validate(self):
         rng = random.Random(42)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense_table
+from umlogic import modelio
 from umlogic.modelio import (
     InvalidSpaceError,
     ModelFormatError,
@@ -79,6 +81,37 @@ class TestLoading:
         with pytest.raises(ModelFormatError, match="unknown point 'zz'$"):
             model_from_dict(data)
 
+    def test_each_distinct_entry_is_read_once(self, monkeypatch):
+        """Six points in two blocks: 36 entries, of which four are distinct by type and value."""
+        calls = []
+
+        def counting(value, **kwargs):
+            calls.append(value)
+            return parse_rational(value, **kwargs)
+
+        parse_rational = modelio.parse_rational
+        monkeypatch.setattr(modelio, "parse_rational", counting)
+        names = [f"p{i}" for i in range(6)]
+        matrix = [["0" if i == j else "1/2" if i // 3 == j // 3 else 1 if i < j else "1"
+                   for j in range(6)] for i in range(6)]
+        space = model_from_dict({"points": names, "distance": {"matrix": matrix}}).space
+        assert calls == ["0", "1/2", 1, "1"]
+        assert space.realized_distances() == [0, Fraction(1, 2), 1]
+        assert space.dist("p0", "p5") == space.dist("p5", "p0") == 1
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[0, 1], [True, 0]], "distance True must be an exact-rational string, not a float/bool"),
+        ([[True, 1], [1, 0]], "distance True must be an exact-rational string, not a float/bool"),
+        ([["0", "x"], ["y", "0"]], "unreadable distance 'x'"),
+        ([["0", "x"], [["1"], "0"]], "unreadable distance 'x'"),
+        ([["0", ["1"]], ["x", "0"]], r"unreadable distance \['1'\]"),
+        ([["0", "1"], ["1e3", 0.5]], "unreadable distance '1e3'"),
+        ([["0", {}], [0.5, "0"]], "unreadable distance {}"),
+    ], ids=["bool-beside-1", "bool-first", "text", "text-then-list", "list-first", "exponent", "dict"])
+    def test_first_bad_entry_in_row_major_order_is_named(self, matrix, message):
+        with pytest.raises(ModelFormatError, match=f"^{message}$"):
+            model_from_dict({"points": ["a", "b"], "distance": {"matrix": matrix}})
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -125,7 +158,7 @@ class TestRoundTrip:
         save_model(model, path)
         again = load_model(path)
         assert again.space.points == model.space.points
-        assert again.space.matrix() == model.space.matrix()
+        assert dense_table(again.space) == dense_table(model.space)
         assert again.valuation == model.valuation
 
     def test_dump_is_deterministic(self):

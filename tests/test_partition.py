@@ -24,6 +24,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import dense_table
 from test_rank_table import CASES, IDS, probe_grades, ref_ball_masks, ref_realized
 from umlogic import semantics
 from umlogic.formula import And, Atom, Box, Diamond, Not, atoms, desugar, subformulas
@@ -55,7 +56,7 @@ def ref_closure(table, mask, eps):
 
 def ref_eval_chunk(space, order, atom_arrays, size):
     """The earlier ``validity._eval_chunk``: one numpy pass per world for every box."""
-    table = space.matrix()
+    table = dense_table(space)
     full = np.uint64(space.full_mask)
     values = {}
     for g in order:
@@ -185,7 +186,7 @@ def test_valid_in_model_at_bounds(n):
     """uint8 up to 8 points, uint16 up to 16, tables up to 18; one atom past 9 keeps this fast."""
     rng = random.Random(n)
     space = random_ultrametric_space(rng, n)
-    grades = formula_grades(space.matrix())
+    grades = formula_grades(dense_table(space))
     names = ("p", "q") if n <= 9 else ("p",)
     formulas = [random_schema_instance(rng, schema, names, grades, formula_depth=1)[0]
                 for schema in ("K", "T", "UM3", "D")]
@@ -201,7 +202,7 @@ def test_valid_in_model_at_bounds(n):
 
 def test_step_tables_are_read_only_and_per_space():
     first, second = (random_ultrametric_space(random.Random(3), 9) for _ in range(2))
-    assert first.matrix() == second.matrix()
+    assert dense_table(first) == dense_table(second)
     grade = first.realized_distances()[1]
     above = (grade + first.realized_distances()[2]) / 2
     for meets in (False, True):

@@ -8,16 +8,17 @@ and the constructions, morphism checks and model output that built or
 read a Fraction matrix pair by pair.  Each test builds the reference table independently of the
 space (from the input matrix, or from ``sequence_distance`` over
 histories); for generated spaces, whose input matrix is internal to the
-generator, it is read back through ``matrix()``.
+generator, it is read back through ``dense_table``.
 
 Every space that satisfies the laws up to identity of indiscernibles is
 held as its single-linkage tree: a space from histories by sorting them,
-a table (generated spaces, unions, subspaces, rescalings) by Prim's
-algorithm.  Its balls, nearest points, distances, ball listing,
-dendrogram and validation report are read from the tree, and each is
-compared with the dense references on every space here, on generated
-history files with duplicates and on generated tables with twins.  The
-broken and perturbed tables keep the table and its readers.
+a matrix (generated spaces) by Prim's algorithm, and a union, ball
+subspace or rescaling from its inputs' trees.  Its balls, nearest
+points, distances, ball listing, dendrogram and validation report are
+read from the tree, and each is compared with the dense references on
+every space here, on generated history files with duplicates and on
+generated tables with twins.  The broken and perturbed tables keep the
+table and its readers, and the constructions refuse them.
 """
 import json
 import random
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 import umlogic.space as space_module
 
+from conftest import dense_table
 from umlogic.constructions import (
     UNION_DISTANCE,
     BilipschitzReport,
@@ -46,7 +48,7 @@ from umlogic.constructions import (
 from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
 from umlogic.formula import Atom
 from umlogic.generators import LEVEL_POOL, random_ultrametric_space
-from umlogic.modelio import dump_model, load_model, model_from_dict
+from umlogic.modelio import dump_model, load_model
 from umlogic.semantics import plausibility_degree, stability_degree, truthset
 from umlogic.space import (
     Model,
@@ -240,7 +242,7 @@ def generated_cases():
     for n in (1, 2, 3, 5, 8, 13, 21):
         for k in range(4):
             space = random_ultrametric_space(rng, n)
-            cases.append((f"generated-{n}-{k}", space, space.matrix()))
+            cases.append((f"generated-{n}-{k}", space, dense_table(space)))
     return cases
 
 
@@ -287,7 +289,7 @@ def broken_cases():
     pool = list(LEVEL_POOL) + [F(0), F(-1, 4), F(3, 2)]
     for k in range(40):
         n = rng.randint(3, 9)
-        m = [list(row) for row in random_ultrametric_space(rng, n).matrix()]
+        m = [list(row) for row in dense_table(random_ultrametric_space(rng, n))]
         for _ in range(rng.randint(1, 3)):
             i, j = rng.randrange(n), rng.randrange(n)
             m[i][j] = rng.choice(pool)
@@ -321,7 +323,7 @@ def probe_grades(realized):
 @pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
 class TestAgainstDenseTable:
     def test_matrix_view_and_distances(self, label, space, table):
-        assert space.matrix() == table
+        assert dense_table(space) == table
         assert space.realized_distances() == ref_realized(table)
         assert all(type(d) is Fraction for d in space.realized_distances())
         assert space.ranks.dtype.kind == "u"
@@ -399,13 +401,20 @@ def plain_valuation(model):
 
 
 def assert_same_model(built, points, matrix, valuation):
-    """``built`` equals the model the matrix constructor makes from a Fraction table."""
+    """``built`` is a tree equal to the model the matrix constructor makes from a Fraction table."""
     expected = Model(UltrametricSpace(points, matrix), valuation)
+    assert built.space.tree is not None
     assert built.space.points == expected.space.points
-    assert built.space.matrix() == expected.space.matrix()
+    assert dense_table(built.space) == dense_table(expected.space)
     assert built.space.realized_distances() == expected.space.realized_distances()
     assert built.space.ranks.dtype == expected.space.ranks.dtype
+    assert validate_space(built.space) == validate_space(expected.space)
     assert dump_model(built) == ref_dump(points, matrix, valuation)
+
+
+def breaks_a_law(points, table):
+    """Whether the table breaks a metric law other than identity of indiscernibles."""
+    return any(v.condition != "identity-of-indiscernibles" for v in ref_validate(points, table))
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=IDS)
@@ -416,21 +425,36 @@ class TestConstructionsAgainstDenseTable:
         model, other_model = case_model(label, space), case_model(other_label, other)
         one = (space.points, table, plain_valuation(model))
         two = (other.points, other_table, plain_valuation(other_model))
-        for parts, models in (([one], [model]), ([one, one], [model, model]),
-                              ([one, two], [model, other_model])):
-            assert_same_model(disjoint_union(models), *ref_union(parts))
+        broken = breaks_a_law(space.points, table)
+        for parts, models, refused in (([one], [model], broken), ([one, one], [model, model], broken),
+                                       ([one, two], [model, other_model],
+                                        broken or breaks_a_law(other.points, other_table))):
+            if refused:
+                with pytest.raises(ValueError, match="breaks a metric law"):
+                    disjoint_union(models)
+            else:
+                assert_same_model(disjoint_union(models), *ref_union(parts))
 
     def test_epsilon_subspace(self, index):
         label, space, table = CASES[index]
-        model = case_model(label, space)
+        model, broken = case_model(label, space), breaks_a_law(space.points, table)
         for center in space.points[:4] + space.points[-1:]:
             for eps in probe_grades(ref_realized(table)):
+                if broken:
+                    with pytest.raises(ValueError, match="the space breaks a metric law"):
+                        epsilon_subspace(model, center, eps)
+                    continue
                 expected = ref_subspace(space.points, table, plain_valuation(model), center, eps)
                 assert_same_model(epsilon_subspace(model, center, eps), *expected)
 
     def test_scale_space(self, index):
         label, space, table = CASES[index]
+        broken = breaks_a_law(space.points, table)
         for factor in SCALES:
+            if broken:
+                with pytest.raises(ValueError, match="the space breaks a metric law"):
+                    scale_space(space, factor)
+                continue
             scaled = Model(scale_space(space, factor))
             assert_same_model(scaled, space.points, [[d * factor for d in row] for row in table], {})
 
@@ -465,25 +489,59 @@ class TestConstructionsAgainstDenseTable:
                     space.points, table, tgt.n, tgt_table, image, k)
 
 
-def test_constructions_never_build_the_fraction_matrix(monkeypatch):
-    """Constructions, morphism checks and model output all run on the rank table."""
-    def refuse(self):
-        raise AssertionError("matrix() called")
+def refuse(name):
+    """A stand-in that fails the test when the code under test reaches ``name``."""
+    def raise_(*args):
+        raise AssertionError(f"{name} reached")
+    return raise_
 
-    monkeypatch.setattr(UltrametricSpace, "matrix", refuse)
+
+def test_constructions_build_their_trees_from_their_inputs_trees(monkeypatch):
+    """Unions, balls and rescalings of history and matrix trees read no table and run no Prim."""
     seqs = cantor_sequences(3)
-    model = model_from_dict({"points": seqs, "distance": {"sequences": dict(zip(seqs, seqs))},
-                             "valuation": {"p": seqs[:2]}})
-    space = model.space
-    identity = PointMap({p: p for p in space.points}, Fraction(1, 2))
-    union = disjoint_union([model, model])
-    sub = epsilon_subspace(union, union.space.points[0], Fraction(1, 4))
-    scaled = scale_space(space, Fraction(1, 2))
-    assert check_frame_morphism(space, scaled, identity).ok
-    assert check_bounded_morphism(model, Model(scaled, model.valuation), identity).ok
-    assert bilipschitz_bounds(space, scaled, identity).tightest_k == 2
-    for built in (model, union, sub, Model(scaled)):
-        assert dump_model(built)
+    _, history_space, history_table = history_case("history", seqs, dict(zip(seqs, seqs)))
+    _, matrix_space, matrix_table = CASES[IDS.index("generated-8-1")]
+    history = Model(history_space, {"p": seqs[:2]})
+    matrix = Model(matrix_space, {"p": matrix_space.points[::2]})
+    parts = [(m.space.points, table, plain_valuation(m))
+             for m, table in ((history, history_table), (matrix, matrix_table), (history, history_table))]
+    grades = (Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2))
+    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
+    monkeypatch.setattr(space_module, "_single_linkage", refuse("_single_linkage"))
+    union = disjoint_union([history, matrix, history])
+    balls = [(m, eps, epsilon_subspace(m, m.space.points[-2], eps)) for m in (history, matrix, union)
+             for eps in grades]
+    scaled = [(m, scale_space(m.space, Fraction(3, 4))) for m in (history, matrix, union)]
+    monkeypatch.undo()
+    union_parts = ref_union(parts)
+    tables = {id(history): history_table, id(matrix): matrix_table, id(union): union_parts[1]}
+    assert_same_model(union, *union_parts)
+    for m, eps, ball in balls:
+        center = m.space.points[-2]
+        assert_same_model(ball, *ref_subspace(m.space.points, tables[id(m)], plain_valuation(m), center, eps))
+    for m, space in scaled:
+        table = [[d * Fraction(3, 4) for d in row] for row in tables[id(m)]]
+        assert_same_model(Model(space), m.space.points, table, {})
+    # The morphism checks read the tables of built trees.
+    identity, scaled_history = PointMap({p: p for p in seqs}, Fraction(3, 4)), scaled[0][1]
+    assert check_frame_morphism(history.space, scaled_history, identity).ok
+    assert check_bounded_morphism(history, Model(scaled_history, history.valuation), identity).ok
+    assert bilipschitz_bounds(history.space, scaled_history, identity).tightest_k == Fraction(4, 3)
+
+
+def test_a_deep_ball_allocates_no_table():
+    """8,192 worlds: a table would take 64 MiB; the ball of 2,048 worlds is cut from the tree in far less."""
+    model = Model(cantor_space(13))
+    center = model.space.points[5]
+    tracemalloc.start()
+    try:
+        sub = epsilon_subspace(model, center, Fraction(1, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.space.points == tuple(p for p in model.space.points if p[:2] == center[:2])
+    assert sub.space.tree is not None and validate_space(sub.space) == []
+    assert peak < 16 * 2 ** 20, peak
 
 
 EMPTY_SPACES = [("matrix", UltrametricSpace([], [])), ("sequences", UltrametricSpace.from_sequences([], {}))]
@@ -508,18 +566,21 @@ def test_constructions_on_empty_spaces_match_the_dense_table(label, empty):
     assert bilipschitz_bounds(empty, empty, pm) == ref_bilipschitz([], [], 0, [], [], pm.k)
 
 
-@pytest.mark.parametrize("n", [23, 24, 25])
-def test_subspace_renumbering_across_rank_types(n):
-    """Near 256 distances the sub-table may need a narrower rank type than its parent."""
-    rng = random.Random(n)
-    values = rng.sample(range(1, 1000), n * (n - 1) // 2)
-    table = [[Fraction(0)] * n for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for (i, j), value in zip(pairs, values):
-        table[i][j] = table[j][i] = Fraction(value, 1000)
-    points = [f"p{i}" for i in range(n)]
+@pytest.mark.parametrize("seed", [23, 24, 25])
+def test_subspace_renumbering_across_rank_types(seed):
+    """260 distances take uint16 ranks; a ball that keeps at most 256 of them takes uint8.
+
+    d(p_i, p_j) = max(i, j) / 1000 is an ultrametric; the points are listed
+    in a shuffled order, so the ball's leaves are renumbered as well.
+    """
+    n = 260
+    order = random.Random(seed).sample(range(n), n)
+    points = [f"p{i}" for i in order]
+    levels = [Fraction(k, 1000) for k in range(n)]
+    table = [[levels[max(i, j)] if i != j else levels[0] for j in order] for i in order]
     model = Model(UltrametricSpace(points, table))
-    for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 5)):
+    assert model.space.ranks.dtype == np.uint16
+    for eps in (Fraction(256, 1000), Fraction(255, 1000)):
         assert_same_model(epsilon_subspace(model, "p0", eps),
                           *ref_subspace(points, table, {}, "p0", eps))
 
@@ -567,17 +628,12 @@ def test_generated_history_validation_matches_both_references(case):
 def test_history_validation_runs_no_table_pass(monkeypatch):
     """A tree is checked without its table; a broken table runs the sweep only when Prim refuses it."""
     expected = [ref_validate(space.points, table) for _, space, table in HISTORY_CASES]
-    matrix = UltrametricSpace(cantor_space(3).points, cantor_space(3).matrix())
+    matrix = UltrametricSpace(cantor_space(3).points, dense_table(cantor_space(3)))
     triangle, asymmetric = (CASES[IDS.index(label)][1] for label in ("triangle", "asymmetric"))
     # Off its diagonal a tree, but not held as one: d(a, a) is 1/8.
     laminar_table = [[Fraction(1, 8), Fraction(1, 2), 1], [Fraction(1, 2), 0, 1], [1, 1, 0]]
     laminar = UltrametricSpace(["a", "b", "c"], laminar_table)
     assert matrix.tree is not None and laminar.tree is None
-
-    def refuse(name):
-        def raise_(*args):
-            raise AssertionError(f"{name} reached")
-        return raise_
 
     monkeypatch.setattr(space_module, "_strong_triangle_witness", refuse("_strong_triangle_witness"))
     assert validate_space(laminar) == ref_validate(laminar.points, laminar_table)
@@ -687,7 +743,7 @@ def assert_tree_exactly_when_valid(points, table):
     space = UltrametricSpace(points, table)
     laws = {violation.condition for violation in ref_validate(points, table)}
     assert (space.tree is not None) == (laws <= {"identity-of-indiscernibles"}), laws
-    assert space.matrix() == tuple(map(tuple, table))
+    assert dense_table(space) == tuple(map(tuple, table))
     if space.tree is not None:
         leaves, adjacent = (part.tolist() for part in space.tree)
         distances = space.realized_distances()
@@ -735,24 +791,22 @@ def test_a_valid_table_builds_no_second_table():
     source = cantor_space(11)
     order = random.Random(11).sample(range(len(seqs)), len(seqs))
     ranks = np.ascontiguousarray(source.ranks[np.ix_(order, order)])
-    points, distances = [seqs[i] for i in order], source.realized_distances()
     tracemalloc.start()
     try:
-        space = UltrametricSpace.from_ranks(points, distances, ranks)
+        tree = space_module._single_linkage(ranks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert space.tree is not None and space.ranks is ranks
+    assert tree is not None
+    space = UltrametricSpace.from_tree([seqs[i] for i in order], source.realized_distances(), *tree)
+    assert np.array_equal(space.ranks, ranks)
     assert validate_space(space) == []
     assert peak < ranks.nbytes // 4, peak
 
 
 def test_tree_readers_build_no_table(monkeypatch):
     """Validation, balls, nearest points, distances and the dendrogram read a history space's tree alone."""
-    def refuse(self):
-        raise AssertionError("ranks reached")
-
-    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse))
+    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
     seqs = cantor_sequences(4)
     for names, sequences in ((seqs, dict(zip(seqs, seqs))),
                              (["b", "a", "c"], {"a": "01", "b": "01", "c": "11"})):

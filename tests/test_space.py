@@ -264,6 +264,11 @@ class TestConstruction:
         space = self.RADIUS_SPACES[shape]()
         exact = space.dist("a", "b")
         read = self.RADIUS_READERS[reader]
+        if (reader, shape) == ("epsilon-subspace", "table"):
+            # Constructions take only trees; the radius is read before the refusal.
+            with pytest.raises(ValueError, match="the space breaks a metric law"):
+                read(space, str(exact))
+            return
         result = read(space, str(exact))
         assert result is not None and np.array_equal(result, read(space, exact))
         assert np.array_equal(read(space, 1), read(space, Fraction(1)))
@@ -301,3 +306,21 @@ class TestModel:
     def test_valuation_point_must_exist(self):
         with pytest.raises(UnknownPointError):
             Model(cantor_space(1), {"p": ["nope"]})
+
+    @pytest.mark.parametrize("names", [["zz1", "zz2", "zz3"], ["zz3", "zz2", "zz1"], ["11", "zz2", "10", "zz1"]])
+    def test_first_unknown_point_in_the_given_order_is_named(self, names):
+        with pytest.raises(UnknownPointError) as info:
+            Model(cantor_space(2), {"q": ["11"], "p": names})
+        assert info.value.args == (next(name for name in names if name.startswith("zz")),)
+
+    def test_masks_count_each_point_once(self):
+        """Repeated names, few (bits set one by one) or many (bits packed by numpy)."""
+        space = cantor_space(9)
+        names = list(space.points[::3])
+        expected = sum(1 << space.index(name) for name in names)
+        assert space.mask_of(iter(names + names[::-1] + names[:70])) == expected
+        assert space.mask_of(names[:5] * 3) == sum(1 << space.index(name) for name in names[:5])
+        assert space.mask_of(["111111111", "111111111", "111111110"]) == 0b11
+        model = Model(space, {"p": names * 2, "q": (name for name in names[:5] * 3)})
+        assert model.atom_mask("p") == expected and model.atom_set("p") == frozenset(names)
+        assert model.atom_mask("q") == space.mask_of(names[:5]) and model.atom_set("q") == frozenset(names[:5])
