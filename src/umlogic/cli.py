@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         p.add_argument("--out", help="write output to this file instead of stdout")
         return p
 
@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     for name, value in vars(args).items():  # give ``--opt=--`` its value "--"
         if value == [] and name in _INT_OPTIONS:
-            _parser().error(f"argument --{name}: invalid int value: '--'")
+            args.parser.error(f"argument --{name}: invalid int value: '--'")
         if isinstance(value, list):
             setattr(args, name, "--" if value == [] else ["--" if v == [] else v for v in value])
     if args.command == "morphism" and len(args.model) != 2:

@@ -9,7 +9,9 @@ balls pull back into k-inverse-scaled source balls.  Unions, ball
 subspaces and rescalings take spaces held as trees
 (:attr:`UltrametricSpace.tree`) and build the result's tree from them
 (:meth:`UltrametricSpace.from_tree`); a space that breaks a metric law
-raises ValueError.  The morphism checks compare whole rank tables.
+raises ValueError.  The morphism checks read one source row
+(:meth:`UltrametricSpace.row`) and its image's target row at a time, so
+they hold O(n) numbers whatever the size of the spaces.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .modelio import ModelFormatError, parse_rational, read_json
-from .space import Model, UltrametricSpace, _first_pair, read_rational
+from .space import Model, UltrametricSpace, read_rational, required_tree
 
 #: Distance between points of different components in a disjoint union.
 UNION_DISTANCE = Fraction(2)
@@ -63,13 +65,6 @@ def union_point(component: int, name: str) -> str:
     return f"{component}:{name}"
 
 
-def _tree(space: UltrametricSpace, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The space's single-linkage tree; ValueError for a space that breaks a metric law."""
-    if space.tree is None:
-        raise ValueError(f"{name} breaks a metric law other than identity of indiscernibles")
-    return space.tree
-
-
 def disjoint_union(models: Sequence[Model]) -> Model:
     """Union of the models, components kept at distance 2 from each other.
 
@@ -80,7 +75,7 @@ def disjoint_union(models: Sequence[Model]) -> Model:
     if not models:
         raise ValueError("disjoint union needs at least one model")
     spaces = [model.space for model in models]
-    trees = [_tree(space, f"component {i}") for i, space in enumerate(spaces)]
+    trees = [required_tree(space, f"component {i}") for i, space in enumerate(spaces)]
     points = [union_point(i, p) for i, space in enumerate(spaces) for p in space.points]
     merged = set().union(*(space.realized_distances() for space in spaces))
     if sum(space.n > 0 for space in spaces) > 1:
@@ -108,19 +103,19 @@ def epsilon_subspace(model: Model, center: str, eps: Fraction) -> Model:
     """The closed ball around ``center`` with distances and valuation restricted.
 
     The ball is a run of leaves; they are renumbered to the kept points'
-    order, and their adjacent ranks over the distances still used.
+    order, and their merge heights over the distances still used.
     """
     space = model.space
     members = space.ball(center, eps)
-    order, heights = _tree(space, "the space")
+    order, heights = required_tree(space)
     index = np.array(sorted(map(space.index, members)), dtype=np.intp)
     run = np.flatnonzero(np.isin(order, index))
     # Distances between points outside the ball drop out, but not each point's 0 to itself.
-    ranks = heights[run[:-1]]
-    used = np.unique(np.append(ranks, 0)) if members else ranks
+    inside = heights[run[:-1]]
+    used = np.unique(np.append(inside, 0)) if members else inside
     realized, kept = space.realized_distances(), [space.points[i] for i in index.tolist()]
     sub = UltrametricSpace.from_tree(kept, [realized[r] for r in used.tolist()],
-                                     np.searchsorted(index, order[run]), np.searchsorted(used, ranks))
+                                     np.searchsorted(index, order[run]), np.searchsorted(used, inside))
     return Model(sub, {atom: held & members for atom, held in model.valuation.items()})
 
 
@@ -129,9 +124,9 @@ def scale_space(space: UltrametricSpace, factor: Fraction) -> UltrametricSpace:
     factor = read_rational(factor)
     if factor <= 0:
         raise ValueError(f"scale factor must be positive, got {factor}")
-    # A positive factor keeps the distances in order, so the tree keeps its ranks.
+    # A positive factor keeps the distances in order, so the tree stays as it is.
     scaled = [d * factor for d in space.realized_distances()]
-    return UltrametricSpace.from_tree(space.points, scaled, *_tree(space, "the space"))
+    return UltrametricSpace.from_tree(space.points, scaled, *required_tree(space))
 
 
 @dataclass
@@ -183,11 +178,20 @@ def check_frame_morphism(src: UltrametricSpace, tgt: UltrametricSpace, pm: Point
     dtype = np.min_scalar_type(len(targets))
     above = np.array([bisect_right(targets, x) for x in scaled], dtype=dtype)
     reach = np.array([bisect_left(targets, x) for x in scaled], dtype=dtype)
-    forward = _first_pair(np.triu(tgt.ranks[np.ix_(image, image)] >= above[src.ranks], 1))
-    # Least rank from w that a preimage of v' allows; len(targets) when v' has none.
-    nearest = np.full((src.n, tgt.n), len(targets), dtype=dtype)
-    np.minimum.at(nearest, (slice(None), image), reach[src.ranks])
-    back = _first_pair(tgt.ranks[image] < nearest)
+    forward = back = None
+    for i in range(src.n):
+        s, t = src.row(i), tgt.row(image[i])
+        if forward is None:
+            hits = np.flatnonzero(t[image[i + 1:]] >= above[s[i + 1:]])
+            forward = (i, i + 1 + int(hits[0])) if hits.size else None
+        if back is None:
+            # Least rank from w that a preimage of v' allows; len(targets) when v' has none.
+            nearest = np.full(tgt.n, len(targets), dtype=dtype)
+            np.minimum.at(nearest, image, reach[s])
+            hits = np.flatnonzero(t < nearest)
+            back = (i, int(hits[0])) if hits.size else None
+        if forward and back:
+            break
     return MorphismCheck(
         ok=forward is None and back is None,
         k=pm.k,
@@ -241,17 +245,16 @@ def bilipschitz_bounds(src: UltrametricSpace, tgt: UltrametricSpace, pm: PointMa
         )
 
     sources, targets = src.realized_distances(), tgt.realized_distances()
-    mapped = tgt.ranks[np.ix_(image, image)]
-    zero = (np.array([d == 0 for d in sources], dtype=bool)[src.ranks]
-            | np.array([d == 0 for d in targets], dtype=bool)[mapped])
-    degenerate = _first_pair(np.triu(zero, 1))
-    if degenerate:
-        w, v = (src.points[i] for i in degenerate)
-        return BilipschitzReport(ok=False, reason=f"degenerate zero distance on pair ({w}, {v})")
+    src_zero, tgt_zero = (np.array([d == 0 for d in ds], dtype=bool) for ds in (sources, targets))
     # Each distinct (source rank, target rank) pair is divided once.
-    pairs = np.triu(np.ones((src.n, src.n), dtype=bool), 1)
     seen = np.zeros((len(sources), len(targets)), dtype=bool)
-    seen[src.ranks[pairs], mapped[pairs]] = True
+    for i in range(src.n):
+        s, t = src.row(i)[i + 1:], tgt.row(image[i])[image[i + 1:]]
+        zero = np.flatnonzero(src_zero[s] | tgt_zero[t])
+        if zero.size:
+            w, v = src.points[i], src.points[i + 1 + int(zero[0])]
+            return BilipschitzReport(ok=False, reason=f"degenerate zero distance on pair ({w}, {v})")
+        seen[s, t] = True
     tightest = Fraction(1)
     for a, b in np.argwhere(seen).tolist():
         ratio = targets[b] / sources[a]

@@ -6,16 +6,15 @@ the leaves, the whole space at the root, one layer per realized radius.
 Every space that satisfies the laws up to identity of indiscernibles is
 held as that tree already: its balls are runs of leaves, each with its
 parent, as :meth:`UltrametricSpace.tree_balls` lists them, so no ball is
-searched for.  A space that breaks a law lists its balls as point
-bitmasks from :meth:`UltrametricSpace.distinct_balls`, takes diameters
-from its rank table and looks each parent up among all the balls.
+searched for.  A space that breaks another law has no such tree, because
+its balls can overlap without nesting, and raises ValueError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .space import UltrametricSpace
+from .space import UltrametricSpace, required_tree
 
 
 @dataclass(frozen=True)
@@ -28,37 +27,15 @@ class BallNode:
 
 
 def ball_tree(space: UltrametricSpace) -> list[BallNode]:
-    """All distinct closed balls as a containment tree.
+    """All distinct closed balls as a containment tree, from the space's runs of leaves and their nesting.
 
-    Nodes are sorted by (size, members); each node's radius is the
-    smallest radius generating it, which for a valid space is the set's
-    diameter.  The parent is the index of the smallest strictly larger
-    ball.
+    Nodes are sorted by (size, members); each node's radius is the set's
+    diameter, the smallest radius generating it.  The parent is the index
+    of the smallest strictly larger ball.  A space without a tree raises
+    ValueError.
     """
-    if space.tree is not None:
-        return _tree_balls(space)
-    points = space.points
-    balls = []
-    for _, _, mask in space.distinct_balls():
-        members = space.members(mask)
-        names = tuple(points[i] for i in members.tolist())
-        balls.append((len(names), names, mask, members))
-    balls.sort(key=lambda ball: ball[:2])
-
-    ranks, distances = space.ranks, space.realized_distances()
-    nodes = []
-    for j, (_, names, mask, members) in enumerate(balls):
-        # The empty set is a ball only when some self-distance is positive.
-        diameter = distances[ranks[members[:, None], members].max()] if members.size else Fraction(0)
-        # Balls are sorted by size, so the first strict superset is a smallest one.
-        parent = next((k for k, ball in enumerate(balls) if k != j and ball[2] & mask == mask), None)
-        nodes.append(BallNode(names, diameter, parent))
-    return nodes
-
-
-def _tree_balls(space: UltrametricSpace) -> list[BallNode]:
-    """:func:`ball_tree` of a tree, from its runs of leaves and their nesting."""
-    points, distances, leaves = space.points, space.realized_distances(), space.tree[0].tolist()
+    leaves = required_tree(space)[0].tolist()
+    points, distances = space.points, space.realized_distances()
     balls = []
     for j, (start, end, rank, parent) in enumerate(space.tree_balls()):
         names = tuple(map(points.__getitem__, sorted(leaves[start:end])))

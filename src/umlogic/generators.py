@@ -4,7 +4,9 @@ Random spaces are built as laminar partition trees: the point set splits
 into blocks at a descending chain of rational levels, pairs separated at
 level r sit at distance exactly r, and the last level forces singletons.
 That construction satisfies the strong triangle inequality by design, so
-generated spaces always validate.
+generated spaces always validate, and it is the space's single-linkage
+tree: the blocks' leaves in depth-first order, with the splitting level
+between consecutive blocks (:meth:`UltrametricSpace.from_tree`).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Sequence
 
 from .axioms import instantiate_axiom
 from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or
-from .space import Model, UltrametricSpace
+from .space import Model, UltrametricSpace, read_rational
 
 #: Default distance levels for random spaces: dyadic plus a few thirds.
 LEVEL_POOL = (
@@ -37,12 +39,16 @@ def random_ultrametric_space(
         count = rng.randint(1, min(max(n_points - 1, 1), 4))
         levels = sorted(rng.sample(LEVEL_POOL, count), reverse=True)
     else:
-        levels = sorted(levels, reverse=True)
+        levels = sorted(map(read_rational, levels), reverse=True)
+        if levels and levels[-1] <= 0:
+            raise ValueError("levels must be positive")
 
-    matrix = [[Fraction(0)] * n_points for _ in range(n_points)]
+    leaves: list[int] = []
+    adjacent: list[Fraction] = []  # the level between each pair of adjacent leaves
 
     def split(group: list[int], remaining: Sequence[Fraction]) -> None:
         if len(group) <= 1:
+            leaves.extend(group)
             return
         if len(remaining) == 1:
             blocks = [[i] for i in group]
@@ -54,16 +60,15 @@ def random_ultrametric_space(
             for member, label in zip(group, labels):
                 blocks_by_label.setdefault(label, []).append(member)
             blocks = list(blocks_by_label.values())
-        for a, block_a in enumerate(blocks):
-            for block_b in blocks[a + 1:]:
-                for i in block_a:
-                    for j in block_b:
-                        matrix[i][j] = matrix[j][i] = remaining[0]
-        for block in blocks:
+        for b, block in enumerate(blocks):
+            if b:  # pairs split here sit at remaining[0], above every level inside a block
+                adjacent.append(remaining[0])
             split(block, remaining[1:])
 
     split(list(range(n_points)), list(levels))
-    return UltrametricSpace(points, matrix)
+    distances = sorted({Fraction(0), *adjacent})
+    rank = {d: r for r, d in enumerate(distances)}
+    return UltrametricSpace.from_tree(points, distances, leaves, [rank[d] for d in adjacent])
 
 
 def random_subset(rng: random.Random, points: Sequence[str]) -> frozenset[str]:

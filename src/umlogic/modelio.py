@@ -8,10 +8,12 @@ Rationals cross the file boundary as strings like "1/8"; floats are
 rejected to keep the arithmetic exact, and exponent notation ("1e9") so
 that reading a number stays cheap.  A space built from sequences is an
 ultrametric by construction, and a matrix that satisfies the laws up to
-identity of indiscernibles is held as its single-linkage tree; either is
-validated in O(n), where only points at distance 0 can make it invalid.
-A matrix that breaks another law is validated law by law on its table.
-Histories longer than ``space.MAX_HISTORY_LENGTH`` are a format error.
+identity of indiscernibles is held as its single-linkage tree alone;
+either is validated in O(n), where only points at distance 0 can make it
+invalid.  A matrix that breaks another law keeps its table and is
+validated law by law.  Output writes the matrix one row of the space
+(:meth:`~umlogic.space.UltrametricSpace.row`) at a time.  Histories longer
+than ``space.MAX_HISTORY_LENGTH`` are a format error.
 """
 from __future__ import annotations
 
@@ -129,7 +131,7 @@ def model_to_dict(model: Model) -> dict:
     texts = [str(d) for d in space.realized_distances()]
     return {
         "points": list(space.points),
-        "distance": {"matrix": [[texts[r] for r in row] for row in space.ranks.tolist()]},
+        "distance": {"matrix": [[texts[r] for r in space.row(i).tolist()] for i in range(space.n)]},
         "valuation": {atom: sorted(members) for atom, members in model.valuation.items()},
     }
 

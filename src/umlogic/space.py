@@ -4,15 +4,16 @@ A space is a finite ordered point set with exact rational distances,
 stored as the ascending list of distinct distances (exact Fractions) and
 integer ranks into that list.  A finite ultrametric is a rooted tree of
 nested balls, so every space that satisfies the metric laws up to
-identity of indiscernibles is held as that tree
+identity of indiscernibles is held as that tree alone
 (:attr:`UltrametricSpace.tree`): its points as leaves, left to right, and
 the rank of each adjacent pair's distance.  A ball of any grade is a run
-of adjacent leaves.  Binary histories give the tree by sorting, with no
-n x n array, and unions, ball subspaces and rescalings build it from
-their inputs' trees (:meth:`UltrametricSpace.from_tree`).  Only a matrix
-gives it by Prim's single-linkage tree of its table, which it keeps as
-:attr:`UltrametricSpace.ranks`; a tree derives that table on first read.
-Only a space that breaks a law is held as its table alone.
+of adjacent leaves.  Binary histories give the tree by sorting, unions,
+ball subspaces and rescalings build it from their inputs' trees
+(:meth:`UltrametricSpace.from_tree`), and a matrix gives it by Prim's
+single-linkage tree of its table, which is then dropped.  Only a space
+that breaks a law keeps its n x n table, and this module is the only one
+that reads it: every pairwise distance elsewhere is read one row at a
+time through :meth:`UltrametricSpace.row`.
 
 For each grade asked about, the space caches the distinct closed balls
 once, each with the mask of the points whose ball it is
@@ -133,7 +134,7 @@ class UltrametricSpace:
 
         Ranks take the smallest unsigned type and are frozen.  A table whose
         least distance is 0, whose diagonal is rank 0 and which
-        :func:`_single_linkage` accepts is also held as that tree.
+        :func:`_single_linkage` accepts is held as that tree, and dropped.
         """
         self._points = tuple(points)
         if len(set(self._points)) != len(self._points):
@@ -149,6 +150,7 @@ class UltrametricSpace:
             tree = _single_linkage(self._ranks)
         self._tree = self._position = None  # the tree, and each point's place among its leaves
         if tree is not None:
+            self._ranks = None
             tree[0].setflags(write=False)
             self._tree = (tree[0], self._frozen(tree[1]))
             self._position = np.empty(self.n, dtype=np.intp)
@@ -192,10 +194,8 @@ class UltrametricSpace:
         shortest common prefix of the adjacent pairs between them, so the
         space is held as the single-linkage tree those prefixes make
         (:attr:`tree`): the points in sorted-history order and the rank of
-        each adjacent pair's distance, O(n) numbers.  Balls, nearest
-        points and the dendrogram read the tree; the n x n table
-        (:attr:`ranks`) is derived only when a caller reads it.  Every
-        metric law holds by construction except identity of
+        each adjacent pair's distance, O(n) numbers; no n x n table is
+        built.  Every metric law holds by construction except identity of
         indiscernibles, which equal histories break; :func:`validate_space`
         checks only that.  Histories longer than :data:`MAX_HISTORY_LENGTH`
         raise ValueError before anything is built.
@@ -256,21 +256,19 @@ class UltrametricSpace:
     def full_mask(self) -> int:
         return (1 << len(self._points)) - 1
 
-    @property
-    def ranks(self) -> np.ndarray:
-        """The read-only n x n table of indexes into :meth:`realized_distances`.
+    def row(self, i: int) -> np.ndarray:
+        """Ranks into :meth:`realized_distances` from point ``i`` to every point, in point order.
 
-        A space built from a matrix keeps the table it was given.  A space
-        built as a tree derives it on first read, each row of the leaf order
-        a running maximum over the adjacent ranks, and keeps it.
+        A tree takes two running maxima of the adjacent ranks, outward from
+        ``i``'s leaf, in O(n); a space without a tree gives its table's row.
         """
-        if self._ranks is None:
-            adjacent, n = self._tree[1], self.n
-            table = np.zeros((n, n), dtype=adjacent.dtype)
-            for i in range(n - 1):
-                table[i, i + 1:] = table[i + 1:, i] = np.maximum.accumulate(adjacent[i:])
-            self._ranks = self._frozen(table[np.ix_(self._position, self._position)])
-        return self._ranks
+        if self._tree is None:
+            return self._ranks[i]
+        adjacent, at = self._tree[1], self._position[i]
+        by_leaf = np.zeros(self.n, dtype=adjacent.dtype)
+        by_leaf[at + 1:] = np.maximum.accumulate(adjacent[at:])
+        by_leaf[:at] = np.maximum.accumulate(adjacent[:at][::-1])[::-1]
+        return by_leaf[self._position]
 
     @property
     def tree(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -296,11 +294,7 @@ class UltrametricSpace:
         return x in self._index
 
     def dist(self, x: str, y: str) -> Fraction:
-        i, j = self.index(x), self.index(y)
-        if self._ranks is not None:
-            return self._distances[self._ranks[i, j]]
-        low, high = sorted((self._position[i], self._position[j]))
-        return self._distances[self._tree[1][low:high].max(initial=0)]
+        return self._distances[self.row(self.index(x))[self.index(y)]]
 
     def mask_of(self, names: Iterable[str]) -> int:
         """The bitmask of the named points; the first unknown name, in the order given, raises."""
@@ -407,7 +401,7 @@ class UltrametricSpace:
             idx = self.members(mask)
             if not idx.size:
                 return None
-            return self._distances[self._ranks[i, idx].min()]
+            return self._distances[self.row(i)[idx].min()]
         if not mask:
             return None
         balls, smallest = self._nested()
@@ -487,6 +481,13 @@ class UltrametricSpace:
         return list(self._distances)
 
 
+def required_tree(space: UltrametricSpace, name: str = "the space") -> tuple[np.ndarray, np.ndarray]:
+    """The space's single-linkage tree; ValueError for a space that breaks a metric law."""
+    if space.tree is None:
+        raise ValueError(f"{name} breaks a metric law other than identity of indiscernibles")
+    return space.tree
+
+
 def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
     """Row and column of the first True entry of a 2-D mask, in row-major order."""
     hits = np.flatnonzero(bad)
@@ -517,7 +518,7 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
         twins = min(zip(leaves[equal].tolist(), leaves[equal + 1].tolist()), default=None)
         return [_indiscernible(pts, *twins)] if twins else []
     dist = space.realized_distances()
-    rank = space.ranks
+    rank = space._ranks
     violations = []
 
     def d(i: int, j: int) -> Fraction:
@@ -627,10 +628,10 @@ def sequence_distance(x: str, y: str) -> Fraction:
 
 
 #: The deepest binary-history space built: 2^16 = 65,536 worlds.  The
-#: space holds its tree, O(n) numbers, but its n x n rank table, which
-#: model output and the morphism checks derive, would take 4 GiB, and each
-#: level more quadruples it; ``cantor_sequences(40)`` would build 2^40
-#: strings.
+#: space holds its tree, O(n) numbers, and the morphism checks read it one
+#: O(n) row at a time, but they and model output still take time
+#: quadratic in n, so each level more quadruples it;
+#: ``cantor_sequences(40)`` would build 2^40 strings.
 MAX_CANTOR_DEPTH = 16
 
 

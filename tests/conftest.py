@@ -6,9 +6,9 @@ from umlogic.space import Model, UltrametricSpace, cantor_sequences
 
 
 def dense_table(space: UltrametricSpace) -> tuple[tuple[Fraction, ...], ...]:
-    """The exact distance table of a space, built from its ranks in test code."""
+    """The exact distance table of a space, built from its rows of ranks in test code."""
     distances = space.realized_distances()
-    return tuple(tuple(distances[r] for r in row) for row in space.ranks.tolist())
+    return tuple(tuple(distances[r] for r in space.row(i).tolist()) for i in range(space.n))
 
 
 def w_named_space(depth: int) -> UltrametricSpace:

@@ -270,12 +270,23 @@ class TestExplicitDashes:
         assert code == 2
         assert "'--'" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("argv", [["cantor", "--depth=--"], ["harness", "--seed=--"]], ids=["cantor", "harness"])
+    @pytest.mark.parametrize("argv", [
+        ["cantor", "--depth=--"],
+        ["harness", "--seed=--"],
+        ["valid", "--model=m.json", "--formula=p", "--cap=--"],
+    ], ids=["cantor", "harness", "valid"])
     def test_int_option_of_two_dashes_exits_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
-        assert "invalid int value: '--'" in capsys.readouterr().err
+        """The subcommand's parser reports it, in the words it uses for any value that is not a number."""
+        def stderr_of(args):
+            with pytest.raises(SystemExit) as info:
+                main(args)
+            assert info.value.code == 2
+            return capsys.readouterr().err
+
+        err = stderr_of(argv)
+        assert err == stderr_of([arg.replace("=--", "=zz") for arg in argv]).replace("'zz'", "'--'")
+        assert err.startswith(f"usage: umlogic {argv[0]} ")
+        assert f"\numlogic {argv[0]}: error: argument --" in err and err.endswith("invalid int value: '--'\n")
 
 
 class TestProve:

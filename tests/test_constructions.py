@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dense_table
 from umlogic.constructions import (
+    BilipschitzReport,
     PointMap,
     bilipschitz_bounds,
     check_bounded_morphism,
@@ -21,16 +22,30 @@ from umlogic.space import Model, UltrametricSpace, UnknownPointError, cantor_spa
 
 
 def oracle_frame_conditions(src, tgt, f, k):
-    """Direct transcription of the forward and back conditions."""
-    forward_ok = all(
-        tgt.dist(f[w], f[v]) <= k * src.dist(w, v)
-        for w in src.points for v in src.points
+    """Direct transcription of the forward and back conditions: each one's first failing pair in point order."""
+    forward = next(
+        ((w, v) for i, w in enumerate(src.points) for v in src.points[i + 1:]
+         if tgt.dist(f[w], f[v]) > k * src.dist(w, v)),
+        None,
     )
-    back_ok = all(
-        any(f[v] == v2 and src.dist(w, v) <= tgt.dist(f[w], v2) / k for v in src.points)
-        for w in src.points for v2 in tgt.points
+    back = next(
+        ((w, v2) for w in src.points for v2 in tgt.points
+         if not any(f[v] == v2 and src.dist(w, v) <= tgt.dist(f[w], v2) / k for v in src.points)),
+        None,
     )
-    return forward_ok, back_ok
+    return forward, back
+
+
+def oracle_bilipschitz(src, tgt, f, k):
+    """The report on a bijection by a loop over every pair's distances, in point order."""
+    tightest = Fraction(1)
+    for i, w in enumerate(src.points):
+        for v in src.points[i + 1:]:
+            d, d2 = src.dist(w, v), tgt.dist(f[w], f[v])
+            if d == 0 or d2 == 0:
+                return BilipschitzReport(ok=False, reason=f"degenerate zero distance on pair ({w}, {v})")
+            tightest = max(tightest, d2 / d, d / d2)
+    return BilipschitzReport(ok=True, tightest_k=tightest, satisfied_by_supplied_k=k >= tightest)
 
 
 class TestDisjointUnion:
@@ -137,7 +152,7 @@ class TestFrameMorphisms:
     def test_last_bit_truncation_accepted(self):
         src, tgt = cantor_space(4), cantor_space(3)
         mapping = {p: p[:3] for p in src.points}
-        assert oracle_frame_conditions(src, tgt, mapping, Fraction(1)) == (True, True)
+        assert oracle_frame_conditions(src, tgt, mapping, Fraction(1)) == (None, None)
         check = check_frame_morphism(src, tgt, PointMap(mapping))
         assert check.ok
 
@@ -147,7 +162,7 @@ class TestFrameMorphisms:
         # preimage, so the back condition must fail.
         src, tgt = cantor_space(2), cantor_space(3)
         mapping = {p: p + "0" for p in src.points}
-        assert oracle_frame_conditions(src, tgt, mapping, Fraction(1)) == (True, False)
+        assert oracle_frame_conditions(src, tgt, mapping, Fraction(1)) == (None, ("11", "111"))
         check = check_frame_morphism(src, tgt, PointMap(mapping))
         assert not check.ok
         assert check.forward_witness is None
@@ -177,17 +192,25 @@ class TestFrameMorphisms:
             check_frame_morphism(s, s, PointMap({"1": "2", "0": "0"}))
 
     def test_random_maps_agree_with_oracle(self):
-        rng = random.Random(43)
+        rng, bijections = random.Random(43), random.Random(44)
         for _ in range(40):
             src = random_ultrametric_space(rng, rng.randint(2, 5), prefix="s")
             tgt = random_ultrametric_space(rng, rng.randint(1, 4), prefix="t")
             mapping = {p: rng.choice(tgt.points) for p in src.points}
             k = rng.choice((Fraction(1, 2), Fraction(1), Fraction(2)))
             check = check_frame_morphism(src, tgt, PointMap(mapping, k))
-            forward_ok, back_ok = oracle_frame_conditions(src, tgt, mapping, k)
-            assert (check.forward_witness is None) == forward_ok
-            assert (check.back_witness is None) == back_ok
-            assert check.ok == (forward_ok and back_ok)
+            forward, back = oracle_frame_conditions(src, tgt, mapping, k)
+            assert (check.forward_witness, check.back_witness) == (forward, back)
+            assert check.ok == (forward is None and back is None)
+            # A bijection onto copies of a random space's points; repeated copies are twins, at distance 0.
+            base, n = random_ultrametric_space(bijections, src.n, prefix="b"), src.n
+            picks = bijections.sample(range(n), n) if bijections.random() < 0.5 else [
+                bijections.randrange(n) for _ in range(n)]
+            copies = UltrametricSpace([f"c{i}" for i in range(n)], [
+                [base.dist(base.points[a], base.points[b]) for b in picks] for a in picks])
+            onto = dict(zip(src.points, bijections.sample(copies.points, n)))
+            pm = PointMap(onto, k)
+            assert bilipschitz_bounds(src, copies, pm) == oracle_bilipschitz(src, copies, onto, k)
 
 
 class TestBoundedMorphisms:

@@ -6,9 +6,9 @@ strong triangle as a plain cubic loop, which the earlier code vectorised),
 pairwise ball masks, the ball tree that scans every ball for supersets,
 and the constructions, morphism checks and model output that built or
 read a Fraction matrix pair by pair.  Each test builds the reference table independently of the
-space (from the input matrix, or from ``sequence_distance`` over
-histories); for generated spaces, whose input matrix is internal to the
-generator, it is read back through ``dense_table``.
+space: from the input matrix, from ``sequence_distance`` over
+histories, or, for generated spaces, from the generator's earlier matrix
+fill (``ref_generated_table``) run on a twin of its random stream.
 
 Every space that satisfies the laws up to identity of indiscernibles is
 held as its single-linkage tree: a space from histories by sorting them,
@@ -17,8 +17,11 @@ subspace or rescaling from its inputs' trees.  Its balls, nearest
 points, distances, ball listing, dendrogram and validation report are
 read from the tree, and each is compared with the dense references on
 every space here, on generated history files with duplicates and on
-generated tables with twins.  The broken and perturbed tables keep the
-table and its readers, and the constructions refuse them.
+generated tables with twins; such a space holds no table.  The broken and
+perturbed tables keep the table and its readers, and the constructions
+and the dendrogram refuse them.  Every pairwise distance is read one row
+at a time (``UltrametricSpace.row``): ``dense_table`` and ``dist`` read
+rows, so comparing them with the reference table compares the rows.
 """
 import json
 import random
@@ -234,15 +237,47 @@ def ref_bilipschitz(src_pts, sm, tgt_n, tm, image, k):
     return BilipschitzReport(ok=True, tightest_k=tightest, satisfied_by_supplied_k=k >= tightest)
 
 
+def ref_generated_table(rng, n_points):
+    """The table of ``random_ultrametric_space(rng, n_points)``, filled pair by pair as the generator once did."""
+    count = rng.randint(1, min(max(n_points - 1, 1), 4))
+    levels = sorted(rng.sample(LEVEL_POOL, count), reverse=True)
+    matrix = [[Fraction(0)] * n_points for _ in range(n_points)]
+
+    def split(group, remaining):
+        if len(group) <= 1:
+            return
+        if len(remaining) == 1:
+            blocks = [[i] for i in group]
+        else:
+            labels = [rng.randrange(len(group)) for _ in group]
+            if len(set(labels)) == 1:
+                labels[0] = (labels[0] + 1) % len(group)
+            blocks_by_label = {}
+            for member, label in zip(group, labels):
+                blocks_by_label.setdefault(label, []).append(member)
+            blocks = list(blocks_by_label.values())
+        for a, block_a in enumerate(blocks):
+            for block_b in blocks[a + 1:]:
+                for i in block_a:
+                    for j in block_b:
+                        matrix[i][j] = matrix[j][i] = remaining[0]
+        for block in blocks:
+            split(block, remaining[1:])
+
+    split(list(range(n_points)), levels)
+    return tuple(map(tuple, matrix))
+
+
 # --- the spaces compared -----------------------------------------------------
 
 def generated_cases():
-    rng = random.Random(2024)
+    rng, twin = random.Random(2024), random.Random(2024)
     cases = []
     for n in (1, 2, 3, 5, 8, 13, 21):
         for k in range(4):
-            space = random_ultrametric_space(rng, n)
-            cases.append((f"generated-{n}-{k}", space, dense_table(space)))
+            space, table = random_ultrametric_space(rng, n), ref_generated_table(twin, n)
+            assert rng.getstate() == twin.getstate()
+            cases.append((f"generated-{n}-{k}", space, table))
     return cases
 
 
@@ -326,7 +361,7 @@ class TestAgainstDenseTable:
         assert dense_table(space) == table
         assert space.realized_distances() == ref_realized(table)
         assert all(type(d) is Fraction for d in space.realized_distances())
-        assert space.ranks.dtype.kind == "u"
+        assert space.row(0).dtype.kind == "u"
 
     def test_validation_report(self, label, space, table):
         assert validate_space(space) == ref_validate(space.points, table)
@@ -336,6 +371,11 @@ class TestAgainstDenseTable:
             assert per_point_balls(space, eps) == ref_ball_masks(table, eps), eps
 
     def test_ball_tree_and_dot(self, label, space, table):
+        if breaks_a_law(space.points, table):
+            for draw in (ball_tree, dendrogram_dot):
+                with pytest.raises(ValueError, match="the space breaks a metric law"):
+                    draw(space)
+            return
         nodes = ref_ball_tree(space.points, table)
         assert ball_tree(space) == nodes
         assert dendrogram_dot(space) == ref_dot(nodes)
@@ -364,12 +404,12 @@ class TestAgainstDenseTable:
 
 
 def test_sequence_ranks_need_no_pairwise_fraction():
-    """A 1,024-world history space builds its table from eleven Fractions."""
+    """A 1,024-world history space builds its ranks from eleven Fractions."""
     seqs = cantor_sequences(10)
     space = UltrametricSpace.from_sequences(seqs, dict(zip(seqs, seqs)))
     assert len(space.realized_distances()) == 11
-    assert space.ranks.shape == (1024, 1024)
-    assert space.ranks.dtype == np.uint8
+    assert space.row(0).shape == (1024,)
+    assert space.row(0).dtype == space.tree[1].dtype == np.uint8
 
 
 def test_symmetric_validation_matches_the_sweep_on_random_tables():
@@ -407,7 +447,7 @@ def assert_same_model(built, points, matrix, valuation):
     assert built.space.points == expected.space.points
     assert dense_table(built.space) == dense_table(expected.space)
     assert built.space.realized_distances() == expected.space.realized_distances()
-    assert built.space.ranks.dtype == expected.space.ranks.dtype
+    assert built.space.tree[1].dtype == expected.space.tree[1].dtype
     assert validate_space(built.space) == validate_space(expected.space)
     assert dump_model(built) == ref_dump(points, matrix, valuation)
 
@@ -506,7 +546,7 @@ def test_constructions_build_their_trees_from_their_inputs_trees(monkeypatch):
     parts = [(m.space.points, table, plain_valuation(m))
              for m, table in ((history, history_table), (matrix, matrix_table), (history, history_table))]
     grades = (Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(2))
-    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
+    monkeypatch.setattr(UltrametricSpace, "row", refuse("row"))
     monkeypatch.setattr(space_module, "_single_linkage", refuse("_single_linkage"))
     union = disjoint_union([history, matrix, history])
     balls = [(m, eps, epsilon_subspace(m, m.space.points[-2], eps)) for m in (history, matrix, union)
@@ -522,7 +562,7 @@ def test_constructions_build_their_trees_from_their_inputs_trees(monkeypatch):
     for m, space in scaled:
         table = [[d * Fraction(3, 4) for d in row] for row in tables[id(m)]]
         assert_same_model(Model(space), m.space.points, table, {})
-    # The morphism checks read the tables of built trees.
+    # The morphism checks read the rows of built trees.
     identity, scaled_history = PointMap({p: p for p in seqs}, Fraction(3, 4)), scaled[0][1]
     assert check_frame_morphism(history.space, scaled_history, identity).ok
     assert check_bounded_morphism(history, Model(scaled_history, history.valuation), identity).ok
@@ -542,6 +582,21 @@ def test_a_deep_ball_allocates_no_table():
     assert sub.space.points == tuple(p for p in model.space.points if p[:2] == center[:2])
     assert sub.space.tree is not None and validate_space(sub.space) == []
     assert peak < 16 * 2 ** 20, peak
+
+
+def test_morphism_checks_on_4096_worlds_allocate_no_table():
+    """A 4,096-world table takes 16 MiB; the checks read one row of each space at a time in far less."""
+    space = cantor_space(12)
+    identity = PointMap({p: p for p in space.points})
+    for check in (check_frame_morphism, bilipschitz_bounds):
+        tracemalloc.start()
+        try:
+            result = check(space, space, identity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ok
+        assert peak < 16 * 2 ** 20, (check.__name__, peak)
 
 
 EMPTY_SPACES = [("matrix", UltrametricSpace([], [])), ("sequences", UltrametricSpace.from_sequences([], {}))]
@@ -579,7 +634,7 @@ def test_subspace_renumbering_across_rank_types(seed):
     levels = [Fraction(k, 1000) for k in range(n)]
     table = [[levels[max(i, j)] if i != j else levels[0] for j in order] for i in order]
     model = Model(UltrametricSpace(points, table))
-    assert model.space.ranks.dtype == np.uint16
+    assert model.space.row(0).dtype == np.uint16
     for eps in (Fraction(256, 1000), Fraction(255, 1000)):
         assert_same_model(epsilon_subspace(model, "p0", eps),
                           *ref_subspace(points, table, {}, "p0", eps))
@@ -643,7 +698,7 @@ def test_history_validation_runs_no_table_pass(monkeypatch):
     monkeypatch.setattr(space_module, "_single_linkage", refuse("_single_linkage"))
     with pytest.raises(AssertionError, match="_single_linkage reached"):
         validate_space(triangle)
-    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
+    monkeypatch.setattr(UltrametricSpace, "row", refuse("row"))
     assert validate_space(matrix) == []
     assert [validate_space(space) for _, space, _ in HISTORY_CASES] == expected
 
@@ -666,12 +721,15 @@ def assert_readers_match_the_table(space, table, masks):
             assert space.nearest(i, mask) == near, (i, mask)
     assert [space.dist(x, y) for x in pts for y in pts] == [d for row in table for d in row]
     assert space.distinct_balls() == ref_distinct_balls(table)
+    if breaks_a_law(pts, table):
+        assert space.tree is None and space.tree_balls() is None
+        for draw in (ball_tree, dendrogram_dot):
+            with pytest.raises(ValueError, match="the space breaks a metric law"):
+                draw(space)
+        return
     nodes = ref_ball_tree(pts, table)
     assert ball_tree(space) == nodes
     assert dendrogram_dot(space) == ref_dot(nodes)
-    if space.tree is None:
-        assert space.tree_balls() is None
-        return
     # Each run of leaves is a distinct ball, with its diameter and the smallest ball above it.
     leaves, distances, balls = space.tree[0].tolist(), space.realized_distances(), space.tree_balls()
     members = [frozenset(pts[i] for i in leaves[start:end]) for start, end, _, _ in balls]
@@ -738,11 +796,17 @@ def test_a_run_shared_by_three_children_ends_where_it_should():
 
 # --- the tree built from a table ----------------------------------------------
 
+def holds_table(space):
+    """Whether the space keeps a two-dimensional array, such as an n x n table, among its attributes."""
+    return any(getattr(value, "ndim", 0) == 2 for value in vars(space).values())
+
+
 def assert_tree_exactly_when_valid(points, table):
-    """A table is held as a tree iff it breaks no law but identity of indiscernibles; it keeps the table."""
+    """A table is held as a tree iff it breaks no law but identity of indiscernibles, and then dropped."""
     space = UltrametricSpace(points, table)
     laws = {violation.condition for violation in ref_validate(points, table)}
     assert (space.tree is not None) == (laws <= {"identity-of-indiscernibles"}), laws
+    assert holds_table(space) == (space.tree is None)
     assert dense_table(space) == tuple(map(tuple, table))
     if space.tree is not None:
         leaves, adjacent = (part.tolist() for part in space.tree)
@@ -790,7 +854,7 @@ def test_a_valid_table_builds_no_second_table():
     seqs = cantor_sequences(11)
     source = cantor_space(11)
     order = random.Random(11).sample(range(len(seqs)), len(seqs))
-    ranks = np.ascontiguousarray(source.ranks[np.ix_(order, order)])
+    ranks = np.array([source.row(i) for i in order])[:, order]
     tracemalloc.start()
     try:
         tree = space_module._single_linkage(ranks)
@@ -799,27 +863,31 @@ def test_a_valid_table_builds_no_second_table():
         tracemalloc.stop()
     assert tree is not None
     space = UltrametricSpace.from_tree([seqs[i] for i in order], source.realized_distances(), *tree)
-    assert np.array_equal(space.ranks, ranks)
+    assert all(np.array_equal(space.row(i), ranks[i]) for i in range(space.n))
+    assert not holds_table(space)
     assert validate_space(space) == []
     assert peak < ranks.nbytes // 4, peak
 
 
 def test_tree_readers_build_no_table(monkeypatch):
-    """Validation, balls, nearest points, distances and the dendrogram read a history space's tree alone."""
-    monkeypatch.setattr(UltrametricSpace, "ranks", property(refuse("ranks")))
+    """Validation, balls, nearest points and the dendrogram read a history space's tree alone, not a row."""
     seqs = cantor_sequences(4)
-    for names, sequences in ((seqs, dict(zip(seqs, seqs))),
-                             (["b", "a", "c"], {"a": "01", "b": "01", "c": "11"})):
-        space = UltrametricSpace.from_sequences(names, sequences)
+    cases = [(seqs, dict(zip(seqs, seqs))), (["b", "a", "c"], {"a": "01", "b": "01", "c": "11"})]
+    spaces = [UltrametricSpace.from_sequences(names, sequences) for names, sequences in cases]
+    monkeypatch.setattr(UltrametricSpace, "row", refuse("row"))
+    for space, (names, _) in zip(spaces, cases):
         validate_space(space)
         for eps in tree_grades(space):
             space.ball_partition(eps)
         space.distinct_balls()
         assert space.nearest(0, space.full_mask) == 0
+        dendrogram_dot(space)
+        stability_degree(Model(space, {"p": names[:1]}), names[0], Atom("p"))
+    monkeypatch.undo()
+    for space, (names, sequences) in zip(spaces, cases):
         first, last = names[0], names[-1]
         assert space.dist(first, last) == sequence_distance(sequences[first], sequences[last])
-        dendrogram_dot(space)
-        stability_degree(Model(space, {"p": names[:1]}), first, Atom("p"))
+        assert not holds_table(space)
 
 
 def test_depth_14_truthset_allocates_no_table(tmp_path):
