@@ -205,19 +205,24 @@ def desugar(f: Formula) -> Formula:
 def subformulas(f: Formula) -> list[Formula]:
     """All subterms of ``f``, each listed once, children before parents."""
     seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        if isinstance(g, (Not, Box, Diamond)):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        seen[g] = None
-
-    walk(f)
+    _walk(f, seen)
     return list(seen)
+
+
+def _walk(g: Formula, seen: dict[Formula, None]) -> None:
+    """Add the subterms of ``g`` not yet in ``seen``, left before right, children first.
+
+    A module-level function, not a closure over ``seen``: a self-recursive
+    closure is a reference cycle, left for the collector on every call.
+    """
+    if g in seen:
+        return
+    if isinstance(g, (Not, Box, Diamond)):
+        _walk(g.sub, seen)
+    elif isinstance(g, (And, Or, Implies)):
+        _walk(g.left, seen)
+        _walk(g.right, seen)
+    seen[g] = None
 
 
 def grade_set(f: Formula) -> set[Fraction]:

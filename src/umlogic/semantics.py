@@ -8,17 +8,30 @@ public functions speak in point-name sets.
 One evaluator, :func:`evaluate`, serves every query.  It runs children
 first over the subformulas of the formula as parsed, handling all seven
 constructors directly, so nothing is desugared first: a box takes the
-interior step and a diamond the closure step.  Both steps work per
-distinct ball of the grade, not per world: every centre of a ball sees
-the same ball, so a ball inside (or meeting) the set adds all its centres
-at once, and a step costs one pass per ball of
-:meth:`UltrametricSpace.ball_partition`.  The same code runs on one
-Python-int mask (:func:`truth_mask`) and on a numpy batch of masks, one
-per valuation (:func:`umlogic.validity.valid_in_model`), in the narrowest
-unsigned type that holds n bits.  On a batch over n points with
-2^n <= :data:`CHUNK`, a modal step is a function from the 2^n masks to
-themselves, so it is tabulated once by the per-ball step
-(:meth:`UltrametricSpace.step_table`) and applied as one lookup per mask.
+interior step and a diamond the closure step.  The balls of one grade
+partition the points, and every centre of a ball sees the same ball, so
+a step decides each ball once.  How depends on the value type:
+
+* One Python-int mask on a space with a tree (:func:`truth_mask`) is held
+  in leaf order (:meth:`UltrametricSpace.to_leaves`), where each ball of a
+  grade is a run of adjacent bits.  A closure step carries each run's
+  bits into the run's last bit (:meth:`UltrametricSpace.tops`) with one
+  addition, then spreads every top reached down its run by doubling
+  shifts: O(log longest run) big-int operations, however many balls the
+  grade has (Knuth, TAOCP 4A, 7.1.3).  An interior step is the dual.
+* One Python-int mask on a space without a tree, and a numpy batch of
+  masks, one per valuation (:func:`umlogic.validity.valid_in_model`), in
+  the narrowest unsigned type that holds n bits, take one pass per ball of
+  :meth:`UltrametricSpace.ball_partition` in point order.
+* On a batch over n points with 2^n <= :data:`CHUNK`, a modal step is a
+  function from the 2^n masks to themselves, so it is tabulated once by
+  the per-ball step (:meth:`UltrametricSpace.step_table`) and applied as
+  one lookup per mask.
+
+Each space resolves a grade to its rank once
+(:meth:`UltrametricSpace.rank_of`).  :func:`interior_mask` and
+:func:`closure_mask` keep the per-ball step in point order, as the
+reference the other steps are tested against.
 """
 from __future__ import annotations
 
@@ -55,6 +68,30 @@ def _ball_step(space: UltrametricSpace, value, eps: Fraction, full, meets: bool)
     return result
 
 
+def _leaf_step(space: UltrametricSpace, value: int, rank: int, meets: bool) -> int:
+    """Leaf-order mask of the leaves whose ball of the radii below ``rank`` meets ``value`` or lies inside it.
+
+    ``value`` is a leaf-order mask on a space with a tree.  The diamond adds
+    each run's bits below its top to the run's bits of ``value``, which
+    carries into the top iff the run meets ``value``, then spreads the tops
+    down their runs in doubling strides: after stride d, ``keep`` holds the
+    leaves at least 2d below their run's top.  The box is the dual.
+    """
+    full = space.full_mask
+    if not rank:  # a negative radius: every ball is empty
+        return 0 if meets else full
+    x = value if meets else full ^ value
+    tops = space.tops(rank)
+    rest = full ^ tops
+    y = (((x & rest) + rest) | x) & tops
+    d, keep = 1, rest
+    while keep:
+        y |= (y >> d) & keep
+        keep &= keep >> d
+        d <<= 1
+    return y if meets else full ^ y
+
+
 def interior_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose whole closed eps-ball lies inside ``mask``."""
     return _ball_step(space, mask, eps, space.full_mask, meets=False)
@@ -71,8 +108,13 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
     ``atom`` maps an atom name to its truth set and ``full`` is the set of
     all points: Python ints for one valuation, or a numpy batch of masks
     and ``full`` as a scalar of the batch's unsigned type for many at once.
+    Python ints are in the space's leaf order (:meth:`Model.leaf_mask`),
+    which is point order on a space without a tree; batches are in point
+    order.
     """
-    lookup = isinstance(full, np.generic) and 1 << space.n <= CHUNK
+    batch = isinstance(full, np.generic)
+    lookup = batch and 1 << space.n <= CHUNK
+    leaves = not batch and space.tree is not None
     values: dict[Formula, object] = {}
     for g in subformulas(f):
         if isinstance(g, Atom):
@@ -89,6 +131,8 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
             meets = isinstance(g, Diamond)
             if lookup:
                 value = np.take(space.step_table(g.grade, meets, full.dtype, _ball_step), values[g.sub])
+            elif leaves:
+                value = _leaf_step(space, values[g.sub], space.rank_of(g.grade), meets)
             else:
                 value = _ball_step(space, values[g.sub], g.grade, full, meets)
         else:
@@ -113,9 +157,14 @@ class TruthSet:
     points: frozenset[str]
 
 
+def _leaf_truth(model: Model, f: Formula) -> int:
+    """Truth set of ``f`` as a bitmask in the space's leaf order."""
+    return evaluate(model.space, f, model.leaf_mask, model.space.full_mask)
+
+
 def truth_mask(model: Model, f: Formula) -> int:
     """Truth set of ``f`` as a bitmask over the model's point order."""
-    return evaluate(model.space, f, model.atom_mask, model.space.full_mask)
+    return model.space.from_leaves(_leaf_truth(model, f))
 
 
 def truthset(model: Model, f: Formula) -> TruthSet:
@@ -125,7 +174,8 @@ def truthset(model: Model, f: Formula) -> TruthSet:
 
 def holds(model: Model, world: str, f: Formula) -> bool:
     """Whether ``f`` holds at ``world``.  Raises UnknownPointError for bad worlds."""
-    return bool(truth_mask(model, f) >> model.space.index(world) & 1)
+    space = model.space
+    return bool(_leaf_truth(model, f) >> space.leaf(space.index(world)) & 1)
 
 
 @dataclass(frozen=True)
@@ -156,13 +206,13 @@ def stability_degree(model: Model, world: str, f: Formula) -> DegreeReport:
     the box of grade g holds at the world iff g < threshold.
     """
     space = model.space
-    wi = space.index(world)
-    mask = truth_mask(model, f)
-    if not mask >> wi & 1:
+    at = space.leaf(space.index(world))
+    mask = _leaf_truth(model, f)
+    if not mask >> at & 1:
         return DegreeReport("stability", None, attained=False)
     if mask == space.full_mask:
         return DegreeReport("stability", Fraction(1), attained=True)
-    return DegreeReport("stability", space.nearest(wi, space.full_mask ^ mask), attained=False)
+    return DegreeReport("stability", space.nearest_leaf(at, space.full_mask ^ mask), attained=False)
 
 
 def plausibility_degree(model: Model, world: str, f: Formula) -> DegreeReport:
@@ -173,9 +223,9 @@ def plausibility_degree(model: Model, world: str, f: Formula) -> DegreeReport:
     ``level`` field reports the inverted scale 1 - threshold.
     """
     space = model.space
-    wi = space.index(world)
-    mask = truth_mask(model, f)
+    at = space.leaf(space.index(world))
+    mask = _leaf_truth(model, f)
     if mask == 0:
         return DegreeReport("plausibility", None, attained=False)
-    threshold = space.nearest(wi, mask)
+    threshold = space.nearest_leaf(at, mask)
     return DegreeReport("plausibility", threshold, attained=True, level=1 - threshold)

@@ -15,14 +15,21 @@ that breaks a law keeps its n x n table, and this module is the only one
 that reads it: every pairwise distance elsewhere is read one row at a
 time through :meth:`UltrametricSpace.row`.
 
-For each grade asked about, the space caches the distinct closed balls
-once, each with the mask of the points whose ball it is
-(:meth:`UltrametricSpace.ball_partition`); single balls and the listing
-of every ball are views of that cache.  In an ultrametric the balls of
-one grade partition the points, so evaluation costs one step per ball,
-not per point.  Beside the partitions, a space caches the modal steps
-that batch evaluation tabulates over every mask
-(:meth:`UltrametricSpace.step_table`).
+Each grade is resolved once per space to its rank, the number of
+realized distances it reaches (:meth:`UltrametricSpace.rank_of`), and
+everything per grade is cached per rank.  On a tree, bit k of a
+leaf-order mask is the point at leaf k (:meth:`UltrametricSpace.to_leaves`),
+so each ball of a grade is a run of adjacent bits, and one integer marks
+the last leaf of every run (:meth:`UltrametricSpace.tops`); that is all
+the modal step of :mod:`umlogic.semantics` reads, and nearest points are
+found by scanning such a mask.  For the per-ball steps, the space also
+caches the distinct closed balls of a grade, each with the mask of the
+points whose ball it is (:meth:`UltrametricSpace.ball_partition`); single
+balls and the listing of every ball are views of that cache.  In an
+ultrametric the balls of one grade partition the points, so a per-ball
+step costs one pass per ball, not per point.  Beside the partitions, a
+space caches the modal steps that batch evaluation tabulates over every
+mask (:meth:`UltrametricSpace.step_table`).
 
 Every number a caller gives (a matrix entry, a pair distance, a radius,
 and elsewhere a grade, a scaling constant or a factor) is read by
@@ -89,6 +96,11 @@ def read_rational(value: Fraction | int | str) -> Fraction:
 MAX_HISTORY_LENGTH = 14284
 
 
+def _packed(bits: np.ndarray) -> int:
+    """The bitmask whose bit k is ``bits[k]``, for an array of 0s and 1s (or bools)."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def _bitmask(indexes: list[int]) -> int:
     """The bitmask with the given point indexes set; an index may repeat."""
     if len(indexes) < 256:  # below this, or-ing bits in one at a time beats numpy's fixed cost
@@ -100,7 +112,7 @@ def _bitmask(indexes: list[int]) -> int:
     low = int(indexes.min())
     bits = np.zeros(int(indexes.max()) - low + 1, dtype=np.uint8)
     bits[indexes - low] = 1
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little") << low
+    return _packed(bits) << low
 
 
 class UltrametricSpace:
@@ -142,10 +154,11 @@ class UltrametricSpace:
         self._index = {p: i for i, p in enumerate(self._points)}
         self._distances = distances
         self._ranks = None if ranks is None else self._frozen(ranks)
+        self._grade_ranks: dict[tuple[int, int], int] = {}
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._tops: dict[int, int] = {}
         self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
-        self._nesting: tuple[list[tuple[int, int, int, int | None]], list[int]] | None = None
-        self._ball_masks: dict[int, int] = {}
+        self._nesting: list[tuple[int, int, int, int | None]] | None = None
         if ranks is not None and not (distances and distances[0]) and not np.diagonal(self._ranks).any():
             tree = _single_linkage(self._ranks)
         self._tree = self._position = None  # the tree, and each point's place among its leaves
@@ -309,8 +322,50 @@ class UltrametricSpace:
 
     def members(self, mask: int) -> np.ndarray:
         """Ascending point indexes of the bits set in ``mask``."""
+        return np.flatnonzero(self._bits(mask))
+
+    def _bits(self, mask: int) -> np.ndarray:
+        """Bit k of ``mask`` as entry k, for k below n."""
         data = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
-        return np.flatnonzero(np.unpackbits(data, count=self.n, bitorder="little"))
+        return np.unpackbits(data, count=self.n, bitorder="little")
+
+    def leaf(self, i: int) -> int:
+        """The place of point ``i`` among the tree's leaves; ``i`` itself for a space without a tree."""
+        return i if self._tree is None else int(self._position[i])
+
+    def to_leaves(self, mask: int) -> int:
+        """A point-order bitmask in leaf order, where bit k is the point at leaf k; unchanged without a tree."""
+        return mask if self._tree is None else _packed(self._bits(mask)[self._tree[0]])
+
+    def from_leaves(self, mask: int) -> int:
+        """A leaf-order bitmask (see :meth:`to_leaves`) in point order; unchanged without a tree."""
+        return mask if self._tree is None else _packed(self._bits(mask)[self._position])
+
+    def rank_of(self, eps: Fraction) -> int:
+        """How many realized distances are at most ``eps``: a ball of radius ``eps`` joins the lower ranks.
+
+        ``eps`` is read by :func:`read_rational` and resolved once per
+        space, in a dict keyed by its exact value, so repeated grades cost
+        no search over the Fraction distances.
+        """
+        eps = read_rational(eps)
+        key = (eps.numerator, eps.denominator)
+        rank = self._grade_ranks.get(key)
+        if rank is None:
+            rank = self._grade_ranks[key] = bisect_right(self._distances, eps)
+        return rank
+
+    def tops(self, rank: int) -> int:
+        """Leaf-order bitmask of the last leaf of each ball of the radii below ``rank``; needs a tree.
+
+        Those balls are the runs of leaves that adjacent ranks of at least
+        ``rank`` cut, so leaf k is a run's last unless pair k joins a
+        lower rank.  Cached per rank.
+        """
+        tops = self._tops.get(rank)
+        if tops is None:
+            tops = self._tops[rank] = _packed(np.append(self._tree[1] >= rank, True)) & self.full_mask
+        return tops
 
     def ball_partition(self, eps: Fraction) -> tuple[tuple[int, int], ...]:
         """The distinct closed eps-balls, each once as a (ball, centres) pair of bitmasks.
@@ -318,12 +373,11 @@ class UltrametricSpace:
         ``centres`` holds the points whose closed eps-ball is ``ball``, so the
         centres of all pairs partition the points; in an ultrametric every
         point of a ball is a centre of it, and ``centres == ball``.  Pairs
-        come in order of their first centre.  Cached per rank of ``eps``,
-        which is read by :func:`read_rational`.  A tree cuts its leaves
-        where an adjacent rank reaches past ``eps``; a space without a tree
-        groups the rows of its table.
+        come in order of their first centre.  Cached per :meth:`rank_of`
+        ``eps``.  A tree cuts its leaves where an adjacent rank reaches
+        past ``eps``; a space without a tree groups the rows of its table.
         """
-        below = bisect_right(self._distances, read_rational(eps))
+        below = self.rank_of(eps)
         cached = self._partitions.get(below)
         if cached is None:
             if not self.n:
@@ -359,11 +413,10 @@ class UltrametricSpace:
 
         Entry m is ``step(self, m, eps, full, meets)`` for the mask m, with
         masks and ``full`` of the unsigned ``dtype``; ``step`` runs once, on
-        ``np.arange(2 ** n)``.  Cached per rank of ``eps``, ``meets`` and
-        ``dtype``, as the partition is per rank; ``eps`` is read by
-        :func:`read_rational`.
+        ``np.arange(2 ** n)``.  Cached per :meth:`rank_of` ``eps``,
+        ``meets`` and ``dtype``, as the partition is per rank.
         """
-        key = (bisect_right(self._distances, read_rational(eps)), meets, dtype)
+        key = (self.rank_of(eps), meets, dtype)
         table = self._step_tables.get(key)
         if table is None:
             table = step(self, np.arange(1 << self.n, dtype=dtype), eps, dtype.type(self.full_mask), meets)
@@ -390,33 +443,31 @@ class UltrametricSpace:
         return list(seen.values())
 
     def nearest(self, i: int, mask: int) -> Fraction | None:
-        """Smallest distance from point ``i`` to a member of ``mask``; None if empty.
+        """Smallest distance from point ``i`` to a member of ``mask``; None if empty."""
+        return self.nearest_leaf(self.leaf(i), self.to_leaves(mask))
 
-        A tree returns the diameter of the smallest ball around ``i`` that
-        meets ``mask``, walking up from ``i``'s leaf; each ball's mask is
-        built on first use and kept.  A space without a tree takes the
-        least rank in ``i``'s row.
+    def nearest_leaf(self, k: int, mask: int) -> Fraction | None:
+        """Smallest distance from leaf ``k`` to a member of the leaf-order ``mask``; None if empty.
+
+        A tree finds the nearest set leaf on each side of ``k`` by bit
+        arithmetic, and each is as far as the largest adjacent rank between
+        it and ``k``.  A space without a tree, whose leaves are its points,
+        takes the least rank in row ``k``.
         """
-        if self._tree is None:
-            idx = self.members(mask)
-            if not idx.size:
-                return None
-            return self._distances[self.row(i)[idx].min()]
         if not mask:
             return None
-        balls, smallest = self._nested()
-        ball = smallest[self._position[i]]
-        while not self._ball_mask(ball) & mask:
-            ball = balls[ball][3]
-        return self._distances[balls[ball][2]]
-
-    def _ball_mask(self, ball: int) -> int:
-        """The points of ball ``ball`` of :meth:`tree_balls` as a bitmask, kept once built."""
-        mask = self._ball_masks.get(ball)
-        if mask is None:
-            start, end = self._nested()[0][ball][:2]
-            mask = self._ball_masks[ball] = _bitmask(self._tree[0][start:end].tolist())
-        return mask
+        if self._tree is None:
+            return self._distances[self.row(k)[self.members(mask)].min()]
+        if mask >> k & 1:
+            return self._distances[0]
+        adjacent, ranks = self._tree[1], []
+        left = mask & ((1 << k) - 1)
+        if left:
+            ranks.append(adjacent[left.bit_length() - 1:k].max())
+        right = mask >> k
+        if right:
+            ranks.append(adjacent[k:k + (right & -right).bit_length() - 1].max())
+        return self._distances[min(ranks)]
 
     def tree_balls(self) -> list[tuple[int, int, int, int | None]] | None:
         """Each distinct ball of a tree once, as (start, end, rank, parent); None without a tree.
@@ -425,11 +476,6 @@ class UltrametricSpace:
         is ``realized_distances()[rank]``, and ``parent`` indexes the
         smallest ball strictly containing it, None for the whole space.
         Built on first use and kept.
-        """
-        return None if self._tree is None else self._nested()[0]
-
-    def _nested(self) -> tuple[list[tuple[int, int, int, int | None]], list[int]]:
-        """The tree's balls (see :meth:`tree_balls`) and the index of the smallest ball around each leaf.
 
         The run that adjacent pair k merges into reaches, on each side, up
         to the nearest adjacent pair of higher rank; a stack of the pairs
@@ -439,6 +485,8 @@ class UltrametricSpace:
         joins it to a neighbour.
         A run's parent is the run merging across its lower boundary.
         """
+        if self._tree is None:
+            return None
         if self._nesting is None:
             heights, n = self._tree[1].tolist(), self.n
             runs: list[list[int]] = []  # [start, end, rank of the diameter]
@@ -455,15 +503,8 @@ class UltrametricSpace:
                     run_of[k] = len(runs)
                     runs.append([open_pairs[-1] + 1 if open_pairs else 0, n, height])
                     open_pairs.append(k)
-            smallest = []
-            for p in range(n):
-                if p and not heights[p - 1]:
-                    smallest.append(run_of[p - 1])
-                elif p < n - 1 and not heights[p]:
-                    smallest.append(run_of[p])
-                else:
-                    smallest.append(len(runs))
-                    runs.append([p, p + 1, 0])
+            runs += ([p, p + 1, 0] for p in range(n)
+                     if not (p and not heights[p - 1] or p < n - 1 and not heights[p]))
             balls = []
             for start, end, rank in runs:
                 if not start and end == n:
@@ -473,7 +514,7 @@ class UltrametricSpace:
                 else:
                     parent = run_of[end - 1]
                 balls.append((start, end, rank, parent))
-            self._nesting = (balls, smallest)
+            self._nesting = balls
         return self._nesting
 
     def realized_distances(self) -> list[Fraction]:
@@ -658,14 +699,16 @@ class Model:
     """A space plus a valuation assigning each atom the set of points where it holds.
 
     The space and the valuation are read-only, because each atom's bitmask
-    is computed once, here; the first unknown point of an atom, in the
-    order given, raises :class:`UnknownPointError`.
+    is computed once, here, in point order and in the space's leaf order
+    (:meth:`UltrametricSpace.to_leaves`); the first unknown point of an
+    atom, in the order given, raises :class:`UnknownPointError`.
     """
 
     def __init__(self, space: UltrametricSpace, valuation: Mapping[str, Iterable[str]] | None = None):
         self._space = space
         listed = {atom: list(members) for atom, members in (valuation or {}).items()}
         self._atom_masks = {atom: space.mask_of(names) for atom, names in listed.items()}
+        self._leaf_masks = {atom: space.to_leaves(mask) for atom, mask in self._atom_masks.items()}
         self._valuation = {atom: frozenset(names) for atom, names in listed.items()}
 
     @property
@@ -683,3 +726,7 @@ class Model:
 
     def atom_mask(self, name: str) -> int:
         return self._atom_masks.get(name, 0)
+
+    def leaf_mask(self, name: str) -> int:
+        """:meth:`atom_mask` in the space's leaf order."""
+        return self._leaf_masks.get(name, 0)

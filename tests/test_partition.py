@@ -12,6 +12,11 @@ driven by ``ref_eval_chunk``.  The spaces are those of ``test_rank_table``:
 generated ultrametrics, history spaces with duplicate points, and broken
 or perturbed tables, where a ball's centres differ from its members.
 
+A single truth set on a space with a tree takes each modal step in leaf
+order instead (``semantics._leaf_step``); it is compared with the same
+per-world loops on every tree here, and whole truth sets at fine grades
+on ``cantor_space(12)`` with evaluation by the per-ball step.
+
 A batch over n points with 2^n <= ``semantics.CHUNK`` takes each modal
 step as a lookup in a table that the per-ball step built over all 2^n
 masks (``UltrametricSpace.step_table``); batches come in every unsigned
@@ -20,6 +25,7 @@ threshold, lowering ``CHUNK`` below 2^n for the per-ball side, and
 ``valid_in_model`` is compared on each side of the dtype and table bounds.
 """
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,10 +33,11 @@ import pytest
 from conftest import dense_table
 from test_rank_table import CASES, IDS, probe_grades, ref_ball_masks, ref_realized
 from umlogic import semantics
-from umlogic.formula import And, Atom, Box, Diamond, Not, atoms, desugar, subformulas
+from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, atoms, desugar, subformulas
 from umlogic.generators import random_formula, random_schema_instance, random_ultrametric_space
 from umlogic.parser import parse
-from umlogic.semantics import _ball_step, closure_mask, evaluate, interior_mask
+from umlogic.semantics import _ball_step, _leaf_step, closure_mask, evaluate, interior_mask, truth_mask
+from umlogic.space import Model, cantor_space
 from umlogic.validity import Counterexample, ValidityResult, valid_in_model
 
 BATCH_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -52,6 +59,19 @@ def ref_closure(table, mask, eps):
         if ball & mask:
             result |= 1 << i
     return result
+
+
+def ref_truth(table, f, valuation):
+    """Truth mask of a desugared formula by the per-world loops; ``valuation`` maps atoms to masks."""
+    if isinstance(f, Atom):
+        return valuation.get(f.name, 0)
+    if isinstance(f, Not):
+        return (1 << len(table)) - 1 ^ ref_truth(table, f.sub, valuation)
+    if isinstance(f, And):
+        return ref_truth(table, f.left, valuation) & ref_truth(table, f.right, valuation)
+    if isinstance(f, Box):
+        return ref_interior(table, ref_truth(table, f.sub, valuation), f.grade)
+    raise TypeError(f"not a core formula: {f!r}")
 
 
 def ref_eval_chunk(space, order, atom_arrays, size):
@@ -140,6 +160,14 @@ class TestAgainstPerWorldLoops:
                 assert interior_mask(space, mask, eps) == ref_interior(table, mask, eps)
                 assert closure_mask(space, mask, eps) == ref_closure(table, mask, eps)
 
+    def test_truth_mask(self, label, space, table):
+        """Whole truth sets, by the leaf step on a tree and per ball otherwise, against the per-world loops."""
+        rng = random.Random(label)
+        valuation = {name: rng.getrandbits(space.n) for name in ("p", "q")}
+        model = Model(space, {name: space.names_of(mask) for name, mask in valuation.items()})
+        for f in sample_formulas(rng, formula_grades(table), 12):
+            assert truth_mask(model, f) == ref_truth(table, desugar(f), valuation), f
+
     def test_eval_chunk(self, label, space, table, monkeypatch):
         if space.n > 64:
             pytest.skip("a chunk holds at most 64 points per valuation")
@@ -177,6 +205,46 @@ class TestAgainstPerWorldLoops:
         formulas = [f for f in formulas if space.n * len(atoms(f)) <= 16]
         for f in formulas:
             assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
+
+
+TREE_CASES = [case for case in CASES if case[1].tree is not None]
+
+
+@pytest.mark.parametrize("label, space, table", TREE_CASES, ids=[label for label, _, _ in TREE_CASES])
+def test_leaf_step(label, space, table):
+    """On a tree, the step in leaf order against the per-world loops, at every probe grade."""
+    rng = random.Random(label)
+    for eps in probe_grades(ref_realized(table)):
+        for mask in sample_masks(rng, space.n):
+            leaves, rank = space.to_leaves(mask), space.rank_of(eps)
+            assert space.from_leaves(_leaf_step(space, leaves, rank, False)) == ref_interior(table, mask, eps)
+            assert space.from_leaves(_leaf_step(space, leaves, rank, True)) == ref_closure(table, mask, eps)
+
+
+def per_ball_truth(model, f):
+    """Truth mask of ``f`` in point order, every modal step taken per ball by ``interior_mask``/``closure_mask``."""
+    space, full = model.space, model.space.full_mask
+    if isinstance(f, Atom):
+        return model.atom_mask(f.name)
+    if isinstance(f, Not):
+        return full ^ per_ball_truth(model, f.sub)
+    if isinstance(f, (Box, Diamond)):
+        step = closure_mask if isinstance(f, Diamond) else interior_mask
+        return step(space, per_ball_truth(model, f.sub), f.grade)
+    left, right = per_ball_truth(model, f.left), per_ball_truth(model, f.right)
+    return {And: left & right, Or: left | right, Implies: (full ^ left) | right}[type(f)]
+
+
+def test_fine_grade_truth_masks_on_4096_worlds():
+    """Grades down to single worlds on ``cantor_space(12)``: the leaf step against per-ball evaluation."""
+    space, rng = cantor_space(12), random.Random(4096)
+    model = Model(space, {name: [x for x in space.points if rng.random() < 0.5] for name in ("p", "q")})
+    texts = ["[1/4096]<1/2048>p -> <1/1024>[1/8192]p", "<1/4096>(p & [1/8192]~q) | [1/2]<1/4096>q",
+             "[0]p <-> p", "<1>[1/3]p & ~[1/4095]<1/4097>(q -> p)"]
+    grades = [Fraction(1, 2 ** k) for k in range(14)] + [Fraction(0), Fraction(3, 8192)]
+    formulas = [parse(text) for text in texts] + [random_formula(rng, ("p", "q"), grades, 4) for _ in range(6)]
+    for f in formulas:
+        assert truth_mask(model, f) == per_ball_truth(model, f), f
 
 
 # --- the dtype and table bounds ----------------------------------------------

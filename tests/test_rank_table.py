@@ -22,6 +22,9 @@ perturbed tables keep the table and its readers, and the constructions
 and the dendrogram refuse them.  Every pairwise distance is read one row
 at a time (``UltrametricSpace.row``): ``dense_table`` and ``dist`` read
 rows, so comparing them with the reference table compares the rows.
+On every tree here, and on a matrix and a union whose leaves are out of
+point order, the leaf-order modal step is compared with the per-ball
+step, and ``nearest`` with the least rank of each row over the mask.
 """
 import json
 import random
@@ -52,7 +55,7 @@ from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
 from umlogic.formula import Atom
 from umlogic.generators import LEVEL_POOL, random_ultrametric_space
 from umlogic.modelio import dump_model, load_model
-from umlogic.semantics import plausibility_degree, stability_degree, truthset
+from umlogic.semantics import _ball_step, _leaf_step, plausibility_degree, stability_degree, truthset
 from umlogic.space import (
     Model,
     UltrametricSpace,
@@ -792,6 +795,107 @@ def test_a_run_shared_by_three_children_ends_where_it_should():
     assert space.nearest(space.index("c"), space.mask_of(["b"])) == 1
     assert space.ball("c", Fraction(1, 2)) == {"c", "d"}
     assert ball_tree(space) == ref_ball_tree(space.points, table)
+
+
+# --- leaf order: the modal step, grades and nearest points on the tree ---------
+
+def shuffled_matrix():
+    """A 9-point generated table under shuffled names, so Prim's leaves are out of point order."""
+    source = random_ultrametric_space(random.Random(41), 9)
+    order = random.Random(42).sample(range(9), 9)
+    table = tuple(tuple(source.dist(source.points[a], source.points[b]) for b in order) for a in order)
+    return "shuffled-matrix", UltrametricSpace([f"m{i}" for i in range(9)], table), table
+
+
+def union_case():
+    """A union of the shuffled matrix and a history space with twins: leaves out of point order."""
+    _, matrix, matrix_table = shuffled_matrix()
+    twins = ["b", "a", "c"], {"a": "01", "b": "01", "c": "11"}
+    _, histories, history_table = history_case("twins", *twins)
+    points, table, _ = ref_union([(matrix.points, matrix_table, {}), (histories.points, history_table, {})])
+    union = disjoint_union([Model(matrix), Model(histories)]).space
+    assert list(union.points) == points
+    return "union", union, tuple(map(tuple, table))
+
+
+LEAF_CASES = TREE_CASES + [shuffled_matrix(), union_case()]
+
+
+def leaf_grades(space):
+    """``tree_grades`` with grade 0, grade 1 and a negative radius added."""
+    return tree_grades(space) + [Fraction(0), Fraction(1), Fraction(-1, 2)]
+
+
+def leaf_masks(rng, space):
+    return [0, space.full_mask, *(1 << i for i in range(min(space.n, 24))),
+            *(rng.getrandbits(space.n) for _ in range(8))]
+
+
+@pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=labels(LEAF_CASES))
+def test_leaf_step_matches_the_ball_step(label, space, table):
+    """Both modalities, in leaf order by carries and spreads, against the per-ball step in point order."""
+    rng = random.Random(label)
+    full = space.full_mask
+    for mask in leaf_masks(rng, space):
+        leaves = space.to_leaves(mask)
+        assert 0 <= leaves <= full and space.from_leaves(leaves) == mask
+        for eps in leaf_grades(space):
+            for meets in (False, True):
+                got = space.from_leaves(_leaf_step(space, leaves, space.rank_of(eps), meets))
+                assert got == _ball_step(space, mask, eps, full, meets), (mask, eps, meets)
+
+
+def test_leaf_order_is_not_point_order_in_the_union_and_the_matrix():
+    for _, space, _ in LEAF_CASES[-2:]:
+        leaves = space.tree[0].tolist()
+        assert leaves != list(range(space.n))
+        assert [space.leaf(i) for i in leaves] == list(range(space.n))
+        for i in range(space.n):
+            assert space.to_leaves(1 << i) == 1 << space.leaf(i)
+
+
+@pytest.mark.parametrize("label, space, table", LEAF_CASES + PERTURBED_CASES,
+                         ids=labels(LEAF_CASES + PERTURBED_CASES))
+def test_nearest_is_the_least_rank_in_the_row(label, space, table):
+    """``nearest`` (a scan of the leaf-order mask on a tree) against the minimum of each row over the mask."""
+    rng = random.Random(label)
+    distances = space.realized_distances()
+    for mask in leaf_masks(rng, space):
+        members = space.members(mask)
+        for i in range(space.n):
+            want = distances[space.row(i)[members].min()] if members.size else None
+            assert space.nearest(i, mask) == want, (i, mask)
+            assert space.nearest_leaf(space.leaf(i), space.to_leaves(mask)) == want, (i, mask)
+
+
+def test_nearest_on_4096_worlds_matches_the_row_minimum():
+    """Sparse masks, so the nearest member is often far along the leaves on either side."""
+    space, rng = cantor_space(12), random.Random(12)
+    distances = space.realized_distances()
+    for _ in range(60):
+        members = rng.sample(range(space.n), rng.randint(1, 3))
+        i = rng.randrange(space.n)
+        want = distances[space.row(i)[members].min()]
+        assert space.nearest(i, sum(1 << j for j in members)) == want, (i, members)
+
+
+def test_each_grade_is_resolved_once(monkeypatch):
+    """After its first use a grade's rank is read from a dict: partitions, step tables and steps search nothing."""
+    space = cantor_space(3)
+    grades = [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(-1), Fraction(2)]
+    ranks = [space.rank_of(g) for g in grades]
+    assert ranks == [4, 3, 1, 0, 4] and space.rank_of(1) == 4
+    monkeypatch.setattr(space_module, "bisect_right", refuse("bisect_right"))
+    assert [space.rank_of(g) for g in grades] == ranks
+    assert space.rank_of("1/2") == space.rank_of(Fraction(2, 4)) == 4
+    assert space.ball_partition(Fraction(1, 2)) and space.step_table(Fraction(1, 3), True, np.dtype(np.uint8),
+                                                                      _ball_step).size == 256
+    with pytest.raises(AssertionError, match="bisect_right reached"):
+        space.rank_of(Fraction(1, 5))
+    # Equal to the int 1 already resolved, and still refused.
+    for unread in (1.0, True):
+        with pytest.raises(TypeError):
+            space.rank_of(unread)
 
 
 # --- the tree built from a table ----------------------------------------------

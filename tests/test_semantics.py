@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from umlogic.semantics import (
     interior_eps,
     plausibility_degree,
     stability_degree,
+    truth_mask,
     truthset,
 )
-from umlogic.space import UnknownPointError, cantor_space, validate_space
+from umlogic.space import Model, UnknownPointError, cantor_space, validate_space
+from umlogic.validity import valid_in_model
 
 
 def brute_interior(space, members, eps):
@@ -271,3 +274,27 @@ class TestDegrees:
                         assert holds(model, w, Box(eps, f)) == expect_box
                         expect_dia = plaus.threshold is not None and eps >= plaus.threshold
                         assert holds(model, w, Diamond(eps, f)) == expect_dia
+
+
+def test_queries_leave_no_reference_cycles():
+    """Warm queries free everything they make by reference counting, with nothing left for the collector."""
+    space = cantor_space(5)
+    model = Model(space, {"p": space.points[::3], "q": space.points[::2]})
+    f = parse("[1/4]<1/8>p -> <1/2>[1/16]q")
+    calls = {
+        "truth_mask": lambda: truth_mask(model, f),
+        "holds": lambda: holds(model, space.points[1], f),
+        "stability_degree": lambda: stability_degree(model, space.points[0], f),
+        "plausibility_degree": lambda: plausibility_degree(model, space.points[0], f),
+        "valid_in_model": lambda: valid_in_model(cantor_space(2), parse("[1/2](p -> q) -> ([1/2]p -> [1/2]q)")),
+    }
+    for call in calls.values():
+        call()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
