@@ -40,11 +40,15 @@ class Formula:
 
     A node computes its hash once, from its children's cached hashes, so
     hashing a formula costs one step per node however often it is looked
-    up.  String hashes are seeded per process, so the cached value is
-    left out of pickles and copies.
+    up.  The evaluator caches a second attribute, ``_program``: the
+    formula compiled once into the slot program it runs
+    (:func:`umlogic.semantics.evaluate`).  String hashes are seeded per
+    process, so the hash is left out of pickles and copies, and the
+    program with it: a copy rebuilds both on first use.
     """
 
     _hash: int | None = None
+    _program: tuple | None = None
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -60,6 +64,7 @@ class Formula:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_program", None)
         return state
 
 

@@ -182,6 +182,12 @@ def _parse_bindings(raw, context: str, memo: dict) -> dict:
     return bindings
 
 
+def _line_number(text: str) -> bool:
+    """Whether ``text`` is a line number: ASCII digits, maybe spaced (``isdecimal`` takes every script's)."""
+    text = text.strip()
+    return text.isascii() and text.isdecimal()
+
+
 def _parse_justification(text, bind, context: str, memo: dict) -> Justification:
     if not isinstance(text, str):
         raise ProofFormatError(f'{context}: "by" must be a string')
@@ -193,12 +199,12 @@ def _parse_justification(text, bind, context: str, memo: dict) -> Justification:
         return AxiomStep(name, bindings)
     if text.startswith("mp:"):
         parts = text[len("mp:"):].split(",")
-        if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
+        if len(parts) != 2 or not all(_line_number(p) for p in parts):
             raise ProofFormatError(f"{context}: malformed modus ponens justification {text!r}")
         return MP(int(parts[0]), int(parts[1]))
     if text.startswith("nec:"):
         parts = text[len("nec:"):].split(":")
-        if len(parts) != 2 or not parts[0].strip().isdecimal():
+        if len(parts) != 2 or not _line_number(parts[0]):
             raise ProofFormatError(f"{context}: malformed necessitation justification {text!r}")
         try:
             grade = parse_grade(parts[1])

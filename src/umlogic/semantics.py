@@ -5,12 +5,17 @@ the whole closed g-ball), the diamond the graded closure C_g (truth
 somewhere in the ball).  Point sets travel as bitmasks internally; the
 public functions speak in point-name sets.
 
-One evaluator, :func:`evaluate`, serves every query.  It runs children
-first over the subformulas of the formula as parsed, handling all seven
-constructors directly, so nothing is desugared first: a box takes the
-interior step and a diamond the closure step.  The balls of one grade
-partition the points, and every centre of a ball sees the same ball, so
-a step decides each ball once.  How depends on the value type:
+One evaluator, :func:`evaluate`, serves every query.  It runs the
+formula's slot program (:func:`_program`): the formula as parsed,
+compiled once and cached on its node, one ``(opcode, a, b)`` step per
+distinct subformula, children first, where ``a`` and ``b`` are the
+children's slots in a list of values, an atom's name, or a modal step's
+grade.  All seven constructors are steps, so nothing is desugared first:
+a box takes the interior step and a diamond the closure step.  A formula
+queried again is neither walked nor hashed again; truth sets are never
+cached.  The balls of one grade partition the points, and every centre
+of a ball sees the same ball, so a step decides each ball once.  How
+depends on the value type:
 
 * One Python-int mask on a space with a tree (:func:`truth_mask`) is held
   in leaf order (:meth:`UltrametricSpace.to_leaves`), where each ball of a
@@ -102,43 +107,78 @@ def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     return _ball_step(space, mask, eps, space.full_mask, meets=True)
 
 
+def _program(f: Formula) -> tuple:
+    """The slot program of ``f``, compiled on first use and cached on the node as ``_program``.
+
+    One ``(opcode, a, b)`` step per distinct subformula, children first, so
+    the last step is ``f``.  The opcode is the constructor's class; ``a`` is
+    an atom's name or the slot of the step's first child, and ``b`` the slot
+    of a binary step's right child or a modal step's grade.
+    """
+    program = getattr(f, "_program", None)
+    if program is None:
+        slot: dict[Formula, int] = {}
+        steps = []
+        for g in subformulas(f):
+            if isinstance(g, Atom):
+                step = (Atom, g.name, None)
+            elif isinstance(g, Not):
+                step = (Not, slot[g.sub], None)
+            elif isinstance(g, And):
+                step = (And, slot[g.left], slot[g.right])
+            elif isinstance(g, Or):
+                step = (Or, slot[g.left], slot[g.right])
+            elif isinstance(g, Implies):
+                step = (Implies, slot[g.left], slot[g.right])
+            elif isinstance(g, Box):
+                step = (Box, slot[g.sub], g.grade)
+            elif isinstance(g, Diamond):
+                step = (Diamond, slot[g.sub], g.grade)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            slot[g] = len(steps)
+            steps.append(step)
+        program = tuple(steps)
+        object.__setattr__(f, "_program", program)
+    return program
+
+
 def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object], full):
-    """Truth set of ``f`` over ``space``, children first, one value per distinct subformula.
+    """Truth set of ``f`` over ``space``: its slot program run into a list, one value per step.
 
     ``atom`` maps an atom name to its truth set and ``full`` is the set of
     all points: Python ints for one valuation, or a numpy batch of masks
     and ``full`` as a scalar of the batch's unsigned type for many at once.
     Python ints are in the space's leaf order (:meth:`Model.leaf_mask`),
     which is point order on a space without a tree; batches are in point
-    order.
+    order.  The program (:func:`_program`) is compiled once per formula
+    node; nothing computed for a model is kept.
     """
     batch = isinstance(full, np.generic)
     lookup = batch and 1 << space.n <= CHUNK
     leaves = not batch and space.tree is not None
-    values: dict[Formula, object] = {}
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            value = atom(g.name)
-        elif isinstance(g, Not):
-            value = full ^ values[g.sub]
-        elif isinstance(g, And):
-            value = values[g.left] & values[g.right]
-        elif isinstance(g, Or):
-            value = values[g.left] | values[g.right]
-        elif isinstance(g, Implies):
-            value = (full ^ values[g.left]) | values[g.right]
-        elif isinstance(g, (Box, Diamond)):
-            meets = isinstance(g, Diamond)
-            if lookup:
-                value = np.take(space.step_table(g.grade, meets, full.dtype, _ball_step), values[g.sub])
-            elif leaves:
-                value = _leaf_step(space, values[g.sub], space.rank_of(g.grade), meets)
-            else:
-                value = _ball_step(space, values[g.sub], g.grade, full, meets)
+    values: list = []
+    append = values.append
+    for op, a, b in _program(f):
+        if op is Atom:
+            append(atom(a))
+        elif op is Not:
+            append(full ^ values[a])
+        elif op is And:
+            append(values[a] & values[b])
+        elif op is Or:
+            append(values[a] | values[b])
+        elif op is Implies:
+            append((full ^ values[a]) | values[b])
         else:
-            raise TypeError(f"not a formula: {g!r}")
-        values[g] = value
-    return values[f]
+            meets = op is Diamond
+            if lookup:
+                append(np.take(space.step_table(b, meets, full.dtype, _ball_step), values[a]))
+            elif leaves:
+                append(_leaf_step(space, values[a], space.rank_of(b), meets))
+            else:
+                append(_ball_step(space, values[a], b, full, meets))
+    return values[-1]
 
 
 def interior_eps(space: UltrametricSpace, members: Iterable[str], eps: Fraction) -> frozenset[str]:

@@ -74,7 +74,9 @@ def read_rational(value: Fraction | int | str) -> Fraction:
     A Fraction is returned unchanged (so interned grades stay shared), an
     int is converted, and ``"p/q"`` or finite-decimal text is parsed.
     Exponent notation raises ValueError: ``Fraction("1e999999999")``
-    would compute 10^999999999 before any range check could run.
+    would compute 10^999999999 before any range check could run.  So does
+    text that is not ASCII or holds ``_``, which ``Fraction`` reads as a
+    Python literal would be (``"1_0/20"``, or other scripts' digits).
     Anything else, floats and bools included, raises TypeError, because a
     float is already rounded and a verdict on d(x, y) <= eps can flip.
     """
@@ -83,6 +85,8 @@ def read_rational(value: Fraction | int | str) -> Fraction:
     if isinstance(value, str):
         if "e" in value.lower():
             raise ValueError(f"exponent notation in {value!r}")
+        if not value.isascii() or "_" in value:
+            raise ValueError(f"not a plain rational: {value!r}")
         return Fraction(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
@@ -152,6 +156,8 @@ class UltrametricSpace:
         if len(set(self._points)) != len(self._points):
             raise ValueError("duplicate point names")
         self._index = {p: i for i, p in enumerate(self._points)}
+        #: The bitmask of every point, read on every modal step.
+        self.full_mask = (1 << len(self._points)) - 1
         self._distances = distances
         self._ranks = None if ranks is None else self._frozen(ranks)
         self._grade_ranks: dict[tuple[int, int], int] = {}
@@ -264,10 +270,6 @@ class UltrametricSpace:
     @property
     def n(self) -> int:
         return len(self._points)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << len(self._points)) - 1
 
     def row(self, i: int) -> np.ndarray:
         """Ranks into :meth:`realized_distances` from point ``i`` to every point, in point order.

@@ -313,9 +313,15 @@ class TestProve:
     @pytest.mark.parametrize("by, formula, rule", [
         ("mp:²,1", "p", "modus ponens"),
         ("nec:¹:1/2", "[1/2]p", "necessitation"),
+        ("mp:١,١", "p", "modus ponens"),
+        ("nec:١:1/2", "[1/2]p", "necessitation"),
     ])
     def test_superscript_line_numbers_are_malformed(self, capsys, tmp_path, by, formula, rule):
-        """Superscript digits pass ``str.isdigit`` but not ``int``; the entry is named, not the int error."""
+        """Superscript digits pass ``str.isdigit`` but not ``int``; the entry is named, not the int error.
+
+        Other scripts' decimal digits pass ``str.isdecimal`` and ``int``, but a
+        line number is ASCII digits only.
+        """
         path = tmp_path / "superscript.json"
         path.write_text(json.dumps([{"n": 1, "formula": "p", "by": "premise"},
                                     {"n": 2, "formula": formula, "by": by}]))
@@ -530,6 +536,40 @@ class TestExponentNotation:
 
     def test_subspace_grade(self, capsys, tree_model):
         self.run_fast(capsys, ["subspace", "--model", str(tree_model), "--world", "w0", "--grade", HUGE])
+
+
+class TestPlainRationals:
+    """Rational text is ASCII ``p/q`` or a finite decimal: ``_`` separators and other scripts' digits exit 2."""
+
+    TEXTS = ["1_0/20", "١/٢"]
+
+    def refused(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matrix_entry(self, capsys, tmp_path, text):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"points": ["a", "b"], "distance": {"matrix": [["0", text], [text, "0"]]}}))
+        self.refused(capsys, ["validate-model", "--model", str(model)], f"unreadable distance {text!r}")
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_grade_flag(self, capsys, tree_model, text):
+        self.refused(capsys, ["ball", "--model", str(tree_model), "--world", "w0", "--grade", text],
+                     f"unreadable grade {text!r}")
+
+    @pytest.mark.parametrize("text", ["١/٢", "1/٢"])
+    def test_formula_grade(self, capsys, tree_model, text):
+        self.refused(capsys, ["truthset", "--model", str(tree_model), "--formula", f"[{text}]p"],
+                     f"unreadable grade {text!r} at line 1, column 2")
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_necessitation_grade(self, capsys, tmp_path, text):
+        proof = tmp_path / "p.json"
+        proof.write_text(json.dumps([{"n": 1, "formula": "p", "by": "premise"},
+                                     {"n": 2, "formula": "[1/2]p", "by": f"nec:1:{text}"}]))
+        self.refused(capsys, ["prove", "--proof", str(proof)], f"entry 1: unreadable grade {text!r}")
 
 
 class TestHarnessBounds:

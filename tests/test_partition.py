@@ -17,6 +17,11 @@ order instead (``semantics._leaf_step``); it is compared with the same
 per-world loops on every tree here, and whole truth sets at fine grades
 on ``cantor_space(12)`` with evaluation by the per-ball step.
 
+``test_slot_programs`` runs ``evaluate`` through the formula's compiled
+slot program (``semantics._program``) on formulas over all seven
+constructors with shared subtrees, on each path: leaf steps, per-ball
+steps on one int, and batches by table and per ball.
+
 A batch over n points with 2^n <= ``semantics.CHUNK`` takes each modal
 step as a lookup in a table that the per-ball step built over all 2^n
 masks (``UltrametricSpace.step_table``); batches come in every unsigned
@@ -219,6 +224,57 @@ def test_leaf_step(label, space, table):
             leaves, rank = space.to_leaves(mask), space.rank_of(eps)
             assert space.from_leaves(_leaf_step(space, leaves, rank, False)) == ref_interior(table, mask, eps)
             assert space.from_leaves(_leaf_step(space, leaves, rank, True)) == ref_closure(table, mask, eps)
+
+
+def seven_constructor_formulas(grades):
+    """Formulas over all seven constructors, with subtrees shared by identity and by equality alone."""
+    g, h = grades[len(grades) // 2], grades[-1]
+    p, q = Atom("p"), Atom("q")
+    box = Box(g, Implies(p, q))
+    twin = Box(g, Implies(Atom("p"), Atom("q")))  # equal to ``box``, another object
+    return [
+        And(Or(box, Not(twin)), Diamond(h, box)),
+        Implies(Diamond(g, Or(p, Not(q))), Box(h, Diamond(g, Or(Atom("p"), Not(Atom("q")))))),
+        Not(And(Diamond(grades[0], p), Diamond(grades[0], p))),
+        p,
+    ]
+
+
+@pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
+def test_slot_programs(label, space, table, monkeypatch):
+    """``evaluate`` through the slot program on every path: leaf steps, per-ball steps and batches, against the per-world loops."""
+    formulas = seven_constructor_formulas(formula_grades(table))
+    programs = [semantics._program(f) for f in formulas]
+    assert [len(program) for program in programs] == [8, 7, 4, 1]  # one step per distinct subformula
+    assert {op for program in programs for op, _, _ in program} == {Atom, Not, And, Or, Implies, Box, Diamond}
+    steps = []
+    for name in ("_leaf_step", "_ball_step"):
+        step = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name, lambda *args, name=name, step=step: steps.append(name) or step(*args))
+    step_table = space.step_table
+    monkeypatch.setattr(space, "step_table", lambda *args: steps.append("step_table") or step_table(*args))
+
+    rng = random.Random(label)
+    valuations = [{name: rng.getrandbits(space.n) for name in ("p", "q")} for _ in range(6)]
+    wants = [[ref_truth(table, desugar(f), valuation) for valuation in valuations] for f in formulas]
+    for valuation, column in zip(valuations, zip(*wants)):
+        model = Model(space, {name: space.names_of(mask) for name, mask in valuation.items()})
+        for f, want in zip(formulas, column):
+            steps.clear()
+            assert space.from_leaves(evaluate(space, f, model.leaf_mask, space.full_mask)) == want, f
+            assert set(steps) <= {"_leaf_step" if space.tree is not None else "_ball_step"}
+
+    batch = {name: np.array([valuation[name] for valuation in valuations], dtype=np.uint64) for name in ("p", "q")}
+    # The real threshold (by table up to 18 points), then one just below 2^n (per ball).
+    for chunk in (semantics.CHUNK, (1 << space.n) - 1):
+        monkeypatch.setattr(semantics, "CHUNK", chunk)
+        lookup = 1 << space.n <= chunk
+        for f, program, want in zip(formulas, programs, wants):
+            steps.clear()
+            got = evaluate(space, f, batch.__getitem__, np.uint64(space.full_mask))
+            assert got.tolist() == want, (f, chunk)
+            modal = any(op in (Box, Diamond) for op, _, _ in program)
+            assert ("step_table" in steps) == (modal and lookup) and "_leaf_step" not in steps
 
 
 def per_ball_truth(model, f):

@@ -49,7 +49,7 @@ from umlogic.semantics import (
     stability_degree,
     truth_mask,
 )
-from umlogic.space import Model, UltrametricSpace, validate_space
+from umlogic.space import Model, UltrametricSpace, cantor_space, validate_space
 from umlogic.validity import valid_in_model
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -242,11 +242,15 @@ def test_cached_hash_equals_a_fresh_equal_formula(f):
 @SETTINGS
 @given(formulas())
 def test_cached_hash_is_not_carried_by_pickles_or_copies(f):
-    hash(f)
+    space = cantor_space(2)
+    model = Model(space, {"p": space.points[:1], "q": space.points[1:3]})
+    mask = truth_mask(model, f)
+    assert "_hash" in vars(f) and "_program" in vars(f)
     for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
         assert twin == f
-        assert "_hash" not in vars(twin)
+        assert "_hash" not in vars(twin) and "_program" not in vars(twin)
         assert hash(twin) == hash(f)
+        assert truth_mask(model, twin) == mask
 
 
 def test_unpickled_formula_hashes_as_one_built_in_the_new_process():

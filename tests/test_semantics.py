@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from umlogic import semantics
 from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, desugar
 from umlogic.generators import formula_grades, random_formula, random_model, random_ultrametric_space
 from umlogic.parser import parse
@@ -283,6 +284,7 @@ def test_queries_leave_no_reference_cycles():
     f = parse("[1/4]<1/8>p -> <1/2>[1/16]q")
     calls = {
         "truth_mask": lambda: truth_mask(model, f),
+        "first truth_mask of a fresh formula": lambda: truth_mask(model, parse("[1/4]<1/8>p -> <1/2>[1/16]q")),
         "holds": lambda: holds(model, space.points[1], f),
         "stability_degree": lambda: stability_degree(model, space.points[0], f),
         "plausibility_degree": lambda: plausibility_degree(model, space.points[0], f),
@@ -298,3 +300,36 @@ def test_queries_leave_no_reference_cycles():
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def test_a_formula_is_compiled_once(monkeypatch):
+    """The slot program is cached on the formula: later queries, on any model, never walk it again."""
+    space = cantor_space(4)
+    model = Model(space, {"p": space.points[::3], "q": space.points[::2]})
+    f = parse("[1/4]<1/8>p -> <1/2>[1/16]q & ~<1/8>p | [1/4]<1/8>p")
+    walks = []
+    walk = semantics.subformulas
+
+    def walk_once(g):
+        if walks:
+            raise AssertionError(f"walked {g} again")
+        walks.append(g)
+        return walk(g)
+
+    monkeypatch.setattr(semantics, "subformulas", walk_once)
+    first = truth_mask(model, f)
+    assert truth_mask(model, f) == first and walks == [f]
+    holds(model, space.points[1], f)
+    stability_degree(model, space.points[0], f)
+    plausibility_degree(model, space.points[0], f)
+    valid_in_model(cantor_space(1), f)
+    assert walks == [f]
+
+
+@pytest.mark.parametrize("f", ["p", Not("p"), And(Atom("p"), 3)], ids=["text", "text-child", "int-child"])
+def test_a_non_formula_node_is_refused(f):
+    space = cantor_space(2)
+    model = Model(space, {"p": space.points[:1]})
+    for _ in range(2):  # a refused formula keeps no half-built program
+        with pytest.raises(TypeError, match="not a formula: "):
+            truth_mask(model, f)

@@ -22,6 +22,7 @@ from umlogic.space import (
     UnknownPointError,
     cantor_sequences,
     cantor_space,
+    read_rational,
     sequence_distance,
     validate_space,
 )
@@ -213,6 +214,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="exponent notation"):
             build("1e999999999")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("text", ["1_0/20", "1/2_0", "0.1_25", "١/٢", "１/２", "0.５"])
+    def test_only_ascii_text_without_underscores_is_read(self, text):
+        with pytest.raises(ValueError, match="not a plain rational"):
+            read_rational(text)
+
+    @pytest.mark.parametrize("text, value", [("1/2", Fraction(1, 2)), (" 3/8 ", Fraction(3, 8)),
+                                             ("0.125", Fraction(1, 8)), ("-2", Fraction(-2)), ("+1/4", Fraction(1, 4))])
+    def test_plain_text_is_still_read(self, text, value):
+        assert read_rational(text) == value
 
     @pytest.mark.parametrize("value", [0.5, True, None], ids=["float", "bool", "none"])
     @pytest.mark.parametrize("build", [
