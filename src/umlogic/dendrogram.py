@@ -8,6 +8,11 @@ held as that tree already: its balls are runs of leaves, each with its
 parent, as :meth:`UltrametricSpace.tree_balls` lists them, so no ball is
 searched for.  A space that breaks another law has no such tree, because
 its balls can overlap without nesting, and raises ValueError.
+
+Nodes come in order of (size, members in point order), that is of (size,
+name of the least-index point as text, ``"w10" < "w2"``), since balls of one
+size are disjoint.  Each point, in index order, joins every ball up its chain,
+so no ball is sorted and :func:`dendrogram_dot` costs O(n + output).
 """
 from __future__ import annotations
 
@@ -26,42 +31,47 @@ class BallNode:
     parent: int | None
 
 
+def _ordered_balls(space: UltrametricSpace, names: list[str]) -> tuple[list[list[str]], list[int], list]:
+    """Parallel lists in node order: each ball's members' ``names`` in point order, rank and parent's place."""
+    leaves, balls = required_tree(space)[0].tolist(), space.tree_balls()
+    parents = [ball[3] for ball in balls]
+    # Each point's chain starts at its ball of diameter 0: the point alone, or its twins.
+    smallest = {i: j for j, (start, end, rank, _) in enumerate(balls) if not rank for i in leaves[start:end]}
+    members: list[list[str]] = [[] for _ in balls]
+    for i, name in enumerate(names):
+        j = smallest[i]
+        while j is not None:
+            members[j].append(name)
+            j = parents[j]
+    point_name = dict(zip(names, space.points))
+    by_size: dict[int, list[int]] = {}
+    for j in sorted(range(len(balls)), key=[point_name[held[0]] for held in members].__getitem__):
+        by_size.setdefault(len(members[j]), []).append(j)
+    order = [j for size in sorted(by_size) for j in by_size[size]]
+    place = {j: k for k, j in enumerate(order)}
+    return [members[j] for j in order], [balls[j][2] for j in order], [place.get(parents[j]) for j in order]
+
+
 def ball_tree(space: UltrametricSpace) -> list[BallNode]:
     """All distinct closed balls as a containment tree, from the space's runs of leaves and their nesting.
 
-    Nodes are sorted by (size, members); each node's radius is the set's
-    diameter, the smallest radius generating it.  The parent is the index
-    of the smallest strictly larger ball.  A space without a tree raises
-    ValueError.
+    Nodes are sorted by (size, members), as the module docstring says, in
+    O(n + total size); each node's radius is the set's diameter, the smallest
+    radius generating it.  The parent is the index of the smallest strictly
+    larger ball.  A space without a tree raises ValueError.
     """
-    leaves = required_tree(space)[0].tolist()
-    points, distances = space.points, space.realized_distances()
-    balls = []
-    for j, (start, end, rank, parent) in enumerate(space.tree_balls()):
-        names = tuple(map(points.__getitem__, sorted(leaves[start:end])))
-        balls.append((len(names), names, j, rank, parent))
-    # Balls of one size are disjoint, so (size, members) never ties and the rest is not compared.
-    balls.sort()
-    place = [0] * len(balls)
-    for i, ball in enumerate(balls):
-        place[ball[2]] = i
-    return [BallNode(names, distances[rank], None if parent is None else place[parent])
-            for _, names, _, rank, parent in balls]
+    distances = space.realized_distances()
+    return [BallNode(tuple(held), distances[rank], parent)
+            for held, rank, parent in zip(*_ordered_balls(space, space.points))]
 
 
 def dendrogram_dot(space: UltrametricSpace) -> str:
-    """DOT text for the ball-nesting tree; deterministic node order."""
-    nodes = ball_tree(space)
-    lines = ["digraph balls {"]
-    for i, node in enumerate(nodes):
-        if len(node.members) == 1:
-            label = node.members[0]
-        else:
-            label = "{" + ",".join(node.members) + "} r=" + str(node.radius)
-        label = label.replace('"', '\\"')
-        lines.append(f'  n{i} [label="{label}"];')
-    for i, node in enumerate(nodes):
-        if node.parent is not None:
-            lines.append(f"  n{node.parent} -> n{i};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT text for the ball-nesting tree, nodes in :func:`ball_tree` order; O(n + output)."""
+    names = [p.replace("\\", "\\\\").replace('"', '\\"') for p in space.points]
+    members, ranks, parents = _ordered_balls(space, names)
+    radii = list(map(str, space.realized_distances()))
+    ids = list(map(str, range(len(members))))
+    nodes = (f'  n{k} [label="{held[0] if len(held) == 1 else "{" + ",".join(held) + "} r=" + radii[rank]}"];'
+             for k, held, rank in zip(ids, members, ranks))
+    edges = (f"  n{ids[parent]} -> n{k};" for k, parent in zip(ids, parents) if parent is not None)
+    return "\n".join(["digraph balls {", *nodes, *edges, "}", ""])

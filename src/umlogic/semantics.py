@@ -208,8 +208,8 @@ def truth_mask(model: Model, f: Formula) -> int:
 
 
 def truthset(model: Model, f: Formula) -> TruthSet:
-    """The set of worlds where ``f`` holds."""
-    return TruthSet(f, model.space.names_of(truth_mask(model, f)))
+    """The set of worlds where ``f`` holds, named straight from its leaf-order mask."""
+    return TruthSet(f, model.space.leaf_names(_leaf_truth(model, f)))
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:

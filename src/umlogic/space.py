@@ -322,6 +322,12 @@ class UltrametricSpace:
     def names_of(self, mask: int) -> frozenset[str]:
         return frozenset(map(self._points.__getitem__, self.members(mask).tolist()))
 
+    def leaf_names(self, mask: int) -> frozenset[str]:
+        """The names of the points at the leaves set in a leaf-order bitmask (see :meth:`to_leaves`)."""
+        leaves = self.members(mask)
+        points = leaves if self._tree is None else self._tree[0][leaves]
+        return frozenset(map(self._points.__getitem__, points.tolist()))
+
     def members(self, mask: int) -> np.ndarray:
         """Ascending point indexes of the bits set in ``mask``."""
         return np.flatnonzero(self._bits(mask))
@@ -480,42 +486,49 @@ class UltrametricSpace:
         Built on first use and kept.
 
         The run that adjacent pair k merges into reaches, on each side, up
-        to the nearest adjacent pair of higher rank; a stack of the pairs
-        whose run is still open finds both ends in one pass.  Pairs of
-        equal rank in one run share it, and the latest stands for it on the
-        stack.  A leaf is a ball of its own unless a rank-0 pair (twins)
-        joins it to a neighbour.
-        A run's parent is the run merging across its lower boundary.
+        to the nearest adjacent pair of higher rank; a stack of the runs
+        still open finds both ends in one pass, and pairs of equal rank in
+        one run share it.  Runs are listed in the order they open, then the
+        leaves that are balls of their own, in leaf order: every leaf
+        unless a rank-0 pair (twins) joins it to a neighbour.  A ball's
+        parent is the run merging across its lower boundary, so a run gets
+        its parent when it closes, and a leaf from its lower adjacent pair.
+        The balls are kept as parallel lists until the end: one list per
+        run would cost more in garbage collection than the pass itself.
         """
         if self._tree is None:
             return None
         if self._nesting is None:
             heights, n = self._tree[1].tolist(), self.n
-            runs: list[list[int]] = []  # [start, end, rank of the diameter]
-            run_of = [0] * len(heights)
-            open_pairs: list[int] = []
+            floor = len(self._distances)  # above every rank: the stack's bottom, and no pair past the ends
+            starts, ends, ranks, parents, run_of = [], [], [], [], []
+            open_ranks, open_runs = [floor], [None]
             for k, height in enumerate(heights):
-                while open_pairs and heights[open_pairs[-1]] < height:
-                    runs[run_of[open_pairs.pop()]][1] = k + 1
-                if open_pairs and heights[open_pairs[-1]] == height:
-                    # A node of three or more children: runs below it open after k, not after the first pair.
-                    run_of[k] = run_of[open_pairs[-1]]
-                    open_pairs[-1] = k
+                start = k
+                while open_ranks[-1] < height:  # the lower open runs end at leaf k
+                    open_ranks.pop()
+                    run = open_runs.pop()
+                    ends[run] = k + 1
+                    start = starts[run]
+                    # The lower boundary's run: the one below on the stack, or the one pair k opens.
+                    parents[run] = open_runs[-1] if open_ranks[-1] <= height else len(starts)
+                if open_ranks[-1] == height:  # a node of three or more children
+                    run_of.append(open_runs[-1])
                 else:
-                    run_of[k] = len(runs)
-                    runs.append([open_pairs[-1] + 1 if open_pairs else 0, n, height])
-                    open_pairs.append(k)
-            runs += ([p, p + 1, 0] for p in range(n)
-                     if not (p and not heights[p - 1] or p < n - 1 and not heights[p]))
-            balls = []
-            for start, end, rank in runs:
-                if not start and end == n:
-                    parent = None
-                elif end == n or start and heights[start - 1] <= heights[end - 1]:
-                    parent = run_of[start - 1]
-                else:
-                    parent = run_of[end - 1]
-                balls.append((start, end, rank, parent))
+                    run_of.append(len(starts))
+                    open_ranks.append(height)
+                    open_runs.append(len(starts))
+                    starts.append(start)
+                    ends.append(n)
+                    ranks.append(height)
+                    parents.append(None)
+            for below, run in zip(open_runs[1:], open_runs[2:]):
+                parents[run] = below
+            balls = list(zip(starts, ends, ranks, parents))
+            balls += [(p, p + 1, 0, left if low <= high else right)
+                      for p, low, high, left, right
+                      in zip(range(n), [floor, *heights], [*heights, floor], [None, *run_of], [*run_of, None])
+                      if low and high]
             self._nesting = balls
         return self._nesting
 

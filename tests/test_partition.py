@@ -17,6 +17,9 @@ order instead (``semantics._leaf_step``); it is compared with the same
 per-world loops on every tree here, and whole truth sets at fine grades
 on ``cantor_space(12)`` with evaluation by the per-ball step.
 
+``test_leaf_names`` reads the names of a leaf-order mask, as ``truthset``
+does, against unpacking it to point order first.
+
 ``test_slot_programs`` runs ``evaluate`` through the formula's compiled
 slot program (``semantics._program``) on formulas over all seven
 constructors with shared subtrees, on each path: leaf steps, per-ball
@@ -224,6 +227,17 @@ def test_leaf_step(label, space, table):
             leaves, rank = space.to_leaves(mask), space.rank_of(eps)
             assert space.from_leaves(_leaf_step(space, leaves, rank, False)) == ref_interior(table, mask, eps)
             assert space.from_leaves(_leaf_step(space, leaves, rank, True)) == ref_closure(table, mask, eps)
+
+
+@pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
+def test_leaf_names(label, space, table):
+    """Names read straight from a leaf-order mask, as ``truthset`` reads them, against unpacking it first."""
+    rng = random.Random(label)
+    for mask in sample_masks(rng, space.n):
+        assert space.leaf_names(mask) == space.names_of(space.from_leaves(mask))
+    model = Model(space, {name: [x for x in space.points if rng.random() < 0.5] for name in ("p", "q")})
+    for f in sample_formulas(rng, formula_grades(table), 6):
+        assert semantics.truthset(model, f).points == space.names_of(truth_mask(model, f))
 
 
 def seven_constructor_formulas(grades):
