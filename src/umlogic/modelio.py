@@ -98,6 +98,9 @@ def model_from_dict(data, *, validate: bool = True) -> Model:
             raise ModelFormatError(f"no sequence given for point {exc.args[0]!r}") from None
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from None
+        unknown = next((name for name in sequences if name not in space), None)
+        if unknown is not None:
+            raise ModelFormatError(f"sequences name unknown point {unknown!r}")
 
     model = Model(space, parse_valuation(data.get("valuation", {}), points))
     if validate:

@@ -24,14 +24,13 @@ depends on the value type:
   addition, then spreads every top reached down its run by doubling
   shifts: O(log longest run) big-int operations, however many balls the
   grade has (Knuth, TAOCP 4A, 7.1.3).  An interior step is the dual.
-* One Python-int mask on a space without a tree, and a numpy batch of
-  masks, one per valuation (:func:`umlogic.validity.valid_in_model`), in
-  the narrowest unsigned type that holds n bits, take one pass per ball of
-  :meth:`UltrametricSpace.ball_partition` in point order.
-* On a batch over n points with 2^n <= :data:`CHUNK`, a modal step is a
-  function from the 2^n masks to themselves, so it is tabulated once by
-  the per-ball step (:meth:`UltrametricSpace.step_table`) and applied as
-  one lookup per mask.
+* One Python-int mask on a space without a tree takes one pass per ball
+  of :meth:`UltrametricSpace.ball_partition` in point order.
+* A batch (:func:`umlogic.validity.valid_in_model`) is bit-sliced: a 2-D
+  ``uint64`` array with one row per point, in point order, and one bit
+  per valuation (Biham 1997).  A box ANDs the rows of each ball's members
+  into its centres' rows and a diamond ORs them (:func:`_row_step`), so
+  no valuation is looked up on its own.
 
 Each space resolves a grade to its rank once
 (:meth:`UltrametricSpace.rank_of`).  :func:`interior_mask` and
@@ -49,27 +48,27 @@ import numpy as np
 from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or, subformulas
 from .space import Model, UltrametricSpace
 
-#: The most masks in one batch: validity evaluates its candidates CHUNK at
-#: a time, and a batch takes modal steps by table only while the table,
-#: 2^n masks, is no bigger than this.
-CHUNK = 1 << 18
 
-
-def _ball_step(space: UltrametricSpace, value, eps: Fraction, full, meets: bool):
-    """Centres of the eps-balls inside ``value``, or meeting it when ``meets``.
-
-    ``value`` is an int mask or a numpy batch of unsigned masks, and
-    ``full`` the all-points mask of the same type.  ``full & ball`` is
-    ``ball`` as that type: numpy compares a batch with a Python int much
-    more slowly than with a scalar of the batch's own type.
-    """
-    result = value & 0
+def _ball_step(space: UltrametricSpace, value: int, eps: Fraction, meets: bool) -> int:
+    """Point-order mask of the centres of the eps-balls inside ``value``, or meeting it when ``meets``."""
+    result = 0
     for ball, centres in space.ball_partition(eps):
-        ball = full & ball
-        # ``value & ball`` gets no name: a batch temporary kept alive while
-        # the next one is made sends numpy to fresh pages on every ball.
-        hit = (value & ball != 0) if meets else (value & ball == ball)
-        result |= hit * (full & centres)
+        if (value & ball != 0) if meets else (value & ball == ball):
+            result |= centres
+    return result
+
+
+def _row_step(space: UltrametricSpace, rows: np.ndarray, eps: Fraction, meets: bool) -> np.ndarray:
+    """Rows of the centres of the eps-balls inside ``rows``, or meeting them when ``meets``.
+
+    ``rows`` is a bit-sliced batch, one row per point.  Each ball's member
+    rows are ANDed (box) or ORed (diamond) into its centres' rows; an empty
+    ball gives all ones or all zeros, the reductions' identities.
+    """
+    reduce = np.bitwise_or.reduce if meets else np.bitwise_and.reduce
+    result = np.empty_like(rows)
+    for members, centres in space.ball_indexes(eps):
+        result[centres] = reduce(rows[members], axis=0)
     return result
 
 
@@ -99,12 +98,12 @@ def _leaf_step(space: UltrametricSpace, value: int, rank: int, meets: bool) -> i
 
 def interior_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose whole closed eps-ball lies inside ``mask``."""
-    return _ball_step(space, mask, eps, space.full_mask, meets=False)
+    return _ball_step(space, mask, eps, meets=False)
 
 
 def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose closed eps-ball meets ``mask``."""
-    return _ball_step(space, mask, eps, space.full_mask, meets=True)
+    return _ball_step(space, mask, eps, meets=True)
 
 
 def _program(f: Formula) -> tuple:
@@ -147,15 +146,13 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
     """Truth set of ``f`` over ``space``: its slot program run into a list, one value per step.
 
     ``atom`` maps an atom name to its truth set and ``full`` is the set of
-    all points: Python ints for one valuation, or a numpy batch of masks
-    and ``full`` as a scalar of the batch's unsigned type for many at once.
-    Python ints are in the space's leaf order (:meth:`Model.leaf_mask`),
-    which is point order on a space without a tree; batches are in point
-    order.  The program (:func:`_program`) is compiled once per formula
-    node; nothing computed for a model is kept.
+    all points: Python ints for one valuation, in the space's leaf order
+    (:meth:`Model.leaf_mask`), which is point order on a space without a
+    tree, or a bit-sliced batch of rows in point order for many at once,
+    and ``full`` the all-ones ``np.uint64``.  The program (:func:`_program`)
+    is compiled once per formula node; nothing computed for a model is kept.
     """
     batch = isinstance(full, np.generic)
-    lookup = batch and 1 << space.n <= CHUNK
     leaves = not batch and space.tree is not None
     values: list = []
     append = values.append
@@ -172,12 +169,12 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
             append((full ^ values[a]) | values[b])
         else:
             meets = op is Diamond
-            if lookup:
-                append(np.take(space.step_table(b, meets, full.dtype, _ball_step), values[a]))
+            if batch:
+                append(_row_step(space, values[a], b, meets))
             elif leaves:
                 append(_leaf_step(space, values[a], space.rank_of(b), meets))
             else:
-                append(_ball_step(space, values[a], b, full, meets))
+                append(_ball_step(space, values[a], b, meets))
     return values[-1]
 
 

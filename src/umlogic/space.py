@@ -27,9 +27,9 @@ caches the distinct closed balls of a grade, each with the mask of the
 points whose ball it is (:meth:`UltrametricSpace.ball_partition`); single
 balls and the listing of every ball are views of that cache.  In an
 ultrametric the balls of one grade partition the points, so a per-ball
-step costs one pass per ball, not per point.  Beside the partitions, a
-space caches the modal steps that batch evaluation tabulates over every
-mask (:meth:`UltrametricSpace.step_table`).
+step costs one pass per ball, not per point.  The bit-sliced batches of
+validity read each partition as arrays of point indexes
+(:meth:`UltrametricSpace.ball_indexes`), cached per rank beside it.
 
 Every number a caller gives (a matrix entry, a pair distance, a radius,
 and elsewhere a grade, a scaling constant or a factor) is read by
@@ -163,7 +163,7 @@ class UltrametricSpace:
         self._grade_ranks: dict[tuple[int, int], int] = {}
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
         self._tops: dict[int, int] = {}
-        self._step_tables: dict[tuple[int, bool, np.dtype], np.ndarray] = {}
+        self._ball_indexes: dict[int, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
         self._nesting: list[tuple[int, int, int, int | None]] | None = None
         if ranks is not None and not (distances and distances[0]) and not np.diagonal(self._ranks).any():
             tree = _single_linkage(self._ranks)
@@ -416,21 +416,16 @@ class UltrametricSpace:
         runs.sort(key=min)
         return tuple((ball, ball) for ball in map(_bitmask, runs))
 
-    def step_table(self, eps: Fraction, meets: bool, dtype: np.dtype, step: Callable) -> np.ndarray:
-        """A modal step of grade ``eps`` applied to every mask of the points, as a read-only array.
-
-        Entry m is ``step(self, m, eps, full, meets)`` for the mask m, with
-        masks and ``full`` of the unsigned ``dtype``; ``step`` runs once, on
-        ``np.arange(2 ** n)``.  Cached per :meth:`rank_of` ``eps``,
-        ``meets`` and ``dtype``, as the partition is per rank.
-        """
-        key = (self.rank_of(eps), meets, dtype)
-        table = self._step_tables.get(key)
-        if table is None:
-            table = step(self, np.arange(1 << self.n, dtype=dtype), eps, dtype.type(self.full_mask), meets)
-            table.setflags(write=False)
-            self._step_tables[key] = table
-        return table
+    def ball_indexes(self, eps: Fraction) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """:meth:`ball_partition` as read-only arrays of point indexes (balls, centres), cached per rank."""
+        below = self.rank_of(eps)
+        cached = self._ball_indexes.get(below)
+        if cached is None:
+            pairs = self.ball_partition(eps)
+            cached = self._ball_indexes[below] = tuple(tuple(map(self.members, pair)) for pair in pairs)
+            for array in (array for pair in cached for array in pair):
+                array.setflags(write=False)
+        return cached
 
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
         """The closed ball around ``x`` of radius ``eps``: it contains x, or nothing for a negative radius."""

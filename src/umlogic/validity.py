@@ -3,14 +3,13 @@
 A formula is valid in a space when it holds at every world under every
 valuation of its atoms.  Only atoms occurring in the formula are
 enumerated; each candidate valuation is an integer whose bit layout is
-documented at :func:`valid_in_model`.  Evaluation runs vectorised over
-chunks of candidates through the same evaluator as single truth sets
-(:func:`umlogic.semantics.evaluate`) on the formula as parsed.  A chunk
-holds one bitmask per candidate in the narrowest unsigned type that holds
-the n points' bits (``uint8`` up to 8 points, ``uint16`` up to 16, ...).
-While 2^n <= :data:`umlogic.semantics.CHUNK`, a box or diamond is one
-lookup per candidate in a table of its step over all 2^n masks; on
-larger spaces it takes one numpy pass per distinct ball of its grade.
+documented at :func:`valid_in_model`.  Blocks of candidates run through
+the evaluator of single truth sets (:func:`umlogic.semantics.evaluate`)
+bit-sliced: a value is one ``uint64`` row per point, where bit t of word
+w is candidate ``start + 64 * w + t``, so connectives act on 64
+candidates per word and a box or diamond ANDs or ORs whole rows per ball.
+Atom j's row for point i is bit ``j * n + i`` of the candidates: a fixed
+word below bit 6, and runs of all-ones and all-zero words above.
 """
 from __future__ import annotations
 
@@ -19,14 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import Formula, atoms
-from .semantics import CHUNK, evaluate
+from .semantics import evaluate
 from .space import UltrametricSpace
 
 DEFAULT_CAP = 1 << 26
+#: No enumeration runs past 2^62 valuations, whatever the cap: even at 10^9
+#: a second, several times the rates measured, that would take 146 years.
+CEILING = 1 << 62
+#: Bit b of the candidates 64w .. 64w + 63, for b below 6, as one word.
+_LOW_BITS = np.array([sum(1 << t for t in range(64) if t >> b & 1) for b in range(6)], dtype=np.uint64)
 
 
 class EnumerationCapExceeded(Exception):
-    """The valuation space is larger than the configured cap.
+    """The valuation space is larger than the configured cap, or than :data:`CEILING` when the cap is above it.
 
     ``needed`` is a power of two, 2^(points * atoms), and is reported as
     such: in decimal it could pass the interpreter's limit on the digits
@@ -36,7 +40,8 @@ class EnumerationCapExceeded(Exception):
     def __init__(self, needed: int, cap: int):
         self.needed = needed
         self.cap = cap
-        super().__init__(f"2^{needed.bit_length() - 1} valuations exceed the enumeration cap {cap}")
+        limit = f"cap {cap}" if cap <= CEILING else "ceiling 2^62, which no cap raises"
+        super().__init__(f"2^{needed.bit_length() - 1} valuations exceed the enumeration {limit}")
 
 
 @dataclass
@@ -63,47 +68,50 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
     the atom's set.  Candidates are scanned in ascending order and worlds
     in point order, so the reported counterexample is the least one under
     that encoding.  Raises :class:`EnumerationCapExceeded` when there are
-    more than ``cap`` candidates.
+    more than ``cap`` candidates, or more than :data:`CEILING`.
     """
     names = sorted(atoms(f))
     n = space.n
-    total = 1 << (n * len(names))
-    # An atom's slice of a candidate is held in at most a uint64, so 62
-    # index bits is a hard ceiling regardless of how generous the cap is.
-    if total > min(cap, 1 << 62):
-        raise EnumerationCapExceeded(total, min(cap, 1 << 62))
+    bits = n * len(names)
+    total = 1 << bits
+    if total > min(cap, CEILING):
+        raise EnumerationCapExceeded(total, cap)
 
-    full = space.full_mask
-    dtype = np.min_scalar_type(full)
-    point_bits = dtype.type(full)
-    size = min(CHUNK, total)
-
-    for start in range(0, total, size):
-        atom_arrays = {name: _atom_batch(start, size, j * n, n, dtype) for j, name in enumerate(names)}
-        result = evaluate(space, f, atom_arrays.__getitem__, point_bits)
-        bad = np.nonzero(result != point_bits)[0]
+    ones = np.uint64(np.iinfo(np.uint64).max)
+    words = min(_block_words(n), max(total >> 6, 1))
+    candidates = _candidate_rows(words, bits)
+    atom = {name: candidates[j * n:(j + 1) * n] for j, name in enumerate(names)}.__getitem__
+    inner = 5 + words.bit_length()  # candidate bits from here up are those of the block's start
+    high = np.arange(inner, bits, dtype=np.uint64)[:, None]
+    for start in range(0, total, 64 * words):
+        candidates[inner:] = -(np.uint64(start) >> high & np.uint64(1))
+        rows = evaluate(space, f, atom, ones)
+        # Below 64 candidates, bit t of the one word is candidate t mod total,
+        # so its lowest zero bit is still a real candidate.
+        held = np.bitwise_and.reduce(rows, axis=0)
+        bad = np.flatnonzero(held != ones)
         if bad.size:
-            encoded = start + int(bad[0])
-            held = int(result[bad[0]])
-            valuation = {
-                name: space.names_of(encoded >> (j * n) & full) for j, name in enumerate(names)
-            }
-            world = next(space.points[i] for i in range(n) if not held >> i & 1)
+            w = int(bad[0])
+            t = (~int(held[w]) & int(held[w]) + 1).bit_length() - 1
+            encoded = start + 64 * w + t
+            valuation = {a: space.names_of(encoded >> j * n & space.full_mask) for j, a in enumerate(names)}
+            world = next(space.points[i] for i in range(n) if not int(rows[i, w]) >> t & 1)
             return ValidityResult(False, Counterexample(valuation, world), encoded + 1)
     return ValidityResult(True, None, total)
 
 
-def _atom_batch(start: int, size: int, shift: int, n: int, dtype: np.dtype) -> np.ndarray:
-    """Bits [shift, shift + n) of the candidates start .. start + size - 1, as ``dtype``.
+def _block_words(n: int) -> int:
+    """Words per row of a block, a power of two: n rows come to 128-256 KiB, the fastest size at 10 points."""
+    return 1 << max((32768 // max(n, 1)).bit_length() - 1, 0)
 
-    ``size`` is a power of two and ``start`` a multiple of it, so a
-    candidate's bits below log2(size) are its offset in the chunk and the
-    rest are those of ``start``.  The slice is then a run of consecutive
-    masks, each repeated 2^shift times, and the run is tiled over the chunk.
+
+def _candidate_rows(words: int, bits: int) -> np.ndarray:
+    """Bit b of the candidates 0 .. 64 * words - 1 as row b, for b below ``bits``; ``words`` is a power of two.
+
+    From bit 6 up, bit b of candidate ``64 * w + t`` is bit b - 6 of w, for all 64 bits of word w.
     """
-    base = start >> shift & ((1 << n) - 1)
-    steps = size >> shift
-    if not steps:
-        return np.full(size, base, dtype=dtype)
-    run = np.arange(min(steps, 1 << n), dtype=dtype) | dtype.type(base)
-    return np.tile(np.repeat(run, 1 << shift), steps // len(run))
+    rows = np.zeros((bits, words), dtype=np.uint64)
+    rows[:6] = _LOW_BITS[:bits, None]
+    shifts = np.arange(words.bit_length() - 1, dtype=np.uint64)[:, None]
+    rows[6:6 + len(shifts)] = -(np.arange(words, dtype=np.uint64) >> shifts & np.uint64(1))
+    return rows

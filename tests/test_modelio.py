@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dense_table
 from umlogic import modelio
+from umlogic.cli import main
 from umlogic.modelio import (
     InvalidSpaceError,
     ModelFormatError,
@@ -135,6 +136,16 @@ class TestLoading:
         del data["distance"]["sequences"]["w7"]
         with pytest.raises(ModelFormatError, match="w7"):
             model_from_dict(data)
+
+    def test_sequence_for_unknown_point(self, tmp_path, capsys):
+        data = {"points": ["a", "b"], "distance": {"sequences": {"a": "0", "b": "1", "c": "1"}}}
+        with pytest.raises(ModelFormatError, match="sequences name unknown point 'c'"):
+            model_from_dict(data)
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(data))
+        assert main(["valid", "--model", str(path), "--formula", "p -> p"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err) == {"error": "sequences name unknown point 'c'"}
 
     def test_not_an_object(self):
         with pytest.raises(ModelFormatError):

@@ -23,14 +23,19 @@ does, against unpacking it to point order first.
 ``test_slot_programs`` runs ``evaluate`` through the formula's compiled
 slot program (``semantics._program``) on formulas over all seven
 constructors with shared subtrees, on each path: leaf steps, per-ball
-steps on one int, and batches by table and per ball.
+steps on one int, and bit-sliced batches.
 
-A batch over n points with 2^n <= ``semantics.CHUNK`` takes each modal
-step as a lookup in a table that the per-ball step built over all 2^n
-masks (``UltrametricSpace.step_table``); batches come in every unsigned
-type that holds n bits.  The batch tests run on both sides of that
-threshold, lowering ``CHUNK`` below 2^n for the per-ball side, and
-``valid_in_model`` is compared on each side of the dtype and table bounds.
+A batch is bit-sliced: one ``uint64`` row per point, one bit per
+valuation, and a modal step ANDs or ORs the rows of each ball's members
+into its centres' rows (``semantics._row_step``, over the index arrays of
+``UltrametricSpace.ball_indexes``).  ``to_rows`` and ``to_masks`` turn
+per-valuation masks into rows and back, so a batch is compared with the
+per-world loops one valuation at a time.  ``valid_in_model`` is compared
+with the earlier vectorised enumeration and, witness and count included,
+with ``ref_valid_by_valuation``, which evaluates one valuation at a time
+as Python ints through ``interior_mask``/``closure_mask``, on every case
+and with blocks of 1, 4 and the real number of words, so that totals
+fall below 64, at 64, inside one partial block and across many blocks.
 """
 import random
 from fractions import Fraction
@@ -40,15 +45,15 @@ import pytest
 
 from conftest import dense_table
 from test_rank_table import CASES, IDS, probe_grades, ref_ball_masks, ref_realized
-from umlogic import semantics
+from umlogic import semantics, validity
 from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, atoms, desugar, subformulas
 from umlogic.generators import random_formula, random_schema_instance, random_ultrametric_space
 from umlogic.parser import parse
 from umlogic.semantics import _ball_step, _leaf_step, closure_mask, evaluate, interior_mask, truth_mask
 from umlogic.space import Model, cantor_space
-from umlogic.validity import Counterexample, ValidityResult, valid_in_model
+from umlogic.validity import Counterexample, EnumerationCapExceeded, ValidityResult, valid_in_model
 
-BATCH_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+ONES = np.uint64(np.iinfo(np.uint64).max)
 
 
 # --- the replaced per-world loops --------------------------------------------
@@ -133,6 +138,39 @@ def ref_valid_in_model(space, f, chunk=1 << 18):
     return ValidityResult(True, None, total)
 
 
+def ref_valid_by_valuation(space, f, limit):
+    """Validity one valuation at a time, in ascending encoding, on Python ints by ``per_ball_truth``.
+
+    Returns None when none of the first ``limit`` valuations refutes ``f``
+    and there are more than ``limit``.
+    """
+    names = sorted(atoms(f))
+    n = space.n
+    total = 1 << (n * len(names))
+    for encoded in range(min(total, limit)):
+        masks = {name: encoded >> (j * n) & space.full_mask for j, name in enumerate(names)}
+        false = space.full_mask ^ per_ball_truth(space, f, masks)
+        if false:
+            valuation = {name: space.names_of(mask) for name, mask in masks.items()}
+            world = space.points[(false & -false).bit_length() - 1]
+            return ValidityResult(False, Counterexample(valuation, world), encoded + 1)
+    return ValidityResult(True, None, total) if total <= limit else None
+
+
+def to_rows(masks, n):
+    """Bit-sliced rows of per-valuation point masks: bit t of word w in row i is bit i of ``masks[64 * w + t]``."""
+    words = -(-len(masks) // 64)
+    ints = [sum((int(mask) >> i & 1) << v for v, mask in enumerate(masks)) for i in range(n)]
+    data = b"".join(x.to_bytes(8 * words, "little") for x in ints)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(n, words)
+
+
+def to_masks(rows, count):
+    """The point masks of the first ``count`` valuations in bit-sliced rows, as Python ints."""
+    ints = [int.from_bytes(row.astype("<u8").tobytes(), "little") for row in rows]
+    return [sum((x >> v & 1) << i for i, x in enumerate(ints)) for v in range(count)]
+
+
 def sample_masks(rng, n, count=12):
     return [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(count)]
 
@@ -177,8 +215,9 @@ class TestAgainstPerWorldLoops:
             assert truth_mask(model, f) == ref_truth(table, desugar(f), valuation), f
 
     def test_eval_chunk(self, label, space, table, monkeypatch):
+        """A bit-sliced batch of 257 valuations against the earlier per-world loop, one valuation at a time."""
         if space.n > 64:
-            pytest.skip("a chunk holds at most 64 points per valuation")
+            pytest.skip("the earlier loop holds at most 64 points per valuation")
         rng = random.Random(label)
         arrays = np.random.default_rng(len(label))
         size = 257
@@ -189,20 +228,17 @@ class TestAgainstPerWorldLoops:
         }
         formulas = sample_formulas(rng, formula_grades(table), 12)
         wants = [ref_eval_chunk(space, subformulas(desugar(f)), atom_arrays, size) for f in formulas]
-        modal = any(isinstance(g, (Box, Diamond)) for f in formulas for g in subformulas(f))
-        tables = []
-        step_table = space.step_table
-        monkeypatch.setattr(space, "step_table", lambda *args: tables.append(args) or step_table(*args))
-        # The real threshold (by table up to 18 points), then one just below 2^n (per ball).
-        for chunk in (semantics.CHUNK, (1 << space.n) - 1):
-            monkeypatch.setattr(semantics, "CHUNK", chunk)
-            tables.clear()
-            for dtype in (d for d in BATCH_DTYPES if np.iinfo(d).bits >= space.n):
-                narrow = {name: values.astype(dtype) for name, values in atom_arrays.items()}
-                for f, want in zip(formulas, wants):
-                    got = evaluate(space, f, narrow.__getitem__, dtype(space.full_mask))
-                    assert got.dtype == dtype and np.array_equal(got, want), (f, dtype, chunk)
-            assert bool(tables) == (modal and 1 << space.n <= chunk)
+        rows = {name: to_rows(values.tolist(), space.n) for name, values in atom_arrays.items()}
+        assert to_masks(rows["p"], size) == atom_arrays["p"].tolist()
+        steps = []
+        row_step = semantics._row_step
+        monkeypatch.setattr(semantics, "_row_step", lambda *args: steps.append(args) or row_step(*args))
+        for f, want in zip(formulas, wants):
+            steps.clear()
+            got = evaluate(space, f, rows.__getitem__, ONES)
+            assert got.dtype == np.uint64 and got.shape == (space.n, 5), f
+            assert to_masks(got, size) == want.tolist(), f
+            assert bool(steps) == any(isinstance(g, (Box, Diamond)) for g in subformulas(f)), f
 
     def test_valid_in_model(self, label, space, table):
         rng = random.Random(label)
@@ -213,6 +249,39 @@ class TestAgainstPerWorldLoops:
         formulas = [f for f in formulas if space.n * len(atoms(f)) <= 16]
         for f in formulas:
             assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
+
+    @pytest.mark.parametrize("words", [1, 4, None])
+    def test_valid_in_model_by_valuation(self, label, space, table, words, monkeypatch):
+        """Verdict, witness and count against one valuation at a time, in blocks of 1, 4 and the real words.
+
+        Up to three atoms, so totals fall below 64, at 64 (three atoms on two
+        points, two on three, one on six) and past it; on larger spaces the
+        reference reads the first 2^10 valuations, where non-theorems and
+        random formulas are mostly refuted, and a later witness or a valid
+        verdict must then come after them.
+        """
+        if words is not None:
+            monkeypatch.setattr(validity, "_block_words", lambda n: words)
+        rng = random.Random(label)
+        grades = formula_grades(table)
+        g = grades[len(grades) // 2]
+        texts = [f"<{g}>p -> [{g}]p", f"p -> [{g}]p", f"<{g}>p -> p", f"[{g}]p -> p", f"<{g}>(p & q & r) | ~r"]
+        formulas = [parse(text) for text in texts] + [
+            random_formula(rng, ("p", "q", "r")[:rng.randint(1, 3)], grades, 3) for _ in range(8)]
+        for schema in ("K", "T", "UM2", "UM3", "D", "UM4"):
+            formulas.append(random_schema_instance(rng, schema, ("p", "q"), grades, formula_depth=1)[0])
+        limit = 1 << 10
+        for f in formulas:
+            bits = space.n * len(atoms(f))
+            if bits > 62:
+                with pytest.raises(EnumerationCapExceeded, match="ceiling 2"):
+                    valid_in_model(space, f, cap=1 << 80)
+                continue
+            want = ref_valid_by_valuation(space, f, limit)
+            if want is not None:
+                assert valid_in_model(space, f, cap=validity.CEILING) == want, f
+            elif bits <= (22 if words is None else 14):  # small blocks take long over 2^22 candidates
+                assert valid_in_model(space, f).valuations_checked > limit, f
 
 
 TREE_CASES = [case for case in CASES if case[1].tree is not None]
@@ -262,11 +331,9 @@ def test_slot_programs(label, space, table, monkeypatch):
     assert [len(program) for program in programs] == [8, 7, 4, 1]  # one step per distinct subformula
     assert {op for program in programs for op, _, _ in program} == {Atom, Not, And, Or, Implies, Box, Diamond}
     steps = []
-    for name in ("_leaf_step", "_ball_step"):
+    for name in ("_leaf_step", "_ball_step", "_row_step"):
         step = getattr(semantics, name)
         monkeypatch.setattr(semantics, name, lambda *args, name=name, step=step: steps.append(name) or step(*args))
-    step_table = space.step_table
-    monkeypatch.setattr(space, "step_table", lambda *args: steps.append("step_table") or step_table(*args))
 
     rng = random.Random(label)
     valuations = [{name: rng.getrandbits(space.n) for name in ("p", "q")} for _ in range(6)]
@@ -278,30 +345,29 @@ def test_slot_programs(label, space, table, monkeypatch):
             assert space.from_leaves(evaluate(space, f, model.leaf_mask, space.full_mask)) == want, f
             assert set(steps) <= {"_leaf_step" if space.tree is not None else "_ball_step"}
 
-    batch = {name: np.array([valuation[name] for valuation in valuations], dtype=np.uint64) for name in ("p", "q")}
-    # The real threshold (by table up to 18 points), then one just below 2^n (per ball).
-    for chunk in (semantics.CHUNK, (1 << space.n) - 1):
-        monkeypatch.setattr(semantics, "CHUNK", chunk)
-        lookup = 1 << space.n <= chunk
-        for f, program, want in zip(formulas, programs, wants):
-            steps.clear()
-            got = evaluate(space, f, batch.__getitem__, np.uint64(space.full_mask))
-            assert got.tolist() == want, (f, chunk)
-            modal = any(op in (Box, Diamond) for op, _, _ in program)
-            assert ("step_table" in steps) == (modal and lookup) and "_leaf_step" not in steps
+    batch = {name: to_rows([valuation[name] for valuation in valuations], space.n) for name in ("p", "q")}
+    for f, program, want in zip(formulas, programs, wants):
+        steps.clear()
+        got = evaluate(space, f, batch.__getitem__, ONES)
+        assert to_masks(got, len(valuations)) == want, f
+        modal = any(op in (Box, Diamond) for op, _, _ in program)
+        assert ("_row_step" in steps) == modal and set(steps) <= {"_row_step"}
 
 
-def per_ball_truth(model, f):
-    """Truth mask of ``f`` in point order, every modal step taken per ball by ``interior_mask``/``closure_mask``."""
-    space, full = model.space, model.space.full_mask
+def per_ball_truth(space, f, masks):
+    """Truth mask of ``f`` in point order, every modal step taken per ball by ``interior_mask``/``closure_mask``.
+
+    ``masks`` maps each atom to its point-order mask.
+    """
+    full = space.full_mask
     if isinstance(f, Atom):
-        return model.atom_mask(f.name)
+        return masks[f.name]
     if isinstance(f, Not):
-        return full ^ per_ball_truth(model, f.sub)
+        return full ^ per_ball_truth(space, f.sub, masks)
     if isinstance(f, (Box, Diamond)):
         step = closure_mask if isinstance(f, Diamond) else interior_mask
-        return step(space, per_ball_truth(model, f.sub), f.grade)
-    left, right = per_ball_truth(model, f.left), per_ball_truth(model, f.right)
+        return step(space, per_ball_truth(space, f.sub, masks), f.grade)
+    left, right = per_ball_truth(space, f.left, masks), per_ball_truth(space, f.right, masks)
     return {And: left & right, Or: left | right, Implies: (full ^ left) | right}[type(f)]
 
 
@@ -313,23 +379,28 @@ def test_fine_grade_truth_masks_on_4096_worlds():
              "[0]p <-> p", "<1>[1/3]p & ~[1/4095]<1/4097>(q -> p)"]
     grades = [Fraction(1, 2 ** k) for k in range(14)] + [Fraction(0), Fraction(3, 8192)]
     formulas = [parse(text) for text in texts] + [random_formula(rng, ("p", "q"), grades, 4) for _ in range(6)]
+    masks = {name: model.atom_mask(name) for name in ("p", "q")}
     for f in formulas:
-        assert truth_mask(model, f) == per_ball_truth(model, f), f
+        assert truth_mask(model, f) == per_ball_truth(space, f, masks), f
 
 
-# --- the dtype and table bounds ----------------------------------------------
+# --- the block bounds --------------------------------------------------------
 
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 18, 19])
 def test_valid_in_model_at_bounds(n):
-    """uint8 up to 8 points, uint16 up to 16, tables up to 18; one atom past 9 keeps this fast."""
+    """Blocks of 4,096 words per row up to 8 points, 2,048 up to 16 and 1,024 up to 32; one atom past 9 keeps this fast.
+
+    Two atoms on 8 points fill part of one block, on 9 points two blocks;
+    one atom on 16 points fills part of one block, on 17 to 19 points 2 to 8.
+    """
     rng = random.Random(n)
     space = random_ultrametric_space(rng, n)
     grades = formula_grades(dense_table(space))
     names = ("p", "q") if n <= 9 else ("p",)
     formulas = [random_schema_instance(rng, schema, names, grades, formula_depth=1)[0]
                 for schema in ("K", "T", "UM3", "D")]
-    # Refuted early, late (p everywhere: the last candidate, in the second
-    # chunk at 19 points) and by a diamond; then valid with a diamond.
+    # Refuted early, late (p everywhere: the last candidate, in the last of
+    # eight blocks at 19 points) and by a diamond; then valid with a diamond.
     texts = ["<1/2>p -> [1/2]p", "~[1]p", "<1/4>p -> p", "p -> <1/4>[1/2]<1/2>p"]
     if len(names) == 2:
         texts += ["[1/2](p -> q) -> ([1/2]p -> [1/2]q)", "<1/2>p & <1/2>q -> <1/2>(p & q)"]
@@ -338,18 +409,23 @@ def test_valid_in_model_at_bounds(n):
         assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
 
 
-def test_step_tables_are_read_only_and_per_space():
+def test_ball_indexes_are_read_only_and_per_space():
+    """The index arrays of the row step: a ball partition's members, cached per rank and per space, read-only."""
     first, second = (random_ultrametric_space(random.Random(3), 9) for _ in range(2))
     assert dense_table(first) == dense_table(second)
     grade = first.realized_distances()[1]
     above = (grade + first.realized_distances()[2]) / 2
-    for meets in (False, True):
-        for dtype in map(np.dtype, BATCH_DTYPES[1:]):
-            table = first.step_table(grade, meets, dtype, _ball_step)
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 0
-            # Cached per rank: a grade between the same two distances gets the same table.
-            assert first.step_table(above, meets, dtype, _ball_step) is table
-            other = second.step_table(grade, meets, dtype, _ball_step)
-            assert np.array_equal(other, table) and not np.shares_memory(other, table)
+    indexes = first.ball_indexes(grade)
+    assert [(m.tolist(), c.tolist()) for m, c in indexes] == [
+        (first.members(ball).tolist(), first.members(centres).tolist()) for ball, centres in first.ball_partition(grade)]
+    for array in (array for pair in indexes for array in pair):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # Cached per rank: a grade between the same two distances gets the same arrays.
+    assert first.ball_indexes(above) is indexes
+    other = second.ball_indexes(grade)
+    assert len(other) == len(indexes)
+    for pair, twin in zip(indexes, other):
+        for array, copy in zip(pair, twin):
+            assert np.array_equal(array, copy) and not np.shares_memory(array, copy)

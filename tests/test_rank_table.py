@@ -842,7 +842,7 @@ def test_leaf_step_matches_the_ball_step(label, space, table):
         for eps in leaf_grades(space):
             for meets in (False, True):
                 got = space.from_leaves(_leaf_step(space, leaves, space.rank_of(eps), meets))
-                assert got == _ball_step(space, mask, eps, full, meets), (mask, eps, meets)
+                assert got == _ball_step(space, mask, eps, meets), (mask, eps, meets)
 
 
 def test_leaf_order_is_not_point_order_in_the_union_and_the_matrix():
@@ -880,7 +880,7 @@ def test_nearest_on_4096_worlds_matches_the_row_minimum():
 
 
 def test_each_grade_is_resolved_once(monkeypatch):
-    """After its first use a grade's rank is read from a dict: partitions, step tables and steps search nothing."""
+    """After its first use a grade's rank is read from a dict: partitions, their index arrays and steps search nothing."""
     space = cantor_space(3)
     grades = [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(-1), Fraction(2)]
     ranks = [space.rank_of(g) for g in grades]
@@ -888,8 +888,9 @@ def test_each_grade_is_resolved_once(monkeypatch):
     monkeypatch.setattr(space_module, "bisect_right", refuse("bisect_right"))
     assert [space.rank_of(g) for g in grades] == ranks
     assert space.rank_of("1/2") == space.rank_of(Fraction(2, 4)) == 4
-    assert space.ball_partition(Fraction(1, 2)) and space.step_table(Fraction(1, 3), True, np.dtype(np.uint8),
-                                                                      _ball_step).size == 256
+    assert space.ball_partition(Fraction(1, 2))
+    assert [(m.tolist(), c.tolist()) for m, c in space.ball_indexes(Fraction(1, 3))] == [([0, 1, 2, 3],) * 2,
+                                                                                         ([4, 5, 6, 7],) * 2]
     with pytest.raises(AssertionError, match="bisect_right reached"):
         space.rank_of(Fraction(1, 5))
     # Equal to the int 1 already resolved, and still refused.

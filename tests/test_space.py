@@ -9,7 +9,7 @@ from umlogic.constructions import PointMap, epsilon_subspace, scale_space
 from umlogic.formula import Atom, Box, Diamond, GradeError, Implies, as_grade
 from umlogic.generators import random_ultrametric_space
 from umlogic.semantics import (
-    _ball_step,
+    _row_step,
     closure_eps,
     closure_mask,
     interior_eps,
@@ -253,7 +253,7 @@ class TestConstruction:
     RADIUS_READERS = {
         "ball": lambda s, r: s.ball("a", r),
         "ball-partition": lambda s, r: s.ball_partition(r),
-        "step-table": lambda s, r: s.step_table(r, False, np.dtype(np.uint8), _ball_step),
+        "row-step": lambda s, r: _row_step(s, np.arange(1, s.n + 1, dtype=np.uint64)[:, None], r, False),
         "interior-mask": lambda s, r: interior_mask(s, 1, r),
         "closure-mask": lambda s, r: closure_mask(s, 1, r),
         "interior-eps": lambda s, r: interior_eps(s, ["a"], r),

@@ -60,6 +60,13 @@ class TestValidInModel:
         with pytest.raises(EnumerationCapExceeded):
             valid_in_model(cantor_space(3), parse("p -> p"), cap=255)
 
+    def test_ceiling_above_any_cap(self):
+        f = parse("p -> q")  # 2^64 valuations on 32 points
+        with pytest.raises(EnumerationCapExceeded, match=r"^2\^64 valuations exceed the enumeration ceiling 2\^62, "):
+            valid_in_model(cantor_space(5), f, cap=1 << 80)
+        with pytest.raises(EnumerationCapExceeded, match=f"^2\\^64 valuations exceed the enumeration cap {1 << 62}$"):
+            valid_in_model(cantor_space(5), f, cap=1 << 62)
+
     def test_deterministic_witness(self):
         s = cantor_space(2)
         f = parse("<1/4>p -> p")
