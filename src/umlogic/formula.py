@@ -26,6 +26,12 @@ def as_grade(value: int | str | Fraction) -> Fraction:
     (``"0.125"``).  Floats, bools, exponent notation and other values are
     unreadable and raise :class:`GradeError`, as do grades outside [0, 1].
     """
+    if type(value) is Fraction:
+        # A normalised denominator is positive, so this is 0 <= value <= 1
+        # without the `numbers` dispatch of a Fraction comparison.
+        if 0 <= value.numerator <= value.denominator:
+            return value
+        raise GradeError(f"grade {value} outside [0, 1]")
     try:
         grade = read_rational(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -42,13 +48,18 @@ class Formula:
     hashing a formula costs one step per node however often it is looked
     up.  The evaluator caches a second attribute, ``_program``: the
     formula compiled once into the slot program it runs
-    (:func:`umlogic.semantics.evaluate`).  String hashes are seeded per
-    process, so the hash is left out of pickles and copies, and the
-    program with it: a copy rebuilds both on first use.
+    (:func:`umlogic.semantics.evaluate`).  :func:`desugar` caches a third,
+    ``_desugared``, on every node but an atom or another leaf, which
+    desugars to itself and stores nothing, so no node refers to itself.
+    A subformula shared by many formulas, as a proof's parser memo shares
+    them, is then desugared once.  String hashes are seeded per process,
+    so the hash is left out of pickles and copies, and the program and
+    the desugared form with it: a copy rebuilds them on first use.
     """
 
     _hash: int | None = None
     _program: tuple | None = None
+    _desugared: Formula | None = None
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -65,6 +76,7 @@ class Formula:
         state = dict(self.__dict__)
         state.pop("_hash", None)
         state.pop("_program", None)
+        state.pop("_desugared", None)
         return state
 
 
@@ -190,21 +202,29 @@ def desugar(f: Formula) -> Formula:
 
     Or(a, b) becomes ~(~a & ~b), Implies(a, b) becomes ~(a & ~b), and
     Diamond(g, a) becomes ~[g]~a.  The result is logically equivalent to
-    ``f`` in every model.
+    ``f`` in every model.  It is cached on ``f`` as ``_desugared``, and
+    it is a new node for every node but a leaf, which is its own result
+    and caches nothing.
     """
+    result = f._desugared
+    if result is not None:
+        return result
     if isinstance(f, Not):
-        return Not(desugar(f.sub))
-    if isinstance(f, And):
-        return And(desugar(f.left), desugar(f.right))
-    if isinstance(f, Or):
-        return Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
-    if isinstance(f, Implies):
-        return Not(And(desugar(f.left), Not(desugar(f.right))))
-    if isinstance(f, Box):
-        return Box(f.grade, desugar(f.sub))
-    if isinstance(f, Diamond):
-        return Not(Box(f.grade, Not(desugar(f.sub))))
-    return f
+        result = Not(desugar(f.sub))
+    elif isinstance(f, And):
+        result = And(desugar(f.left), desugar(f.right))
+    elif isinstance(f, Or):
+        result = Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
+    elif isinstance(f, Implies):
+        result = Not(And(desugar(f.left), Not(desugar(f.right))))
+    elif isinstance(f, Box):
+        result = Box(f.grade, desugar(f.sub))
+    elif isinstance(f, Diamond):
+        result = Not(Box(f.grade, Not(desugar(f.sub))))
+    else:
+        return f
+    object.__setattr__(f, "_desugared", result)
+    return result
 
 
 def subformulas(f: Formula) -> list[Formula]:

@@ -23,28 +23,53 @@ expand to a tree of about 2^k leaves, which the printer, desugaring and
 evaluators walk in full.  A formula whose expanded tree has more than
 :data:`MAX_NODES` nodes (parentheses are not nodes) is rejected too.
 
-The tokenizer scans the whole text in one regex pass before parsing
-starts, so a bad character anywhere is reported ahead of any syntax
-error.  Tokens keep only their offset into the text; the line and column
-of a :class:`ParseError` are computed from it when the error is raised.
-Grade literals are interned by their text (:func:`parse_grade`), so a
-grade written many times is read once and every modality carrying it
-shares one :class:`~fractions.Fraction`.
+The parser reads its tokens lazily, one match of ``_TOKEN_RE`` at a
+time, so text that it skips is never tokenized and no token list is
+built.  A token is its match; the line and column of a
+:class:`ParseError` are computed from its offset when the error is
+raised.  A bad character anywhere is still reported ahead of any other
+error: before a :class:`ParseError` leaves :func:`parse`, the text is
+scanned for one (:func:`_bad_character`), without building tokens.  A
+chain of prefixes (``~``, ``[g]``, ``<g>``) is read in a loop, and a
+modality with a plain ASCII grade in one match.  Grade literals are
+interned by their text (:func:`parse_grade`), so a grade written many
+times is read once and every modality carrying it shares one
+:class:`~fractions.Fraction`.
 
 :func:`parse` takes an optional memo, a dict that the caller keeps for a
-batch of texts (a proof file's lines and bindings).  It maps the exact
-source text of each whole text and each parenthesised group parsed
-through it to the formula and the depth and size that a fresh parse of
-it sets.  A group whose text is in the memo is not parsed again: the
-parser reuses the stored formula, restores its depth and size, and skips
-its tokens.  It uses a hit only while the levels enclosing the group
-plus its depth stay below :data:`MAX_DEPTH`; deeper, it parses the group
-again, so a "nested deeper" error keeps its line and column, and the
-:data:`MAX_NODES` check sees the same sizes either way.  Only groups and
-texts that parsed are stored, never an error, so every
-:class:`ParseError` is computed afresh.  Equal texts parsed through one
-memo give one shared :class:`Formula` object.  Without a memo, nothing
-is looked up or stored.
+batch of texts (a proof file's lines and bindings).  A memo hit returns
+the stored formula, so equal spans parsed through one memo give one
+shared :class:`Formula` object.  The memo holds three kinds of entry:
+
+* the exact text of each whole text, atom name and parenthesised group
+  that parsed, mapped to the formula and the depth and size that a fresh
+  parse of it sets.  A group's end comes from a map of the text's ``(``
+  and ``)`` (:func:`_closing`), so a group whose text is in the memo is
+  skipped without reading its tokens;
+* ``(prefix,)``, for the text of a prefix chain such as
+  ``[1/4][1/8]<1/8>`` that parsed, mapped to its prefixes and their
+  grades;
+* ``(prefix, id(core))``, mapped to the formula that the prefix chain
+  builds over ``core``, what follows it: an atom, a group, or the rest of
+  a chain that the one match below stopped short of.  A chain is found
+  by one match of ``_PREFIX_RE``; when its text is known, its tokens are
+  not read and its nodes are not built again.  Each node of a chain is
+  the entry of its own tail of the prefix, so ``[1/8]<1/8>[1/2](p | q)``
+  ends in the node that ``[1/2](p | q)`` parses to.  The key holds the
+  short prefix text and the core's identity, which the stored formula
+  keeps alive, so no key copies a long line and none is hashed or
+  compared node by node.
+
+A hit is used only while the levels enclosing it plus its depth stay
+below :data:`MAX_DEPTH`; deeper, the span is parsed again, so a "nested
+deeper" error keeps its line and column, and the :data:`MAX_NODES` check
+sees the same sizes either way.  A group deeper than that, or larger
+than :data:`MAX_NODES`, can only be part of a text that fails, so it is
+not stored; its text is sliced only to look it up, so a long line nested
+in many groups holds no copy of itself per group.  Only what parsed is
+stored, never an error, so every
+:class:`ParseError` is computed afresh.  Without a memo, nothing is
+looked up or stored.
 """
 from __future__ import annotations
 
@@ -83,61 +108,72 @@ def _error(text: str, offset: int, message: str, expected: tuple[str, ...] = ())
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1, expected)
 
 
-# A token is a tuple (kind, text, offset).  Each match is one token and the
-# whitespace before it, as the groups (space, NUMBER, NAME, OP, BAD); at the
-# end of the text only the space matches.  Operators take their kind from
-# _OP_KINDS, and BAD is any other character that is not whitespace.
+# One match is one token and the whitespace before it.  The name of the
+# group that matched is the token's kind: BAD is any other character that
+# is not whitespace, and EOF the end of the text.
 _TOKEN_RE = re.compile(
     r"""
-    (\s*)
-    (?: (\d+\.\d+|\d+)
-      | ([A-Za-z_][A-Za-z0-9_]*)
-      | (<->|->|[~&|()\[\]<>/])
-      | (\S)
-      | \Z )
+    \s*
+    (?: (?P<NUMBER>\d+\.\d+|\d+)
+      | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<IFF><->) | (?P<ARROW>->)
+      | (?P<TILDE>~) | (?P<AMP>&) | (?P<PIPE>\|) | (?P<LPAREN>\() | (?P<RPAREN>\))
+      | (?P<LBRACK>\[) | (?P<RBRACK>\]) | (?P<LT><) | (?P<GT>>) | (?P<SLASH>/)
+      | (?P<BAD>\S)
+      | (?P<EOF>)\Z )
     """,
     re.VERBOSE,
 )
 
-_OP_KINDS = {
-    "<->": "IFF", "->": "ARROW",
-    "~": "TILDE", "&": "AMP", "|": "PIPE", "(": "LPAREN", ")": "RPAREN",
-    "[": "LBRACK", "]": "RBRACK", "<": "LT", ">": "GT", "/": "SLASH",
-}
+# A modality with an ASCII grade in one match, its numerator and
+# denominator as groups 1 and 2, and a chain of prefixes from its first to
+# the end of its last.  What they take, the tokenizer reads as the same
+# tokens; a modality spelled any other way is read token by token.
+_GRADE = r"\s*([0-9]+(?:\.[0-9]+)?)\s*(?:/\s*([0-9]+)\s*)?"
+_BOX_RE = re.compile(rf"\[{_GRADE}\]")
+_DIAMOND_RE = re.compile(rf"<{_GRADE}>")
+_PREFIX_RE = re.compile(rf"(?:~|\[{_GRADE}\]|<{_GRADE}>)(?:\s*(?:~|\[{_GRADE}\]|<{_GRADE}>))*")
+
+# A character that may not start a token: only texts holding one are
+# scanned for a bad character.
+_MAYBE_BAD_RE = re.compile(r"[^\sA-Za-z0-9_~&|()\[\]<>/]")
+
+_PREFIX_KINDS = frozenset(("TILDE", "LBRACK", "LT"))
+
+_match_token = _TOKEN_RE.match
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    append = tokens.append
-    offset = 0
-    for space, number, name, op, bad in _TOKEN_RE.findall(text):
-        offset += len(space)
-        if op:
-            append((_OP_KINDS[op], op, offset))
-            offset += len(op)
-        elif name:
-            append(("NAME", name, offset))
-            offset += len(name)
-        elif number:
-            append(("NUMBER", number, offset))
-            offset += len(number)
-        elif bad:
-            raise _error(text, offset, f"unexpected character {bad!r}")
-        else:
-            break
-    append(("EOF", "", len(text)))
-    return tokens
+def _bad_character(text: str) -> ParseError | None:
+    """The error for the first character of ``text`` that starts no token, if there is one."""
+    if _MAYBE_BAD_RE.search(text) is None:
+        return None
+    for match in _TOKEN_RE.finditer(text):
+        bad = match["BAD"]
+        if bad is not None:
+            return _error(text, match.start("BAD"), f"unexpected character {bad!r}")
+    return None
 
 
-def _closing(tokens: list[tuple[str, str, int]]) -> dict[int, int]:
-    """The index of the matching ``)`` token for each ``(`` token that has one."""
+def _closing(text: str) -> dict[int, int]:
+    """The offset of the matching ``)`` for each ``(`` of ``text`` that has one.
+
+    Parentheses are always tokens of their own, so this pairs the tokens.
+    ``str.find`` steps from one parenthesis to the next.
+    """
     closing, stack = {}, []
-    for i, token in enumerate(tokens):
-        kind = token[0]
-        if kind == "LPAREN":
-            stack.append(i)
-        elif kind == "RPAREN" and stack:
-            closing[stack.pop()] = i
+    find = text.find
+    left, right = find("("), find(")")
+    while left >= 0:
+        if right < 0 or left < right:
+            stack.append(left)
+            left = find("(", left + 1)
+        else:
+            if stack:
+                closing[stack.pop()] = right
+            right = find(")", right + 1)
+    while right >= 0 and stack:
+        closing[stack.pop()] = right
+        right = find(")", right + 1)
     return closing
 
 
@@ -150,61 +186,57 @@ def parse_grade(text: str) -> Fraction:
 class _Parser:
     """Recursive descent that also measures the depth and the size of what it builds.
 
-    After each rule returns, ``depth`` and ``size`` hold the depth and the
-    node count (``<->`` expanded) of the formula it returned.  ``open``
-    counts the levels enclosing the current position, so input that will
-    nest too deep is refused before the recursion gets there;
-    :func:`parse` checks the finished depth and size, which also bounds
-    the flat ``&``, ``|`` and ``<->`` chains that the rules build in loops.
+    ``match`` is the current token, ``kind`` its kind.  After each rule
+    returns, ``depth`` and ``size`` hold the depth and the node count
+    (``<->`` expanded) of the formula it returned.  ``open`` counts the
+    levels enclosing the current position, so input that will nest too
+    deep is refused before the recursion gets there; :func:`parse` checks
+    the finished depth and size, which also bounds the flat ``&``, ``|``
+    and ``<->`` chains that the rules build in loops.
     """
+
+    __slots__ = ("text", "memo", "closing", "match", "kind", "open", "depth", "size")
 
     def __init__(self, text: str, memo: dict | None = None):
         self.text = text
-        self.tokens = _tokenize(text)
         self.memo = memo
         if memo is not None:
-            self.closing = _closing(self.tokens)
-        self.pos = 0
-        self.open = 0
-        self.depth = 0
-        self.size = 0
+            self.closing = _closing(text)
+        self.open = self.depth = self.size = 0
+        self.read(0)
 
-    def kind(self) -> str:
-        return self.tokens[self.pos][0]
+    def read(self, offset: int) -> None:
+        """Make the token after any whitespace at ``offset`` the current one."""
+        match = self.match = _match_token(self.text, offset)
+        self.kind = match.lastgroup
 
-    def error(self, message: str, token: tuple[str, str, int], expected: tuple[str, ...] = ()) -> ParseError:
-        return _error(self.text, token[2], message, expected)
+    def start(self) -> int:
+        """The offset of the current token."""
+        return self.match.start(self.match.lastindex)
+
+    def error(self, message: str, offset: int, expected: tuple[str, ...] = ()) -> ParseError:
+        return _error(self.text, offset, message, expected)
 
     def unexpected(self, expected: tuple[str, ...]) -> ParseError:
-        token = self.tokens[self.pos]
-        return self.error(f"unexpected {token[1] or 'end of input'!r}", token, expected)
+        match = self.match
+        return self.error(f"unexpected {match[match.lastindex] or 'end of input'!r}", self.start(), expected)
 
-    def too_deep(self, token: tuple[str, str, int]) -> ParseError:
-        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", token)
-
-    def take(self, kind: str, expected: tuple[str, ...]) -> str:
-        """Consume a token of ``kind`` and return its text."""
-        token = self.tokens[self.pos]
-        if token[0] != kind:
-            raise self.unexpected(expected)
-        self.pos += 1
-        return token[1]
-
-    def nested(self, rule, token: tuple[str, str, int]) -> Formula:
-        """Run ``rule`` one level further in, below the operator ``token``."""
+    def deeper(self, token: re.Match) -> None:
+        """Open one more level, below the operator ``token``."""
         self.open += 1
         # Even a lone atom in there would sit MAX_DEPTH + 1 levels deep.
         if self.open >= MAX_DEPTH:
             raise self.too_deep(token)
-        result = rule()
-        self.open -= 1
-        return result
+
+    def too_deep(self, token: re.Match) -> ParseError:
+        """The error for nesting too deep, at ``token``."""
+        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", token.start(token.lastindex))
 
     def formula(self) -> Formula:
         left = self.implies()
-        while self.kind() == "IFF":
+        while self.kind == "IFF":
             depth, size = self.depth, self.size
-            self.pos += 1
+            self.read(self.match.end())
             right = self.implies()
             left = And(Implies(left, right), Implies(right, left))
             self.depth = max(depth, self.depth) + 2
@@ -213,20 +245,22 @@ class _Parser:
 
     def implies(self) -> Formula:
         left = self.or_()
-        token = self.tokens[self.pos]
-        if token[0] == "ARROW":
+        if self.kind == "ARROW":
             depth, size = self.depth, self.size
-            self.pos += 1
-            left = Implies(left, self.nested(self.implies, token))
+            token = self.match
+            self.read(token.end())
+            self.deeper(token)
+            left = Implies(left, self.implies())
+            self.open -= 1
             self.depth = max(depth, self.depth) + 1
             self.size += size + 1
         return left
 
     def or_(self) -> Formula:
         left = self.and_()
-        while self.kind() == "PIPE":
+        while self.kind == "PIPE":
             depth, size = self.depth, self.size
-            self.pos += 1
+            self.read(self.match.end())
             left = Or(left, self.and_())
             self.depth = max(depth, self.depth) + 1
             self.size += size + 1
@@ -234,73 +268,174 @@ class _Parser:
 
     def and_(self) -> Formula:
         left = self.unary()
-        while self.kind() == "AMP":
+        while self.kind == "AMP":
             depth, size = self.depth, self.size
-            self.pos += 1
+            self.read(self.match.end())
             left = And(left, self.unary())
             self.depth = max(depth, self.depth) + 1
             self.size += size + 1
         return left
 
     def unary(self) -> Formula:
-        token = self.tokens[self.pos]
-        kind = token[0]
+        kind = self.kind
         if kind == "NAME":
-            self.pos += 1
+            match = self.match
+            name = match["NAME"]
+            self.read(match.end())
             self.depth = self.size = 1
-            return Atom(token[1])
-        if kind == "TILDE":
-            self.pos += 1
-            result = Not(self.nested(self.unary, token))
-        elif kind == "LBRACK":
-            self.pos += 1
-            grade = self.grade()
-            self.take("RBRACK", ("']'",))
-            result = Box(grade, self.nested(self.unary, token))
-        elif kind == "LT":
-            self.pos += 1
-            grade = self.grade()
-            self.take("GT", ("'>'",))
-            result = Diamond(grade, self.nested(self.unary, token))
-        elif kind == "LPAREN":
-            return self.group(token)
-        else:
-            raise self.unexpected(("'~'", "'['", "'<'", "atom", "'('"))
-        self.depth += 1
-        self.size += 1
+            memo = self.memo
+            if memo is None:
+                return Atom(name)
+            # One shared atom per name, stored as the text of its name.
+            hit = memo.get(name)
+            if hit is None:
+                hit = memo[name] = (Atom(name), 1, 1)
+            return hit[0]
+        if kind == "LPAREN":
+            return self.group()
+        if kind in _PREFIX_KINDS:
+            return self.chain() if self.memo is None else self.prefixed()
+        raise self.unexpected(("'~'", "'['", "'<'", "atom", "'('"))
+
+    def prefixed(self) -> Formula:
+        """A prefix chain through the memo: read whole by one match when its text is known."""
+        memo = self.memo
+        found = _PREFIX_RE.match(self.text, self.match.end() - 1)
+        if found is not None:
+            prefix = found[0]
+            ops = memo.get((prefix,))
+            if ops is not None and self.open + len(ops) < MAX_DEPTH:
+                # What follows is read as the chain would go on reading it:
+                # an atom, a group, more prefixes, or the error.
+                self.read(found.end())
+                self.open += len(ops)
+                core = self.unary()
+                self.open -= len(ops)
+                return self.over(prefix, ops, core)
+        return self.chain()
+
+    def chain(self) -> Formula:
+        """A chain of ``~``, ``[g]`` and ``<g>`` over an atom or a group, read token by token.
+
+        Each prefix opens one level, as one recursion per prefix would.
+        ``ops`` lists (constructor, grade or None, offset into the chain's
+        text) from the outermost prefix in.
+        """
+        opened = self.open
+        start = self.match.end() - 1
+        ops = []
+        while True:
+            token = self.match
+            kind = self.kind
+            if kind == "TILDE":
+                ops.append((Not, None, token.end() - 1 - start))
+                end = token.end()
+            elif kind == "LBRACK" or kind == "LT":
+                box = kind == "LBRACK"
+                found = (_BOX_RE if box else _DIAMOND_RE).match(self.text, token.end() - 1)
+                if found is not None:
+                    numerator, denominator = found.groups()
+                    grade = self.grade(numerator if denominator is None else f"{numerator}/{denominator}",
+                                       found.start(1))
+                    end = found.end()
+                else:
+                    self.read(token.end())
+                    grade = self.grade_tokens()
+                    if self.kind != ("RBRACK" if box else "GT"):
+                        raise self.unexpected(("']'",) if box else ("'>'",))
+                    end = self.match.end()
+                ops.append((Box if box else Diamond, grade, token.end() - 1 - start))
+            else:
+                break
+            self.read(end)
+            self.deeper(token)
+        core = self.unary()
+        self.open = opened
+        if self.memo is not None:
+            prefix = self.text[start:end]
+            ops = self.memo[(prefix,)] = tuple(ops)
+            return self.over(prefix, ops, core)
+        self.depth += len(ops)
+        self.size += len(ops)
+        for cls, grade, _ in reversed(ops):
+            core = Not(core) if grade is None else cls(grade, core)
+        return core
+
+    def over(self, prefix: str, ops: tuple, core: Formula) -> Formula:
+        """The chain ``ops``, spelled ``prefix``, over ``core``, shared through the memo.
+
+        Each node of the chain is the entry of (its own prefix text, the
+        chain's core), so the tail ``[1/2]p`` of ``[1/8]<1/8>[1/2]p`` is the
+        node that the text ``[1/2]p`` parses to.
+        """
+        memo = self.memo
+        self.depth += len(ops)
+        self.size += len(ops)
+        core_id = id(core)
+        result = memo.get((prefix, core_id))
+        if result is None:
+            result = core
+            for cls, grade, at in reversed(ops):
+                key = (prefix[at:], core_id)
+                node = memo.get(key)
+                if node is None:
+                    node = memo[key] = Not(result) if grade is None else cls(grade, result)
+                result = node
         return result
 
-    def group(self, token: tuple[str, str, int]) -> Formula:
-        """A parenthesised formula, looked up in and stored to the memo when there is one."""
-        key = None
-        if self.memo is not None:
-            end = self.closing.get(self.pos)
+    def group(self) -> Formula:
+        """A parenthesised formula, looked up in and stored to the memo when there is one.
+
+        The text of the group is sliced for the lookup and again for the
+        store, so no copy of it is held while its inside is parsed.
+        """
+        token = self.match
+        memo = self.memo
+        end = None
+        if memo is not None:
+            start = token.end() - 1
+            end = self.closing.get(start)
             if end is not None:
-                key = self.text[token[2]:self.tokens[end][2] + 1]
-                hit = self.memo.get(key)
+                hit = memo.get(self.text[start:end + 1])
                 # Inside the group a fresh parse opens fewer levels than its depth.
                 if hit is not None and self.open + hit[1] < MAX_DEPTH:
                     result, self.depth, self.size = hit
-                    self.pos = end + 1
+                    self.read(end + 1)
                     return result
-        self.pos += 1
-        result = self.nested(self.formula, token)
-        self.take("RPAREN", ("')'",))
+        self.read(token.end())
+        self.deeper(token)
+        result = self.formula()
+        self.open -= 1
+        if self.kind != "RPAREN":
+            raise self.unexpected(("')'",))
+        self.read(self.match.end())
         self.depth += 1
-        if key is not None:
-            self.memo[key] = (result, self.depth, self.size)
+        # A group past the limits is never reused (module docstring).
+        if end is not None and self.depth < MAX_DEPTH and self.size <= MAX_NODES:
+            memo[self.text[start:end + 1]] = (result, self.depth, self.size)
         return result
 
-    def grade(self) -> Fraction:
-        token = self.tokens[self.pos]
-        text = self.take("NUMBER", ("grade literal",))
-        if self.kind() == "SLASH":
-            self.pos += 1
-            text = f"{text}/{self.take('NUMBER', ('denominator',))}"
+    def grade_tokens(self) -> Fraction:
+        """A grade read token by token: ``NUMBER ('/' NUMBER)?``."""
+        token = self.match
+        if self.kind != "NUMBER":
+            raise self.unexpected(("grade literal",))
+        text = token["NUMBER"]
+        self.read(token.end())
+        if self.kind == "SLASH":
+            self.read(self.match.end())
+            if self.kind != "NUMBER":
+                raise self.unexpected(("denominator",))
+            text = f"{text}/{self.match['NUMBER']}"
+            self.read(self.match.end())
+        return self.grade(text, token.start(token.lastindex))
+
+    def grade(self, text: str, offset: int) -> Fraction:
+        """The grade written ``text``, whose first token is at ``offset``."""
         try:
             return parse_grade(text)
         except GradeError as exc:
-            raise self.error(str(exc), token) from None
+            raise self.error(str(exc), offset) from None
 
 
 def parse(text: str, memo: dict | None = None) -> Formula:
@@ -309,24 +444,31 @@ def parse(text: str, memo: dict | None = None) -> Formula:
     Raises :class:`ParseError` with line/column diagnostics on bad input;
     grade literals outside [0, 1] are rejected, and so is any formula
     nested more than :data:`MAX_DEPTH` levels deep or expanding to more
-    than :data:`MAX_NODES` nodes.  ``memo``, a dict kept by the caller
-    across a batch of texts, parses each repeated text and parenthesised
-    group once; the result is the same as without it (module docstring).
+    than :data:`MAX_NODES` nodes.  A bad character is reported ahead of
+    any other error.  ``memo``, a dict kept by the caller across a batch
+    of texts, parses each repeated text, group and prefix chain once; the
+    result is the same as without it (module docstring).
     """
     if memo is not None:
         hit = memo.get(text)
         # A group stored from inside a longer text may break the limits on its own.
         if hit is not None and hit[1] <= MAX_DEPTH and hit[2] <= MAX_NODES:
             return hit[0]
-    parser = _Parser(text, memo)
-    result = parser.formula()
-    token = parser.tokens[parser.pos]
-    if token[0] != "EOF":
-        raise parser.error(f"trailing input {token[1]!r}", token)
-    if parser.depth > MAX_DEPTH:
-        raise parser.too_deep(parser.tokens[0])
-    if parser.size > MAX_NODES:
-        raise parser.error(f"formula expands to more than {MAX_NODES} nodes", parser.tokens[0])
+    try:
+        parser = _Parser(text, memo)
+        first = parser.match
+        result = parser.formula()
+        if parser.kind != "EOF":
+            raise parser.error(f"trailing input {parser.match[parser.match.lastindex]!r}", parser.start())
+        if parser.depth > MAX_DEPTH:
+            raise parser.too_deep(first)
+        if parser.size > MAX_NODES:
+            raise parser.error(f"formula expands to more than {MAX_NODES} nodes", first.start(first.lastindex))
+    except ParseError:
+        bad = _bad_character(text)
+        if bad is None:
+            raise
+        raise bad from None
     if memo is not None:
         memo[text] = (result, parser.depth, parser.size)
     return result

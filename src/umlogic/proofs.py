@@ -4,7 +4,9 @@ A proof is a numbered list of lines, each justified as a premise, an
 axiom-schema instance, modus ponens from two earlier lines, or
 necessitation of an earlier line at some grade.  Formulas are compared up
 to desugaring, so a line may cite an implication written either as
-``a -> b`` or ``~(a & ~b)``.
+``a -> b`` or ``~(a & ~b)``.  Each node caches its desugared form
+(:func:`~umlogic.formula.desugar`), so a subformula that the lines of a
+file share is desugared once for the whole check.
 
 The JSON wire format is an array of objects
 ``{"n": int, "formula": str, "by": str, "bind": {..}?}`` where ``by`` is
@@ -13,9 +15,10 @@ line, j the implication line), or ``"nec:i:grade"``.
 
 :func:`proof_from_json` parses every formula and binding text of one file
 through one parser memo (see :mod:`umlogic.parser`), so each distinct
-parenthesised span of the file is parsed once, and equal spans become one
-shared :class:`Formula`.  The memo lives for that one call, so nothing is
-kept between files.
+text, parenthesised group, atom and prefix chain of the file is parsed
+once, a repeated one is skipped without tokenizing it, and equal spans
+become one shared :class:`Formula`.  The memo lives for that one call, so
+nothing is kept between files.
 """
 from __future__ import annotations
 

@@ -33,7 +33,9 @@ depends on the value type:
   no valuation is looked up on its own.
 
 Each space resolves a grade to its rank once
-(:meth:`UltrametricSpace.rank_of`).  :func:`interior_mask` and
+(:meth:`UltrametricSpace.rank_of`), and a modal step of the program
+carries its grade's key, so a warm leaf step reads the rank with one dict
+lookup.  :func:`interior_mask` and
 :func:`closure_mask` keep the per-ball step in point order, as the
 reference the other steps are tested against.
 """
@@ -112,7 +114,9 @@ def _program(f: Formula) -> tuple:
     One ``(opcode, a, b)`` step per distinct subformula, children first, so
     the last step is ``f``.  The opcode is the constructor's class; ``a`` is
     an atom's name or the slot of the step's first child, and ``b`` the slot
-    of a binary step's right child or a modal step's grade.
+    of a binary step's right child, or for a modal step the pair (grade,
+    key), where the key ``(numerator, denominator)`` is the one that
+    :meth:`UltrametricSpace.rank_of` files the grade's rank under.
     """
     program = getattr(f, "_program", None)
     if program is None:
@@ -129,10 +133,9 @@ def _program(f: Formula) -> tuple:
                 step = (Or, slot[g.left], slot[g.right])
             elif isinstance(g, Implies):
                 step = (Implies, slot[g.left], slot[g.right])
-            elif isinstance(g, Box):
-                step = (Box, slot[g.sub], g.grade)
-            elif isinstance(g, Diamond):
-                step = (Diamond, slot[g.sub], g.grade)
+            elif isinstance(g, (Box, Diamond)):
+                grade = g.grade
+                step = (type(g), slot[g.sub], (grade, (grade.numerator, grade.denominator)))
             else:
                 raise TypeError(f"not a formula: {g!r}")
             slot[g] = len(steps)
@@ -154,6 +157,8 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
     """
     batch = isinstance(full, np.generic)
     leaves = not batch and space.tree is not None
+    # Filled by rank_of: a grade seen before is one lookup of its key.
+    ranks = space._grade_ranks
     values: list = []
     append = values.append
     for op, a, b in _program(f):
@@ -169,12 +174,16 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
             append((full ^ values[a]) | values[b])
         else:
             meets = op is Diamond
+            grade, key = b
             if batch:
-                append(_row_step(space, values[a], b, meets))
+                append(_row_step(space, values[a], grade, meets))
             elif leaves:
-                append(_leaf_step(space, values[a], space.rank_of(b), meets))
+                rank = ranks.get(key)
+                if rank is None:
+                    rank = space.rank_of(grade)
+                append(_leaf_step(space, values[a], rank, meets))
             else:
-                append(_ball_step(space, values[a], b, meets))
+                append(_ball_step(space, values[a], grade, meets))
     return values[-1]
 
 

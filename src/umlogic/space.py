@@ -353,8 +353,10 @@ class UltrametricSpace:
         """How many realized distances are at most ``eps``: a ball of radius ``eps`` joins the lower ranks.
 
         ``eps`` is read by :func:`read_rational` and resolved once per
-        space, in a dict keyed by its exact value, so repeated grades cost
-        no search over the Fraction distances.
+        space, in a dict keyed by its exact value as ``(numerator,
+        denominator)``, so repeated grades cost no search over the Fraction
+        distances.  :func:`umlogic.semantics.evaluate` reads that dict
+        directly, by the key its compiled program carries.
         """
         eps = read_rational(eps)
         key = (eps.numerator, eps.denominator)

@@ -101,8 +101,9 @@ class TestInstantiate:
             instantiate_axiom("K", {"phi": P, "psi": Q})
 
     def test_grade_out_of_range(self):
-        with pytest.raises(SchemaError, match="outside"):
-            instantiate_axiom("T", {"eps": "3/2", "phi": P})
+        for eps in ("3/2", Fraction(3, 2), Fraction(-1, 2)):
+            with pytest.raises(SchemaError, match="outside"):
+                instantiate_axiom("T", {"eps": eps, "phi": P})
 
     def test_grade_strings_accepted(self):
         assert instantiate_axiom("T", {"eps": "0.5", "phi": P}) == parse("[1/2]p -> p")

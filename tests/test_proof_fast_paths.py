@@ -12,10 +12,14 @@ fresh, which is what :func:`parse` does without one.
 import contextlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +31,7 @@ from umlogic.formula import (
     And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade, desugar, format_formula,
 )
 from umlogic.generators import random_formula
-from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, _error, _tokenize, parse
+from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, _bad_character, _error, _Parser, parse
 from umlogic.proofs import (
     MP, AxiomStep, Nec, Premise, Proof, ProofFormatError, ProofVerdict, check_proof, proof_from_json,
 )
@@ -344,12 +348,25 @@ def _outcome(fn, text):
 
 
 def _positions(text):
-    """Tokens of the fast tokenizer as (kind, text, line, column)."""
+    """Tokens of the lazy reader as (kind, text, line, column), read one after another to the end.
+
+    The first bad token it reads raises the error of the scan for a bad
+    character, which must be at that token.
+    """
+    reader = _Parser(text)
     result = []
-    for kind, value, offset in _tokenize(text):
-        where = _error(text, offset, "")
-        result.append((kind, value, where.line, where.column))
-    return result
+    while True:
+        match, kind = reader.match, reader.kind
+        if kind == "BAD":
+            bad = _bad_character(text)
+            assert (bad.line, bad.column) == (_error(text, reader.start(), "").line,
+                                              _error(text, reader.start(), "").column)
+            raise bad
+        where = _error(text, reader.start(), "")
+        result.append((kind, match[match.lastindex], where.line, where.column))
+        if kind == "EOF":
+            return result
+        reader.read(match.end())
 
 
 def _check_text(text):
@@ -616,7 +633,9 @@ def test_a_memo_hit_shares_the_node_and_only_successes_are_kept():
     assert parse("(p -> q) & r", memo) is first
     with pytest.raises(ParseError):
         parse("(p -> ) & r", memo)
-    assert set(memo) == {"(p -> q)", "(p -> q) & r", "~(p -> q)"}
+    # Texts, groups and atoms by their text; prefix chains by (prefix,) and (prefix, id of the core).
+    assert set(memo) == {"(p -> q)", "(p -> q) & r", "~(p -> q)", "p", "q", "r", ("~",), ("~", id(first.left))}
+    assert memo[("~", id(first.left))] is memo["~(p -> q)"][0]
 
 
 def _nodes(f: Formula) -> list[Formula]:
@@ -689,3 +708,147 @@ def test_memo_load_matches_a_memo_less_load(seed, monkeypatch):
     assert [outcome[0] for outcome in with_memo[-5:]] == ["error"] * 5
     monkeypatch.setattr(proofs, "parse", lambda text, memo=None: parse(text))
     assert with_memo == [_load(data) for data in files]
+
+
+# --- the lazy reader and the prefix-chain memo --------------------------------
+
+def _check_against_the_reference(batch):
+    """Each text of ``batch`` through one memo, and fresh, gives the reference parser's formula or error; its tokens are the reference tokens."""
+    expected = [_outcome(ref_parse, text) for text in batch]
+    assert _through_one_memo(batch) == expected
+    assert [_outcome(parse, text) for text in batch] == expected
+    for text in batch:
+        _check_text(text)
+
+
+def _deep(opened, text):
+    return "(" * opened + text + ")" * opened
+
+
+LAZY_BATCHES = {
+    # The parser stops at '~' before it reads the '-': the scan still reports the '-'.
+    "a syntax error before a bad character": ["p", "~p", "p~-", "(p~-)", "[1/2]p ~ -", "p -> ~q)$"],
+    "whitespace inside a grade": ["[ 1 / 2 ]p", "[1/2]p", "[ 1 / 2 ]p & q", "~[ 1 / 2 ](p)", "< 0.5 >\n~ p",
+                                  "[1 /2]  <0.5 >~ p", "[ 1 / 2 ]p", "[\t1\n/\n2 ]p"],
+    "a hit followed by name characters": ["p", "pq", "p & pq", "~p", "~pq", "~p1", "[1/2]p", "[1/2]pq",
+                                          "[1/2]p_", "(p)", "(p)q", "~(p)q", "p q"],
+    "'<->' right after a prefix position": ["~p", "~<->p", "[1/2]p", "[1/2]<->p", "<1/2>p", "<1/2><->p",
+                                            "p <-> ~<-> q", "~ <-> p", "<->p", "[1/2]~<-> p"],
+    "grades only the tokens read": ["[1/2]p", "[1.]p", "[.5]p", "[1/2.5]p", "[0.5/2]p", "[٣]p", "[1/٣]p",
+                                    "<1/2->p", "[1/2>p", "<1/2]p", "[01/02]p", "[3/2]p", "[1/0]p", "[1 2]p",
+                                    "~[3/2](p & $)", "[3/2](p & )"],
+    "a chain cut short where a known prefix continues": ["[1/2]p", "[1/2][1.5]p", "[1/2][1/2.5]p",
+                                                         "[1/2][ 1 / 2 ]p", "~[1/2]~[1/2]p", "~[1/2]~p"],
+    "hits near MAX_DEPTH": ["~~~p", _deep(96, "~~~p"), _deep(97, "~~~p"), _deep(96, "~~~(p)"),
+                            "~" * (MAX_DEPTH - 1) + "p", "~" * MAX_DEPTH + "p", "~" * (MAX_DEPTH - 1) + "p",
+                            "[1/2]" * (MAX_DEPTH - 2) + "(p)", "[1/2]" * (MAX_DEPTH - 1) + "(p)",
+                            "[1/2]" * (MAX_DEPTH - 1) + "p", "~" * 50 + _deep(48, "p"), "~" * 50 + _deep(49, "p"),
+                            _deep(95, "~" * 3 + "(p & q)"), _deep(96, "~" * 3 + "(p & q)"),
+                            "(p & q)", _deep(97, "~(p & q)"), _deep(98, "~(p & q)")],
+}
+
+
+@pytest.mark.parametrize("batch", LAZY_BATCHES.values(), ids=LAZY_BATCHES)
+def test_lazy_reads_and_chain_hits_match_the_reference(batch):
+    _check_against_the_reference(batch)
+
+
+def test_a_bad_character_is_reported_ahead_of_an_earlier_syntax_error():
+    with pytest.raises(ParseError, match=r"unexpected character '-' at line 1, column 3"):
+        parse("p~-")
+    with pytest.raises(ParseError, match=r"unexpected character '\$' at line 2, column 2"):
+        parse("(p\n $", {})
+
+
+def test_a_known_chain_is_read_whole():
+    """A chain whose text the memo knows takes no token reads and builds no node; its tails are the shorter chains' nodes."""
+    memo = {}
+    inner = parse("[1/2](p | q)", memo)
+    outer = parse("[1/8]<1/8>[1/2](p | q)", memo)
+    assert outer.sub.sub is inner and parse("<1/8>[1/2](p | q)", memo) is outer.sub
+    reads = []
+    real = _Parser.read
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Parser, "read", lambda self, offset: reads.append(offset) or real(self, offset))
+        again = parse("~[1/8]<1/8>[1/2](p | q)", memo)
+        fresh_reads = len(reads)
+        reads.clear()
+        assert parse("(~[1/8]<1/8>[1/2](p | q) & r)", memo).left is again
+    assert again.sub is outer
+    # The chain '~[1/8]<1/8>[1/2]' was new: read token by token, then the
+    # known group.  Then it is known: '(' is read, the chain whole, the
+    # group's end, '&', 'r', ')' and the end.
+    assert fresh_reads > 4 and len(reads) == 7
+
+
+# Proof files whose lines repeat spans: each line wraps earlier spans in a
+# prefix chain, a group or a binary operator, re-spaced, and some are broken.
+@st.composite
+def proof_files(draw):
+    rnd = draw(st.randoms(use_true_random=False))
+    spans = [_printed(rnd, rnd.choice(SPACINGS)) for _ in range(rnd.randint(1, 3))]
+    prefixes = ["~", "[1/2]", "<1/4>", "[ 1 / 8 ]", "~[0.5]~", "[1/2]<1/2>", "<1>~[0]"]
+    lines = []
+    for n in range(1, rnd.randint(2, 14)):
+        a, b = rnd.choice(spans), rnd.choice(spans)
+        pre = "".join(rnd.choice(prefixes) for _ in range(rnd.randint(1, 3)))
+        text = rnd.choice([f"{pre}({a})", f"({a} -> {pre}({b}))", f"{pre}p", f"({pre}({a}) & {pre}q)",
+                           f"{pre}({pre}({a}))", a, f"({a}){rnd.choice(SPACINGS)}|{pre}({b})"])
+        spans.append(text)
+        entry = {"n": n, "formula": text, "by": "premise"}
+        if rnd.random() < 0.3:
+            entry = {"n": n, "formula": f"({text} -> {text})", "by": "axiom:T",
+                     "bind": {"eps": "1/2", "phi": rnd.choice(spans)}}
+        lines.append(entry)
+    for broken in draw(st.lists(texts, max_size=2)):
+        lines.insert(rnd.randint(0, len(lines)), {"n": len(lines) + 1, "formula": broken, "by": "premise"})
+    return lines
+
+
+def _ref_load(data):
+    """The load with every text read by the reference parser."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proofs, "parse", lambda text, memo=None: ref_parse(text))
+        return _load(data)
+
+
+@SETTINGS
+@given(proof_files())
+def test_proof_files_that_repeat_spans_load_as_the_reference_reads_them(data):
+    assert _load(data) == _ref_load(data)
+
+
+# --- memory on long lines -----------------------------------------------------
+
+_PEAK_SCRIPT = """
+import resource, sys
+from umlogic.proofs import ProofFormatError, proof_from_json
+chain = " & ".join(["p"] * 250_000)
+text = {"groups": "(" * 98 + chain + ")" * 98, "negations": "~(" * 49 + chain + ")" * 49}[sys.argv[1]]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    proof_from_json([{"n": 1, "formula": text, "by": "premise"}])
+except ProofFormatError as exc:
+    print(exc)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.parametrize("shape", ["groups", "negations"])
+def test_a_long_line_nested_deep_is_refused_in_little_memory(shape):
+    """A 1 MB '&' chain in 98 groups, or in 49 '~(' levels: refused, and peak RSS grows by under 64 MiB.
+
+    A memo holding a copy of the text per group, and the token list, grew
+    it by 186 and 140 MiB (Linux, Python 3.11); reading tokens lazily and
+    slicing a group's text only to look it up and to store it, 27 MiB.
+    Storing the groups too deep to be reused grew it by about 100 MiB.
+    """
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(proofs.__file__).parents[1]),
+                                                                     os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, shape], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    message, grown = result.stdout.splitlines()
+    assert message == f"entry 0: formula nested deeper than {MAX_DEPTH} levels at line 1, column 1"
+    assert float(grown) < 64, grown

@@ -253,6 +253,80 @@ def test_cached_hash_is_not_carried_by_pickles_or_copies(f):
         assert truth_mask(model, twin) == mask
 
 
+def uncached_desugar(f):
+    """``desugar`` without its cache: a new tree on every call."""
+    if isinstance(f, Not):
+        return Not(uncached_desugar(f.sub))
+    if isinstance(f, And):
+        return And(uncached_desugar(f.left), uncached_desugar(f.right))
+    if isinstance(f, Or):
+        return Not(And(Not(uncached_desugar(f.left)), Not(uncached_desugar(f.right))))
+    if isinstance(f, Implies):
+        return Not(And(uncached_desugar(f.left), Not(uncached_desugar(f.right))))
+    if isinstance(f, Box):
+        return Box(f.grade, uncached_desugar(f.sub))
+    if isinstance(f, Diamond):
+        return Not(Box(f.grade, Not(uncached_desugar(f.sub))))
+    return f
+
+
+def nodes(f):
+    """Every node of ``f``, shared ones as often as they occur."""
+    result = [f]
+    for name in f.__match_args__:
+        value = getattr(f, name)
+        if hasattr(value, "__match_args__"):
+            result += nodes(value)
+    return result
+
+
+@SETTINGS
+@given(formulas())
+def test_cached_desugar_equals_an_uncached_one(f):
+    f = rebuild(f)
+    got = desugar(f)
+    assert got == uncached_desugar(f)
+    assert desugar(f) is got
+    for node in nodes(f):
+        if isinstance(node, Atom):
+            assert desugar(node) is node and "_desugared" not in vars(node)
+        else:
+            assert vars(node)["_desugared"] == uncached_desugar(node)
+    # A desugared tree is desugared again into an equal copy.
+    assert desugar(got) == got
+
+
+@SETTINGS
+@given(formulas())
+def test_the_desugar_cache_leaves_no_reference_cycle(f):
+    """With the collector off, dropping a desugared formula frees every node: none refers back to itself."""
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        f = rebuild(f)
+        result = desugar(f)
+        refs = [weakref.ref(node) for node in nodes(f) + nodes(result)]
+        del f, result
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+@SETTINGS
+@given(formulas())
+def test_cached_desugaring_is_not_carried_by_pickles_or_copies(f):
+    f = rebuild(f)
+    result = desugar(f)
+    assert ("_desugared" in vars(f)) != isinstance(f, Atom)
+    # A shallow copy shares the children, and with them their caches.
+    for twin, deep in ((pickle.loads(pickle.dumps(f)), True), (copy.copy(f), False), (copy.deepcopy(f), True)):
+        assert twin == f
+        assert all("_desugared" not in vars(node) for node in (nodes(twin) if deep else [twin]))
+        assert desugar(twin) == result
+
+
 def test_unpickled_formula_hashes_as_one_built_in_the_new_process():
     """String hashes are seeded per process, so a pickle must not carry the cached hash."""
     text = "[1/2](p -> q) & <1/4>~r"

@@ -36,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import umlogic.semantics as semantics
 import umlogic.space as space_module
 
 from conftest import dense_table
@@ -52,10 +53,11 @@ from umlogic.constructions import (
     union_point,
 )
 from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
-from umlogic.formula import Atom
+from umlogic.formula import Atom, Box, Diamond
 from umlogic.generators import LEVEL_POOL, random_ultrametric_space
 from umlogic.modelio import dump_model, load_model
-from umlogic.semantics import _ball_step, _leaf_step, plausibility_degree, stability_degree, truthset
+from umlogic.parser import parse
+from umlogic.semantics import _ball_step, _leaf_step, plausibility_degree, stability_degree, truth_mask, truthset
 from umlogic.space import (
     Model,
     UltrametricSpace,
@@ -898,6 +900,21 @@ def test_each_grade_is_resolved_once(monkeypatch):
         with pytest.raises(TypeError):
             space.rank_of(unread)
 
+
+
+def test_a_warm_leaf_step_reads_the_rank_by_the_grade_key_it_carries(monkeypatch):
+    """A compiled modal step holds its grade's (numerator, denominator): a warm query calls no ``rank_of``."""
+    space = cantor_space(3)
+    model = Model(space, {"p": space.points[::3]})
+    f = parse("[1/4]<1/8>p -> <1/2>[1/16](p & <1/2>p)")
+    want = truth_mask(model, f)
+    steps = [b for op, _, b in semantics._program(f) if op in (Box, Diamond)]
+    assert [key for _, key in steps] == [(g.numerator, g.denominator) for g, _ in steps] and len(steps) == 5
+    monkeypatch.setattr(space, "rank_of", refuse("rank_of"))
+    assert truth_mask(model, f) == want
+    # A grade the space has not resolved yet still goes through rank_of.
+    with pytest.raises(AssertionError, match="rank_of reached"):
+        truth_mask(model, parse("[1/3]p"))
 
 # --- the tree built from a table ----------------------------------------------
 
