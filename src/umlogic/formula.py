@@ -26,12 +26,6 @@ def as_grade(value: int | str | Fraction) -> Fraction:
     (``"0.125"``).  Floats, bools, exponent notation and other values are
     unreadable and raise :class:`GradeError`, as do grades outside [0, 1].
     """
-    if type(value) is Fraction:
-        # A normalised denominator is positive, so this is 0 <= value <= 1
-        # without the `numbers` dispatch of a Fraction comparison.
-        if 0 <= value.numerator <= value.denominator:
-            return value
-        raise GradeError(f"grade {value} outside [0, 1]")
     try:
         grade = read_rational(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

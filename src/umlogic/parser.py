@@ -134,10 +134,6 @@ _BOX_RE = re.compile(rf"\[{_GRADE}\]")
 _DIAMOND_RE = re.compile(rf"<{_GRADE}>")
 _PREFIX_RE = re.compile(rf"(?:~|\[{_GRADE}\]|<{_GRADE}>)(?:\s*(?:~|\[{_GRADE}\]|<{_GRADE}>))*")
 
-# A character that may not start a token: only texts holding one are
-# scanned for a bad character.
-_MAYBE_BAD_RE = re.compile(r"[^\sA-Za-z0-9_~&|()\[\]<>/]")
-
 _PREFIX_KINDS = frozenset(("TILDE", "LBRACK", "LT"))
 
 _match_token = _TOKEN_RE.match
@@ -145,8 +141,6 @@ _match_token = _TOKEN_RE.match
 
 def _bad_character(text: str) -> ParseError | None:
     """The error for the first character of ``text`` that starts no token, if there is one."""
-    if _MAYBE_BAD_RE.search(text) is None:
-        return None
     for match in _TOKEN_RE.finditer(text):
         bad = match["BAD"]
         if bad is not None:

@@ -34,13 +34,15 @@ depends on the value type:
 
 Each space resolves a grade to its rank once
 (:meth:`UltrametricSpace.rank_of`), and a modal step of the program
-carries its grade's key, so a warm leaf step reads the rank with one dict
-lookup.  :func:`interior_mask` and
+carries its grade's key (:meth:`UltrametricSpace.grade_key`), so a warm
+leaf step reads the rank with one dict lookup
+(:meth:`UltrametricSpace.rank_by_key`).  :func:`interior_mask` and
 :func:`closure_mask` keep the per-ball step in point order, as the
 reference the other steps are tested against.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -108,15 +110,25 @@ def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     return _ball_step(space, mask, eps, meets=True)
 
 
+@functools.lru_cache
+def _modal_operand(key: tuple[int, int]) -> tuple:
+    """``(grade, key)`` of a modal step whose grade has :meth:`UltrametricSpace.grade_key` ``key``.
+
+    Shared by every step of that grade, so a compiled program holds no
+    pair of its own per modal step; looked up by the key, whose hash is
+    cheaper than a Fraction's.
+    """
+    return Fraction(*key), key
+
+
 def _program(f: Formula) -> tuple:
     """The slot program of ``f``, compiled on first use and cached on the node as ``_program``.
 
     One ``(opcode, a, b)`` step per distinct subformula, children first, so
     the last step is ``f``.  The opcode is the constructor's class; ``a`` is
     an atom's name or the slot of the step's first child, and ``b`` the slot
-    of a binary step's right child, or for a modal step the pair (grade,
-    key), where the key ``(numerator, denominator)`` is the one that
-    :meth:`UltrametricSpace.rank_of` files the grade's rank under.
+    of a binary step's right child, or for a modal step the pair
+    :func:`_modal_operand` of its grade.
     """
     program = getattr(f, "_program", None)
     if program is None:
@@ -134,8 +146,7 @@ def _program(f: Formula) -> tuple:
             elif isinstance(g, Implies):
                 step = (Implies, slot[g.left], slot[g.right])
             elif isinstance(g, (Box, Diamond)):
-                grade = g.grade
-                step = (type(g), slot[g.sub], (grade, (grade.numerator, grade.denominator)))
+                step = (type(g), slot[g.sub], _modal_operand(UltrametricSpace.grade_key(g.grade)))
             else:
                 raise TypeError(f"not a formula: {g!r}")
             slot[g] = len(steps)
@@ -157,8 +168,7 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
     """
     batch = isinstance(full, np.generic)
     leaves = not batch and space.tree is not None
-    # Filled by rank_of: a grade seen before is one lookup of its key.
-    ranks = space._grade_ranks
+    rank_by_key = space.rank_by_key
     values: list = []
     append = values.append
     for op, a, b in _program(f):
@@ -178,10 +188,7 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
             if batch:
                 append(_row_step(space, values[a], grade, meets))
             elif leaves:
-                rank = ranks.get(key)
-                if rank is None:
-                    rank = space.rank_of(grade)
-                append(_leaf_step(space, values[a], rank, meets))
+                append(_leaf_step(space, values[a], rank_by_key(key, grade), meets))
             else:
                 append(_ball_step(space, values[a], grade, meets))
     return values[-1]

@@ -353,13 +353,24 @@ class UltrametricSpace:
         """How many realized distances are at most ``eps``: a ball of radius ``eps`` joins the lower ranks.
 
         ``eps`` is read by :func:`read_rational` and resolved once per
-        space, in a dict keyed by its exact value as ``(numerator,
-        denominator)``, so repeated grades cost no search over the Fraction
-        distances.  :func:`umlogic.semantics.evaluate` reads that dict
-        directly, by the key its compiled program carries.
+        space, in a dict keyed by :meth:`grade_key`, so repeated grades
+        cost no search over the Fraction distances.
         """
         eps = read_rational(eps)
-        key = (eps.numerator, eps.denominator)
+        return self.rank_by_key(self.grade_key(eps), eps)
+
+    @staticmethod
+    def grade_key(eps: Fraction) -> tuple[int, int]:
+        """The key under which a space files the rank of the exact grade ``eps``: ``(numerator, denominator)``."""
+        return (eps.numerator, eps.denominator)
+
+    def rank_by_key(self, key: tuple[int, int], eps: Fraction) -> int:
+        """:meth:`rank_of` the Fraction ``eps`` whose :meth:`grade_key` is ``key``: one dict lookup once resolved.
+
+        A caller that keeps the key of a grade it asks for often, as a
+        compiled formula does (:func:`umlogic.semantics.evaluate`), skips
+        reading ``eps`` and building its key on every query.
+        """
         rank = self._grade_ranks.get(key)
         if rank is None:
             rank = self._grade_ranks[key] = bisect_right(self._distances, eps)

@@ -903,17 +903,23 @@ def test_each_grade_is_resolved_once(monkeypatch):
 
 
 def test_a_warm_leaf_step_reads_the_rank_by_the_grade_key_it_carries(monkeypatch):
-    """A compiled modal step holds its grade's (numerator, denominator): a warm query calls no ``rank_of``."""
+    """A compiled modal step holds its grade's key: a warm query reads no grade and searches no distances."""
     space = cantor_space(3)
     model = Model(space, {"p": space.points[::3]})
     f = parse("[1/4]<1/8>p -> <1/2>[1/16](p & <1/2>p)")
     want = truth_mask(model, f)
     steps = [b for op, _, b in semantics._program(f) if op in (Box, Diamond)]
-    assert [key for _, key in steps] == [(g.numerator, g.denominator) for g, _ in steps] and len(steps) == 5
+    assert [key for _, key in steps] == [UltrametricSpace.grade_key(g) for g, _ in steps] and len(steps) == 5
+    # Steps of one grade share their operand, here the two <1/2>, in this formula and the next.
+    halves = [b for b in steps if b[0] == Fraction(1, 2)]
+    assert len(halves) == 2 and halves[0] is halves[1] is semantics._program(parse("[1/2]q"))[-1][2]
+    assert [space.rank_by_key(key, g) for g, key in steps] == [space.rank_of(g) for g, _ in steps]
     monkeypatch.setattr(space, "rank_of", refuse("rank_of"))
+    monkeypatch.setattr(space_module, "read_rational", refuse("read_rational"))
+    monkeypatch.setattr(space_module, "bisect_right", refuse("bisect_right"))
     assert truth_mask(model, f) == want
-    # A grade the space has not resolved yet still goes through rank_of.
-    with pytest.raises(AssertionError, match="rank_of reached"):
+    # A grade the space has not resolved yet is searched for once.
+    with pytest.raises(AssertionError, match="bisect_right reached"):
         truth_mask(model, parse("[1/3]p"))
 
 # --- the tree built from a table ----------------------------------------------
