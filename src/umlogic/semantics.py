@@ -8,37 +8,30 @@ public functions speak in point-name sets.
 One evaluator, :func:`evaluate`, serves every query.  It runs the
 formula's slot program (:func:`_program`): the formula as parsed,
 compiled once and cached on its node, one ``(opcode, a, b)`` step per
-distinct subformula, children first, where ``a`` and ``b`` are the
-children's slots in a list of values, an atom's name, or a modal step's
-grade.  All seven constructors are steps, so nothing is desugared first:
-a box takes the interior step and a diamond the closure step.  A formula
-queried again is neither walked nor hashed again; truth sets are never
-cached.  The balls of one grade partition the points, and every centre
-of a ball sees the same ball, so a step decides each ball once.  How
-depends on the value type:
+distinct subformula, children first.  All seven constructors are steps,
+so nothing is desugared first; truth sets are never cached.  The balls
+of one grade partition the points, and every centre of a ball sees the
+same ball, so a modal step decides each ball once.  On a space with a
+tree, values are in leaf order (:meth:`UltrametricSpace.to_leaves`),
+where each ball is a run of adjacent leaves.  How a step goes depends on
+the value type:
 
-* One Python-int mask on a space with a tree (:func:`truth_mask`) is held
-  in leaf order (:meth:`UltrametricSpace.to_leaves`), where each ball of a
-  grade is a run of adjacent bits.  A closure step carries each run's
-  bits into the run's last bit (:meth:`UltrametricSpace.tops`) with one
-  addition, then spreads every top reached down its run by doubling
+* One Python-int mask (:func:`truth_mask`): a closure step carries each
+  run's bits into the run's last bit (:meth:`UltrametricSpace.tops`) with
+  one addition, then spreads every top reached down its run by doubling
   shifts: O(log longest run) big-int operations, however many balls the
   grade has (Knuth, TAOCP 4A, 7.1.3).  An interior step is the dual.
-* One Python-int mask on a space without a tree takes one pass per ball
-  of :meth:`UltrametricSpace.ball_partition` in point order.
-* A batch (:func:`umlogic.validity.valid_in_model`) is bit-sliced: a 2-D
-  ``uint64`` array with one row per point, in point order, and one bit
-  per valuation (Biham 1997).  A box ANDs the rows of each ball's members
-  into its centres' rows and a diamond ORs them (:func:`_row_step`), so
-  no valuation is looked up on its own.
+* A bit-sliced batch (:func:`umlogic.validity.valid_in_model`), a 2-D
+  ``uint64`` array with one row per point and one bit per valuation
+  (Biham 1997): a box ANDs the rows of each run of
+  :meth:`UltrametricSpace.runs` and a diamond ORs them, one reduction over
+  a view per run (:func:`_row_step`), so no valuation is looked up alone.
+* Either on a space without a tree, in point order: one pass per ball of
+  :meth:`UltrametricSpace.ball_partition`.
 
-Each space resolves a grade to its rank once
-(:meth:`UltrametricSpace.rank_of`), and a modal step of the program
-carries its grade's key (:meth:`UltrametricSpace.grade_key`), so a warm
-leaf step reads the rank with one dict lookup
-(:meth:`UltrametricSpace.rank_by_key`).  :func:`interior_mask` and
-:func:`closure_mask` keep the per-ball step in point order, as the
-reference the other steps are tested against.
+A modal step of the program carries its grade's key
+(:meth:`UltrametricSpace.grade_key`), so a warm step reads the rank with
+one dict lookup (:meth:`UltrametricSpace.rank_by_key`).
 """
 from __future__ import annotations
 
@@ -63,16 +56,30 @@ def _ball_step(space: UltrametricSpace, value: int, eps: Fraction, meets: bool) 
 
 
 def _row_step(space: UltrametricSpace, rows: np.ndarray, eps: Fraction, meets: bool) -> np.ndarray:
-    """Rows of the centres of the eps-balls inside ``rows``, or meeting them when ``meets``.
+    """Rows of the points whose eps-ball lies inside ``rows``, or meets them when ``meets``.
 
-    ``rows`` is a bit-sliced batch, one row per point.  Each ball's member
-    rows are ANDed (box) or ORed (diamond) into its centres' rows; an empty
-    ball gives all ones or all zeros, the reductions' identities.
+    ``rows`` is a bit-sliced batch in leaf order.  Each run of leaves is
+    ANDed (box) or ORed (diamond) into all its rows, a view per run;
+    one-leaf balls keep theirs, so a grade without a longer run returns
+    ``rows`` itself, which no step mutates.  A table gathers per ball.
     """
     reduce = np.bitwise_or.reduce if meets else np.bitwise_and.reduce
+    if space.tree is None:
+        result = np.empty_like(rows)
+        for ball, centres in space.ball_partition(eps):
+            result[space.members(centres)] = reduce(rows[space.members(ball)], axis=0)
+        return result
+    rank = space.rank_of(eps)
+    if not rank:  # a negative radius: every ball is empty
+        return np.full_like(rows, 0 if meets else np.iinfo(rows.dtype).max)
+    runs, singles = space.runs(rank)
+    if not runs:
+        return rows
     result = np.empty_like(rows)
-    for members, centres in space.ball_indexes(eps):
-        result[centres] = reduce(rows[members], axis=0)
+    for start, end in singles:
+        result[start:end] = rows[start:end]
+    for start, end in runs:
+        result[start:end] = reduce(rows[start:end], axis=0)
     return result
 
 
@@ -100,14 +107,21 @@ def _leaf_step(space: UltrametricSpace, value: int, rank: int, meets: bool) -> i
     return y if meets else full ^ y
 
 
+def _mask_step(space: UltrametricSpace, mask: int, eps: Fraction, meets: bool) -> int:
+    """:func:`_leaf_step` on a point-order mask of a space with a tree, :func:`_ball_step` without one."""
+    if space.tree is None:
+        return _ball_step(space, mask, eps, meets)
+    return space.from_leaves(_leaf_step(space, space.to_leaves(mask), space.rank_of(eps), meets))
+
+
 def interior_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose whole closed eps-ball lies inside ``mask``."""
-    return _ball_step(space, mask, eps, meets=False)
+    return _mask_step(space, mask, eps, meets=False)
 
 
 def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose closed eps-ball meets ``mask``."""
-    return _ball_step(space, mask, eps, meets=True)
+    return _mask_step(space, mask, eps, meets=True)
 
 
 @functools.lru_cache
@@ -160,11 +174,10 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
     """Truth set of ``f`` over ``space``: its slot program run into a list, one value per step.
 
     ``atom`` maps an atom name to its truth set and ``full`` is the set of
-    all points: Python ints for one valuation, in the space's leaf order
-    (:meth:`Model.leaf_mask`), which is point order on a space without a
-    tree, or a bit-sliced batch of rows in point order for many at once,
-    and ``full`` the all-ones ``np.uint64``.  The program (:func:`_program`)
-    is compiled once per formula node; nothing computed for a model is kept.
+    all points, both in the space's leaf order: Python ints for one
+    valuation (:meth:`Model.leaf_mask`), or bit-sliced batches of rows for
+    many, with ``full`` the all-ones ``np.uint64``.  Nothing computed for a
+    model is kept.
     """
     batch = isinstance(full, np.generic)
     leaves = not batch and space.tree is not None

@@ -6,30 +6,23 @@ integer ranks into that list.  A finite ultrametric is a rooted tree of
 nested balls, so every space that satisfies the metric laws up to
 identity of indiscernibles is held as that tree alone
 (:attr:`UltrametricSpace.tree`): its points as leaves, left to right, and
-the rank of each adjacent pair's distance.  A ball of any grade is a run
-of adjacent leaves.  Binary histories give the tree by sorting, unions,
-ball subspaces and rescalings build it from their inputs' trees
-(:meth:`UltrametricSpace.from_tree`), and a matrix gives it by Prim's
-single-linkage tree of its table, which is then dropped.  Only a space
-that breaks a law keeps its n x n table, and this module is the only one
-that reads it: every pairwise distance elsewhere is read one row at a
-time through :meth:`UltrametricSpace.row`.
+the rank of each adjacent pair's distance.  Binary histories give the
+tree by sorting, unions, ball subspaces and rescalings build it from
+their inputs' trees (:meth:`UltrametricSpace.from_tree`), and a matrix
+gives it by Prim's single-linkage tree of its table, which is then
+dropped.  Only a space that breaks a law keeps its n x n table, read
+only here: every pairwise distance elsewhere is one row at a time
+(:meth:`UltrametricSpace.row`).
 
-Each grade is resolved once per space to its rank, the number of
-realized distances it reaches (:meth:`UltrametricSpace.rank_of`), and
-everything per grade is cached per rank.  On a tree, bit k of a
-leaf-order mask is the point at leaf k (:meth:`UltrametricSpace.to_leaves`),
-so each ball of a grade is a run of adjacent bits, and one integer marks
-the last leaf of every run (:meth:`UltrametricSpace.tops`); that is all
-the modal step of :mod:`umlogic.semantics` reads, and nearest points are
-found by scanning such a mask.  For the per-ball steps, the space also
-caches the distinct closed balls of a grade, each with the mask of the
-points whose ball it is (:meth:`UltrametricSpace.ball_partition`); single
-balls and the listing of every ball are views of that cache.  In an
-ultrametric the balls of one grade partition the points, so a per-ball
-step costs one pass per ball, not per point.  The bit-sliced batches of
-validity read each partition as arrays of point indexes
-(:meth:`UltrametricSpace.ball_indexes`), cached per rank beside it.
+Each grade is resolved once per space to its rank among the realized
+distances (:meth:`UltrametricSpace.rank_of`), and everything per grade
+is cached per rank.  On a tree each ball of a grade is a run of adjacent
+leaves, the one form of a grade's balls a tree keeps: one integer marks
+the last leaf of every run (:meth:`UltrametricSpace.tops`) for leaf-order
+masks (:meth:`UltrametricSpace.to_leaves`), single balls and nearest
+points, and the same runs as bounds (:meth:`UltrametricSpace.runs`) are
+what validity's bit-sliced batches reduce.  A table is grouped into the
+distinct balls of a grade instead (:meth:`UltrametricSpace.ball_partition`).
 
 Every number a caller gives (a matrix entry, a pair distance, a radius,
 and elsewhere a grade, a scaling constant or a factor) is read by
@@ -37,8 +30,7 @@ and elsewhere a grade, a scaling constant or a factor) is read by
 text without exponent notation and refuses floats and bools.
 Construction never rejects a space for breaking the metric laws:
 :func:`validate_space` reports violations as data, so deliberately
-broken spaces (used to show which laws the strong triangle inequality
-buys) are representable.  A tree can break only identity of
+broken spaces are representable.  A tree can break only identity of
 indiscernibles, by twins at adjacent leaves, so it is validated in O(n).
 """
 from __future__ import annotations
@@ -163,7 +155,7 @@ class UltrametricSpace:
         self._grade_ranks: dict[tuple[int, int], int] = {}
         self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
         self._tops: dict[int, int] = {}
-        self._ball_indexes: dict[int, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+        self._run_bounds: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
         self._nesting: list[tuple[int, int, int, int | None]] | None = None
         if ranks is not None and not (distances and distances[0]) and not np.diagonal(self._ranks).any():
             tree = _single_linkage(self._ranks)
@@ -193,8 +185,7 @@ class UltrametricSpace:
         seen = set()
         for (x, y), value in pairs.items():
             if x not in index or y not in index:
-                missing = x if x not in index else y
-                raise UnknownPointError(missing)
+                raise UnknownPointError(x if x not in index else y)
             i, j = index[x], index[y]
             matrix[i][j] = matrix[j][i] = read_rational(value)
             seen.add(frozenset((i, j)))
@@ -214,10 +205,9 @@ class UltrametricSpace:
         space is held as the single-linkage tree those prefixes make
         (:attr:`tree`): the points in sorted-history order and the rank of
         each adjacent pair's distance, O(n) numbers; no n x n table is
-        built.  Every metric law holds by construction except identity of
-        indiscernibles, which equal histories break; :func:`validate_space`
-        checks only that.  Histories longer than :data:`MAX_HISTORY_LENGTH`
-        raise ValueError before anything is built.
+        built.  Only identity of indiscernibles can fail, by equal histories.
+        Histories longer than :data:`MAX_HISTORY_LENGTH` raise ValueError
+        before anything is built.
         """
         seqs = []
         for p in points:
@@ -293,9 +283,8 @@ class UltrametricSpace:
         largest adjacent rank between them.  Leaves are in sorted-history
         order for histories and in Prim's visiting order for a matrix; a
         union concatenates its components' leaves, a ball subspace keeps a
-        run of its parent's, and a rescaling keeps its input's tree
-        (:meth:`from_tree`).  None for a space that breaks a law other
-        than identity of indiscernibles.
+        run of its parent's, and a rescaling keeps its input's tree.  None
+        for a space that breaks a law other than identity of indiscernibles.
         """
         return self._tree
 
@@ -385,65 +374,58 @@ class UltrametricSpace:
         """
         tops = self._tops.get(rank)
         if tops is None:
-            tops = self._tops[rank] = _packed(np.append(self._tree[1] >= rank, True)) & self.full_mask
+            tops = self._tops[rank] = _packed(np.append(required_tree(self)[1] >= rank, True)) & self.full_mask
         return tops
 
+    def runs(self, rank: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """The balls of the radii below ``rank`` as ``(runs, singles)`` of leaf bounds; needs a tree.
+
+        ``runs`` holds ``(start, end)`` of each ball of more than one leaf,
+        and ``singles`` each stretch of one-leaf balls between them, in
+        leaf order.  Cached per rank.
+        """
+        cached = self._run_bounds.get(rank)
+        if cached is None:
+            bounds = [0, *(np.flatnonzero(required_tree(self)[1] >= rank) + 1).tolist(), self.n]
+            runs = tuple((start, end) for start, end in zip(bounds, bounds[1:]) if end - start > 1)
+            gaps = zip([0, *(end for _, end in runs)], [*(start for start, _ in runs), self.n])
+            cached = self._run_bounds[rank] = (runs, tuple((start, end) for start, end in gaps if start < end))
+        return cached
+
     def ball_partition(self, eps: Fraction) -> tuple[tuple[int, int], ...]:
-        """The distinct closed eps-balls, each once as a (ball, centres) pair of bitmasks.
+        """The distinct closed eps-balls of a space without a tree, each once as a (ball, centres) pair of bitmasks.
 
         ``centres`` holds the points whose closed eps-ball is ``ball``, so the
-        centres of all pairs partition the points; in an ultrametric every
-        point of a ball is a centre of it, and ``centres == ball``.  Pairs
-        come in order of their first centre.  Cached per :meth:`rank_of`
-        ``eps``.  A tree cuts its leaves where an adjacent rank reaches
-        past ``eps``; a space without a tree groups the rows of its table.
+        centres of all pairs partition the points.  Pairs come in order of
+        their first centre, cached per :meth:`rank_of` ``eps``.  A tree raises ValueError.
         """
         below = self.rank_of(eps)
+        if self._tree is not None:
+            raise ValueError("a space with a tree keeps its balls as runs of leaves")
         cached = self._partitions.get(below)
         if cached is None:
-            if not self.n:
-                cached = ()
-            elif self._tree is not None:
-                cached = self._runs(below)
-            else:
-                packed = np.packbits(self._ranks < below, axis=1, bitorder="little")
-                data, width = packed.tobytes(), packed.shape[1]
-                # Group the points by the bytes of their ball; only distinct balls become ints.
-                centres: dict[bytes, int] = {}
-                for i, start in enumerate(range(0, len(data), width)):
-                    row = data[start:start + width]
-                    centres[row] = centres.get(row, 0) | 1 << i
-                cached = tuple((int.from_bytes(row, "little"), held) for row, held in centres.items())
+            packed = np.packbits(self._ranks < below, axis=1, bitorder="little")
+            data, width = packed.tobytes(), packed.shape[1]
+            # Group the points by the bytes of their ball; only distinct balls become ints.
+            centres: dict[bytes, int] = {}
+            for i in range(self.n):
+                row = data[i * width:(i + 1) * width]
+                centres[row] = centres.get(row, 0) | 1 << i
+            cached = tuple((int.from_bytes(row, "little"), held) for row, held in centres.items())
             self._partitions[below] = cached
         return cached
 
-    def _runs(self, below: int) -> tuple[tuple[int, int], ...]:
-        """The tree's balls of the radii below rank ``below``: maximal runs of leaves joined by lower ranks."""
-        leaves, adjacent = self._tree
-        if not below:
-            # A negative radius: every ball is empty, and every point its centre.
-            return ((0, self.full_mask),)
-        cuts, order = (np.flatnonzero(adjacent >= below) + 1).tolist(), leaves.tolist()
-        runs = [order[start:end] for start, end in zip([0, *cuts], [*cuts, len(order)])]
-        # Runs are disjoint, so their least points order them without ties.
-        runs.sort(key=min)
-        return tuple((ball, ball) for ball in map(_bitmask, runs))
-
-    def ball_indexes(self, eps: Fraction) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """:meth:`ball_partition` as read-only arrays of point indexes (balls, centres), cached per rank."""
-        below = self.rank_of(eps)
-        cached = self._ball_indexes.get(below)
-        if cached is None:
-            pairs = self.ball_partition(eps)
-            cached = self._ball_indexes[below] = tuple(tuple(map(self.members, pair)) for pair in pairs)
-            for array in (array for pair in cached for array in pair):
-                array.setflags(write=False)
-        return cached
-
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
-        """The closed ball around ``x`` of radius ``eps``: it contains x, or nothing for a negative radius."""
-        bit = 1 << self.index(x)
-        return self.names_of(next(ball for ball, centres in self.ball_partition(eps) if centres & bit))
+        """The closed ball around ``x`` of radius ``eps``, or none for a negative radius; a run of leaves on a tree."""
+        i = self.index(x)
+        if self._tree is None:
+            return self.names_of(next(ball for ball, centres in self.ball_partition(eps) if centres >> i & 1))
+        rank = self.rank_of(eps)
+        if not rank:
+            return frozenset()
+        k, tops = self.leaf(i), self.tops(rank)
+        start, end = (tops & ((1 << k) - 1)).bit_length(), k + (tops >> k & -(tops >> k)).bit_length()
+        return frozenset(map(self._points.__getitem__, self._tree[0][start:end].tolist()))
 
     def distinct_balls(self) -> list[tuple[int, Fraction, int]]:
         """Each distinct closed ball once, as (centre index, radius, mask).
@@ -451,6 +433,10 @@ class UltrametricSpace:
         Balls come in order of first appearance: radii ascending over the
         realized distances, then centres in point order.
         """
+        if self._tree is not None:
+            order = self._tree[0].tolist()
+            balls = sorted((rank, min(order[start:end]), start, end) for start, end, rank, _ in self.tree_balls())
+            return [(centre, self._distances[rank], _bitmask(order[start:end])) for rank, centre, start, end in balls]
         seen: dict[int, tuple[int, Fraction, int]] = {}
         for radius in self._distances:
             for ball, centres in self.ball_partition(radius):
@@ -497,12 +483,11 @@ class UltrametricSpace:
         to the nearest adjacent pair of higher rank; a stack of the runs
         still open finds both ends in one pass, and pairs of equal rank in
         one run share it.  Runs are listed in the order they open, then the
-        leaves that are balls of their own, in leaf order: every leaf
-        unless a rank-0 pair (twins) joins it to a neighbour.  A ball's
-        parent is the run merging across its lower boundary, so a run gets
-        its parent when it closes, and a leaf from its lower adjacent pair.
-        The balls are kept as parallel lists until the end: one list per
-        run would cost more in garbage collection than the pass itself.
+        leaves that are balls of their own (not joined to a twin), in leaf
+        order.  A ball's parent is the run merging across its lower
+        boundary: a run's is known when it closes, a leaf's from its lower
+        adjacent pair.  Parallel lists cost less in garbage collection than
+        one list per run.
         """
         if self._tree is None:
             return None

@@ -2,13 +2,13 @@
 
 A formula is valid in a space when it holds at every world under every
 valuation of its atoms.  Only atoms occurring in the formula are
-enumerated; each candidate valuation is an integer whose bit layout is
-documented at :func:`valid_in_model`.  Blocks of candidates run through
-the evaluator of single truth sets (:func:`umlogic.semantics.evaluate`)
-bit-sliced: a value is one ``uint64`` row per point, where bit t of word
-w is candidate ``start + 64 * w + t``, so connectives act on 64
-candidates per word and a box or diamond ANDs or ORs whole rows per ball.
-Atom j's row for point i is bit ``j * n + i`` of the candidates: a fixed
+enumerated, in blocks of candidate valuations (encoded as documented at
+:func:`valid_in_model`) run bit-sliced through the evaluator of single
+truth sets (:func:`umlogic.semantics.evaluate`): a value is one
+``uint64`` row per point, in the space's leaf order, where bit t of word
+w is candidate ``start + 64 * w + t``.  Connectives act on 64 candidates
+per word and a box or diamond ANDs or ORs whole rows per ball.  Atom j's
+row for leaf k is bit ``j * n + leaves[k]`` of the candidates: a fixed
 word below bit 6, and runs of all-ones and all-zero words above.
 """
 from __future__ import annotations
@@ -65,10 +65,9 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
 
     Candidate valuations are encoded as integers: atom j (in sorted name
     order) owns bits [j*n, (j+1)*n) and bit i of its slice puts point i in
-    the atom's set.  Candidates are scanned in ascending order and worlds
-    in point order, so the reported counterexample is the least one under
-    that encoding.  Raises :class:`EnumerationCapExceeded` when there are
-    more than ``cap`` candidates, or more than :data:`CEILING`.
+    the atom's set.  The counterexample is the least candidate, at its first
+    world in point order.  Raises :class:`EnumerationCapExceeded` when there
+    are more than ``cap`` candidates, or more than :data:`CEILING`.
     """
     names = sorted(atoms(f))
     n = space.n
@@ -79,12 +78,14 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
 
     ones = np.uint64(np.iinfo(np.uint64).max)
     words = min(_block_words(n), max(total >> 6, 1))
-    candidates = _candidate_rows(words, bits)
-    atom = {name: candidates[j * n:(j + 1) * n] for j, name in enumerate(names)}.__getitem__
     inner = 5 + words.bit_length()  # candidate bits from here up are those of the block's start
-    high = np.arange(inner, bits, dtype=np.uint64)[:, None]
+    leaves = np.arange(n) if space.tree is None else space.tree[0]
+    order = (np.arange(len(names))[:, None] * n + leaves).ravel().astype(np.uint64)  # candidate bit of each row
+    candidates = _candidate_rows(words, order)
+    atom = {name: candidates[j * n:(j + 1) * n] for j, name in enumerate(names)}.__getitem__
+    outer = np.flatnonzero(order >= inner)  # the rows each block refreshes
     for start in range(0, total, 64 * words):
-        candidates[inner:] = -(np.uint64(start) >> high & np.uint64(1))
+        candidates[outer] = -(np.uint64(start) >> order[outer, None] & np.uint64(1))
         rows = evaluate(space, f, atom, ones)
         # Below 64 candidates, bit t of the one word is candidate t mod total,
         # so its lowest zero bit is still a real candidate.
@@ -95,7 +96,7 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
             t = (~int(held[w]) & int(held[w]) + 1).bit_length() - 1
             encoded = start + 64 * w + t
             valuation = {a: space.names_of(encoded >> j * n & space.full_mask) for j, a in enumerate(names)}
-            world = next(space.points[i] for i in range(n) if not int(rows[i, w]) >> t & 1)
+            world = next(x for i, x in enumerate(space.points) if not int(rows[space.leaf(i), w]) >> t & 1)
             return ValidityResult(False, Counterexample(valuation, world), encoded + 1)
     return ValidityResult(True, None, total)
 
@@ -105,13 +106,13 @@ def _block_words(n: int) -> int:
     return 1 << max((32768 // max(n, 1)).bit_length() - 1, 0)
 
 
-def _candidate_rows(words: int, bits: int) -> np.ndarray:
-    """Bit b of the candidates 0 .. 64 * words - 1 as row b, for b below ``bits``; ``words`` is a power of two.
+def _candidate_rows(words: int, bits: np.ndarray) -> np.ndarray:
+    """Row r holds bit ``bits[r]`` of the candidates 0 .. 64 * words - 1, or zeros for a bit past those.
 
-    From bit 6 up, bit b of candidate ``64 * w + t`` is bit b - 6 of w, for all 64 bits of word w.
+    From bit 6 up, bit b of candidate ``64 * w + t`` is bit b - 6 of w; ``words`` is a power of two.
     """
-    rows = np.zeros((bits, words), dtype=np.uint64)
-    rows[:6] = _LOW_BITS[:bits, None]
-    shifts = np.arange(words.bit_length() - 1, dtype=np.uint64)[:, None]
-    rows[6:6 + len(shifts)] = -(np.arange(words, dtype=np.uint64) >> shifts & np.uint64(1))
+    rows = np.zeros((len(bits), words), dtype=np.uint64)
+    low, mid = bits < 6, (bits >= 6) & (bits < 5 + words.bit_length())
+    rows[low] = _LOW_BITS[bits[low].astype(np.intp), None]
+    rows[mid] = -(np.arange(words, dtype=np.uint64) >> (bits[mid] - np.uint64(6))[:, None] & np.uint64(1))
     return rows

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+import umlogic.space as space_module
 from umlogic.space import Model, UltrametricSpace, cantor_sequences
 
 
@@ -9,6 +11,15 @@ def dense_table(space: UltrametricSpace) -> tuple[tuple[Fraction, ...], ...]:
     """The exact distance table of a space, built from its rows of ranks in test code."""
     distances = space.realized_distances()
     return tuple(tuple(distances[r] for r in space.row(i).tolist()) for i in range(space.n))
+
+
+def held_as_table(space: UltrametricSpace) -> UltrametricSpace:
+    """The same points and distances held as a table with no tree, read per ball as a space that breaks a law is."""
+    texts = [str(d) for d in space.realized_distances()]
+    with mock.patch.object(space_module, "_single_linkage", lambda rank: None):
+        table = UltrametricSpace(space.points, [[texts[r] for r in space.row(i).tolist()] for i in range(space.n)])
+    assert table.tree is None
+    return table
 
 
 def w_named_space(depth: int) -> UltrametricSpace:

@@ -1,16 +1,20 @@
-"""Differential tests: evaluation over each grade's ball partition against the per-world loops.
+"""Differential tests: evaluation over each grade's balls against the per-world loops.
 
 Interior, closure and the evaluator shared by truth sets and validity
 (``semantics.evaluate``, run on numpy batches here) take one step per
-distinct ball of a grade (``UltrametricSpace.ball_partition``) and set
-all of the ball's centres at once, on the formula as parsed.  The
+distinct ball of a grade and set all of the ball's centres at once, on
+the formula as parsed.  A space without a tree groups its table into
+those balls (``UltrametricSpace.ball_partition``); a tree keeps them as
+runs of adjacent leaves (``UltrametricSpace.runs`` and ``tops``).  The
 references below are the earlier loops on the desugared formula, one step
 per world, reading each world's ball straight from the dense Fraction
-table (``ref_ball_masks``), so they share no code with the partition
-cache or the evaluator; ``ref_valid_in_model`` is the earlier enumeration
-driven by ``ref_eval_chunk``.  The spaces are those of ``test_rank_table``:
+table (``ref_ball_masks``), so they share no code with the ball caches or
+the evaluator; ``ref_valid_in_model`` is the earlier enumeration driven
+by ``ref_eval_chunk``.  The spaces are those of ``test_rank_table``:
 generated ultrametrics, history spaces with duplicate points, and broken
 or perturbed tables, where a ball's centres differ from its members.
+``held_as_table`` holds a tree's points and distances as a table, so the
+per-ball path in point order is a second reference on every tree.
 
 A single truth set on a space with a tree takes each modal step in leaf
 order instead (``semantics._leaf_step``); it is compared with the same
@@ -26,16 +30,18 @@ constructors with shared subtrees, on each path: leaf steps, per-ball
 steps on one int, and bit-sliced batches.
 
 A batch is bit-sliced: one ``uint64`` row per point, one bit per
-valuation, and a modal step ANDs or ORs the rows of each ball's members
-into its centres' rows (``semantics._row_step``, over the index arrays of
-``UltrametricSpace.ball_indexes``).  ``to_rows`` and ``to_masks`` turn
-per-valuation masks into rows and back, so a batch is compared with the
-per-world loops one valuation at a time.  ``valid_in_model`` is compared
-with the earlier vectorised enumeration and, witness and count included,
-with ``ref_valid_by_valuation``, which evaluates one valuation at a time
-as Python ints through ``interior_mask``/``closure_mask``, on every case
-and with blocks of 1, 4 and the real number of words, so that totals
-fall below 64, at 64, inside one partial block and across many blocks.
+valuation, with its rows in leaf order on a tree (``in_leaf_order``), so
+a modal step ANDs or ORs each run of rows over a view
+(``semantics._row_step``); a space without a tree keeps point order and
+gathers each ball's member rows into its centres' rows.  ``to_rows`` and
+``to_masks`` turn per-valuation masks into point-order rows and back, so
+a batch is compared with the per-world loops one valuation at a time.
+``valid_in_model`` is compared with the earlier vectorised enumeration
+and, witness and count included, with ``ref_valid_by_valuation``, which
+evaluates one valuation at a time as Python ints through
+``interior_mask``/``closure_mask``, on every case and with blocks of 1, 4
+and the real number of words, so that totals fall below 64, at 64,
+inside one partial block and across many blocks.
 """
 import random
 from fractions import Fraction
@@ -43,8 +49,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dense_table
-from test_rank_table import CASES, IDS, probe_grades, ref_ball_masks, ref_realized
+from conftest import dense_table, held_as_table
+from test_rank_table import CASES, IDS, LEAF_CASES, probe_grades, ref_ball_masks, ref_distinct_balls, ref_realized
 from umlogic import semantics, validity
 from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, atoms, desugar, subformulas
 from umlogic.generators import random_formula, random_schema_instance, random_ultrametric_space
@@ -171,6 +177,16 @@ def to_masks(rows, count):
     return [sum((x >> v & 1) << i for i, x in enumerate(ints)) for v in range(count)]
 
 
+def in_leaf_order(space, rows):
+    """Point-order batch rows in the space's leaf order, the order ``evaluate`` takes them in."""
+    return rows if space.tree is None else rows[space.tree[0]]
+
+
+def in_point_order(space, rows):
+    """Leaf-order batch rows back in point order."""
+    return rows[[space.leaf(i) for i in range(space.n)]]
+
+
 def sample_masks(rng, n, count=12):
     return [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(count)]
 
@@ -189,13 +205,30 @@ def sample_formulas(rng, grades, count):
 @pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
 class TestAgainstPerWorldLoops:
     def test_partition_shape(self, label, space, table):
+        """A table's (ball, centres) pairs, or a tree's runs of leaves, against each point's ball in the table."""
         for eps in probe_grades(ref_realized(table)):
+            masks = ref_ball_masks(table, eps)
+            if space.tree is not None:
+                rank = space.rank_of(eps)
+                if not rank:
+                    continue  # a negative radius: every ball is empty, and no step reads runs
+                runs, singles = space.runs(rank)
+                spans = sorted(runs + singles)
+                assert [start for start, _ in spans] == [0] + [end for _, end in spans[:-1]]
+                assert spans[-1][1] == space.n
+                assert all(a[1] < b[0] for a, b in zip(singles, singles[1:]))  # stretches are maximal
+                leaves = space.tree[0].tolist()
+                for start, end in runs:
+                    assert end - start > 1
+                    ball = sum(1 << i for i in leaves[start:end])
+                    assert all(masks[i] == ball for i in leaves[start:end])
+                assert all(masks[i] == 1 << i for start, end in singles for i in leaves[start:end])
+                continue
             pairs = space.ball_partition(eps)
             centres = [c for _, c in pairs]
             assert sum(centres) == space.full_mask
             assert all(a & b == 0 for i, a in enumerate(centres) for b in centres[i + 1:])
             assert centres == sorted(centres, key=lambda c: c & -c)
-            masks = ref_ball_masks(table, eps)
             for ball, held in pairs:
                 assert all(masks[i] == ball for i in space.members(held).tolist())
 
@@ -215,7 +248,7 @@ class TestAgainstPerWorldLoops:
             assert truth_mask(model, f) == ref_truth(table, desugar(f), valuation), f
 
     def test_eval_chunk(self, label, space, table, monkeypatch):
-        """A bit-sliced batch of 257 valuations against the earlier per-world loop, one valuation at a time."""
+        """A bit-sliced batch of 257 valuations, in leaf order, against the earlier per-world loop on each."""
         if space.n > 64:
             pytest.skip("the earlier loop holds at most 64 points per valuation")
         rng = random.Random(label)
@@ -230,6 +263,7 @@ class TestAgainstPerWorldLoops:
         wants = [ref_eval_chunk(space, subformulas(desugar(f)), atom_arrays, size) for f in formulas]
         rows = {name: to_rows(values.tolist(), space.n) for name, values in atom_arrays.items()}
         assert to_masks(rows["p"], size) == atom_arrays["p"].tolist()
+        rows = {name: in_leaf_order(space, values) for name, values in rows.items()}
         steps = []
         row_step = semantics._row_step
         monkeypatch.setattr(semantics, "_row_step", lambda *args: steps.append(args) or row_step(*args))
@@ -237,7 +271,7 @@ class TestAgainstPerWorldLoops:
             steps.clear()
             got = evaluate(space, f, rows.__getitem__, ONES)
             assert got.dtype == np.uint64 and got.shape == (space.n, 5), f
-            assert to_masks(got, size) == want.tolist(), f
+            assert to_masks(in_point_order(space, got), size) == want.tolist(), f
             assert bool(steps) == any(isinstance(g, (Box, Diamond)) for g in subformulas(f)), f
 
     def test_valid_in_model(self, label, space, table):
@@ -325,7 +359,10 @@ def seven_constructor_formulas(grades):
 
 @pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
 def test_slot_programs(label, space, table, monkeypatch):
-    """``evaluate`` through the slot program on every path: leaf steps, per-ball steps and batches, against the per-world loops."""
+    """``evaluate`` through the slot program on every path: leaf steps, per-ball steps and leaf-order batches.
+
+    Each is compared with the per-world loops.
+    """
     formulas = seven_constructor_formulas(formula_grades(table))
     programs = [semantics._program(f) for f in formulas]
     assert [len(program) for program in programs] == [8, 7, 4, 1]  # one step per distinct subformula
@@ -345,11 +382,12 @@ def test_slot_programs(label, space, table, monkeypatch):
             assert space.from_leaves(evaluate(space, f, model.leaf_mask, space.full_mask)) == want, f
             assert set(steps) <= {"_leaf_step" if space.tree is not None else "_ball_step"}
 
-    batch = {name: to_rows([valuation[name] for valuation in valuations], space.n) for name in ("p", "q")}
+    batch = {name: in_leaf_order(space, to_rows([valuation[name] for valuation in valuations], space.n))
+             for name in ("p", "q")}
     for f, program, want in zip(formulas, programs, wants):
         steps.clear()
         got = evaluate(space, f, batch.__getitem__, ONES)
-        assert to_masks(got, len(valuations)) == want, f
+        assert to_masks(in_point_order(space, got), len(valuations)) == want, f
         modal = any(op in (Box, Diamond) for op, _, _ in program)
         assert ("_row_step" in steps) == modal and set(steps) <= {"_row_step"}
 
@@ -409,23 +447,90 @@ def test_valid_in_model_at_bounds(n):
         assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
 
 
-def test_ball_indexes_are_read_only_and_per_space():
-    """The index arrays of the row step: a ball partition's members, cached per rank and per space, read-only."""
+def test_runs_are_cached_per_rank_and_per_space():
+    """The runs of leaves a batch step reduces: each ball of a grade once, cached per rank and per space."""
     first, second = (random_ultrametric_space(random.Random(3), 9) for _ in range(2))
-    assert dense_table(first) == dense_table(second)
+    table = dense_table(first)
+    assert table == dense_table(second)
     grade = first.realized_distances()[1]
     above = (grade + first.realized_distances()[2]) / 2
-    indexes = first.ball_indexes(grade)
-    assert [(m.tolist(), c.tolist()) for m, c in indexes] == [
-        (first.members(ball).tolist(), first.members(centres).tolist()) for ball, centres in first.ball_partition(grade)]
-    for array in (array for pair in indexes for array in pair):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 0
-    # Cached per rank: a grade between the same two distances gets the same arrays.
-    assert first.ball_indexes(above) is indexes
-    other = second.ball_indexes(grade)
-    assert len(other) == len(indexes)
-    for pair, twin in zip(indexes, other):
-        for array, copy in zip(pair, twin):
-            assert np.array_equal(array, copy) and not np.shares_memory(array, copy)
+    runs = first.runs(first.rank_of(grade))
+    leaves = first.tree[0].tolist()
+    balls = [sum(1 << i for i in leaves[start:end]) for start, end in runs[0]]
+    balls += [1 << i for start, end in runs[1] for i in leaves[start:end]]
+    assert sorted(balls) == sorted(set(ref_ball_masks(table, grade)))
+    # Cached per rank: a grade between the same two distances gets the same runs.
+    assert first.runs(first.rank_of(above)) is runs
+    other = second.runs(second.rank_of(grade))
+    assert other == runs and other is not runs
+    broken = next(space for _, space, _ in CASES if space.tree is None)
+    for per_rank in (broken.runs, broken.tops):
+        with pytest.raises(ValueError, match="breaks a metric law"):
+            per_rank(1)
+
+
+# --- batches in leaf order: the per-run step -----------------------------------
+
+def _row_step_cases():
+    """The trees of ``test_rank_table``'s cases and leaf cases, twins and the empty space in them; cantor 1-10."""
+    cases = {label: space for label, space, _ in CASES + LEAF_CASES if space.tree is not None}
+    cases.update((f"cantor-{depth}", cantor_space(depth)) for depth in range(1, 11))
+    return sorted(cases.items(), key=lambda case: case[1].n)
+
+
+ROW_STEP_CASES = _row_step_cases()
+
+
+def test_row_step_cases_cover_leaf_order():
+    """Some batch runs in a leaf order that is not point order, so no witness or step matches by accident."""
+    labels = {label for label, _ in ROW_STEP_CASES}
+    assert {"empty", "two-equal", "cantor-10"} <= labels
+    assert any(space.tree[0].tolist() != list(range(space.n)) for _, space in ROW_STEP_CASES)
+    # test_valid_in_model_by_valuation compares witness worlds on these.
+    assert any(space.tree is not None and space.tree[0].tolist() != list(range(space.n)) for _, space, _ in CASES)
+
+
+@pytest.mark.parametrize("label, space", ROW_STEP_CASES, ids=[label for label, _ in ROW_STEP_CASES])
+def test_row_step_matches_the_ball_step(label, space):
+    """The per-run step on leaf-order rows against the per-ball step in point order, one valuation at a time.
+
+    Box and diamond at every realized grade, grade 0, one grade finer than
+    the least positive distance and a negative radius (rank 0), on 70
+    valuations: one full word and one partial.
+    """
+    per_ball, rng = held_as_table(space), random.Random(label)
+    realized = space.realized_distances()
+    finer = min((d for d in realized if d), default=Fraction(1)) / 2
+    grades = sorted({*realized, Fraction(0), finer, Fraction(-1)})
+    masks = sample_masks(rng, space.n, 68)
+    rows = in_leaf_order(space, to_rows(masks, space.n))
+    for eps in grades:
+        for meets in (False, True):
+            got = semantics._row_step(space, rows, eps, meets)
+            assert got.shape == rows.shape and got.dtype == np.uint64
+            want = [_ball_step(per_ball, mask, eps, meets) for mask in masks]
+            assert to_masks(in_point_order(space, got), len(masks)) == want, (eps, meets)
+
+
+def test_row_step_returns_its_input_when_every_ball_is_one_leaf():
+    """A grade whose balls are single leaves copies nothing; values are never mutated, so sharing them is safe."""
+    space = cantor_space(4)
+    rows = to_rows(sample_masks(random.Random(4), space.n), space.n)
+    rows.setflags(write=False)
+    assert semantics._row_step(space, rows, Fraction(0), False) is rows
+    assert semantics._row_step(space, rows, Fraction(1, 64), True) is rows
+    assert semantics._row_step(space, rows, Fraction(1, 16), True) is not rows
+
+
+@pytest.mark.parametrize("label, space, table", TREE_CASES, ids=[label for label, _, _ in TREE_CASES])
+def test_tree_ball_readers_match_the_table_path(label, space, table):
+    """``ball``, ``distinct_balls``, ``interior_mask`` and ``closure_mask`` on a tree: the table path and the loops."""
+    per_ball, rng = held_as_table(space), random.Random(label)
+    for eps in probe_grades(ref_realized(table)):
+        balls = ref_ball_masks(table, eps)
+        for x, ball in zip(space.points, balls):
+            assert space.ball(x, eps) == per_ball.ball(x, eps) == space.names_of(ball), (x, eps)
+        for mask in sample_masks(rng, space.n):
+            for step, ref in ((interior_mask, ref_interior), (closure_mask, ref_closure)):
+                assert step(space, mask, eps) == step(per_ball, mask, eps) == ref(table, mask, eps), (mask, eps)
+    assert space.distinct_balls() == per_ball.distinct_balls() == ref_distinct_balls(table)

@@ -117,8 +117,10 @@ def rebuild(f):
 def test_generated_spaces_are_ultrametric(case):
     space, grade, _, _ = case
     assert validate_space(space) == []
-    for ball, centres in space.ball_partition(grade):
-        assert ball == centres
+    for x in space.points:
+        ball = space.ball(x, grade)
+        # Every point of a ball is a centre of it.
+        assert all(space.ball(y, grade) == ball for y in ball)
 
 
 @SETTINGS

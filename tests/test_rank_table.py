@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 import umlogic.semantics as semantics
 import umlogic.space as space_module
 
-from conftest import dense_table
+from conftest import dense_table, held_as_table
 from umlogic.constructions import (
     UNION_DISTANCE,
     BilipschitzReport,
@@ -57,7 +57,15 @@ from umlogic.formula import Atom, Box, Diamond
 from umlogic.generators import LEVEL_POOL, random_ultrametric_space
 from umlogic.modelio import dump_model, load_model
 from umlogic.parser import parse
-from umlogic.semantics import _ball_step, _leaf_step, plausibility_degree, stability_degree, truth_mask, truthset
+from umlogic.semantics import (
+    _ball_step,
+    _leaf_step,
+    interior_mask,
+    plausibility_degree,
+    stability_degree,
+    truth_mask,
+    truthset,
+)
 from umlogic.space import (
     Model,
     UltrametricSpace,
@@ -345,12 +353,8 @@ IDS = [label for label, _, _ in CASES]
 
 
 def per_point_balls(space, eps):
-    """Each point's closed eps-ball as a bitmask, read from the ball partition."""
-    masks = [0] * space.n
-    for ball, centres in space.ball_partition(eps):
-        for i in space.members(centres).tolist():
-            masks[i] = ball
-    return tuple(masks)
+    """Each point's closed eps-ball as a bitmask, read by ``ball``: a run of leaves on a tree, else the partition."""
+    return tuple(space.mask_of(space.ball(x, eps)) for x in space.points)
 
 
 def probe_grades(realized):
@@ -718,7 +722,9 @@ def assert_readers_match_the_table(space, table, masks):
     """Balls, nearest points, distances, the ball listing and the dendrogram against the dense table."""
     pts, n = space.points, space.n
     for eps in tree_grades(space):
-        assert space.ball_partition(eps) == ref_partition(table, eps), eps
+        assert per_point_balls(space, eps) == ref_ball_masks(table, eps), eps
+        if space.tree is None:
+            assert space.ball_partition(eps) == ref_partition(table, eps), eps
     masks = [0, space.full_mask, *masks, *(1 << i for i in range(n))]
     for i in range(n):
         for mask in masks:
@@ -835,16 +841,19 @@ def leaf_masks(rng, space):
 
 @pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=labels(LEAF_CASES))
 def test_leaf_step_matches_the_ball_step(label, space, table):
-    """Both modalities, in leaf order by carries and spreads, against the per-ball step in point order."""
+    """Both modalities, in leaf order by carries and spreads, against the per-ball step in point order.
+
+    The per-ball step reads the same space held as a table (``held_as_table``).
+    """
     rng = random.Random(label)
-    full = space.full_mask
+    full, per_ball = space.full_mask, held_as_table(space)
     for mask in leaf_masks(rng, space):
         leaves = space.to_leaves(mask)
         assert 0 <= leaves <= full and space.from_leaves(leaves) == mask
         for eps in leaf_grades(space):
             for meets in (False, True):
                 got = space.from_leaves(_leaf_step(space, leaves, space.rank_of(eps), meets))
-                assert got == _ball_step(space, mask, eps, meets), (mask, eps, meets)
+                assert got == _ball_step(per_ball, mask, eps, meets), (mask, eps, meets)
 
 
 def test_leaf_order_is_not_point_order_in_the_union_and_the_matrix():
@@ -882,7 +891,7 @@ def test_nearest_on_4096_worlds_matches_the_row_minimum():
 
 
 def test_each_grade_is_resolved_once(monkeypatch):
-    """After its first use a grade's rank is read from a dict: partitions, their index arrays and steps search nothing."""
+    """After its first use a grade's rank is read from a dict: balls, their runs of leaves and steps search nothing."""
     space = cantor_space(3)
     grades = [Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(-1), Fraction(2)]
     ranks = [space.rank_of(g) for g in grades]
@@ -890,9 +899,9 @@ def test_each_grade_is_resolved_once(monkeypatch):
     monkeypatch.setattr(space_module, "bisect_right", refuse("bisect_right"))
     assert [space.rank_of(g) for g in grades] == ranks
     assert space.rank_of("1/2") == space.rank_of(Fraction(2, 4)) == 4
-    assert space.ball_partition(Fraction(1, 2))
-    assert [(m.tolist(), c.tolist()) for m, c in space.ball_indexes(Fraction(1, 3))] == [([0, 1, 2, 3],) * 2,
-                                                                                         ([4, 5, 6, 7],) * 2]
+    assert space.ball("000", Fraction(1, 2)) == set(space.points)
+    assert space.ball("111", Fraction(1, 3)) == {"111", "110", "101", "100"}
+    assert space.runs(space.rank_of(Fraction(1, 3))) == (((0, 4), (4, 8)), ())
     with pytest.raises(AssertionError, match="bisect_right reached"):
         space.rank_of(Fraction(1, 5))
     # Equal to the int 1 already resolved, and still refused.
@@ -1006,7 +1015,8 @@ def test_tree_readers_build_no_table(monkeypatch):
     for space, (names, _) in zip(spaces, cases):
         validate_space(space)
         for eps in tree_grades(space):
-            space.ball_partition(eps)
+            space.ball(names[0], eps)
+            interior_mask(space, space.full_mask, eps)
         space.distinct_balls()
         assert space.nearest(0, space.full_mask) == 0
         dendrogram_dot(space)

@@ -280,6 +280,11 @@ class TestConstruction:
             with pytest.raises(ValueError, match="the space breaks a metric law"):
                 read(space, str(exact))
             return
+        if (reader, shape) == ("ball-partition", "tree"):
+            # A tree keeps its balls as runs of leaves; the radius is read before the refusal.
+            with pytest.raises(ValueError, match="runs of leaves"):
+                read(space, str(exact))
+            return
         result = read(space, str(exact))
         assert result is not None and np.array_equal(result, read(space, exact))
         assert np.array_equal(read(space, 1), read(space, Fraction(1)))
