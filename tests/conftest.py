@@ -1,6 +1,7 @@
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import umlogic.space as space_module
@@ -14,10 +15,15 @@ def dense_table(space: UltrametricSpace) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def held_as_table(space: UltrametricSpace) -> UltrametricSpace:
-    """The same points and distances held as a table with no tree, read per ball as a space that breaks a law is."""
-    texts = [str(d) for d in space.realized_distances()]
+    """The same points and distances held as a table with no tree, read per ball as a space that breaks a law is.
+
+    The table is set up from the space's rows of ranks, one byte per entry
+    on the test spaces, so ``cantor_space(12)`` takes 16 MB.
+    """
+    ranks = np.stack([space.row(i) for i in range(space.n)]) if space.n else np.zeros((0, 0), dtype=np.intp)
+    table = UltrametricSpace.__new__(UltrametricSpace)
     with mock.patch.object(space_module, "_single_linkage", lambda rank: None):
-        table = UltrametricSpace(space.points, [[texts[r] for r in space.row(i).tolist()] for i in range(space.n)])
+        table._setup(space.points, list(space.realized_distances()), ranks)
     assert table.tree is None
     return table
 

@@ -19,7 +19,8 @@ per-ball path in point order is a second reference on every tree.
 A single truth set on a space with a tree takes each modal step in leaf
 order instead (``semantics._leaf_step``); it is compared with the same
 per-world loops on every tree here, and whole truth sets at fine grades
-on ``cantor_space(12)`` with evaluation by the per-ball step.
+on ``cantor_space(12)`` with evaluation by the per-ball step on the
+same space held as a table.
 
 ``test_leaf_names`` reads the names of a leaf-order mask, as ``truthset``
 does, against unpacking it to point order first.
@@ -38,8 +39,8 @@ gathers each ball's member rows into its centres' rows.  ``to_rows`` and
 a batch is compared with the per-world loops one valuation at a time.
 ``valid_in_model`` is compared with the earlier vectorised enumeration
 and, witness and count included, with ``ref_valid_by_valuation``, which
-evaluates one valuation at a time as Python ints through
-``interior_mask``/``closure_mask``, on every case and with blocks of 1, 4
+evaluates one valuation at a time as Python ints through the per-ball
+step (``semantics._ball_step``) on the space held as a table, on every case and with blocks of 1, 4
 and the real number of words, so that totals fall below 64, at 64,
 inside one partial block and across many blocks.
 """
@@ -147,15 +148,17 @@ def ref_valid_in_model(space, f, chunk=1 << 18):
 def ref_valid_by_valuation(space, f, limit):
     """Validity one valuation at a time, in ascending encoding, on Python ints by ``per_ball_truth``.
 
-    Returns None when none of the first ``limit`` valuations refutes ``f``
-    and there are more than ``limit``.
+    A space with a tree is read as ``held_as_table``, so no step goes
+    through the tree.  Returns None when none of the first ``limit``
+    valuations refutes ``f`` and there are more than ``limit``.
     """
     names = sorted(atoms(f))
     n = space.n
+    table = space if space.tree is None else held_as_table(space)
     total = 1 << (n * len(names))
     for encoded in range(min(total, limit)):
         masks = {name: encoded >> (j * n) & space.full_mask for j, name in enumerate(names)}
-        false = space.full_mask ^ per_ball_truth(space, f, masks)
+        false = space.full_mask ^ per_ball_truth(table, f, masks)
         if false:
             valuation = {name: space.names_of(mask) for name, mask in masks.items()}
             world = space.points[(false & -false).bit_length() - 1]
@@ -392,26 +395,28 @@ def test_slot_programs(label, space, table, monkeypatch):
         assert ("_row_step" in steps) == modal and set(steps) <= {"_row_step"}
 
 
-def per_ball_truth(space, f, masks):
-    """Truth mask of ``f`` in point order, every modal step taken per ball by ``interior_mask``/``closure_mask``.
+def per_ball_truth(table, f, masks):
+    """Truth mask of ``f`` in point order on a space without a tree, every modal step taken per ball by ``_ball_step``.
 
-    ``masks`` maps each atom to its point-order mask.
+    ``masks`` maps each atom to its point-order mask.  A tree is read
+    through ``held_as_table`` first, so the leaf step is never taken.
     """
-    full = space.full_mask
+    assert table.tree is None
+    full = table.full_mask
     if isinstance(f, Atom):
         return masks[f.name]
     if isinstance(f, Not):
-        return full ^ per_ball_truth(space, f.sub, masks)
+        return full ^ per_ball_truth(table, f.sub, masks)
     if isinstance(f, (Box, Diamond)):
-        step = closure_mask if isinstance(f, Diamond) else interior_mask
-        return step(space, per_ball_truth(space, f.sub, masks), f.grade)
-    left, right = per_ball_truth(space, f.left, masks), per_ball_truth(space, f.right, masks)
+        return _ball_step(table, per_ball_truth(table, f.sub, masks), f.grade, isinstance(f, Diamond))
+    left, right = per_ball_truth(table, f.left, masks), per_ball_truth(table, f.right, masks)
     return {And: left & right, Or: left | right, Implies: (full ^ left) | right}[type(f)]
 
 
 def test_fine_grade_truth_masks_on_4096_worlds():
-    """Grades down to single worlds on ``cantor_space(12)``: the leaf step against per-ball evaluation."""
+    """Grades down to single worlds on ``cantor_space(12)``: the leaf step against per-ball evaluation on its table."""
     space, rng = cantor_space(12), random.Random(4096)
+    table = held_as_table(space)
     model = Model(space, {name: [x for x in space.points if rng.random() < 0.5] for name in ("p", "q")})
     texts = ["[1/4096]<1/2048>p -> <1/1024>[1/8192]p", "<1/4096>(p & [1/8192]~q) | [1/2]<1/4096>q",
              "[0]p <-> p", "<1>[1/3]p & ~[1/4095]<1/4097>(q -> p)"]
@@ -419,7 +424,7 @@ def test_fine_grade_truth_masks_on_4096_worlds():
     formulas = [parse(text) for text in texts] + [random_formula(rng, ("p", "q"), grades, 4) for _ in range(6)]
     masks = {name: model.atom_mask(name) for name in ("p", "q")}
     for f in formulas:
-        assert truth_mask(model, f) == per_ball_truth(space, f, masks), f
+        assert truth_mask(model, f) == per_ball_truth(table, f, masks), f
 
 
 # --- the block bounds --------------------------------------------------------

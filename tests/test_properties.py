@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import held_as_table
 import umlogic
 from umlogic import cli
 from umlogic.constructions import disjoint_union, union_point
@@ -42,6 +43,7 @@ from umlogic.proofs import check_proof, proof_from_json
 from umlogic.generators import random_ultrametric_space
 from umlogic.modelio import model_from_dict, model_to_dict
 from umlogic.semantics import (
+    _ball_step,
     closure_mask,
     holds,
     interior_mask,
@@ -121,18 +123,25 @@ def test_generated_spaces_are_ultrametric(case):
         ball = space.ball(x, grade)
         # Every point of a ball is a centre of it.
         assert all(space.ball(y, grade) == ball for y in ball)
+    # So too when the table is grouped into balls without the tree.
+    for ball, centres in held_as_table(space).ball_partition(grade):
+        assert ball == centres
 
 
 @SETTINGS
 @given(space_grade_masks())
 def test_box_diamond_duality(case):
-    """(viii): the closure is the complement of the interior of the complement."""
+    """(viii): the closure is the complement of the interior of the complement.
+
+    The box and diamond are also checked against the per-ball step on the
+    same space held as a table, which shares no code with the leaf step.
+    """
     space, grade, a, _ = case
-    full = space.full_mask
+    full, per_ball = space.full_mask, held_as_table(space)
     assert closure_mask(space, a, grade) == full ^ interior_mask(space, full ^ a, grade)
     model = Model(space, {"p": space.names_of(a)})
-    assert truth_mask(model, Diamond(grade, Atom("p"))) == closure_mask(space, a, grade)
-    assert truth_mask(model, Box(grade, Atom("p"))) == interior_mask(space, a, grade)
+    assert truth_mask(model, Diamond(grade, Atom("p"))) == _ball_step(per_ball, a, grade, True)
+    assert truth_mask(model, Box(grade, Atom("p"))) == _ball_step(per_ball, a, grade, False)
 
 
 @SETTINGS
