@@ -102,20 +102,21 @@ def disjoint_union(models: Sequence[Model]) -> Model:
 def epsilon_subspace(model: Model, center: str, eps: Fraction) -> Model:
     """The closed ball around ``center`` with distances and valuation restricted.
 
-    The ball is a run of leaves; they are renumbered to the kept points'
-    order, and their merge heights over the distances still used.
+    The ball is a run of leaves (:meth:`UltrametricSpace.ball_run`); they
+    are renumbered to the kept points' order, and their merge heights over
+    the distances still used.
     """
     space = model.space
-    members = space.ball(center, eps)
-    order, heights = required_tree(space)
-    index = np.array(sorted(map(space.index, members)), dtype=np.intp)
-    run = np.flatnonzero(np.isin(order, index))
+    start, end = space.ball_run(center, eps)
+    leaves, heights = required_tree(space)
+    run, inside = leaves[start:end], heights[start:max(start, end - 1)]
     # Distances between points outside the ball drop out, but not each point's 0 to itself.
-    inside = heights[run[:-1]]
-    used = np.unique(np.append(inside, 0)) if members else inside
+    used = np.unique(np.append(inside, 0)) if run.size else inside
+    index = np.sort(run)
     realized, kept = space.realized_distances(), [space.points[i] for i in index.tolist()]
+    members = frozenset(kept)
     sub = UltrametricSpace.from_tree(kept, [realized[r] for r in used.tolist()],
-                                     np.searchsorted(index, order[run]), np.searchsorted(used, inside))
+                                     np.searchsorted(index, run), np.searchsorted(used, inside))
     return Model(sub, {atom: held & members for atom, held in model.valuation.items()})
 
 

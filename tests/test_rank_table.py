@@ -24,7 +24,7 @@ at a time (``UltrametricSpace.row``): ``dense_table`` and ``dist`` read
 rows, so comparing them with the reference table compares the rows.
 On every tree here, and on a matrix and a union whose leaves are out of
 point order, the leaf-order modal step is compared with the per-ball
-step, and ``nearest`` with the least rank of each row over the mask.
+step, and ``nearest_leaf`` with the least rank of each row over the mask.
 """
 import json
 import random
@@ -134,6 +134,7 @@ def ref_partition(m, eps):
 
 
 def ref_distinct_balls(m):
+    """Each distinct ball once, as (first centre, radius, mask), radii ascending and then centres in point order."""
     expected, seen = [], set()
     for radius in ref_realized(m):
         for i, mask in enumerate(ref_ball_masks(m, radius)):
@@ -352,6 +353,16 @@ CASES = generated_cases() + sequence_cases() + broken_cases()
 IDS = [label for label, _, _ in CASES]
 
 
+def listed_tree_balls(space):
+    """``tree_balls`` as (least point, diameter, mask), by diameter and then least point.
+
+    That is the order in which ``ref_distinct_balls`` first meets each ball of a table.
+    """
+    leaves, distances = space.tree[0].tolist(), space.realized_distances()
+    balls = sorted((rank, min(leaves[start:end]), start, end) for start, end, rank, _ in space.tree_balls())
+    return [(i, distances[rank], sum(1 << j for j in leaves[start:end])) for rank, i, start, end in balls]
+
+
 def per_point_balls(space, eps):
     """Each point's closed eps-ball as a bitmask, read by ``ball``: a run of leaves on a tree, else the partition."""
     return tuple(space.mask_of(space.ball(x, eps)) for x in space.points)
@@ -390,7 +401,8 @@ class TestAgainstDenseTable:
         assert dendrogram_dot(space) == ref_dot(nodes)
 
     def test_distinct_ball_listing(self, label, space, table):
-        assert space.distinct_balls() == ref_distinct_balls(table)
+        if space.tree is not None:
+            assert listed_tree_balls(space) == ref_distinct_balls(table)
 
     def test_dump_model(self, label, space, table):
         rng = random.Random(label)
@@ -729,9 +741,10 @@ def assert_readers_match_the_table(space, table, masks):
     for i in range(n):
         for mask in masks:
             near = min((table[i][j] for j in range(n) if mask >> j & 1), default=None)
-            assert space.nearest(i, mask) == near, (i, mask)
+            assert space.nearest_leaf(space.leaf(i), space.to_leaves(mask)) == near, (i, mask)
     assert [space.dist(x, y) for x in pts for y in pts] == [d for row in table for d in row]
-    assert space.distinct_balls() == ref_distinct_balls(table)
+    if space.tree is not None:
+        assert listed_tree_balls(space) == ref_distinct_balls(table)
     if breaks_a_law(pts, table):
         assert space.tree is None and space.tree_balls() is None
         for draw in (ball_tree, dendrogram_dot):
@@ -800,7 +813,7 @@ def test_a_run_shared_by_three_children_ends_where_it_should():
     assert [part.tolist() for part in space.tree] == [[0, 1, 2, 3], [2, 2, 1]]
     assert space.tree_balls() == [(0, 4, 2, None), (2, 4, 1, 0), (0, 1, 0, 0), (1, 2, 0, 0),
                                   (2, 3, 0, 1), (3, 4, 0, 1)]
-    assert space.nearest(space.index("c"), space.mask_of(["b"])) == 1
+    assert space.nearest_leaf(space.leaf(space.index("c")), space.to_leaves(space.mask_of(["b"]))) == 1
     assert space.ball("c", Fraction(1, 2)) == {"c", "d"}
     assert ball_tree(space) == ref_ball_tree(space.points, table)
 
@@ -856,6 +869,18 @@ def test_leaf_step_matches_the_ball_step(label, space, table):
                 assert got == _ball_step(per_ball, mask, eps, meets), (mask, eps, meets)
 
 
+@pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=labels(LEAF_CASES))
+def test_ball_run_bounds_each_ball(label, space, table):
+    """``tree[0][start:end]`` is the point's ball at every probe grade, and a negative radius gives ``(0, 0)``."""
+    leaves = space.tree[0].tolist()
+    for eps in leaf_grades(space):
+        for x, ball in zip(space.points, ref_ball_masks(table, eps)):
+            start, end = space.ball_run(x, eps)
+            assert sum(1 << i for i in leaves[start:end]) == ball, (x, eps)
+            if eps < 0:
+                assert (start, end) == (0, 0), (x, eps)
+
+
 def test_leaf_order_is_not_point_order_in_the_union_and_the_matrix():
     for _, space, _ in LEAF_CASES[-2:]:
         leaves = space.tree[0].tolist()
@@ -868,14 +893,13 @@ def test_leaf_order_is_not_point_order_in_the_union_and_the_matrix():
 @pytest.mark.parametrize("label, space, table", LEAF_CASES + PERTURBED_CASES,
                          ids=labels(LEAF_CASES + PERTURBED_CASES))
 def test_nearest_is_the_least_rank_in_the_row(label, space, table):
-    """``nearest`` (a scan of the leaf-order mask on a tree) against the minimum of each row over the mask."""
+    """``nearest_leaf`` (a scan of the leaf-order mask on a tree) against the minimum of each row over the mask."""
     rng = random.Random(label)
     distances = space.realized_distances()
     for mask in leaf_masks(rng, space):
         members = space.members(mask)
         for i in range(space.n):
             want = distances[space.row(i)[members].min()] if members.size else None
-            assert space.nearest(i, mask) == want, (i, mask)
             assert space.nearest_leaf(space.leaf(i), space.to_leaves(mask)) == want, (i, mask)
 
 
@@ -887,7 +911,7 @@ def test_nearest_on_4096_worlds_matches_the_row_minimum():
         members = rng.sample(range(space.n), rng.randint(1, 3))
         i = rng.randrange(space.n)
         want = distances[space.row(i)[members].min()]
-        assert space.nearest(i, sum(1 << j for j in members)) == want, (i, members)
+        assert space.nearest_leaf(space.leaf(i), space.to_leaves(sum(1 << j for j in members))) == want, (i, members)
 
 
 def test_each_grade_is_resolved_once(monkeypatch):
@@ -1017,8 +1041,8 @@ def test_tree_readers_build_no_table(monkeypatch):
         for eps in tree_grades(space):
             space.ball(names[0], eps)
             interior_mask(space, space.full_mask, eps)
-        space.distinct_balls()
-        assert space.nearest(0, space.full_mask) == 0
+        space.tree_balls()
+        assert space.nearest_leaf(space.leaf(0), space.full_mask) == 0
         dendrogram_dot(space)
         stability_degree(Model(space, {"p": names[:1]}), names[0], Atom("p"))
     monkeypatch.undo()

@@ -252,6 +252,7 @@ class TestConstruction:
     }
     RADIUS_READERS = {
         "ball": lambda s, r: s.ball("a", r),
+        "ball-run": lambda s, r: s.ball_run("a", r),
         "ball-partition": lambda s, r: s.ball_partition(r),
         "row-step": lambda s, r: _row_step(s, np.arange(1, s.n + 1, dtype=np.uint64)[:, None], r, False),
         "interior-mask": lambda s, r: interior_mask(s, 1, r),
@@ -275,8 +276,8 @@ class TestConstruction:
         space = self.RADIUS_SPACES[shape]()
         exact = space.dist("a", "b")
         read = self.RADIUS_READERS[reader]
-        if (reader, shape) == ("epsilon-subspace", "table"):
-            # Constructions take only trees; the radius is read before the refusal.
+        if reader in ("epsilon-subspace", "ball-run") and shape == "table":
+            # Leaf bounds and constructions take only trees; the radius is read before the refusal.
             with pytest.raises(ValueError, match="the space breaks a metric law"):
                 read(space, str(exact))
             return
