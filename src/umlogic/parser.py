@@ -36,35 +36,36 @@ interned by their text (:func:`parse_grade`), so a grade written many
 times is read once and every modality carrying it shares one
 :class:`~fractions.Fraction`.
 
-:func:`parse` takes an optional memo, a dict that the caller keeps for a
-batch of texts (a proof file's lines and bindings).  A memo hit returns
-the stored formula, so equal spans parsed through one memo give one
-shared :class:`Formula` object.  The memo holds two kinds of entry:
+Every parse goes through a memo, a dict of the spans that parsed: the
+caller's, kept for a batch of texts (a proof file's lines and bindings),
+or a fresh one.  Equal spans parsed through one memo give one shared
+:class:`Formula` object.  The memo holds two kinds of entry:
 
 * the exact text of each whole text, atom name and parenthesised group
   that parsed, mapped to the formula and the depth and size that a fresh
   parse of it sets.  A group's end comes from a map of the text's ``(``
   and ``)`` (:func:`_closing`), so a group whose text is in the memo is
   skipped without reading its tokens;
-* ``(tail, id(core))``, for each tail of the text of a prefix chain,
-  mapped to the node that the tail builds over ``core``, the atom or
-  group that follows the chain.  A chain's tokens are read every time,
-  but its nodes are looked up: ``[1/8]<1/8>[1/2](p | q)`` ends in the
-  node that ``[1/2](p | q)`` parses to, and a repeated chain builds no
-  node again.  The key holds the short prefix text and the core's
-  identity, which the stored formula keeps alive, so no key copies a long
-  line and none is hashed or compared node by node.
+* ``(prefix, id(sub))`` for each prefix (``~``, ``[g]`` or ``<g>``) of a
+  chain, spelled as in the text, mapped to the node it builds over
+  ``sub``, the node below it, which that node keeps alive.  A chain's
+  tokens are read every time, but a repeated chain builds no node again:
+  ``[1/8]<1/8>[1/2](p | q)`` ends in the node that ``[1/2](p | q)``
+  parses to.
 
 A hit is used only while the levels enclosing it plus its depth stay
 below :data:`MAX_DEPTH`; deeper, the span is parsed again, so a "nested
 deeper" error keeps its line and column, and the :data:`MAX_NODES` check
 sees the same sizes either way.  A group deeper than that, or larger
 than :data:`MAX_NODES`, can only be part of a text that fails, so it is
-not stored; its text is sliced only to look it up, so a long line nested
-in many groups holds no copy of itself per group.  Only what parsed is
-stored, never an error, so every
-:class:`ParseError` is computed afresh.  Without a memo, nothing is
-looked up or stored.
+not stored.  Errors are never stored.
+
+The memo's memory is linear in the texts it has read.  A chain's keys
+copy each prefix once.  A group's key copies its text, and nested groups
+overlap, so the group keys stored for one text copy at most as many
+characters as it has, innermost groups first; past that, a group is
+parsed but not stored.  Only sharing is lost: the formula and any error
+are the same whatever the memo holds.
 """
 from __future__ import annotations
 
@@ -179,16 +180,18 @@ class _Parser:
     levels enclosing the current position, so input that will nest too
     deep is refused before the recursion gets there; :func:`parse` checks
     the finished depth and size, which also bounds the flat ``&``, ``|``
-    and ``<->`` chains that the rules build in loops.
+    and ``<->`` chains that the rules build in loops.  ``budget`` is the
+    number of characters that stored group keys may still copy (module
+    docstring).
     """
 
-    __slots__ = ("text", "memo", "closing", "match", "kind", "open", "depth", "size")
+    __slots__ = ("text", "memo", "closing", "budget", "match", "kind", "open", "depth", "size")
 
-    def __init__(self, text: str, memo: dict | None = None):
+    def __init__(self, text: str, memo: dict):
         self.text = text
         self.memo = memo
-        if memo is not None:
-            self.closing = _closing(text)
+        self.closing = _closing(text)
+        self.budget = len(text)
         self.open = self.depth = self.size = 0
         self.read(0)
 
@@ -270,13 +273,10 @@ class _Parser:
             name = match["NAME"]
             self.read(match.end())
             self.depth = self.size = 1
-            memo = self.memo
-            if memo is None:
-                return Atom(name)
             # One shared atom per name, stored as the text of its name.
-            hit = memo.get(name)
+            hit = self.memo.get(name)
             if hit is None:
-                hit = memo[name] = (Atom(name), 1, 1)
+                hit = self.memo[name] = (Atom(name), 1, 1)
             return hit[0]
         if kind == "LPAREN":
             return self.group()
@@ -285,20 +285,22 @@ class _Parser:
         raise self.unexpected(("'~'", "'['", "'<'", "atom", "'('"))
 
     def chain(self) -> Formula:
-        """A chain of ``~``, ``[g]`` and ``<g>`` over an atom or a group, read one prefix at a time.
+        """A chain of ``~``, ``[g]`` and ``<g>`` over an atom or a group, its nodes shared through the memo.
 
-        Each prefix opens one level, as one recursion per prefix would.
-        ``ops`` lists (constructor, grade or None, offset into the chain's
-        text) from the outermost prefix in.
+        The chain is read one prefix at a time, and each prefix opens one
+        level, as one recursion per prefix would.  ``ops`` lists
+        (constructor, grade or None, the prefix's text) from the outermost
+        prefix in.  Each node is the entry of (its prefix's text, the
+        identity of the node below it), so the tail ``[1/2]p`` of
+        ``[1/8]<1/8>[1/2]p`` is the node that the text ``[1/2]p`` parses to.
         """
         opened = self.open
-        start = self.match.end() - 1
         ops = []
         while True:
             token = self.match
             kind = self.kind
             if kind == "TILDE":
-                ops.append((Not, None, token.end() - 1 - start))
+                ops.append((Not, None, "~"))
                 end = token.end()
             elif kind == "LBRACK" or kind == "LT":
                 box = kind == "LBRACK"
@@ -314,73 +316,53 @@ class _Parser:
                     if self.kind != ("RBRACK" if box else "GT"):
                         raise self.unexpected(("']'",) if box else ("'>'",))
                     end = self.match.end()
-                ops.append((Box if box else Diamond, grade, token.end() - 1 - start))
+                ops.append((Box if box else Diamond, grade, self.text[token.end() - 1:end]))
             else:
                 break
             self.read(end)
             self.deeper(token)
-        core = self.unary()
+        node = self.unary()
         self.open = opened
-        if self.memo is not None:
-            return self.over(self.text[start:end], ops, core)
         self.depth += len(ops)
         self.size += len(ops)
-        for cls, grade, _ in reversed(ops):
-            core = Not(core) if grade is None else cls(grade, core)
-        return core
-
-    def over(self, prefix: str, ops: list, core: Formula) -> Formula:
-        """The chain ``ops``, spelled ``prefix``, over ``core``, shared through the memo.
-
-        Each node of the chain is the entry of (its own prefix text, the
-        chain's core), so the tail ``[1/2]p`` of ``[1/8]<1/8>[1/2]p`` is the
-        node that the text ``[1/2]p`` parses to.
-        """
         memo = self.memo
-        self.depth += len(ops)
-        self.size += len(ops)
-        core_id = id(core)
-        result = memo.get((prefix, core_id))
-        if result is None:
-            result = core
-            for cls, grade, at in reversed(ops):
-                key = (prefix[at:], core_id)
-                node = memo.get(key)
-                if node is None:
-                    node = memo[key] = Not(result) if grade is None else cls(grade, result)
-                result = node
-        return result
+        for cls, grade, spelled in reversed(ops):
+            key = (spelled, id(node))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = Not(node) if grade is None else cls(grade, node)
+            node = hit
+        return node
 
     def group(self) -> Formula:
-        """A parenthesised formula, looked up in and stored to the memo when there is one.
+        """A parenthesised formula, looked up in the memo and stored to it while the budget lasts.
 
         The text of the group is sliced for the lookup and again for the
         store, so no copy of it is held while its inside is parsed.
         """
         token = self.match
-        memo = self.memo
-        end = None
-        if memo is not None:
-            start = token.end() - 1
-            end = self.closing.get(start)
-            if end is not None:
-                hit = memo.get(self.text[start:end + 1])
-                # Inside the group a fresh parse opens fewer levels than its depth.
-                if hit is not None and self.open + hit[1] < MAX_DEPTH:
-                    result, self.depth, self.size = hit
-                    self.read(end + 1)
-                    return result
+        start = token.end() - 1
+        end = self.closing.get(start)
+        if end is not None:
+            hit = self.memo.get(self.text[start:end + 1])
+            # Inside the group a fresh parse opens fewer levels than its depth.
+            if hit is not None and self.open + hit[1] < MAX_DEPTH:
+                result, self.depth, self.size = hit
+                self.read(end + 1)
+                return result
         self.read(token.end())
         self.deeper(token)
         result = self.formula()
         self.open -= 1
         if self.kind != "RPAREN":
             raise self.unexpected(("')'",))
-        self.read(self.match.end())
+        stop = self.match.end()
+        self.read(stop)
         self.depth += 1
-        # A group past the limits is never reused (module docstring).
-        if end is not None and self.depth < MAX_DEPTH and self.size <= MAX_NODES:
-            memo[self.text[start:end + 1]] = (result, self.depth, self.size)
+        # A group past the limits is never reused, and the keys of one text copy at most its length.
+        if self.depth < MAX_DEPTH and self.size <= MAX_NODES and stop - start <= self.budget:
+            self.budget -= stop - start
+            self.memo[self.text[start:stop]] = (result, self.depth, self.size)
         return result
 
     def grade_tokens(self) -> Fraction:
@@ -414,15 +396,17 @@ def parse(text: str, memo: dict | None = None) -> Formula:
     nested more than :data:`MAX_DEPTH` levels deep or expanding to more
     than :data:`MAX_NODES` nodes.  A bad character is reported ahead of
     any other error.  ``memo``, a dict kept by the caller across a batch
-    of texts, parses each repeated text and group once and builds each
-    repeated prefix chain once; the result is the same as without it
-    (module docstring).
+    of texts, shares what the batch repeats: each stored text and group is
+    parsed once and each prefix chain's nodes are built once.  Without
+    one, the text gets a fresh memo of its own.  The result is the same
+    either way (module docstring).
     """
-    if memo is not None:
-        hit = memo.get(text)
-        # A group stored from inside a longer text may break the limits on its own.
-        if hit is not None and hit[1] <= MAX_DEPTH and hit[2] <= MAX_NODES:
-            return hit[0]
+    if memo is None:
+        memo = {}
+    hit = memo.get(text)
+    # A group stored from inside a longer text may break the limits on its own.
+    if hit is not None and hit[1] <= MAX_DEPTH and hit[2] <= MAX_NODES:
+        return hit[0]
     try:
         parser = _Parser(text, memo)
         first = parser.match
@@ -438,6 +422,5 @@ def parse(text: str, memo: dict | None = None) -> Formula:
         if bad is None:
             raise
         raise bad from None
-    if memo is not None:
-        memo[text] = (result, parser.depth, parser.size)
+    memo[text] = (result, parser.depth, parser.size)
     return result

@@ -15,10 +15,11 @@ line, j the implication line), or ``"nec:i:grade"``.
 
 :func:`proof_from_json` parses every formula and binding text of one file
 through one parser memo (see :mod:`umlogic.parser`), so each distinct
-text, parenthesised group, atom and prefix chain of the file is parsed
-once, a repeated one is skipped without tokenizing it, and equal spans
-become one shared :class:`Formula`.  The memo lives for that one call, so
-nothing is kept between files.
+text, atom and prefix chain of the file is parsed once, and so is each
+parenthesised group that the memo keeps (as many characters of group
+text as the line has); a repeated group is skipped without tokenizing
+it, and equal spans become one shared :class:`Formula`.  The memo lives
+for that one call, so nothing is kept between files.
 """
 from __future__ import annotations
 

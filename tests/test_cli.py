@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -717,3 +718,14 @@ class TestEntryPoint:
             pytest.skip("console script not on PATH")
         result = subprocess.run([exe, "axiom", "--formula", "[1]q -> q"], capture_output=True, text=True)
         assert result.returncode == 0
+
+    def test_console_script_target(self, capsys, monkeypatch):
+        """The ``[project.scripts]`` target, called as an installed script calls it: no arguments, argv from sys.argv."""
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+        module, _, name = project["scripts"]["umlogic"].partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["umlogic", "axiom", "--formula", "[1]q -> q"])
+        assert entry() == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["matches"][0]["schema"] == "T"
