@@ -26,12 +26,16 @@ the value type:
   (Biham 1997): a box ANDs the rows of each run of
   :meth:`UltrametricSpace.runs` and a diamond ORs them, one reduction over
   a view per run (:func:`_row_step`), so no valuation is looked up alone.
+  Each step that is not an atom writes its value in place into rows of
+  its own (:func:`batch_rows`), which an enumeration allocates once and
+  reuses for every batch, so no step allocates an array.
 * Either on a space without a tree, in point order: one pass per ball of
   :meth:`UltrametricSpace.ball_partition`.
 
 A modal step of the program carries its grade's key
-(:meth:`UltrametricSpace.grade_key`), so a warm step reads the rank with
-one dict lookup (:meth:`UltrametricSpace.rank_by_key`).
+(:meth:`UltrametricSpace.grade_key`), so a warm step, on an int or a
+batch, reads the rank with one dict lookup
+(:meth:`UltrametricSpace.rank_by_key`).
 """
 from __future__ import annotations
 
@@ -55,32 +59,35 @@ def _ball_step(space: UltrametricSpace, value: int, eps: Fraction, meets: bool) 
     return result
 
 
-def _row_step(space: UltrametricSpace, rows: np.ndarray, eps: Fraction, meets: bool) -> np.ndarray:
-    """Rows of the points whose eps-ball lies inside ``rows``, or meets them when ``meets``.
+def _row_step(space: UltrametricSpace, rows: np.ndarray, eps: Fraction, rank: int, meets: bool,
+              out: np.ndarray) -> np.ndarray:
+    """Rows of the points whose eps-ball lies inside ``rows``, or meets them when ``meets``, written into ``out``.
 
-    ``rows`` is a bit-sliced batch in leaf order.  Each run of leaves is
-    ANDed (box) or ORed (diamond) into all its rows, a view per run;
-    one-leaf balls keep theirs, so a grade without a longer run returns
-    ``rows`` itself, which no step mutates.  A table gathers per ball.
+    ``rows`` is a bit-sliced batch in leaf order and ``rank`` is
+    :meth:`UltrametricSpace.rank_of` ``eps``.  Each run of leaves is ANDed
+    (box) or ORed (diamond) into the run's first row of ``out``, which is
+    copied down the run; one-leaf balls copy theirs, so a grade without a
+    longer run returns ``rows`` itself and writes nothing.  ``out`` has the
+    shape of ``rows`` and shares no memory with it.  A table gathers per
+    ball, in point order.
     """
     reduce = np.bitwise_or.reduce if meets else np.bitwise_and.reduce
     if space.tree is None:
-        result = np.empty_like(rows)
         for ball, centres in space.ball_partition(eps):
-            result[space.members(centres)] = reduce(rows[space.members(ball)], axis=0)
-        return result
-    rank = space.rank_of(eps)
+            out[space.members(centres)] = reduce(rows[space.members(ball)], axis=0)
+        return out
     if not rank:  # a negative radius: every ball is empty
-        return np.full_like(rows, 0 if meets else np.iinfo(rows.dtype).max)
+        out.fill(0 if meets else np.iinfo(out.dtype).max)
+        return out
     runs, singles = space.runs(rank)
     if not runs:
         return rows
-    result = np.empty_like(rows)
     for start, end in singles:
-        result[start:end] = rows[start:end]
+        out[start:end] = rows[start:end]
     for start, end in runs:
-        result[start:end] = reduce(rows[start:end], axis=0)
-    return result
+        reduce(rows[start:end], axis=0, out=out[start])
+        out[start + 1:end] = out[start]
+    return out
 
 
 def _leaf_step(space: UltrametricSpace, value: int, rank: int, meets: bool) -> int:
@@ -170,36 +177,52 @@ def _program(f: Formula) -> tuple:
     return program
 
 
-def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object], full):
+def batch_rows(f: Formula, n: int, words: int) -> np.ndarray:
+    """Rows for :func:`evaluate` to write a batch of ``f`` into: ``n`` rows of ``words`` words per non-atom step.
+
+    Uninitialised; every step writes its own rows before any step reads
+    them, so one array serves every batch of an enumeration.
+    """
+    return np.empty((sum(op is not Atom for op, _, _ in _program(f)), n, words), dtype=np.uint64)
+
+
+def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object], full, out=None):
     """Truth set of ``f`` over ``space``: its slot program run into a list, one value per step.
 
     ``atom`` maps an atom name to its truth set and ``full`` is the set of
     all points, both in the space's leaf order: Python ints for one
     valuation (:meth:`Model.leaf_mask`), or bit-sliced batches of rows for
-    many, with ``full`` the all-ones ``np.uint64``.  Nothing computed for a
-    model is kept.
+    many, with ``full`` the all-ones ``np.uint64`` and ``out`` the rows of
+    :func:`batch_rows`.  Each non-atom step of a batch writes its value in
+    place into the next rows of ``out``, never into an operand, so an
+    atom's rows are only read.  Nothing computed for a model is kept.
     """
-    batch = isinstance(full, np.generic)
+    batch = out is not None
     leaves = not batch and space.tree is not None
     rank_by_key = space.rank_by_key
+    rows = iter(out if batch else ())
     values: list = []
     append = values.append
     for op, a, b in _program(f):
         if op is Atom:
             append(atom(a))
         elif op is Not:
-            append(full ^ values[a])
+            append(np.bitwise_xor(full, values[a], out=next(rows)) if batch else full ^ values[a])
         elif op is And:
-            append(values[a] & values[b])
+            append(np.bitwise_and(values[a], values[b], out=next(rows)) if batch else values[a] & values[b])
         elif op is Or:
-            append(values[a] | values[b])
+            append(np.bitwise_or(values[a], values[b], out=next(rows)) if batch else values[a] | values[b])
         elif op is Implies:
-            append((full ^ values[a]) | values[b])
+            if batch:
+                value = np.bitwise_xor(full, values[a], out=next(rows))
+                append(np.bitwise_or(value, values[b], out=value))
+            else:
+                append((full ^ values[a]) | values[b])
         else:
             meets = op is Diamond
             grade, key = b
             if batch:
-                append(_row_step(space, values[a], grade, meets))
+                append(_row_step(space, values[a], grade, rank_by_key(key, grade), meets, next(rows)))
             elif leaves:
                 append(_leaf_step(space, values[a], rank_by_key(key, grade), meets))
             else:

@@ -42,7 +42,10 @@ and, witness and count included, with ``ref_valid_by_valuation``, which
 evaluates one valuation at a time as Python ints through the per-ball
 step (``semantics._ball_step``) on the space held as a table, on every case and with blocks of 1, 4
 and the real number of words, so that totals fall below 64, at 64,
-inside one partial block and across many blocks.
+inside one partial block and across many blocks.  Every block of one
+call is written into the same array of rows, and no step writes into
+the candidate rows that its atoms read
+(``test_valid_in_model_writes_every_block_into_one_array``).
 """
 import random
 from fractions import Fraction
@@ -273,7 +276,7 @@ class TestAgainstPerWorldLoops:
         monkeypatch.setattr(semantics, "_row_step", lambda *args: steps.append(args) or row_step(*args))
         for f, want in zip(formulas, wants):
             steps.clear()
-            got = evaluate(space, f, rows.__getitem__, ONES)
+            got = evaluate(space, f, rows.__getitem__, ONES, semantics.batch_rows(f, space.n, 5))
             assert got.dtype == np.uint64 and got.shape == (space.n, 5), f
             assert to_masks(in_point_order(space, got), size) == want.tolist(), f
             assert bool(steps) == any(isinstance(g, (Box, Diamond)) for g in subformulas(f)), f
@@ -390,7 +393,7 @@ def test_slot_programs(label, space, table, monkeypatch):
              for name in ("p", "q")}
     for f, program, want in zip(formulas, programs, wants):
         steps.clear()
-        got = evaluate(space, f, batch.__getitem__, ONES)
+        got = evaluate(space, f, batch.__getitem__, ONES, semantics.batch_rows(f, space.n, 1))
         assert to_masks(in_point_order(space, got), len(valuations)) == want, f
         modal = any(op in (Box, Diamond) for op, _, _ in program)
         assert ("_row_step" in steps) == modal and set(steps) <= {"_row_step"}
@@ -430,27 +433,77 @@ def test_fine_grade_truth_masks_on_4096_worlds():
 
 # --- the block bounds --------------------------------------------------------
 
-@pytest.mark.parametrize("n", [8, 9, 16, 17, 18, 19])
-def test_valid_in_model_at_bounds(n):
-    """Blocks of 4,096 words per row up to 8 points, 2,048 up to 16 and 1,024 up to 32; one atom past 9 keeps this fast.
+# Points: the atoms and the number of blocks they fill.
+BOUNDS = {6: (("p", "q", "r"), 2), 8: (("p", "q"), 1 / 2), 9: (("p", "q"), 4), 15: (("p",), 1 / 2),
+          16: (("p",), 1), 17: (("p",), 4), 18: (("p",), 8), 19: (("p",), 16)}
 
-    Two atoms on 8 points fill part of one block, on 9 points two blocks;
-    one atom on 16 points fills part of one block, on 17 to 19 points 2 to 8.
+
+@pytest.mark.parametrize("n", sorted(BOUNDS))
+def test_valid_in_model_at_bounds(n):
+    """Blocks of 2,048 words per row up to 8 points, 1,024 up to 16 and 512 up to 32; one atom past 9 keeps this fast.
+
+    Three atoms on 6 points fill two blocks; two atoms on 8 points fill
+    half of one block, on 9 points four; one atom on 15 points fills half
+    of one block, on 16 exactly one, on 17 to 19 points 4 to 16.
     """
+    names, blocks = BOUNDS[n]
+    assert (1 << n * len(names)) / (64 * validity._block_words(n)) == blocks
     rng = random.Random(n)
     space = random_ultrametric_space(rng, n)
     grades = formula_grades(dense_table(space))
-    names = ("p", "q") if n <= 9 else ("p",)
     formulas = [random_schema_instance(rng, schema, names, grades, formula_depth=1)[0]
                 for schema in ("K", "T", "UM3", "D")]
     # Refuted early, late (p everywhere: the last candidate, in the last of
-    # eight blocks at 19 points) and by a diamond; then valid with a diamond.
+    # sixteen blocks at 19 points) and by a diamond; then valid with a diamond.
     texts = ["<1/2>p -> [1/2]p", "~[1]p", "<1/4>p -> p", "p -> <1/4>[1/2]<1/2>p"]
     if len(names) == 2:
         texts += ["[1/2](p -> q) -> ([1/2]p -> [1/2]q)", "<1/2>p & <1/2>q -> <1/2>(p & q)"]
+    if len(names) == 3:
+        texts += ["~[1](p & q & r)", "[1/2](p -> q) & [1/2](q -> r) -> [1/2](p -> r)"]
     formulas += [parse(text) for text in texts]
     for f in formulas:
         assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
+
+
+# --- the rows a batch is written into ------------------------------------------
+
+# Each on a random space of the given size.  "~[1]p" and "~[1](p & q)" are
+# refuted only by their atoms everywhere, the last candidate, after every
+# earlier block has written the rows; grade 0 has one-leaf balls only, so
+# its box or diamond returns its input and the "~", "&" or "->" over it
+# writes rows of its own; "p" has no step to write and "p -> p" one.
+REUSE_CASES = [(19, "~[1]p"), (7, "~[1](p & q)"), (7, "~~[0]p -> p"), (7, "[0]p & ~p -> q"),
+               (7, "~([0]p & <0>q)"), (7, "p"), (7, "p -> p")]
+
+
+@pytest.mark.parametrize("words", [1, 4, None])
+@pytest.mark.parametrize("n, text", REUSE_CASES, ids=[text for _, text in REUSE_CASES])
+def test_valid_in_model_writes_every_block_into_one_array(n, text, words, monkeypatch):
+    """Verdict, witness and count against ``ref_valid_in_model``, in blocks of 1, 4 and the real words.
+
+    Every block is evaluated into the same rows, allocated once per call
+    and sized by the block; after each ``evaluate`` the candidate rows,
+    which atoms read as views, are as they were.
+    """
+    if words is not None:
+        monkeypatch.setattr(validity, "_block_words", lambda n: words)
+    space, f = random_ultrametric_space(random.Random(n), n), parse(text)
+    assert not space.runs(space.rank_of(0))[0]  # no twins: every ball of grade 0 is one leaf
+    names, arrays = sorted(atoms(f)), []
+
+    def checked(space, f, atom, full, out):
+        before = [atom(name).copy() for name in names]
+        value = evaluate(space, f, atom, full, out)
+        assert all(np.array_equal(atom(name), rows) for name, rows in zip(names, before)), f
+        arrays.append(out)
+        return value
+
+    monkeypatch.setattr(validity, "evaluate", checked)
+    assert valid_in_model(space, f) == ref_valid_in_model(space, f), f
+    total_words = max((1 << n * len(names)) >> 6, 1)
+    block = min(validity._block_words(n), total_words)
+    steps = sum(op is not Atom for op, _, _ in semantics._program(f))
+    assert all(out is arrays[0] for out in arrays) and arrays[0].shape == (steps, n, block)
 
 
 def test_runs_are_cached_per_rank_and_per_space():
@@ -512,20 +565,35 @@ def test_row_step_matches_the_ball_step(label, space):
     rows = in_leaf_order(space, to_rows(masks, space.n))
     for eps in grades:
         for meets in (False, True):
-            got = semantics._row_step(space, rows, eps, meets)
+            got = semantics._row_step(space, rows, eps, space.rank_of(eps), meets, np.empty_like(rows))
             assert got.shape == rows.shape and got.dtype == np.uint64
             want = [_ball_step(per_ball, mask, eps, meets) for mask in masks]
             assert to_masks(in_point_order(space, got), len(masks)) == want, (eps, meets)
 
 
 def test_row_step_returns_its_input_when_every_ball_is_one_leaf():
-    """A grade whose balls are single leaves copies nothing; values are never mutated, so sharing them is safe."""
+    """A grade whose balls are single leaves writes nothing and returns its input; no step writes into its operand."""
     space = cantor_space(4)
     rows = to_rows(sample_masks(random.Random(4), space.n), space.n)
     rows.setflags(write=False)
-    assert semantics._row_step(space, rows, Fraction(0), False) is rows
-    assert semantics._row_step(space, rows, Fraction(1, 64), True) is rows
-    assert semantics._row_step(space, rows, Fraction(1, 16), True) is not rows
+    out = np.zeros_like(rows)
+    for eps, meets in ((Fraction(0), False), (Fraction(1, 64), True)):
+        assert semantics._row_step(space, rows, eps, space.rank_of(eps), meets, out) is rows
+    assert not out.any()
+    eps = Fraction(1, 16)
+    assert semantics._row_step(space, rows, eps, space.rank_of(eps), True, out) is out
+
+
+@pytest.mark.parametrize("meets", [False, True], ids=["box", "diamond"])
+def test_row_step_at_a_negative_radius_fills_the_given_rows(meets):
+    """Rank 0: every ball is empty, so a box holds everywhere and a diamond nowhere, over an earlier block's rows."""
+    space = cantor_space(3)
+    rows = to_rows(sample_masks(random.Random(3), space.n), space.n)
+    rows.setflags(write=False)
+    out = to_rows(sample_masks(random.Random(5), space.n), space.n)
+    eps = Fraction(-1)
+    assert semantics._row_step(space, rows, eps, space.rank_of(eps), meets, out) is out
+    assert (out == (0 if meets else ONES)).all()
 
 
 @pytest.mark.parametrize("label, space, table", TREE_CASES, ids=[label for label, _, _ in TREE_CASES])

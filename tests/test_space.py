@@ -254,7 +254,8 @@ class TestConstruction:
         "ball": lambda s, r: s.ball("a", r),
         "ball-run": lambda s, r: s.ball_run("a", r),
         "ball-partition": lambda s, r: s.ball_partition(r),
-        "row-step": lambda s, r: _row_step(s, np.arange(1, s.n + 1, dtype=np.uint64)[:, None], r, False),
+        "row-step": lambda s, r: _row_step(s, np.arange(1, s.n + 1, dtype=np.uint64)[:, None], r, s.rank_of(r), False,
+                                           np.empty((s.n, 1), dtype=np.uint64)),
         "interior-mask": lambda s, r: interior_mask(s, 1, r),
         "closure-mask": lambda s, r: closure_mask(s, 1, r),
         "interior-eps": lambda s, r: interior_eps(s, ["a"], r),
