@@ -9,12 +9,15 @@ One evaluator, :func:`evaluate`, serves every query.  It runs the
 formula's slot program (:func:`_program`): the formula as parsed,
 compiled once and cached on its node, one ``(opcode, a, b)`` step per
 distinct subformula, children first.  All seven constructors are steps,
-so nothing is desugared first; truth sets are never cached.  The balls
-of one grade partition the points, and every centre of a ball sees the
-same ball, so a modal step decides each ball once.  On a space with a
-tree, values are in leaf order (:meth:`UltrametricSpace.to_leaves`),
-where each ball is a run of adjacent leaves.  How a step goes depends on
-the value type:
+so nothing is desugared first; truth sets are never cached.  On a finite
+space the balls of a grade change only at realized distances, so a modal
+step takes the grade's rank among them
+(:meth:`UltrametricSpace.rank_of`) and every modal step has the
+signature ``(space, value, rank, meets)``.  On a space with a tree the
+balls of one grade partition the points into runs of adjacent leaves, and
+values are in leaf order (:meth:`UltrametricSpace.to_leaves`), so a
+modal step decides each ball once.  Which step runs depends on the value
+type, and is chosen once per call:
 
 * One Python-int mask (:func:`truth_mask`): a closure step carries each
   run's bits into the run's last bit (:meth:`UltrametricSpace.tops`) with
@@ -29,17 +32,20 @@ the value type:
   Each step that is not an atom writes its value in place into rows of
   its own (:func:`batch_rows`), which an enumeration allocates once and
   reuses for every batch, so no step allocates an array.
-* Either on a space without a tree, in point order: one pass per ball of
-  :meth:`UltrametricSpace.ball_partition`.
+* Either on a space without a tree, in point order: each point's ball is
+  read from its own table row (:meth:`UltrametricSpace.table_balls`), so
+  a table that breaks a law is read row by row (:func:`_ball_step` on an
+  int, and :func:`_row_step` on a batch).
 
-A modal step of the program carries its grade's key
+A modal step of the program holds only its grade's key
 (:meth:`UltrametricSpace.grade_key`), so a warm step, on an int or a
 batch, reads the rank with one dict lookup
-(:meth:`UltrametricSpace.rank_by_key`).
+(:meth:`UltrametricSpace.rank_by_key`).  :func:`interior_mask`,
+:func:`closure_mask` and :meth:`UltrametricSpace.ball` take
+:meth:`UltrametricSpace.rank_of` the grade they are given.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -50,31 +56,34 @@ from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or, subform
 from .space import Model, UltrametricSpace
 
 
-def _ball_step(space: UltrametricSpace, value: int, eps: Fraction, meets: bool) -> int:
-    """Point-order mask of the centres of the eps-balls inside ``value``, or meeting it when ``meets``."""
+def _ball_step(space: UltrametricSpace, value: int, rank: int, meets: bool) -> int:
+    """Point-order mask of the points whose ball of the radii below ``rank`` lies inside ``value``, or meets it.
+
+    ``value`` is a point-order mask on a space without a tree, and each
+    point's ball is read from its own table row
+    (:meth:`UltrametricSpace.table_balls`).
+    """
     result = 0
-    for ball, centres in space.ball_partition(eps):
+    for i, ball in enumerate(space.table_balls(rank)):
         if (value & ball != 0) if meets else (value & ball == ball):
-            result |= centres
+            result |= 1 << i
     return result
 
 
-def _row_step(space: UltrametricSpace, rows: np.ndarray, eps: Fraction, rank: int, meets: bool,
-              out: np.ndarray) -> np.ndarray:
-    """Rows of the points whose eps-ball lies inside ``rows``, or meets them when ``meets``, written into ``out``.
+def _row_step(space: UltrametricSpace, rows: np.ndarray, rank: int, meets: bool, out: np.ndarray) -> np.ndarray:
+    """Rows of the points whose ball of the radii below ``rank`` lies inside ``rows``, or meets them, into ``out``.
 
-    ``rows`` is a bit-sliced batch in leaf order and ``rank`` is
-    :meth:`UltrametricSpace.rank_of` ``eps``.  Each run of leaves is ANDed
-    (box) or ORed (diamond) into the run's first row of ``out``, which is
-    copied down the run; one-leaf balls copy theirs, so a grade without a
-    longer run returns ``rows`` itself and writes nothing.  ``out`` has the
-    shape of ``rows`` and shares no memory with it.  A table gathers per
-    ball, in point order.
+    ``rows`` is a bit-sliced batch in leaf order.  On a tree each run of
+    leaves is ANDed (box) or ORed (diamond) into the run's first row of
+    ``out``, which is copied down the run; one-leaf balls copy theirs, so a
+    grade without a longer run returns ``rows`` itself and writes nothing.
+    ``out`` has the shape of ``rows`` and shares no memory with it.  A
+    table, in point order, reduces each point's ball into the point's row.
     """
     reduce = np.bitwise_or.reduce if meets else np.bitwise_and.reduce
     if space.tree is None:
-        for ball, centres in space.ball_partition(eps):
-            out[space.members(centres)] = reduce(rows[space.members(ball)], axis=0)
+        for i, ball in enumerate(space.table_balls(rank)):
+            reduce(rows[space.members(ball)], axis=0, out=out[i])
         return out
     if not rank:  # a negative radius: every ball is empty
         out.fill(0 if meets else np.iinfo(out.dtype).max)
@@ -114,32 +123,19 @@ def _leaf_step(space: UltrametricSpace, value: int, rank: int, meets: bool) -> i
     return y if meets else full ^ y
 
 
-def _mask_step(space: UltrametricSpace, mask: int, eps: Fraction, meets: bool) -> int:
-    """:func:`_leaf_step` on a point-order mask of a space with a tree, :func:`_ball_step` without one."""
-    if space.tree is None:
-        return _ball_step(space, mask, eps, meets)
-    return space.from_leaves(_leaf_step(space, space.to_leaves(mask), space.rank_of(eps), meets))
+def _mask_step(space: UltrametricSpace) -> Callable[[UltrametricSpace, int, int, bool], int]:
+    """The modal step on one mask: :func:`_leaf_step` on a space with a tree, :func:`_ball_step` without one."""
+    return _ball_step if space.tree is None else _leaf_step
 
 
 def interior_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose whole closed eps-ball lies inside ``mask``."""
-    return _mask_step(space, mask, eps, meets=False)
+    return space.from_leaves(_mask_step(space)(space, space.to_leaves(mask), space.rank_of(eps), False))
 
 
 def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
     """Bitmask of points whose closed eps-ball meets ``mask``."""
-    return _mask_step(space, mask, eps, meets=True)
-
-
-@functools.lru_cache
-def _modal_operand(key: tuple[int, int]) -> tuple:
-    """``(grade, key)`` of a modal step whose grade has :meth:`UltrametricSpace.grade_key` ``key``.
-
-    Shared by every step of that grade, so a compiled program holds no
-    pair of its own per modal step; looked up by the key, whose hash is
-    cheaper than a Fraction's.
-    """
-    return Fraction(*key), key
+    return space.from_leaves(_mask_step(space)(space, space.to_leaves(mask), space.rank_of(eps), True))
 
 
 def _program(f: Formula) -> tuple:
@@ -148,8 +144,8 @@ def _program(f: Formula) -> tuple:
     One ``(opcode, a, b)`` step per distinct subformula, children first, so
     the last step is ``f``.  The opcode is the constructor's class; ``a`` is
     an atom's name or the slot of the step's first child, and ``b`` the slot
-    of a binary step's right child, or for a modal step the pair
-    :func:`_modal_operand` of its grade.
+    of a binary step's right child, or for a modal step its grade's
+    :meth:`UltrametricSpace.grade_key`, so a program holds no Fraction.
     """
     program = getattr(f, "_program", None)
     if program is None:
@@ -167,7 +163,7 @@ def _program(f: Formula) -> tuple:
             elif isinstance(g, Implies):
                 step = (Implies, slot[g.left], slot[g.right])
             elif isinstance(g, (Box, Diamond)):
-                step = (type(g), slot[g.sub], _modal_operand(UltrametricSpace.grade_key(g.grade)))
+                step = (type(g), slot[g.sub], UltrametricSpace.grade_key(g.grade))
             else:
                 raise TypeError(f"not a formula: {g!r}")
             slot[g] = len(steps)
@@ -195,10 +191,13 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
     many, with ``full`` the all-ones ``np.uint64`` and ``out`` the rows of
     :func:`batch_rows`.  Each non-atom step of a batch writes its value in
     place into the next rows of ``out``, never into an operand, so an
-    atom's rows are only read.  Nothing computed for a model is kept.
+    atom's rows are only read.  A modal step reads its rank by the grade
+    key it holds; on one int it is the step :func:`_mask_step` chooses
+    once for the call, and on a batch :func:`_row_step`.  Nothing computed
+    for a model is kept.
     """
     batch = out is not None
-    leaves = not batch and space.tree is not None
+    step = _mask_step(space)
     rank_by_key = space.rank_by_key
     rows = iter(out if batch else ())
     values: list = []
@@ -219,14 +218,9 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
             else:
                 append((full ^ values[a]) | values[b])
         else:
-            meets = op is Diamond
-            grade, key = b
-            if batch:
-                append(_row_step(space, values[a], grade, rank_by_key(key, grade), meets, next(rows)))
-            elif leaves:
-                append(_leaf_step(space, values[a], rank_by_key(key, grade), meets))
-            else:
-                append(_ball_step(space, values[a], grade, meets))
+            rank, meets = rank_by_key(b), op is Diamond
+            append(_row_step(space, values[a], rank, meets, next(rows)) if batch
+                   else step(space, values[a], rank, meets))
     return values[-1]
 
 

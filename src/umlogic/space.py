@@ -15,18 +15,21 @@ only here: every pairwise distance elsewhere is one row at a time
 (:meth:`UltrametricSpace.row`).
 
 Each grade is resolved once per space to its rank among the realized
-distances (:meth:`UltrametricSpace.rank_of`), and everything per grade
-is cached per rank.  On a tree each ball of a grade is a run of adjacent
-leaves, the one form of a grade's balls a tree keeps: one integer marks
-the last leaf of every run (:meth:`UltrametricSpace.tops`), which the
-modal step on leaf-order masks (:meth:`UltrametricSpace.to_leaves`)
-reads and which bounds a single ball (:meth:`UltrametricSpace.ball_run`),
-and the same runs as bounds (:meth:`UltrametricSpace.runs`) are what
-validity's bit-sliced batches reduce.  Each ball of every grade is listed
-once by :meth:`UltrametricSpace.tree_balls`, and the nearest member of a
-mask is found by bit arithmetic (:meth:`UltrametricSpace.nearest_leaf`).
-A table is grouped into the distinct balls of a grade instead
-(:meth:`UltrametricSpace.ball_partition`).
+distances (:meth:`UltrametricSpace.rank_of`, or
+:meth:`UltrametricSpace.rank_by_key` from a grade's key).  Balls change
+only at realized distances, so every reader of a grade's balls takes the
+rank, and caches what it builds per rank.  On a tree each ball of a
+grade is a run of adjacent leaves, the one form of a grade's balls a
+tree keeps: one integer marks the last leaf of every run
+(:meth:`UltrametricSpace.tops`), which the modal step on leaf-order masks
+(:meth:`UltrametricSpace.to_leaves`) reads and which bounds a single ball
+(:meth:`UltrametricSpace.ball_run`), and the same runs as bounds
+(:meth:`UltrametricSpace.runs`) are what validity's bit-sliced batches
+reduce.  Each ball of every grade is listed once by
+:meth:`UltrametricSpace.tree_balls`, and the nearest member of a mask is
+found by bit arithmetic (:meth:`UltrametricSpace.nearest_leaf`).  A table
+reads each point's ball from the point's own row instead
+(:meth:`UltrametricSpace.table_balls`).
 
 Every number a caller gives (a matrix entry, a pair distance, a radius,
 and elsewhere a grade, a scaling constant or a factor) is read by
@@ -157,7 +160,7 @@ class UltrametricSpace:
         self._distances = distances
         self._ranks = None if ranks is None else self._frozen(ranks)
         self._grade_ranks: dict[tuple[int, int], int] = {}
-        self._partitions: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._table_balls: dict[int, tuple[int, ...]] = {}
         self._tops: dict[int, int] = {}
         self._run_bounds: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
         self._nesting: list[tuple[int, int, int, int | None]] | None = None
@@ -349,24 +352,25 @@ class UltrametricSpace:
         space, in a dict keyed by :meth:`grade_key`, so repeated grades
         cost no search over the Fraction distances.
         """
-        eps = read_rational(eps)
-        return self.rank_by_key(self.grade_key(eps), eps)
+        return self.rank_by_key(self.grade_key(read_rational(eps)))
 
     @staticmethod
     def grade_key(eps: Fraction) -> tuple[int, int]:
         """The key under which a space files the rank of the exact grade ``eps``: ``(numerator, denominator)``."""
         return (eps.numerator, eps.denominator)
 
-    def rank_by_key(self, key: tuple[int, int], eps: Fraction) -> int:
-        """:meth:`rank_of` the Fraction ``eps`` whose :meth:`grade_key` is ``key``: one dict lookup once resolved.
+    def rank_by_key(self, key: tuple[int, int]) -> int:
+        """:meth:`rank_of` the grade whose :meth:`grade_key` is ``key``: one dict lookup once resolved.
 
         A caller that keeps the key of a grade it asks for often, as a
         compiled formula does (:func:`umlogic.semantics.evaluate`), skips
-        reading ``eps`` and building its key on every query.
+        reading the grade and building its key on every query.  The grade's
+        Fraction is rebuilt from the key only on a miss, once per grade per
+        space.
         """
         rank = self._grade_ranks.get(key)
         if rank is None:
-            rank = self._grade_ranks[key] = bisect_right(self._distances, eps)
+            rank = self._grade_ranks[key] = bisect_right(self._distances, Fraction(*key))
         return rank
 
     def tops(self, rank: int) -> int:
@@ -396,34 +400,25 @@ class UltrametricSpace:
             cached = self._run_bounds[rank] = (runs, tuple((start, end) for start, end in gaps if start < end))
         return cached
 
-    def ball_partition(self, eps: Fraction) -> tuple[tuple[int, int], ...]:
-        """The distinct closed eps-balls of a space without a tree, each once as a (ball, centres) pair of bitmasks.
+    def table_balls(self, rank: int) -> tuple[int, ...]:
+        """Each point's ball of the radii below ``rank`` as a point-order bitmask, in point order; needs a table.
 
-        ``centres`` holds the points whose closed eps-ball is ``ball``, so the
-        centres of all pairs partition the points.  Pairs come in order of
-        their first centre, cached per :meth:`rank_of` ``eps``.  A tree raises ValueError.
+        Entry i is read from row i of the table: the points j whose
+        distance from i has a rank below ``rank``.  On a table that breaks a
+        law, ``j`` in the ball of ``i`` need not have the same ball.  Cached
+        per rank.
         """
-        below = self.rank_of(eps)
-        if self._tree is not None:
-            raise ValueError("a space with a tree keeps its balls as runs of leaves")
-        cached = self._partitions.get(below)
-        if cached is None:
-            packed = np.packbits(self._ranks < below, axis=1, bitorder="little")
-            data, width = packed.tobytes(), packed.shape[1]
-            # Group the points by the bytes of their ball; only distinct balls become ints.
-            centres: dict[bytes, int] = {}
-            for i in range(self.n):
-                row = data[i * width:(i + 1) * width]
-                centres[row] = centres.get(row, 0) | 1 << i
-            cached = tuple((int.from_bytes(row, "little"), held) for row, held in centres.items())
-            self._partitions[below] = cached
-        return cached
+        balls = self._table_balls.get(rank)
+        if balls is None:
+            packed = np.packbits(self._ranks < rank, axis=1, bitorder="little")
+            balls = self._table_balls[rank] = tuple(int.from_bytes(row, "little") for row in packed)
+        return balls
 
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
         """The closed ball around ``x`` of radius ``eps``, or none for a negative radius; a run of leaves on a tree."""
         if self._tree is None:
             i = self.index(x)
-            return self.names_of(next(ball for ball, centres in self.ball_partition(eps) if centres >> i & 1))
+            return self.names_of(self.table_balls(self.rank_of(eps))[i])
         start, end = self.ball_run(x, eps)
         return frozenset(map(self._points.__getitem__, self._tree[0][start:end].tolist()))
 

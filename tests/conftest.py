@@ -15,7 +15,7 @@ def dense_table(space: UltrametricSpace) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def held_as_table(space: UltrametricSpace) -> UltrametricSpace:
-    """The same points and distances held as a table with no tree, read per ball as a space that breaks a law is.
+    """The same points and distances held as a table with no tree, read row by row as a space that breaks a law is.
 
     The table is set up from the space's rows of ranks, one byte per entry
     on the test spaces, so ``cantor_space(12)`` takes 16 MB.

@@ -3,13 +3,15 @@
 Interior, closure and the evaluator shared by truth sets and validity
 (``semantics.evaluate``, run on numpy batches here) take one step per
 distinct ball of a grade and set all of the ball's centres at once, on
-the formula as parsed.  A space without a tree groups its table into
-those balls (``UltrametricSpace.ball_partition``); a tree keeps them as
-runs of adjacent leaves (``UltrametricSpace.runs`` and ``tops``).  The
-references below are the earlier loops on the desugared formula, one step
-per world, reading each world's ball straight from the dense Fraction
-table (``ref_ball_masks``), so they share no code with the ball caches or
-the evaluator; ``ref_valid_in_model`` is the earlier enumeration driven
+the formula as parsed; a tree keeps those balls as runs of adjacent
+leaves (``UltrametricSpace.runs`` and ``tops``).  A space without a tree
+reads each point's ball from its own table row instead
+(``UltrametricSpace.table_balls``), one step per point.  Every step takes
+the grade's rank (``UltrametricSpace.rank_of``).  The references below
+are the earlier loops on the desugared formula, one step per world,
+reading each world's ball straight from the dense Fraction table
+(``ref_ball_masks``), so they share no code with the ball caches or the
+evaluator; ``ref_valid_in_model`` is the earlier enumeration driven
 by ``ref_eval_chunk``.  The spaces are those of ``test_rank_table``:
 generated ultrametrics, history spaces with duplicate points, and broken
 or perturbed tables, where a ball's centres differ from its members.
@@ -34,7 +36,7 @@ A batch is bit-sliced: one ``uint64`` row per point, one bit per
 valuation, with its rows in leaf order on a tree (``in_leaf_order``), so
 a modal step ANDs or ORs each run of rows over a view
 (``semantics._row_step``); a space without a tree keeps point order and
-gathers each ball's member rows into its centres' rows.  ``to_rows`` and
+reduces each point's ball into the point's row.  ``to_rows`` and
 ``to_masks`` turn per-valuation masks into point-order rows and back, so
 a batch is compared with the per-world loops one valuation at a time.
 ``valid_in_model`` is compared with the earlier vectorised enumeration
@@ -212,7 +214,7 @@ def sample_formulas(rng, grades, count):
 @pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
 class TestAgainstPerWorldLoops:
     def test_partition_shape(self, label, space, table):
-        """A table's (ball, centres) pairs, or a tree's runs of leaves, against each point's ball in the table."""
+        """A table's ball per point, or a tree's runs of leaves, against each point's ball in the table."""
         for eps in probe_grades(ref_realized(table)):
             masks = ref_ball_masks(table, eps)
             if space.tree is not None:
@@ -231,13 +233,7 @@ class TestAgainstPerWorldLoops:
                     assert all(masks[i] == ball for i in leaves[start:end])
                 assert all(masks[i] == 1 << i for start, end in singles for i in leaves[start:end])
                 continue
-            pairs = space.ball_partition(eps)
-            centres = [c for _, c in pairs]
-            assert sum(centres) == space.full_mask
-            assert all(a & b == 0 for i, a in enumerate(centres) for b in centres[i + 1:])
-            assert centres == sorted(centres, key=lambda c: c & -c)
-            for ball, held in pairs:
-                assert all(masks[i] == ball for i in space.members(held).tolist())
+            assert space.table_balls(space.rank_of(eps)) == masks, eps
 
     def test_interior_and_closure(self, label, space, table):
         rng = random.Random(label)
@@ -412,7 +408,7 @@ def per_ball_truth(table, f, masks):
     if isinstance(f, Not):
         return full ^ per_ball_truth(table, f.sub, masks)
     if isinstance(f, (Box, Diamond)):
-        return _ball_step(table, per_ball_truth(table, f.sub, masks), f.grade, isinstance(f, Diamond))
+        return _ball_step(table, per_ball_truth(table, f.sub, masks), table.rank_of(f.grade), isinstance(f, Diamond))
     left, right = per_ball_truth(table, f.left, masks), per_ball_truth(table, f.right, masks)
     return {And: left & right, Or: left | right, Implies: (full ^ left) | right}[type(f)]
 
@@ -565,9 +561,9 @@ def test_row_step_matches_the_ball_step(label, space):
     rows = in_leaf_order(space, to_rows(masks, space.n))
     for eps in grades:
         for meets in (False, True):
-            got = semantics._row_step(space, rows, eps, space.rank_of(eps), meets, np.empty_like(rows))
+            got = semantics._row_step(space, rows, space.rank_of(eps), meets, np.empty_like(rows))
             assert got.shape == rows.shape and got.dtype == np.uint64
-            want = [_ball_step(per_ball, mask, eps, meets) for mask in masks]
+            want = [_ball_step(per_ball, mask, per_ball.rank_of(eps), meets) for mask in masks]
             assert to_masks(in_point_order(space, got), len(masks)) == want, (eps, meets)
 
 
@@ -578,10 +574,9 @@ def test_row_step_returns_its_input_when_every_ball_is_one_leaf():
     rows.setflags(write=False)
     out = np.zeros_like(rows)
     for eps, meets in ((Fraction(0), False), (Fraction(1, 64), True)):
-        assert semantics._row_step(space, rows, eps, space.rank_of(eps), meets, out) is rows
+        assert semantics._row_step(space, rows, space.rank_of(eps), meets, out) is rows
     assert not out.any()
-    eps = Fraction(1, 16)
-    assert semantics._row_step(space, rows, eps, space.rank_of(eps), True, out) is out
+    assert semantics._row_step(space, rows, space.rank_of(Fraction(1, 16)), True, out) is out
 
 
 @pytest.mark.parametrize("meets", [False, True], ids=["box", "diamond"])
@@ -591,8 +586,7 @@ def test_row_step_at_a_negative_radius_fills_the_given_rows(meets):
     rows = to_rows(sample_masks(random.Random(3), space.n), space.n)
     rows.setflags(write=False)
     out = to_rows(sample_masks(random.Random(5), space.n), space.n)
-    eps = Fraction(-1)
-    assert semantics._row_step(space, rows, eps, space.rank_of(eps), meets, out) is out
+    assert semantics._row_step(space, rows, space.rank_of(Fraction(-1)), meets, out) is out
     assert (out == (0 if meets else ONES)).all()
 
 

@@ -123,9 +123,12 @@ def test_generated_spaces_are_ultrametric(case):
         ball = space.ball(x, grade)
         # Every point of a ball is a centre of it.
         assert all(space.ball(y, grade) == ball for y in ball)
-    # So too when the table is grouped into balls without the tree.
-    for ball, centres in held_as_table(space).ball_partition(grade):
-        assert ball == centres
+    # So too when each point's ball is read from its own row of the table, without the tree.
+    table = held_as_table(space)
+    balls = table.table_balls(table.rank_of(grade))
+    for i, x in enumerate(space.points):
+        assert table.names_of(balls[i]) == space.ball(x, grade)
+        assert all(balls[j] == balls[i] for j in table.members(balls[i]).tolist())
 
 
 @SETTINGS
@@ -140,8 +143,9 @@ def test_box_diamond_duality(case):
     full, per_ball = space.full_mask, held_as_table(space)
     assert closure_mask(space, a, grade) == full ^ interior_mask(space, full ^ a, grade)
     model = Model(space, {"p": space.names_of(a)})
-    assert truth_mask(model, Diamond(grade, Atom("p"))) == _ball_step(per_ball, a, grade, True)
-    assert truth_mask(model, Box(grade, Atom("p"))) == _ball_step(per_ball, a, grade, False)
+    rank = per_ball.rank_of(grade)
+    assert truth_mask(model, Diamond(grade, Atom("p"))) == _ball_step(per_ball, a, rank, True)
+    assert truth_mask(model, Box(grade, Atom("p"))) == _ball_step(per_ball, a, rank, False)
 
 
 @SETTINGS

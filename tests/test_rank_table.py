@@ -29,6 +29,7 @@ step, and ``nearest_leaf`` with the least rank of each row over the mask.
 import json
 import random
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -123,14 +124,6 @@ def ref_ball_masks(m, eps):
 
 def ref_realized(m):
     return sorted({d for row in m for d in row})
-
-
-def ref_partition(m, eps):
-    """The distinct eps-balls, each with the points whose ball it is, in order of first centre."""
-    centres = {}
-    for i, ball in enumerate(ref_ball_masks(m, eps)):
-        centres[ball] = centres.get(ball, 0) | 1 << i
-    return tuple(centres.items())
 
 
 def ref_distinct_balls(m):
@@ -364,7 +357,7 @@ def listed_tree_balls(space):
 
 
 def per_point_balls(space, eps):
-    """Each point's closed eps-ball as a bitmask, read by ``ball``: a run of leaves on a tree, else the partition."""
+    """Each point's closed eps-ball as a bitmask, read by ``ball``: a run of leaves on a tree, else a table row."""
     return tuple(space.mask_of(space.ball(x, eps)) for x in space.points)
 
 
@@ -736,7 +729,7 @@ def assert_readers_match_the_table(space, table, masks):
     for eps in tree_grades(space):
         assert per_point_balls(space, eps) == ref_ball_masks(table, eps), eps
         if space.tree is None:
-            assert space.ball_partition(eps) == ref_partition(table, eps), eps
+            assert space.table_balls(space.rank_of(eps)) == ref_ball_masks(table, eps), eps
     masks = [0, space.full_mask, *masks, *(1 << i for i in range(n))]
     for i in range(n):
         for mask in masks:
@@ -866,7 +859,7 @@ def test_leaf_step_matches_the_ball_step(label, space, table):
         for eps in leaf_grades(space):
             for meets in (False, True):
                 got = space.from_leaves(_leaf_step(space, leaves, space.rank_of(eps), meets))
-                assert got == _ball_step(per_ball, mask, eps, meets), (mask, eps, meets)
+                assert got == _ball_step(per_ball, mask, per_ball.rank_of(eps), meets), (mask, eps, meets)
 
 
 @pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=labels(LEAF_CASES))
@@ -936,17 +929,15 @@ def test_each_grade_is_resolved_once(monkeypatch):
 
 
 def test_a_warm_leaf_step_reads_the_rank_by_the_grade_key_it_carries(monkeypatch):
-    """A compiled modal step holds its grade's key: a warm query reads no grade and searches no distances."""
+    """A compiled modal step holds only its grade's key: a warm query reads no grade and searches no distances."""
     space = cantor_space(3)
     model = Model(space, {"p": space.points[::3]})
     f = parse("[1/4]<1/8>p -> <1/2>[1/16](p & <1/2>p)")
     want = truth_mask(model, f)
-    steps = [b for op, _, b in semantics._program(f) if op in (Box, Diamond)]
-    assert [key for _, key in steps] == [UltrametricSpace.grade_key(g) for g, _ in steps] and len(steps) == 5
-    # Steps of one grade share their operand, here the two <1/2>, in this formula and the next.
-    halves = [b for b in steps if b[0] == Fraction(1, 2)]
-    assert len(halves) == 2 and halves[0] is halves[1] is semantics._program(parse("[1/2]q"))[-1][2]
-    assert [space.rank_by_key(key, g) for g, key in steps] == [space.rank_of(g) for g, _ in steps]
+    keys = [b for op, _, b in semantics._program(f) if op in (Box, Diamond)]
+    grades = [Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1, 16), Fraction(1, 2)]  # children first
+    assert keys == [UltrametricSpace.grade_key(g) for g in grades]
+    assert [space.rank_by_key(key) for key in keys] == [space.rank_of(g) for g in grades]
     monkeypatch.setattr(space, "rank_of", refuse("rank_of"))
     monkeypatch.setattr(space_module, "read_rational", refuse("read_rational"))
     monkeypatch.setattr(space_module, "bisect_right", refuse("bisect_right"))
@@ -954,6 +945,34 @@ def test_a_warm_leaf_step_reads_the_rank_by_the_grade_key_it_carries(monkeypatch
     # A grade the space has not resolved yet is searched for once.
     with pytest.raises(AssertionError, match="bisect_right reached"):
         truth_mask(model, parse("[1/3]p"))
+
+
+COLD_SPACES = {
+    "tree": lambda: cantor_space(3),
+    # d(a, a) = 1/8 breaks a law, so the space keeps its table.
+    "table": lambda: UltrametricSpace(list("abcd"), [["1/8", "1/4", 1, 1], ["1/4", 0, 1, 1],
+                                                     [1, 1, 0, "1/2"], [1, 1, "1/2", 0]]),
+}
+
+
+@pytest.mark.parametrize("shape", COLD_SPACES)
+def test_a_grade_key_resolves_to_the_rank_among_the_realized_distances(shape):
+    """On a cold space, ``rank_by_key`` of a grade's key is ``bisect_right`` of the grade in the realized distances.
+
+    At grade 0, each realized distance, a value between two, one above the
+    largest and a negative one; and a compiled program holds no Fraction.
+    """
+    space = COLD_SPACES[shape]()
+    assert (space.tree is None) == (shape == "table")
+    realized = space.realized_distances()
+    grades = [Fraction(0), *realized, (realized[1] + realized[2]) / 2, realized[-1] + 1, Fraction(-1, 3)]
+    for g in grades:
+        assert space.rank_by_key(UltrametricSpace.grade_key(g)) == bisect_right(realized, g), g
+    program = semantics._program(parse("[1/4]<1/8>p -> <0>[1]~(q & [1/4]p)"))
+    keys = [b for op, _, b in program if op in (Box, Diamond)]
+    assert len(keys) == 5 and all(type(part) is int for key in keys for part in key)
+    assert not any(isinstance(x, Fraction) for step in program for x in step)
+
 
 # --- the tree built from a table ----------------------------------------------
 

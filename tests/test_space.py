@@ -253,8 +253,8 @@ class TestConstruction:
     RADIUS_READERS = {
         "ball": lambda s, r: s.ball("a", r),
         "ball-run": lambda s, r: s.ball_run("a", r),
-        "ball-partition": lambda s, r: s.ball_partition(r),
-        "row-step": lambda s, r: _row_step(s, np.arange(1, s.n + 1, dtype=np.uint64)[:, None], r, s.rank_of(r), False,
+        # A batch's step takes the rank its radius resolves to.
+        "row-step": lambda s, r: _row_step(s, np.arange(1, s.n + 1, dtype=np.uint64)[:, None], s.rank_of(r), False,
                                            np.empty((s.n, 1), dtype=np.uint64)),
         "interior-mask": lambda s, r: interior_mask(s, 1, r),
         "closure-mask": lambda s, r: closure_mask(s, 1, r),
@@ -280,11 +280,6 @@ class TestConstruction:
         if reader in ("epsilon-subspace", "ball-run") and shape == "table":
             # Leaf bounds and constructions take only trees; the radius is read before the refusal.
             with pytest.raises(ValueError, match="the space breaks a metric law"):
-                read(space, str(exact))
-            return
-        if (reader, shape) == ("ball-partition", "tree"):
-            # A tree keeps its balls as runs of leaves; the radius is read before the refusal.
-            with pytest.raises(ValueError, match="runs of leaves"):
                 read(space, str(exact))
             return
         result = read(space, str(exact))
