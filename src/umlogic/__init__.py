@@ -11,7 +11,7 @@ from .constructions import (
     scale_space,
     union_point,
 )
-from .dendrogram import ball_tree, dendrogram_dot
+from .dendrogram import dendrogram_dot
 from .formula import (
     And,
     Atom,

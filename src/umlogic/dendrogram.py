@@ -16,19 +16,7 @@ so no ball is sorted and :func:`dendrogram_dot` costs O(n + output).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .space import UltrametricSpace, required_tree
-
-
-@dataclass(frozen=True)
-class BallNode:
-    """One distinct ball: its members in point order and its diameter."""
-
-    members: tuple[str, ...]
-    radius: Fraction
-    parent: int | None
 
 
 def _ordered_balls(space: UltrametricSpace, names: list[str]) -> tuple[list[list[str]], list[int], list]:
@@ -52,21 +40,14 @@ def _ordered_balls(space: UltrametricSpace, names: list[str]) -> tuple[list[list
     return [members[j] for j in order], [balls[j][2] for j in order], [place.get(parents[j]) for j in order]
 
 
-def ball_tree(space: UltrametricSpace) -> list[BallNode]:
-    """All distinct closed balls as a containment tree, from the space's runs of leaves and their nesting.
-
-    Nodes are sorted by (size, members), as the module docstring says, in
-    O(n + total size); each node's radius is the set's diameter, the smallest
-    radius generating it.  The parent is the index of the smallest strictly
-    larger ball.  A space without a tree raises ValueError.
-    """
-    distances = space.realized_distances()
-    return [BallNode(tuple(held), distances[rank], parent)
-            for held, rank, parent in zip(*_ordered_balls(space, space.points))]
-
-
 def dendrogram_dot(space: UltrametricSpace) -> str:
-    """DOT text for the ball-nesting tree, nodes in :func:`ball_tree` order; O(n + output)."""
+    """DOT text for the ball-nesting tree; O(n + output).
+
+    Nodes come in the order the module docstring gives, each labelled by its
+    point or by its members and diameter, the smallest radius generating it;
+    each edge runs from the smallest strictly larger ball.  A space without
+    a tree raises ValueError.
+    """
     names = [p.replace("\\", "\\\\").replace('"', '\\"') for p in space.points]
     members, ranks, parents = _ordered_balls(space, names)
     radii = list(map(str, space.realized_distances()))

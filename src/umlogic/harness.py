@@ -100,10 +100,10 @@ def check_union_invariance(models: Sequence[Model], formulas: Sequence[Formula])
         union_mask = truth_mask(union, f)
         for i, model in enumerate(models):
             component_mask = truth_mask(model, f)
-            for j, w in enumerate(model.space.points):
+            for w in model.space.points:
                 report.samples += 1
-                in_component = bool(component_mask >> j & 1)
-                in_union = bool(union_mask >> union.space.index(union_point(i, w)) & 1)
+                in_component = bool(component_mask >> model.space.leaf(w) & 1)
+                in_union = bool(union_mask >> union.space.leaf(union_point(i, w)) & 1)
                 if in_component != in_union:
                     report.discrepancy(f"{format_formula(f)} at component {i} world {w}")
     return report
@@ -116,12 +116,14 @@ def check_union_invariance_exhaustive(
 ) -> PropertyReport:
     """Union invariance for every formula of height <= max_depth, by semantic closure.
 
-    Formulas are enumerated as signatures: one truth mask per component
-    plus one for the union.  Two formulas with equal signatures behave
-    identically under every constructor, so verifying each distinct
+    Formulas are enumerated as signatures: one leaf-order truth mask per
+    component plus one for the union.  Two formulas with equal signatures
+    behave identically under every constructor, so verifying each distinct
     signature once covers all formulas over the given atoms.  Grades range
     over the realized distances at most 1, which loses nothing because
-    balls only change at realized radii.
+    balls only change at realized radii.  The union's leaves are its
+    components' leaves one after another, so its mask of a formula must be
+    theirs, each shifted by the points before it.
     """
     union = disjoint_union(models)
     spaces = [m.space for m in models]
@@ -151,7 +153,7 @@ def check_union_invariance_exhaustive(
             report.discrepancy(format_formula(formula))
 
     for name in atom_names:
-        add(tuple(m.atom_mask(name) for m in models) + (union.atom_mask(name),), Atom(name))
+        add(tuple(m.leaf_mask(name) for m in models) + (union.leaf_mask(name),), Atom(name))
 
     for _ in range(max_depth):
         snapshot = list(reps.items())
@@ -253,10 +255,10 @@ def check_morphism_transfer(
     def compare(f_src: Formula, f_tgt: Formula, forward_only: bool) -> None:
         src_mask = truth_mask(src, f_src)
         tgt_mask = truth_mask(tgt, f_tgt)
-        for i, w in enumerate(src.space.points):
+        for w in src.space.points:
             report.samples += 1
-            here = bool(src_mask >> i & 1)
-            there = bool(tgt_mask >> tgt.space.index(pm(w)) & 1)
+            here = bool(src_mask >> src.space.leaf(w) & 1)
+            there = bool(tgt_mask >> tgt.space.leaf(pm(w)) & 1)
             bad = (here and not there) if forward_only else (here != there)
             if bad:
                 report.discrepancy(f"{format_formula(f_src)} vs {format_formula(f_tgt)} at {w}")

@@ -2,8 +2,9 @@
 
 The box modality of grade g denotes the graded interior I_g (truth across
 the whole closed g-ball), the diamond the graded closure C_g (truth
-somewhere in the ball).  Point sets travel as bitmasks internally; the
-public functions speak in point-name sets.
+somewhere in the ball).  Point sets travel as bitmasks in the space's
+leaf order internally (:meth:`UltrametricSpace.mask_of`); the public
+functions speak in point-name sets.
 
 One evaluator, :func:`evaluate`, serves every query.  It runs the
 formula's slot program (:func:`_program`): the formula as parsed,
@@ -15,15 +16,15 @@ step takes the grade's rank among them
 (:meth:`UltrametricSpace.rank_of`) and every modal step has the
 signature ``(space, value, rank, meets)``.  On a space with a tree the
 balls of one grade partition the points into runs of adjacent leaves, and
-values are in leaf order (:meth:`UltrametricSpace.to_leaves`), so a
-modal step decides each ball once.  Which step runs depends on the value
-type, and is chosen once per call:
+values are in leaf order, so a modal step decides each ball once.  Which
+step runs depends on the value type, and is chosen once per call:
 
-* One Python-int mask (:func:`truth_mask`): a closure step carries each
-  run's bits into the run's last bit (:meth:`UltrametricSpace.tops`) with
-  one addition, then spreads every top reached down its run by doubling
-  shifts: O(log longest run) big-int operations, however many balls the
-  grade has (Knuth, TAOCP 4A, 7.1.3).  An interior step is the dual.
+* One Python-int mask (:func:`truth_mask`, :func:`interior_mask` and
+  :func:`closure_mask`): a closure step carries each run's bits into the
+  run's last bit (:meth:`UltrametricSpace.tops`) with one addition, then
+  spreads every top reached down its run by doubling shifts: O(log
+  longest run) big-int operations, however many balls the grade has
+  (Knuth, TAOCP 4A, 7.1.3).  An interior step is the dual.
 * A bit-sliced batch (:func:`umlogic.validity.valid_in_model`), a 2-D
   ``uint64`` array with one row per point and one bit per valuation
   (Biham 1997): a box ANDs the rows of each run of
@@ -32,10 +33,11 @@ type, and is chosen once per call:
   Each step that is not an atom writes its value in place into rows of
   its own (:func:`batch_rows`), which an enumeration allocates once and
   reuses for every batch, so no step allocates an array.
-* Either on a space without a tree, in point order: each point's ball is
-  read from its own table row (:meth:`UltrametricSpace.table_balls`), so
-  a table that breaks a law is read row by row (:func:`_ball_step` on an
-  int, and :func:`_row_step` on a batch).
+* Either on a space without a tree, whose leaf order is its point order:
+  each point's ball is read from its own table row
+  (:meth:`UltrametricSpace.table_balls`), so a table that breaks a law is
+  read row by row (:func:`_ball_step` on an int, and :func:`_row_step` on
+  a batch).
 
 A modal step of the program holds only its grade's key
 (:meth:`UltrametricSpace.grade_key`), so a warm step, on an int or a
@@ -129,13 +131,13 @@ def _mask_step(space: UltrametricSpace) -> Callable[[UltrametricSpace, int, int,
 
 
 def interior_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
-    """Bitmask of points whose whole closed eps-ball lies inside ``mask``."""
-    return space.from_leaves(_mask_step(space)(space, space.to_leaves(mask), space.rank_of(eps), False))
+    """Leaf-order bitmask of the points whose whole closed eps-ball lies inside the leaf-order ``mask``."""
+    return _mask_step(space)(space, mask, space.rank_of(eps), False)
 
 
 def closure_mask(space: UltrametricSpace, mask: int, eps: Fraction) -> int:
-    """Bitmask of points whose closed eps-ball meets ``mask``."""
-    return space.from_leaves(_mask_step(space)(space, space.to_leaves(mask), space.rank_of(eps), True))
+    """Leaf-order bitmask of the points whose closed eps-ball meets the leaf-order ``mask``."""
+    return _mask_step(space)(space, mask, space.rank_of(eps), True)
 
 
 def _program(f: Formula) -> tuple:
@@ -187,14 +189,14 @@ def evaluate(space: UltrametricSpace, f: Formula, atom: Callable[[str], object],
 
     ``atom`` maps an atom name to its truth set and ``full`` is the set of
     all points, both in the space's leaf order: Python ints for one
-    valuation (:meth:`Model.leaf_mask`), or bit-sliced batches of rows for
-    many, with ``full`` the all-ones ``np.uint64`` and ``out`` the rows of
-    :func:`batch_rows`.  Each non-atom step of a batch writes its value in
-    place into the next rows of ``out``, never into an operand, so an
-    atom's rows are only read.  A modal step reads its rank by the grade
-    key it holds; on one int it is the step :func:`_mask_step` chooses
-    once for the call, and on a batch :func:`_row_step`.  Nothing computed
-    for a model is kept.
+    valuation (:meth:`Model.leaf_mask`, the one reader of an atom's mask),
+    or bit-sliced batches of rows for many, with ``full`` the all-ones
+    ``np.uint64`` and ``out`` the rows of :func:`batch_rows`.  Each
+    non-atom step of a batch writes its value in place into the next rows
+    of ``out``, never into an operand, so an atom's rows are only read.  A
+    modal step reads its rank by the grade key it holds; on one int it is
+    the step :func:`_mask_step` chooses once for the call, and on a batch
+    :func:`_row_step`.  Nothing computed for a model is kept.
     """
     batch = out is not None
     step = _mask_step(space)
@@ -240,25 +242,19 @@ class TruthSet:
     points: frozenset[str]
 
 
-def _leaf_truth(model: Model, f: Formula) -> int:
-    """Truth set of ``f`` as a bitmask in the space's leaf order."""
+def truth_mask(model: Model, f: Formula) -> int:
+    """Truth set of ``f`` as a bitmask in the space's leaf order (:meth:`UltrametricSpace.mask_of`)."""
     return evaluate(model.space, f, model.leaf_mask, model.space.full_mask)
 
 
-def truth_mask(model: Model, f: Formula) -> int:
-    """Truth set of ``f`` as a bitmask over the model's point order."""
-    return model.space.from_leaves(_leaf_truth(model, f))
-
-
 def truthset(model: Model, f: Formula) -> TruthSet:
-    """The set of worlds where ``f`` holds, named straight from its leaf-order mask."""
-    return TruthSet(f, model.space.leaf_names(_leaf_truth(model, f)))
+    """The set of worlds where ``f`` holds, named from its leaf-order mask."""
+    return TruthSet(f, model.space.names_of(truth_mask(model, f)))
 
 
 def holds(model: Model, world: str, f: Formula) -> bool:
     """Whether ``f`` holds at ``world``.  Raises UnknownPointError for bad worlds."""
-    space = model.space
-    return bool(_leaf_truth(model, f) >> space.leaf(space.index(world)) & 1)
+    return bool(truth_mask(model, f) >> model.space.leaf(world) & 1)
 
 
 @dataclass(frozen=True)
@@ -289,8 +285,8 @@ def stability_degree(model: Model, world: str, f: Formula) -> DegreeReport:
     the box of grade g holds at the world iff g < threshold.
     """
     space = model.space
-    at = space.leaf(space.index(world))
-    mask = _leaf_truth(model, f)
+    at = space.leaf(world)
+    mask = truth_mask(model, f)
     if not mask >> at & 1:
         return DegreeReport("stability", None, attained=False)
     if mask == space.full_mask:
@@ -306,8 +302,8 @@ def plausibility_degree(model: Model, world: str, f: Formula) -> DegreeReport:
     ``level`` field reports the inverted scale 1 - threshold.
     """
     space = model.space
-    at = space.leaf(space.index(world))
-    mask = _leaf_truth(model, f)
+    at = space.leaf(world)
+    mask = truth_mask(model, f)
     if mask == 0:
         return DegreeReport("plausibility", None, attained=False)
     threshold = space.nearest_leaf(at, mask)

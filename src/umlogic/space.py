@@ -21,15 +21,20 @@ only at realized distances, so every reader of a grade's balls takes the
 rank, and caches what it builds per rank.  On a tree each ball of a
 grade is a run of adjacent leaves, the one form of a grade's balls a
 tree keeps: one integer marks the last leaf of every run
-(:meth:`UltrametricSpace.tops`), which the modal step on leaf-order masks
-(:meth:`UltrametricSpace.to_leaves`) reads and which bounds a single ball
-(:meth:`UltrametricSpace.ball_run`), and the same runs as bounds
-(:meth:`UltrametricSpace.runs`) are what validity's bit-sliced batches
-reduce.  Each ball of every grade is listed once by
+(:meth:`UltrametricSpace.tops`), which the modal step on a mask reads and
+which bounds a single ball (:meth:`UltrametricSpace.ball_run`), and the
+same runs as bounds (:meth:`UltrametricSpace.runs`) are what validity's
+bit-sliced batches reduce.  Each ball of every grade is listed once by
 :meth:`UltrametricSpace.tree_balls`, and the nearest member of a mask is
 found by bit arithmetic (:meth:`UltrametricSpace.nearest_leaf`).  A table
 reads each point's ball from the point's own row instead
 (:meth:`UltrametricSpace.table_balls`).
+
+Every point set in the library is a bitmask in leaf order: bit k is the
+point at leaf k, and a space without a tree is its own leaf order.  Names
+cross into and out of that order only here: :meth:`UltrametricSpace.mask_of`
+and :meth:`UltrametricSpace.names_of` for sets, and
+:meth:`UltrametricSpace.leaf` for one point's bit.
 
 Every number a caller gives (a matrix entry, a pair distance, a radius,
 and elsewhere a grade, a scaling constant or a factor) is read by
@@ -104,17 +109,17 @@ def _packed(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _bitmask(indexes: list[int]) -> int:
-    """The bitmask with the given point indexes set; an index may repeat."""
+def _bitmask(indexes: list[int], position: np.ndarray | None) -> int:
+    """The bitmask with bit ``position[i]`` set for each point index i given, bit i without a tree; i may repeat."""
     if len(indexes) < 256:  # below this, or-ing bits in one at a time beats numpy's fixed cost
         mask = 0
-        for i in indexes:
-            mask |= 1 << i
+        for k in indexes if position is None else position[indexes].tolist():
+            mask |= 1 << k
         return mask
-    indexes = np.array(indexes)
-    low = int(indexes.min())
-    bits = np.zeros(int(indexes.max()) - low + 1, dtype=np.uint8)
-    bits[indexes - low] = 1
+    places = np.array(indexes) if position is None else position[indexes]
+    low = int(places.min())
+    bits = np.zeros(int(places.max()) - low + 1, dtype=np.uint8)
+    bits[places - low] = 1
     return _packed(bits) << low
 
 
@@ -308,42 +313,31 @@ class UltrametricSpace:
         return self._distances[self.row(self.index(x))[self.index(y)]]
 
     def mask_of(self, names: Iterable[str]) -> int:
-        """The bitmask of the named points; the first unknown name, in the order given, raises."""
+        """The leaf-order bitmask of the named points: bit k is the point at leaf k.
+
+        The first unknown name, in the order given, raises.
+        """
         try:
             indexes = [self._index[name] for name in names]
         except KeyError as exc:
             raise UnknownPointError(exc.args[0]) from None
-        return _bitmask(indexes)
+        return _bitmask(indexes, self._position)
 
     def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(map(self._points.__getitem__, self.members(mask).tolist()))
-
-    def leaf_names(self, mask: int) -> frozenset[str]:
-        """The names of the points at the leaves set in a leaf-order bitmask (see :meth:`to_leaves`)."""
+        """The names of the points at the leaves set in a leaf-order bitmask (see :meth:`mask_of`)."""
         leaves = self.members(mask)
         points = leaves if self._tree is None else self._tree[0][leaves]
         return frozenset(map(self._points.__getitem__, points.tolist()))
 
     def members(self, mask: int) -> np.ndarray:
-        """Ascending point indexes of the bits set in ``mask``."""
-        return np.flatnonzero(self._bits(mask))
-
-    def _bits(self, mask: int) -> np.ndarray:
-        """Bit k of ``mask`` as entry k, for k below n."""
+        """Ascending leaf positions of the bits set in ``mask``: point indexes on a space without a tree."""
         data = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(data, count=self.n, bitorder="little")
+        return np.flatnonzero(np.unpackbits(data, count=self.n, bitorder="little"))
 
-    def leaf(self, i: int) -> int:
-        """The place of point ``i`` among the tree's leaves; ``i`` itself for a space without a tree."""
+    def leaf(self, x: str) -> int:
+        """The place of point ``x`` among the tree's leaves, its bit in every mask; its index without a tree."""
+        i = self.index(x)
         return i if self._tree is None else int(self._position[i])
-
-    def to_leaves(self, mask: int) -> int:
-        """A point-order bitmask in leaf order, where bit k is the point at leaf k; unchanged without a tree."""
-        return mask if self._tree is None else _packed(self._bits(mask)[self._tree[0]])
-
-    def from_leaves(self, mask: int) -> int:
-        """A leaf-order bitmask (see :meth:`to_leaves`) in point order; unchanged without a tree."""
-        return mask if self._tree is None else _packed(self._bits(mask)[self._position])
 
     def rank_of(self, eps: Fraction) -> int:
         """How many realized distances are at most ``eps``: a ball of radius ``eps`` joins the lower ranks.
@@ -428,7 +422,7 @@ class UltrametricSpace:
         The run lies between the two :meth:`tops` around ``x``'s leaf; a
         negative radius gives ``(0, 0)``.
         """
-        k, rank = self.leaf(self.index(x)), self.rank_of(eps)
+        k, rank = self.leaf(x), self.rank_of(eps)
         if not rank:
             return 0, 0
         tops = self.tops(rank)
@@ -694,14 +688,14 @@ class Model:
 
     The space and the valuation are read-only, because each atom's bitmask
     is computed once, here, in the space's leaf order
-    (:meth:`UltrametricSpace.to_leaves`); the first unknown point of an
+    (:meth:`UltrametricSpace.mask_of`); the first unknown point of an
     atom, in the order given, raises :class:`UnknownPointError`.
     """
 
     def __init__(self, space: UltrametricSpace, valuation: Mapping[str, Iterable[str]] | None = None):
         self._space = space
         listed = {atom: list(members) for atom, members in (valuation or {}).items()}
-        self._leaf_masks = {atom: space.to_leaves(space.mask_of(names)) for atom, names in listed.items()}
+        self._leaf_masks = {atom: space.mask_of(names) for atom, names in listed.items()}
         self._valuation = {atom: frozenset(names) for atom, names in listed.items()}
 
     @property
@@ -717,10 +711,6 @@ class Model:
         """Points where ``name`` holds; atoms missing from the valuation are empty."""
         return self._valuation.get(name, frozenset())
 
-    def atom_mask(self, name: str) -> int:
-        """Bitmask of the points where ``name`` holds, in point order."""
-        return self._space.from_leaves(self.leaf_mask(name))
-
     def leaf_mask(self, name: str) -> int:
-        """:meth:`atom_mask` in the space's leaf order."""
+        """Leaf-order bitmask of the points where ``name`` holds; atoms missing from the valuation are empty."""
         return self._leaf_masks.get(name, 0)

@@ -100,8 +100,10 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
             w = int(bad[0])
             t = (~int(held[w]) & int(held[w]) + 1).bit_length() - 1
             encoded = start + 64 * w + t
-            valuation = {a: space.names_of(encoded >> j * n & space.full_mask) for j, a in enumerate(names)}
-            world = next(x for i, x in enumerate(space.points) if not int(rows[space.leaf(i), w]) >> t & 1)
+            points = space.points
+            valuation = {a: frozenset(x for i, x in enumerate(points) if encoded >> j * n + i & 1)
+                         for j, a in enumerate(names)}
+            world = next(x for x in points if not int(rows[space.leaf(x), w]) >> t & 1)
             return ValidityResult(False, Counterexample(valuation, world), encoded + 1)
     return ValidityResult(True, None, total)
 

@@ -28,6 +28,21 @@ def held_as_table(space: UltrametricSpace) -> UltrametricSpace:
     return table
 
 
+def point_mask(space: UltrametricSpace, mask: int) -> int:
+    """A leaf-order ``mask`` in point order, bit i for point i: the reference read of the library's one mask order.
+
+    Bit k of ``mask`` is the point at leaf k, ``tree[0][k]``; a space
+    without a tree is its own leaf order.
+    """
+    leaves = range(space.n) if space.tree is None else space.tree[0].tolist()
+    return sum(1 << i for k, i in enumerate(leaves) if mask >> k & 1)
+
+
+def point_names(space: UltrametricSpace, mask: int) -> frozenset[str]:
+    """The names of the points set in a point-order ``mask``, bit i for point i."""
+    return frozenset(x for i, x in enumerate(space.points) if mask >> i & 1)
+
+
 def w_named_space(depth: int) -> UltrametricSpace:
     """Binary-history space with points renamed w0, w1, ... in event-tree order."""
     sequences = cantor_sequences(depth)

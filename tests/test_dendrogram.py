@@ -3,22 +3,32 @@
 ``ref_tree_balls``, ``ref_ball_tree`` and ``ref_dot`` restate the earlier
 code: the runs of leaves found with a stack of pair indexes, each ball's
 member names sorted by point index, the balls sorted by (size, members),
-one ``BallNode`` each, and the labels formatted and escaped one by one.
+one ``Node`` each, and the labels formatted and escaped one by one.
 The DOT writer now walks each point up its chain of balls and sorts the
 balls by (size, name of the least-index point); the two must agree byte
 for byte wherever no name holds a backslash, which the earlier writer
-left unescaped.
+left unescaped.  ``dot_tree`` reads the tree back from the DOT text, so
+the shape of the tree ``dot`` draws is checked on its own too.
 """
 import random
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from umlogic.constructions import disjoint_union, epsilon_subspace
-from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
+from umlogic.dendrogram import dendrogram_dot
 from umlogic.generators import random_ultrametric_space
 from umlogic.space import Model, UltrametricSpace, cantor_space, required_tree
+
+
+class Node(NamedTuple):
+    """One distinct ball: its members in point order, its diameter and its parent's place."""
+
+    members: tuple[str, ...]
+    radius: Fraction
+    parent: int | None
 
 
 def ref_tree_balls(space):
@@ -60,7 +70,7 @@ def ref_ball_tree(space):
     place = [0] * len(balls)
     for i, ball in enumerate(balls):
         place[ball[2]] = i
-    return [BallNode(names, distances[rank], None if parent is None else place[parent])
+    return [Node(names, distances[rank], None if parent is None else place[parent])
             for _, names, _, rank, parent in balls]
 
 
@@ -129,7 +139,6 @@ DIFFERENTIAL = differential_spaces()
 def test_matches_the_earlier_writer(label, space):
     assert space.tree is not None
     assert space.tree_balls() == ref_tree_balls(space)
-    assert ball_tree(space) == ref_ball_tree(space)
     assert dendrogram_dot(space) == ref_dot(space)
 
 
@@ -143,6 +152,7 @@ def test_the_cases_cover_leaf_orders_that_are_not_point_order():
 
 
 QUOTED = re.compile(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];\n', re.DOTALL)
+EDGE = re.compile(r"  n(\d+) -> n(\d+);\n")
 
 
 def read_labels(text):
@@ -152,12 +162,23 @@ def read_labels(text):
     return [label for _, label in labels]
 
 
+def dot_tree(space):
+    """The nodes ``dendrogram_dot`` draws, read back from its text; no name may hold a comma or ``"} r="``."""
+    text = dendrogram_dot(space)
+    parents = {int(child): int(parent) for parent, child in EDGE.findall(text)}
+    nodes = []
+    for k, label in enumerate(read_labels(text)):
+        members, radius = label[1:].split("} r=") if label.startswith("{") else (label, "0")
+        nodes.append(Node(tuple(members.split(",")), Fraction(radius), parents.get(k)))
+    return nodes
+
+
 def test_names_with_backslashes_quotes_and_newlines_are_escaped():
     names = ["a\\", 'b"', "c\nd", '\\"', "e\\\\f", 'g\\"h', "plain", 'q"\\']
     space = renamed(cantor_space(3), names)
     text = dendrogram_dot(space)
     expected = [node.members[0] if len(node.members) == 1 else
-                "{" + ",".join(node.members) + "} r=" + str(node.radius) for node in ball_tree(space)]
+                "{" + ",".join(node.members) + "} r=" + str(node.radius) for node in ref_ball_tree(space)]
     assert read_labels(text) == expected
     assert text.endswith("}\n") and text.count(" -> ") == len(expected) - 1
     # Without a backslash, the text is the earlier writer's.
@@ -166,20 +187,22 @@ def test_names_with_backslashes_quotes_and_newlines_are_escaped():
 
 
 class TestBallTree:
+    """The tree of balls as ``dot`` draws it."""
+
     def test_depth2_has_three_levels_and_four_leaves(self):
-        nodes = ball_tree(cantor_space(2))
+        nodes = dot_tree(cantor_space(2))
         assert len(nodes) == 7
         leaves = [n for n in nodes if len(n.members) == 1]
         assert len(leaves) == 4
         assert {n.radius for n in nodes} == {Fraction(0), Fraction(1, 4), Fraction(1, 2)}
 
     def test_single_point(self):
-        nodes = ball_tree(UltrametricSpace(["only"], [[0]]))
+        nodes = dot_tree(UltrametricSpace(["only"], [[0]]))
         assert len(nodes) == 1
         assert nodes[0].parent is None
 
     def test_depth3_is_the_full_binary_hierarchy(self):
-        nodes = ball_tree(cantor_space(3))
+        nodes = dot_tree(cantor_space(3))
         assert len(nodes) == 15
         by_size = {}
         for n in nodes:
@@ -198,7 +221,7 @@ class TestBallTree:
         rng = random.Random(51)
         for _ in range(10):
             space = random_ultrametric_space(rng, 7)
-            nodes = ball_tree(space)
+            nodes = dot_tree(space)
             root = max(nodes, key=lambda n: len(n.members))
             for i, n in enumerate(nodes):
                 if n.parent is None:

@@ -22,10 +22,13 @@ A single truth set on a space with a tree takes each modal step in leaf
 order instead (``semantics._leaf_step``); it is compared with the same
 per-world loops on every tree here, and whole truth sets at fine grades
 on ``cantor_space(12)`` with evaluation by the per-ball step on the
-same space held as a table.
+same space held as a table.  Every mask the library takes or returns is
+in leaf order, so each comparison reads it in point order through the
+reference ``point_mask``, and builds valuations from point-order masks
+through their names (``point_names``).
 
 ``test_leaf_names`` reads the names of a leaf-order mask, as ``truthset``
-does, against unpacking it to point order first.
+does, against reading it in point order first.
 
 ``test_slot_programs`` runs ``evaluate`` through the formula's compiled
 slot program (``semantics._program``) on formulas over all seven
@@ -55,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import dense_table, held_as_table
+from conftest import dense_table, held_as_table, point_mask, point_names
 from test_rank_table import (CASES, IDS, LEAF_CASES, listed_tree_balls, probe_grades, ref_ball_masks,
                              ref_distinct_balls, ref_realized)
 from umlogic import semantics, validity
@@ -144,7 +147,7 @@ def ref_valid_in_model(space, f, chunk=1 << 18):
             encoded = int(idx[bad[0]])
             held = int(result[bad[0]])
             valuation = {
-                name: space.names_of(encoded >> (j * n) & full) for j, name in enumerate(names)
+                name: point_names(space, encoded >> (j * n) & full) for j, name in enumerate(names)
             }
             world = next(space.points[i] for i in range(n) if not held >> i & 1)
             return ValidityResult(False, Counterexample(valuation, world), start + int(bad[0]) + 1)
@@ -166,7 +169,7 @@ def ref_valid_by_valuation(space, f, limit):
         masks = {name: encoded >> (j * n) & space.full_mask for j, name in enumerate(names)}
         false = space.full_mask ^ per_ball_truth(table, f, masks)
         if false:
-            valuation = {name: space.names_of(mask) for name, mask in masks.items()}
+            valuation = {name: point_names(space, mask) for name, mask in masks.items()}
             world = space.points[(false & -false).bit_length() - 1]
             return ValidityResult(False, Counterexample(valuation, world), encoded + 1)
     return ValidityResult(True, None, total) if total <= limit else None
@@ -193,7 +196,7 @@ def in_leaf_order(space, rows):
 
 def in_point_order(space, rows):
     """Leaf-order batch rows back in point order."""
-    return rows[[space.leaf(i) for i in range(space.n)]]
+    return rows[[space.leaf(x) for x in space.points]]
 
 
 def sample_masks(rng, n, count=12):
@@ -236,19 +239,21 @@ class TestAgainstPerWorldLoops:
             assert space.table_balls(space.rank_of(eps)) == masks, eps
 
     def test_interior_and_closure(self, label, space, table):
+        """Leaf-order masks in and out, read in point order against the per-world loops."""
         rng = random.Random(label)
         for eps in probe_grades(ref_realized(table)):
             for mask in sample_masks(rng, space.n):
-                assert interior_mask(space, mask, eps) == ref_interior(table, mask, eps)
-                assert closure_mask(space, mask, eps) == ref_closure(table, mask, eps)
+                points = point_mask(space, mask)
+                assert point_mask(space, interior_mask(space, mask, eps)) == ref_interior(table, points, eps)
+                assert point_mask(space, closure_mask(space, mask, eps)) == ref_closure(table, points, eps)
 
     def test_truth_mask(self, label, space, table):
         """Whole truth sets, by the leaf step on a tree and per ball otherwise, against the per-world loops."""
         rng = random.Random(label)
         valuation = {name: rng.getrandbits(space.n) for name in ("p", "q")}
-        model = Model(space, {name: space.names_of(mask) for name, mask in valuation.items()})
+        model = Model(space, {name: point_names(space, mask) for name, mask in valuation.items()})
         for f in sample_formulas(rng, formula_grades(table), 12):
-            assert truth_mask(model, f) == ref_truth(table, desugar(f), valuation), f
+            assert point_mask(space, truth_mask(model, f)) == ref_truth(table, desugar(f), valuation), f
 
     def test_eval_chunk(self, label, space, table, monkeypatch):
         """A bit-sliced batch of 257 valuations, in leaf order, against the earlier per-world loop on each."""
@@ -330,20 +335,21 @@ def test_leaf_step(label, space, table):
     rng = random.Random(label)
     for eps in probe_grades(ref_realized(table)):
         for mask in sample_masks(rng, space.n):
-            leaves, rank = space.to_leaves(mask), space.rank_of(eps)
-            assert space.from_leaves(_leaf_step(space, leaves, rank, False)) == ref_interior(table, mask, eps)
-            assert space.from_leaves(_leaf_step(space, leaves, rank, True)) == ref_closure(table, mask, eps)
+            points, rank = point_mask(space, mask), space.rank_of(eps)
+            assert point_mask(space, _leaf_step(space, mask, rank, False)) == ref_interior(table, points, eps)
+            assert point_mask(space, _leaf_step(space, mask, rank, True)) == ref_closure(table, points, eps)
 
 
 @pytest.mark.parametrize("label, space, table", CASES, ids=IDS)
 def test_leaf_names(label, space, table):
-    """Names read straight from a leaf-order mask, as ``truthset`` reads them, against unpacking it first."""
+    """Names read straight from a leaf-order mask, as ``truthset`` reads them, against reading it in point order."""
     rng = random.Random(label)
     for mask in sample_masks(rng, space.n):
-        assert space.leaf_names(mask) == space.names_of(space.from_leaves(mask))
+        assert space.names_of(mask) == point_names(space, point_mask(space, mask))
     model = Model(space, {name: [x for x in space.points if rng.random() < 0.5] for name in ("p", "q")})
     for f in sample_formulas(rng, formula_grades(table), 6):
-        assert semantics.truthset(model, f).points == space.names_of(truth_mask(model, f))
+        mask = truth_mask(model, f)
+        assert semantics.truthset(model, f).points == point_names(space, point_mask(space, mask)), f
 
 
 def seven_constructor_formulas(grades):
@@ -379,10 +385,10 @@ def test_slot_programs(label, space, table, monkeypatch):
     valuations = [{name: rng.getrandbits(space.n) for name in ("p", "q")} for _ in range(6)]
     wants = [[ref_truth(table, desugar(f), valuation) for valuation in valuations] for f in formulas]
     for valuation, column in zip(valuations, zip(*wants)):
-        model = Model(space, {name: space.names_of(mask) for name, mask in valuation.items()})
+        model = Model(space, {name: point_names(space, mask) for name, mask in valuation.items()})
         for f, want in zip(formulas, column):
             steps.clear()
-            assert space.from_leaves(evaluate(space, f, model.leaf_mask, space.full_mask)) == want, f
+            assert point_mask(space, evaluate(space, f, model.leaf_mask, space.full_mask)) == want, f
             assert set(steps) <= {"_leaf_step" if space.tree is not None else "_ball_step"}
 
     batch = {name: in_leaf_order(space, to_rows([valuation[name] for valuation in valuations], space.n))
@@ -422,9 +428,9 @@ def test_fine_grade_truth_masks_on_4096_worlds():
              "[0]p <-> p", "<1>[1/3]p & ~[1/4095]<1/4097>(q -> p)"]
     grades = [Fraction(1, 2 ** k) for k in range(14)] + [Fraction(0), Fraction(3, 8192)]
     formulas = [parse(text) for text in texts] + [random_formula(rng, ("p", "q"), grades, 4) for _ in range(6)]
-    masks = {name: model.atom_mask(name) for name in ("p", "q")}
+    masks = {name: point_mask(space, model.leaf_mask(name)) for name in ("p", "q")}
     for f in formulas:
-        assert truth_mask(model, f) == per_ball_truth(table, f, masks), f
+        assert point_mask(space, truth_mask(model, f)) == per_ball_truth(table, f, masks), f
 
 
 # --- the block bounds --------------------------------------------------------
@@ -600,8 +606,10 @@ def test_tree_ball_readers_match_the_table_path(label, space, table):
     for eps in probe_grades(ref_realized(table)):
         balls = ref_ball_masks(table, eps)
         for x, ball in zip(space.points, balls):
-            assert space.ball(x, eps) == per_ball.ball(x, eps) == space.names_of(ball), (x, eps)
+            assert space.ball(x, eps) == per_ball.ball(x, eps) == point_names(space, ball), (x, eps)
         for mask in sample_masks(rng, space.n):
+            points = point_mask(space, mask)  # the table's leaf order is its point order
             for step, ref in ((interior_mask, ref_interior), (closure_mask, ref_closure)):
-                assert step(space, mask, eps) == step(per_ball, mask, eps) == ref(table, mask, eps), (mask, eps)
+                got = point_mask(space, step(space, mask, eps))
+                assert got == step(per_ball, points, eps) == ref(table, points, eps), (mask, eps)
     assert listed_tree_balls(space) == ref_distinct_balls(table)

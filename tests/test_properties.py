@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import held_as_table
+from conftest import held_as_table, point_mask
 import umlogic
 from umlogic import cli
 from umlogic.constructions import disjoint_union, union_point
@@ -143,9 +143,9 @@ def test_box_diamond_duality(case):
     full, per_ball = space.full_mask, held_as_table(space)
     assert closure_mask(space, a, grade) == full ^ interior_mask(space, full ^ a, grade)
     model = Model(space, {"p": space.names_of(a)})
-    rank = per_ball.rank_of(grade)
-    assert truth_mask(model, Diamond(grade, Atom("p"))) == _ball_step(per_ball, a, rank, True)
-    assert truth_mask(model, Box(grade, Atom("p"))) == _ball_step(per_ball, a, rank, False)
+    rank, points = per_ball.rank_of(grade), point_mask(space, a)
+    assert point_mask(space, truth_mask(model, Diamond(grade, Atom("p")))) == _ball_step(per_ball, points, rank, True)
+    assert point_mask(space, truth_mask(model, Box(grade, Atom("p")))) == _ball_step(per_ball, points, rank, False)
 
 
 @SETTINGS
@@ -381,8 +381,8 @@ def test_union_keeps_truth_at_every_component_world(models, data):
     in_union = truth_mask(union, f)
     for i, model in enumerate(models):
         mask = truth_mask(model, f)
-        for j, w in enumerate(model.space.points):
-            assert mask >> j & 1 == in_union >> union.space.index(union_point(i, w)) & 1, (i, w)
+        for w in model.space.points:
+            assert mask >> model.space.leaf(w) & 1 == in_union >> union.space.leaf(union_point(i, w)) & 1, (i, w)
 
 
 @SETTINGS
@@ -390,7 +390,7 @@ def test_union_keeps_truth_at_every_component_world(models, data):
 def test_model_valuation_is_read_only(space, data):
     held = data.draw(st.sets(st.sampled_from(space.points)))
     model = Model(space, {"p": held})
-    assert model.atom_mask("p") == space.mask_of(held)
+    assert model.leaf_mask("p") == space.mask_of(held)
     assert model.valuation == {"p": frozenset(held)}
     with pytest.raises(AttributeError):
         model.valuation = {}
@@ -398,7 +398,7 @@ def test_model_valuation_is_read_only(space, data):
         model.valuation["p"] = frozenset()
     with pytest.raises(AttributeError):
         model.space = space
-    assert model.atom_mask("p") == space.mask_of(held)
+    assert model.leaf_mask("p") == space.mask_of(held)
 
 
 json_values = st.recursive(

@@ -25,12 +25,15 @@ rows, so comparing them with the reference table compares the rows.
 On every tree here, and on a matrix and a union whose leaves are out of
 point order, the leaf-order modal step is compared with the per-ball
 step, and ``nearest_leaf`` with the least rank of each row over the mask.
+The library's masks are in leaf order, so each is read in point order
+through the reference ``point_mask`` before it meets a table row.
 """
 import json
 import random
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -40,7 +43,7 @@ from hypothesis import strategies as st
 import umlogic.semantics as semantics
 import umlogic.space as space_module
 
-from conftest import dense_table, held_as_table
+from conftest import dense_table, held_as_table, point_mask, point_names
 from umlogic.constructions import (
     UNION_DISTANCE,
     BilipschitzReport,
@@ -53,7 +56,7 @@ from umlogic.constructions import (
     scale_space,
     union_point,
 )
-from umlogic.dendrogram import BallNode, ball_tree, dendrogram_dot
+from umlogic.dendrogram import dendrogram_dot
 from umlogic.formula import Atom, Box, Diamond
 from umlogic.generators import LEVEL_POOL, random_ultrametric_space
 from umlogic.modelio import dump_model, load_model
@@ -137,6 +140,14 @@ def ref_distinct_balls(m):
     return expected
 
 
+class RefNode(NamedTuple):
+    """One distinct ball of the reference tree: its members in point order, its diameter and its parent's place."""
+
+    members: tuple[str, ...]
+    radius: Fraction
+    parent: int | None
+
+
 def ref_ball_tree(pts, m):
     index = {p: i for i, p in enumerate(pts)}
     distinct = set()
@@ -156,7 +167,7 @@ def ref_ball_tree(pts, m):
         for j, other in enumerate(sets):
             if members < other and (best_size is None or len(other) < best_size):
                 parent, best_size = j, len(other)
-        nodes.append(BallNode(ordered(members), diameter, parent))
+        nodes.append(RefNode(ordered(members), diameter, parent))
     return nodes
 
 
@@ -357,8 +368,8 @@ def listed_tree_balls(space):
 
 
 def per_point_balls(space, eps):
-    """Each point's closed eps-ball as a bitmask, read by ``ball``: a run of leaves on a tree, else a table row."""
-    return tuple(space.mask_of(space.ball(x, eps)) for x in space.points)
+    """Each point's closed eps-ball as a point-order bitmask, read by ``ball``: a run of leaves on a tree, else a table row."""
+    return tuple(sum(1 << space.index(y) for y in space.ball(x, eps)) for x in space.points)
 
 
 def probe_grades(realized):
@@ -384,14 +395,12 @@ class TestAgainstDenseTable:
             assert per_point_balls(space, eps) == ref_ball_masks(table, eps), eps
 
     def test_ball_tree_and_dot(self, label, space, table):
+        """``dot`` against the DOT text of the reference ball tree, which scans every ball for supersets."""
         if breaks_a_law(space.points, table):
-            for draw in (ball_tree, dendrogram_dot):
-                with pytest.raises(ValueError, match="the space breaks a metric law"):
-                    draw(space)
+            with pytest.raises(ValueError, match="the space breaks a metric law"):
+                dendrogram_dot(space)
             return
-        nodes = ref_ball_tree(space.points, table)
-        assert ball_tree(space) == nodes
-        assert dendrogram_dot(space) == ref_dot(nodes)
+        assert dendrogram_dot(space) == ref_dot(ref_ball_tree(space.points, table))
 
     def test_distinct_ball_listing(self, label, space, table):
         if space.tree is not None:
@@ -731,21 +740,20 @@ def assert_readers_match_the_table(space, table, masks):
         if space.tree is None:
             assert space.table_balls(space.rank_of(eps)) == ref_ball_masks(table, eps), eps
     masks = [0, space.full_mask, *masks, *(1 << i for i in range(n))]
-    for i in range(n):
-        for mask in masks:
-            near = min((table[i][j] for j in range(n) if mask >> j & 1), default=None)
-            assert space.nearest_leaf(space.leaf(i), space.to_leaves(mask)) == near, (i, mask)
+    for mask in masks:
+        points = point_mask(space, mask)
+        for i, x in enumerate(pts):
+            near = min((table[i][j] for j in range(n) if points >> j & 1), default=None)
+            assert space.nearest_leaf(space.leaf(x), mask) == near, (i, mask)
     assert [space.dist(x, y) for x in pts for y in pts] == [d for row in table for d in row]
     if space.tree is not None:
         assert listed_tree_balls(space) == ref_distinct_balls(table)
     if breaks_a_law(pts, table):
         assert space.tree is None and space.tree_balls() is None
-        for draw in (ball_tree, dendrogram_dot):
-            with pytest.raises(ValueError, match="the space breaks a metric law"):
-                draw(space)
+        with pytest.raises(ValueError, match="the space breaks a metric law"):
+            dendrogram_dot(space)
         return
     nodes = ref_ball_tree(pts, table)
-    assert ball_tree(space) == nodes
     assert dendrogram_dot(space) == ref_dot(nodes)
     # Each run of leaves is a distinct ball, with its diameter and the smallest ball above it.
     leaves, distances, balls = space.tree[0].tolist(), space.realized_distances(), space.tree_balls()
@@ -806,9 +814,9 @@ def test_a_run_shared_by_three_children_ends_where_it_should():
     assert [part.tolist() for part in space.tree] == [[0, 1, 2, 3], [2, 2, 1]]
     assert space.tree_balls() == [(0, 4, 2, None), (2, 4, 1, 0), (0, 1, 0, 0), (1, 2, 0, 0),
                                   (2, 3, 0, 1), (3, 4, 0, 1)]
-    assert space.nearest_leaf(space.leaf(space.index("c")), space.to_leaves(space.mask_of(["b"]))) == 1
+    assert space.nearest_leaf(space.leaf("c"), space.mask_of(["b"])) == 1
     assert space.ball("c", Fraction(1, 2)) == {"c", "d"}
-    assert ball_tree(space) == ref_ball_tree(space.points, table)
+    assert dendrogram_dot(space) == ref_dot(ref_ball_tree(space.points, table))
 
 
 # --- leaf order: the modal step, grades and nearest points on the tree ---------
@@ -852,14 +860,14 @@ def test_leaf_step_matches_the_ball_step(label, space, table):
     The per-ball step reads the same space held as a table (``held_as_table``).
     """
     rng = random.Random(label)
-    full, per_ball = space.full_mask, held_as_table(space)
+    per_ball = held_as_table(space)
     for mask in leaf_masks(rng, space):
-        leaves = space.to_leaves(mask)
-        assert 0 <= leaves <= full and space.from_leaves(leaves) == mask
+        points = point_mask(space, mask)
+        assert space.names_of(mask) == point_names(space, points) and space.mask_of(space.names_of(mask)) == mask
         for eps in leaf_grades(space):
             for meets in (False, True):
-                got = space.from_leaves(_leaf_step(space, leaves, space.rank_of(eps), meets))
-                assert got == _ball_step(per_ball, mask, per_ball.rank_of(eps), meets), (mask, eps, meets)
+                got = point_mask(space, _leaf_step(space, mask, space.rank_of(eps), meets))
+                assert got == _ball_step(per_ball, points, per_ball.rank_of(eps), meets), (mask, eps, meets)
 
 
 @pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=labels(LEAF_CASES))
@@ -878,9 +886,9 @@ def test_leaf_order_is_not_point_order_in_the_union_and_the_matrix():
     for _, space, _ in LEAF_CASES[-2:]:
         leaves = space.tree[0].tolist()
         assert leaves != list(range(space.n))
-        assert [space.leaf(i) for i in leaves] == list(range(space.n))
-        for i in range(space.n):
-            assert space.to_leaves(1 << i) == 1 << space.leaf(i)
+        assert [space.leaf(space.points[i]) for i in leaves] == list(range(space.n))
+        for x in space.points:
+            assert space.mask_of([x]) == 1 << space.leaf(x) and space.names_of(1 << space.leaf(x)) == {x}
 
 
 @pytest.mark.parametrize("label, space, table", LEAF_CASES + PERTURBED_CASES,
@@ -890,10 +898,11 @@ def test_nearest_is_the_least_rank_in_the_row(label, space, table):
     rng = random.Random(label)
     distances = space.realized_distances()
     for mask in leaf_masks(rng, space):
-        members = space.members(mask)
-        for i in range(space.n):
-            want = distances[space.row(i)[members].min()] if members.size else None
-            assert space.nearest_leaf(space.leaf(i), space.to_leaves(mask)) == want, (i, mask)
+        points = point_mask(space, mask)
+        members = [j for j in range(space.n) if points >> j & 1]
+        for i, x in enumerate(space.points):
+            want = distances[space.row(i)[members].min()] if members else None
+            assert space.nearest_leaf(space.leaf(x), mask) == want, (i, mask)
 
 
 def test_nearest_on_4096_worlds_matches_the_row_minimum():
@@ -904,7 +913,8 @@ def test_nearest_on_4096_worlds_matches_the_row_minimum():
         members = rng.sample(range(space.n), rng.randint(1, 3))
         i = rng.randrange(space.n)
         want = distances[space.row(i)[members].min()]
-        assert space.nearest_leaf(space.leaf(i), space.to_leaves(sum(1 << j for j in members))) == want, (i, members)
+        mask = space.mask_of(space.points[j] for j in members)
+        assert space.nearest_leaf(space.leaf(space.points[i]), mask) == want, (i, members)
 
 
 def test_each_grade_is_resolved_once(monkeypatch):
@@ -1061,7 +1071,7 @@ def test_tree_readers_build_no_table(monkeypatch):
             space.ball(names[0], eps)
             interior_mask(space, space.full_mask, eps)
         space.tree_balls()
-        assert space.nearest_leaf(space.leaf(0), space.full_mask) == 0
+        assert space.nearest_leaf(space.leaf(space.points[0]), space.full_mask) == 0
         dendrogram_dot(space)
         stability_degree(Model(space, {"p": names[:1]}), names[0], Atom("p"))
     monkeypatch.undo()

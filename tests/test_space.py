@@ -28,7 +28,7 @@ from umlogic.space import (
 )
 from umlogic.validity import valid_in_model
 
-from conftest import w_named_space
+from conftest import point_mask, w_named_space
 
 
 def first_diff_distance(a: str, b: str) -> Fraction:
@@ -330,10 +330,10 @@ class TestModel:
         """Repeated names, few (bits set one by one) or many (bits packed by numpy)."""
         space = cantor_space(9)
         names = list(space.points[::3])
-        expected = sum(1 << space.index(name) for name in names)
+        expected = sum(1 << space.leaf(name) for name in names)
         assert space.mask_of(iter(names + names[::-1] + names[:70])) == expected
-        assert space.mask_of(names[:5] * 3) == sum(1 << space.index(name) for name in names[:5])
-        assert space.mask_of(["111111111", "111111111", "111111110"]) == 0b11
+        assert space.mask_of(names[:5] * 3) == sum(1 << space.leaf(name) for name in names[:5])
+        assert point_mask(space, space.mask_of(["111111111", "111111111", "111111110"])) == 0b11
         model = Model(space, {"p": names * 2, "q": (name for name in names[:5] * 3)})
-        assert model.atom_mask("p") == expected and model.atom_set("p") == frozenset(names)
-        assert model.atom_mask("q") == space.mask_of(names[:5]) and model.atom_set("q") == frozenset(names[:5])
+        assert model.leaf_mask("p") == expected and model.atom_set("p") == frozenset(names)
+        assert model.leaf_mask("q") == space.mask_of(names[:5]) and model.atom_set("q") == frozenset(names[:5])

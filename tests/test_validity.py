@@ -29,7 +29,7 @@ def brute_valid(space, f):
         model = Model(space, valuation)
         mask = truth_mask(model, f)
         if mask != space.full_mask:
-            world = next(points[i] for i in range(len(points)) if not mask >> i & 1)
+            world = next(x for x in points if not mask >> space.leaf(x) & 1)
             return False, valuation, world
     return True, None, None
 
