@@ -69,28 +69,27 @@ def disjoint_union(models: Sequence[Model]) -> Model:
     """Union of the models, components kept at distance 2 from each other.
 
     Point names are tagged with their component index; valuations merge
-    atom-wise across components.  The trees join at distance 2, so no
-    component beside another may have a distance above 2.
+    atom-wise across components.  The components' trees are laid end to
+    end, joined at distance 2, and each one's heights index its own
+    distances in one list after the union distance, which
+    :meth:`UltrametricSpace.from_tree` reads and sorts.  So no component
+    beside another may have a distance above 2.
     """
     if not models:
         raise ValueError("disjoint union needs at least one model")
     spaces = [model.space for model in models]
     trees = [required_tree(space, f"component {i}") for i, space in enumerate(spaces)]
     points = [union_point(i, p) for i, space in enumerate(spaces) for p in space.points]
-    merged = set().union(*(space.realized_distances() for space in spaces))
-    if sum(space.n > 0 for space in spaces) > 1:
-        if max(merged) > UNION_DISTANCE:
-            raise ValueError(f"component distance {max(merged)} is above the union distance {UNION_DISTANCE}")
-        merged.add(UNION_DISTANCE)
-    distances = sorted(merged)
-    rank_of = {d: r for r, d in enumerate(distances)}
-    leaves, adjacent = [], []
+    distances, leaves, adjacent = [UNION_DISTANCE], [], []
     for space, (order, heights) in zip(spaces, trees):
         if space.n:
-            remap = np.array([rank_of[d] for d in space.realized_distances()])
-            # A pair at the union distance, the largest, joins each nonempty component to the one before.
-            adjacent += [len(distances) - 1] * bool(leaves) + remap[heights].tolist()
+            # A pair at the union distance, index 0, joins each nonempty component to the one before;
+            # the component's own heights index its distances, listed after those before it.
+            adjacent += [0] * bool(leaves) + (heights.astype(np.intp) + len(distances)).tolist()
             leaves += (order + len(leaves)).tolist()
+            distances += space.realized_distances()
+    if sum(space.n > 0 for space in spaces) > 1 and max(distances) > UNION_DISTANCE:
+        raise ValueError(f"component distance {max(distances)} is above the union distance {UNION_DISTANCE}")
 
     valuation: dict[str, set[str]] = {}
     for i, model in enumerate(models):
@@ -103,20 +102,18 @@ def epsilon_subspace(model: Model, center: str, eps: Fraction) -> Model:
     """The closed ball around ``center`` with distances and valuation restricted.
 
     The ball is a run of leaves (:meth:`UltrametricSpace.ball_run`); they
-    are renumbered to the kept points' order, and their merge heights over
-    the distances still used.
+    are renumbered to the kept points' order, and their merge heights still
+    index the parent's distances, of which
+    :meth:`UltrametricSpace.from_tree` keeps those the run uses.
     """
     space = model.space
     start, end = space.ball_run(center, eps)
     leaves, heights = required_tree(space)
     run, inside = leaves[start:end], heights[start:max(start, end - 1)]
-    # Distances between points outside the ball drop out, but not each point's 0 to itself.
-    used = np.unique(np.append(inside, 0)) if run.size else inside
     index = np.sort(run)
-    realized, kept = space.realized_distances(), [space.points[i] for i in index.tolist()]
+    kept = [space.points[i] for i in index.tolist()]
     members = frozenset(kept)
-    sub = UltrametricSpace.from_tree(kept, [realized[r] for r in used.tolist()],
-                                     np.searchsorted(index, run), np.searchsorted(used, inside))
+    sub = UltrametricSpace.from_tree(kept, space.realized_distances(), np.searchsorted(index, run), inside)
     return Model(sub, {atom: held & members for atom, held in model.valuation.items()})
 
 

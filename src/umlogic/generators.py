@@ -5,8 +5,9 @@ into blocks at a descending chain of rational levels, pairs separated at
 level r sit at distance exactly r, and the last level forces singletons.
 That construction satisfies the strong triangle inequality by design, so
 generated spaces always validate, and it is the space's single-linkage
-tree: the blocks' leaves in depth-first order, with the splitting level
-between consecutive blocks (:meth:`UltrametricSpace.from_tree`).
+tree: the blocks' leaves in depth-first order, with the index of the
+splitting level between consecutive blocks into the list of levels
+(:meth:`UltrametricSpace.from_tree`).
 """
 from __future__ import annotations
 
@@ -44,13 +45,13 @@ def random_ultrametric_space(
             raise ValueError("levels must be positive")
 
     leaves: list[int] = []
-    adjacent: list[Fraction] = []  # the level between each pair of adjacent leaves
+    adjacent: list[int] = []  # the index in ``levels`` of the level between each pair of adjacent leaves
 
-    def split(group: list[int], remaining: Sequence[Fraction]) -> None:
+    def split(group: list[int], depth: int) -> None:
         if len(group) <= 1:
             leaves.extend(group)
             return
-        if len(remaining) == 1:
+        if depth == len(levels) - 1:
             blocks = [[i] for i in group]
         else:
             labels = [rng.randrange(len(group)) for _ in group]
@@ -61,14 +62,12 @@ def random_ultrametric_space(
                 blocks_by_label.setdefault(label, []).append(member)
             blocks = list(blocks_by_label.values())
         for b, block in enumerate(blocks):
-            if b:  # pairs split here sit at remaining[0], above every level inside a block
-                adjacent.append(remaining[0])
-            split(block, remaining[1:])
+            if b:  # pairs split here sit at levels[depth], above every level inside a block
+                adjacent.append(depth)
+            split(block, depth + 1)
 
-    split(list(range(n_points)), list(levels))
-    distances = sorted({Fraction(0), *adjacent})
-    rank = {d: r for r, d in enumerate(distances)}
-    return UltrametricSpace.from_tree(points, distances, leaves, [rank[d] for d in adjacent])
+    split(list(range(n_points)), 0)
+    return UltrametricSpace.from_tree(points, levels, leaves, adjacent)
 
 
 def random_subset(rng: random.Random, points: Sequence[str]) -> frozenset[str]:

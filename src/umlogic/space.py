@@ -10,9 +10,12 @@ the rank of each adjacent pair's distance.  Binary histories give the
 tree by sorting, unions, ball subspaces and rescalings build it from
 their inputs' trees (:meth:`UltrametricSpace.from_tree`), and a matrix
 gives it by Prim's single-linkage tree of its table, which is then
-dropped.  Only a space that breaks a law keeps its n x n table, read
-only here: every pairwise distance elsewhere is one row at a time
-(:meth:`UltrametricSpace.row`).
+dropped.  ``from_tree`` owns that encoding: each adjacent pair indexes
+its distance in any list of exact distances, and the ones in use are
+read, checked nonnegative and sorted into the realized list there, so a
+caller hands over the distances it already has.  Only a space that
+breaks a law keeps its n x n table, read only here: every pairwise
+distance elsewhere is one row at a time (:meth:`UltrametricSpace.row`).
 
 Each grade is resolved once per space to its rank among the realized
 distances (:meth:`UltrametricSpace.rank_of`, or
@@ -31,15 +34,17 @@ reads each point's ball from the point's own row instead
 (:meth:`UltrametricSpace.table_balls`).
 
 Every point set in the library is a bitmask in leaf order: bit k is the
-point at leaf k, and a space without a tree is its own leaf order.  Names
-cross into and out of that order only here: :meth:`UltrametricSpace.mask_of`
+point ``leaves[k]`` (:attr:`UltrametricSpace.leaves`), the tree's leaves,
+or ``arange(n)`` for a table, which is its own leaf order.  Names cross
+into and out of that order only here: :meth:`UltrametricSpace.mask_of`
 and :meth:`UltrametricSpace.names_of` for sets, and
 :meth:`UltrametricSpace.leaf` for one point's bit.
 
-Every number a caller gives (a matrix entry, a pair distance, a radius,
-and elsewhere a grade, a scaling constant or a factor) is read by
-:func:`read_rational`, which keeps Fractions, converts ints, parses
-text without exponent notation and refuses floats and bools.
+Every number a caller gives (a matrix entry, a pair distance, a tree's
+height, a radius, and elsewhere a grade, a scaling constant or a
+factor) is read by :func:`read_rational`, which keeps Fractions,
+converts ints, parses text without exponent notation and refuses floats
+and bools.
 Construction never rejects a space for breaking the metric laws:
 :func:`validate_space` reports violations as data, so deliberately
 broken spaces are representable.  A tree can break only identity of
@@ -109,14 +114,14 @@ def _packed(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _bitmask(indexes: list[int], position: np.ndarray | None) -> int:
-    """The bitmask with bit ``position[i]`` set for each point index i given, bit i without a tree; i may repeat."""
+def _bitmask(indexes: list[int], position: np.ndarray) -> int:
+    """The bitmask with bit ``position[i]`` set for each point index i given; i may repeat."""
+    places = position[indexes]
     if len(indexes) < 256:  # below this, or-ing bits in one at a time beats numpy's fixed cost
         mask = 0
-        for k in indexes if position is None else position[indexes].tolist():
+        for k in places.tolist():
             mask |= 1 << k
         return mask
-    places = np.array(indexes) if position is None else position[indexes]
     low = int(places.min())
     bits = np.zeros(int(places.max()) - low + 1, dtype=np.uint8)
     bits[places - low] = 1
@@ -171,13 +176,15 @@ class UltrametricSpace:
         self._nesting: list[tuple[int, int, int, int | None]] | None = None
         if ranks is not None and not (distances and distances[0]) and not np.diagonal(self._ranks).any():
             tree = _single_linkage(self._ranks)
-        self._tree = self._position = None  # the tree, and each point's place among its leaves
+        self._tree = None
+        #: Point indexes in leaf order, read-only: the tree's leaves, or a table's own order.
+        self.leaves = np.arange(self.n) if tree is None else tree[0]
+        self.leaves.setflags(write=False)
+        self._position = np.empty(self.n, dtype=np.intp)  # each point's place among the leaves
+        self._position[self.leaves] = np.arange(self.n)
         if tree is not None:
             self._ranks = None
-            tree[0].setflags(write=False)
-            self._tree = (tree[0], self._frozen(tree[1]))
-            self._position = np.empty(self.n, dtype=np.intp)
-            self._position[tree[0]] = np.arange(self.n)
+            self._tree = (self.leaves, self._frozen(tree[1]))
 
     def _frozen(self, ranks: np.ndarray) -> np.ndarray:
         """Ranks in the smallest unsigned type that holds every rank, read-only."""
@@ -241,28 +248,46 @@ class UltrametricSpace:
         # ``length`` means the two histories are equal.
         lcp = [length - (a ^ b).bit_length() for a, b in zip(values, values[1:])]
         # Longer common prefix, smaller distance: rank 0 is distance 0,
-        # which an empty space does not realize.
+        # which an empty space does not realize.  The list is built in
+        # ascending order here, so it skips :meth:`from_tree`'s sorting.
         levels = sorted(set(lcp) | {length}, reverse=True)
         distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]] if n else []
         rank_of = {m: r for r, m in enumerate(levels)}
-        return cls.from_tree(points, distances, order, [rank_of[m] for m in lcp])
+        space = cls.__new__(cls)
+        space._setup(points, distances, None, (np.array(order, dtype=np.intp), np.array([rank_of[m] for m in lcp])))
+        return space
 
     @classmethod
-    def from_tree(
-        cls, points: Sequence[str], distances: Sequence[Fraction], leaves, adjacent
-    ) -> "UltrametricSpace":
-        """The space held as a single-linkage tree: the inverse of :attr:`tree`.
+    def from_tree(cls, points: Sequence[str], distances: Sequence, leaves, adjacent) -> "UltrametricSpace":
+        """The space held as a single-linkage tree: the inverse of :attr:`tree`, for any list of distances.
 
-        ``distances`` ascend from 0, each realized by some adjacent pair or
-        the diagonal.  ``leaves`` lists each point index once, with every
+        ``leaves`` lists each point index once, left to right, with every
         group of twins in point order, as :func:`validate_space` expects.
-        Arrays are frozen, and copied only to take an index or rank type.
+        ``adjacent[k]`` indexes the distance of leaves k and k + 1 in
+        ``distances``, a list of exact distances in any order, which may
+        repeat or hold entries no pair uses.  Each entry in use is read by
+        :func:`read_rational`; the space keeps those and 0, ascending, as
+        its realized distances.  A negative distance, an index outside
+        ``distances`` or ``leaves`` that are not a permutation of the point
+        indexes raise ValueError before anything is built.  An index array
+        ``leaves`` is kept and frozen, not copied.
         """
         n = len(points)
         if len(leaves) != n or len(adjacent) != max(n - 1, 0):
             raise ValueError("tree shape does not match the point list")
+        leaves = np.asarray(leaves, dtype=np.intp)
+        if not np.array_equal(np.sort(leaves), np.arange(n)):
+            raise ValueError("tree leaves are not a permutation of the point indexes")
+        used, inverse = np.unique(np.asarray(adjacent, dtype=np.intp), return_inverse=True)
+        if used.size and not 0 <= used[0] <= used[-1] < len(distances):
+            raise ValueError("an adjacent pair indexes no distance in the list")
+        heights = [read_rational(distances[i]) for i in used.tolist()]
+        realized = sorted({Fraction(0), *heights}) if n else []
+        if realized and realized[0] < 0:
+            raise ValueError(f"negative distance {realized[0]} in the tree")
+        rank = {d: r for r, d in enumerate(realized)}
         space = cls.__new__(cls)
-        space._setup(points, list(distances), None, (np.asarray(leaves, dtype=np.intp), np.asarray(adjacent)))
+        space._setup(points, realized, None, (leaves, np.array([rank[d] for d in heights], dtype=np.intp)[inverse]))
         return space
 
     @property
@@ -325,9 +350,7 @@ class UltrametricSpace:
 
     def names_of(self, mask: int) -> frozenset[str]:
         """The names of the points at the leaves set in a leaf-order bitmask (see :meth:`mask_of`)."""
-        leaves = self.members(mask)
-        points = leaves if self._tree is None else self._tree[0][leaves]
-        return frozenset(map(self._points.__getitem__, points.tolist()))
+        return frozenset(map(self._points.__getitem__, self.leaves[self.members(mask)].tolist()))
 
     def members(self, mask: int) -> np.ndarray:
         """Ascending leaf positions of the bits set in ``mask``: point indexes on a space without a tree."""
@@ -335,9 +358,8 @@ class UltrametricSpace:
         return np.flatnonzero(np.unpackbits(data, count=self.n, bitorder="little"))
 
     def leaf(self, x: str) -> int:
-        """The place of point ``x`` among the tree's leaves, its bit in every mask; its index without a tree."""
-        i = self.index(x)
-        return i if self._tree is None else int(self._position[i])
+        """The place of point ``x`` among the :attr:`leaves`, its bit in every mask."""
+        return int(self._position[self.index(x)])
 
     def rank_of(self, eps: Fraction) -> int:
         """How many realized distances are at most ``eps``: a ball of radius ``eps`` joins the lower ranks.
@@ -414,10 +436,10 @@ class UltrametricSpace:
             i = self.index(x)
             return self.names_of(self.table_balls(self.rank_of(eps))[i])
         start, end = self.ball_run(x, eps)
-        return frozenset(map(self._points.__getitem__, self._tree[0][start:end].tolist()))
+        return frozenset(map(self._points.__getitem__, self.leaves[start:end].tolist()))
 
     def ball_run(self, x: str, eps: Fraction) -> tuple[int, int]:
-        """The closed ball around ``x`` of radius ``eps`` as leaf bounds: it is ``tree[0][start:end]``; needs a tree.
+        """The closed ball around ``x`` of radius ``eps`` as leaf bounds: it is ``leaves[start:end]``; needs a tree.
 
         The run lies between the two :meth:`tops` around ``x``'s leaf; a
         negative radius gives ``(0, 0)``.
@@ -454,7 +476,7 @@ class UltrametricSpace:
     def tree_balls(self) -> list[tuple[int, int, int, int | None]] | None:
         """Each distinct ball of a tree once, as (start, end, rank, parent); None without a tree.
 
-        The ball is the run of leaves ``tree[0][start:end]``, its diameter
+        The ball is the run of leaves ``leaves[start:end]``, its diameter
         is ``realized_distances()[rank]``, and ``parent`` indexes the
         smallest ball strictly containing it, None for the whole space.
         Built on first use and kept.

@@ -83,8 +83,7 @@ def valid_in_model(space: UltrametricSpace, f: Formula, cap: int = DEFAULT_CAP) 
     ones = np.uint64(np.iinfo(np.uint64).max)
     words = min(_block_words(n), max(total >> 6, 1))
     inner = 5 + words.bit_length()  # candidate bits from here up are those of the block's start
-    leaves = np.arange(n) if space.tree is None else space.tree[0]
-    order = (np.arange(len(names))[:, None] * n + leaves).ravel().astype(np.uint64)  # candidate bit of each row
+    order = (np.arange(len(names))[:, None] * n + space.leaves).ravel().astype(np.uint64)  # candidate bit of each row
     candidates = _candidate_rows(words, order)
     atom = {name: candidates[j * n:(j + 1) * n] for j, name in enumerate(names)}.__getitem__
     outer = np.flatnonzero(order >= inner)  # the rows each block refreshes

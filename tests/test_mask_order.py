@@ -95,7 +95,9 @@ def test_the_leaf_orders_are_neither_point_order_nor_its_reverse():
     for label in ("shuffled-cantor", "union", "shuffled-matrix"):
         leaves = SPACES[label].tree[0].tolist()
         assert leaves not in (list(range(len(leaves))), list(range(len(leaves)))[::-1]), label
+        assert SPACES[label].leaves.tolist() == leaves, label
     assert BROKEN.tree is None
+    assert BROKEN.leaves.tolist() == list(range(BROKEN.n)) and not BROKEN.leaves.flags.writeable
 
 
 @pytest.mark.parametrize("label", SPACES)

@@ -1,13 +1,14 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from umlogic.constructions import PointMap, epsilon_subspace, scale_space
 from umlogic.formula import Atom, Box, Diamond, GradeError, Implies, as_grade
-from umlogic.generators import random_ultrametric_space
+from umlogic.generators import formula_grades, random_ultrametric_space
 from umlogic.semantics import (
     _row_step,
     closure_eps,
@@ -174,6 +175,78 @@ class TestRealizedDistances:
     def test_single_point(self):
         s = UltrametricSpace(["only"], [[0]])
         assert s.realized_distances() == [Fraction(0)]
+
+
+class TestFromTree:
+    """``from_tree`` takes each adjacent pair's distance as an index into any list of exact distances.
+
+    The list may be out of order, repeat entries or hold entries no pair
+    uses; the space keeps the distances in use and 0, ascending, and a
+    broken tree is refused before any space is built.
+    """
+
+    #: a and b at 1/2, b and c at 1/4, so a and c at 1/2: the tree a-b-c with heights 1/2, 1/4.
+    MATRIX = UltrametricSpace(list("abc"), [[0, "1/2", "1/2"], ["1/2", 0, "1/4"], ["1/2", "1/4", 0]])
+
+    def test_out_of_order_distances_give_the_matrix_s_distances_and_balls(self):
+        space = UltrametricSpace.from_tree(list("abc"), [Fraction(0), Fraction(1, 2), Fraction(1, 4)],
+                                           [0, 1, 2], [1, 2])
+        assert space.realized_distances() == self.MATRIX.realized_distances()
+        for x in "abc":
+            for eps in [Fraction(-1), *self.MATRIX.realized_distances(), Fraction(1, 3), Fraction(1)]:
+                assert space.ball(x, eps) == self.MATRIX.ball(x, eps), (x, eps)
+            for y in "abc":
+                assert space.dist(x, y) == self.MATRIX.dist(x, y)
+        assert space.ball("b", Fraction(1, 4)) == {"b", "c"}
+
+    def test_duplicate_and_unused_entries_are_not_realized(self):
+        # Index 1 (1/3) and index 5 are never used; 1/4 and 1/2 each appear twice.
+        distances = ["1/4", Fraction(1, 3), Fraction(1, 4), 0, "1/2", Fraction(1, 2)]
+        space = UltrametricSpace.from_tree(list("abcd"), distances, [2, 0, 3, 1], [0, 4, 2])
+        quarter, half = Fraction(1, 4), Fraction(1, 2)
+        assert space.realized_distances() == [0, quarter, half]
+        assert all(type(d) is Fraction for d in space.realized_distances())
+        assert formula_grades(space) == [0, quarter, half, 1]
+        assert [space.dist("c", y) for y in "abcd"] == [quarter, half, 0, half]
+        assert space.ball("d", quarter) == {"b", "d"}
+
+    def test_adjacent_may_be_the_read_only_uint8_array_of_a_tree(self):
+        source = cantor_space(3)
+        leaves, adjacent = source.tree
+        assert adjacent.dtype == np.uint8 and not adjacent.flags.writeable
+        # The same distances as text, with an unused entry after them.
+        text = [str(d) for d in source.realized_distances()] + ["5"]
+        space = UltrametricSpace.from_tree(source.points, text, leaves, adjacent)
+        assert space.realized_distances() == source.realized_distances()
+        assert [part.tolist() for part in space.tree] == [part.tolist() for part in source.tree]
+        assert all(space.dist(x, y) == source.dist(x, y) for x in source.points for y in source.points)
+
+    def test_any_order_of_a_generated_space_s_distances_gives_the_same_space(self):
+        rng = random.Random(27)
+        for _ in range(40):
+            source = random_ultrametric_space(rng, rng.randint(1, 9))
+            realized = source.realized_distances()
+            # Each distance listed twice, shuffled, with an unused 7 among them.
+            listed = realized * 2 + [Fraction(7)]
+            rng.shuffle(listed)
+            adjacent = [listed.index(realized[r]) for r in source.tree[1].tolist()]
+            space = UltrametricSpace.from_tree(source.points, listed, source.tree[0], adjacent)
+            assert space.realized_distances() == realized
+            assert [space.row(i).tolist() for i in range(space.n)] == [source.row(i).tolist() for i in range(source.n)]
+
+    @pytest.mark.parametrize("distances, leaves, adjacent, error", [
+        ([0, -1], [0, 1], [1], ValueError),
+        ([0, 0.5], [0, 1], [1], TypeError),
+        ([0, "1/2"], [0, 0], [1], ValueError),
+        ([0, "1/2"], [1, 2], [1], ValueError),
+        ([0, "1/2"], [0, 1], [2], ValueError),
+        ([0, "1/2"], [0, 1], [-1], ValueError),
+    ], ids=["negative-height", "float-height", "repeated-leaf", "leaf-out-of-range", "index-past-the-list",
+            "negative-index"])
+    def test_a_broken_tree_is_refused_before_a_space_is_built(self, distances, leaves, adjacent, error):
+        with mock.patch.object(UltrametricSpace, "_setup") as setup, pytest.raises(error):
+            UltrametricSpace.from_tree(["a", "b"], distances, leaves, adjacent)
+        assert not setup.called
 
 
 class TestConstruction:
