@@ -43,6 +43,8 @@ def random_ultrametric_space(
         levels = sorted(map(read_rational, levels), reverse=True)
         if levels and levels[-1] <= 0:
             raise ValueError("levels must be positive")
+        if not levels and n_points > 1:
+            raise ValueError("levels must not be empty")
 
     leaves: list[int] = []
     adjacent: list[int] = []  # the index in ``levels`` of the level between each pair of adjacent leaves

@@ -248,14 +248,11 @@ class UltrametricSpace:
         # ``length`` means the two histories are equal.
         lcp = [length - (a ^ b).bit_length() for a, b in zip(values, values[1:])]
         # Longer common prefix, smaller distance: rank 0 is distance 0,
-        # which an empty space does not realize.  The list is built in
-        # ascending order here, so it skips :meth:`from_tree`'s sorting.
+        # which an empty space does not realize.
         levels = sorted(set(lcp) | {length}, reverse=True)
         distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]] if n else []
         rank_of = {m: r for r, m in enumerate(levels)}
-        space = cls.__new__(cls)
-        space._setup(points, distances, None, (np.array(order, dtype=np.intp), np.array([rank_of[m] for m in lcp])))
-        return space
+        return cls.from_tree(points, distances, order, [rank_of[m] for m in lcp])
 
     @classmethod
     def from_tree(cls, points: Sequence[str], distances: Sequence, leaves, adjacent) -> "UltrametricSpace":

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import dense_table
 from umlogic.axioms import match_axiom
 from umlogic.formula import And, Box, Diamond, Formula, Implies, Not, Or, grade_set
@@ -35,6 +36,23 @@ class TestRandomSpaces:
         levels = [Fraction(1, 2), Fraction(1, 4)]
         space = random_ultrametric_space(rng, 6, levels=levels)
         assert set(space.realized_distances()) <= {Fraction(0), *levels}
+
+    @pytest.mark.parametrize("n_points, levels, message", [
+        (0, None, "at least one point"),
+        (3, [Fraction(1, 2), 0], "positive"),
+        (2, [], "must not be empty"),
+        (5, [], "must not be empty"),
+    ])
+    def test_bad_requests_are_refused_before_any_draw(self, n_points, levels, message):
+        rng = random.Random(65)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=message):
+            random_ultrametric_space(rng, n_points, levels=levels)
+        assert rng.getstate() == state
+
+    def test_one_point_needs_no_levels(self):
+        space = random_ultrametric_space(random.Random(66), 1, levels=[])
+        assert space.points == ("x0",) and space.realized_distances() == [Fraction(0)]
 
     def test_deterministic_per_seed(self):
         a = random_ultrametric_space(random.Random(63), 7)

@@ -44,7 +44,11 @@ def test_each_pinned_step_passes(step, tmp_path):
         pytest.skip(f"not on PATH: {', '.join(missing)}")
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    (bin_dir / "python3").symlink_to(sys.executable)
+    # A wrapper, not a symlink: a virtualenv's interpreter finds its site-packages
+    # from the path it was started by, which a symlink elsewhere would change.
+    wrapper = bin_dir / "python3"
+    wrapper.write_text(f'#!/bin/sh\nexec "{sys.executable}" "$@"\n')
+    wrapper.chmod(0o755)
     env = {**os.environ, "PATH": f"{bin_dir}{os.pathsep}{os.environ.get('PATH', '')}", "TMPDIR": str(tmp_path)}
     env.pop("PYTHONPATH", None)
     result = subprocess.run([shutil.which("bash"), "-eo", "pipefail", "-c", step["run"]], cwd=ROOT, env=env,
