@@ -247,12 +247,10 @@ class UltrametricSpace:
         # Common-prefix length of each adjacent pair of sorted histories;
         # ``length`` means the two histories are equal.
         lcp = [length - (a ^ b).bit_length() for a, b in zip(values, values[1:])]
-        # Longer common prefix, smaller distance: rank 0 is distance 0,
-        # which an empty space does not realize.
-        levels = sorted(set(lcp) | {length}, reverse=True)
-        distances = [Fraction(0)] + [Fraction(1, 2 ** (m + 1)) for m in levels[1:]] if n else []
-        rank_of = {m: r for r, m in enumerate(levels)}
-        return cls.from_tree(points, distances, order, [rank_of[m] for m in lcp])
+        # Longer common prefix, smaller distance; a prefix of ``length`` is distance 0.
+        levels = sorted(set(lcp))
+        distances = [Fraction(1, 2 ** (m + 1)) if m < length else 0 for m in levels]
+        return cls.from_tree(points, distances, order, np.searchsorted(levels, lcp))
 
     @classmethod
     def from_tree(cls, points: Sequence[str], distances: Sequence, leaves, adjacent) -> "UltrametricSpace":
@@ -272,19 +270,23 @@ class UltrametricSpace:
         n = len(points)
         if len(leaves) != n or len(adjacent) != max(n - 1, 0):
             raise ValueError("tree shape does not match the point list")
-        leaves = np.asarray(leaves, dtype=np.intp)
+        leaves, adjacent = np.asarray(leaves, dtype=np.intp), np.asarray(adjacent, dtype=np.intp)
         if not np.array_equal(np.sort(leaves), np.arange(n)):
             raise ValueError("tree leaves are not a permutation of the point indexes")
-        used, inverse = np.unique(np.asarray(adjacent, dtype=np.intp), return_inverse=True)
-        if used.size and not 0 <= used[0] <= used[-1] < len(distances):
+        if adjacent.size and not 0 <= adjacent.min() <= adjacent.max() < len(distances):
             raise ValueError("an adjacent pair indexes no distance in the list")
-        heights = [read_rational(distances[i]) for i in used.tolist()]
-        realized = sorted({Fraction(0), *heights}) if n else []
-        if realized and realized[0] < 0:
-            raise ValueError(f"negative distance {realized[0]} in the tree")
-        rank = {d: r for r, d in enumerate(realized)}
+        heights = {i: read_rational(distances[i]) for i in set(adjacent.tolist())}
+        # Sorted and deduplicated by comparison: hashing a Fraction costs more
+        # than the rest of this method.
+        realized, rank = [Fraction(0)] if n else [], np.zeros(len(distances), dtype=np.intp)
+        for i in sorted(heights, key=heights.__getitem__):
+            if heights[i] < 0:
+                raise ValueError(f"negative distance {heights[i]} in the tree")
+            if heights[i] != realized[-1]:
+                realized.append(heights[i])
+            rank[i] = len(realized) - 1
         space = cls.__new__(cls)
-        space._setup(points, realized, None, (leaves, np.array([rank[d] for d in heights], dtype=np.intp)[inverse]))
+        space._setup(points, realized, None, (leaves, rank[adjacent]))
         return space
 
     @property
