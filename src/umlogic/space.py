@@ -280,11 +280,11 @@ class UltrametricSpace:
         # than the rest of this method.
         realized, rank = [Fraction(0)] if n else [], np.zeros(len(distances), dtype=np.intp)
         for i in sorted(heights, key=heights.__getitem__):
-            if heights[i] < 0:
-                raise ValueError(f"negative distance {heights[i]} in the tree")
             if heights[i] != realized[-1]:
                 realized.append(heights[i])
             rank[i] = len(realized) - 1
+        if realized[1:] and realized[1] < 0:  # the least height, if it is below 0
+            raise ValueError(f"negative distance {realized[1]} in the tree")
         space = cls.__new__(cls)
         space._setup(points, realized, None, (leaves, rank[adjacent]))
         return space
