@@ -8,8 +8,16 @@ implications; each direction is also recognised on its own under the
 names ``TI-ltr``/``TI-rtl`` and ``D-ltr``/``D-rtl``.
 
 Matching is syntactic up to desugaring: a diamond and its unfolding
-``~[g]~`` are the same formula to the matcher, so bindings returned for
-formula metavariables are always in desugared form.
+``~[g]~`` are the same formula to the matcher.  A formula is matched as
+it is written against its schema's template as the schema is written.
+Where template and formula have nodes of one kind, their children are
+matched; where they differ and one of them is sugar (``|``, ``->`` or a
+diamond), that node alone is unfolded one level, so a formula spelled as
+its schema is desugared nowhere.  A formula metavariable binds the
+subformula as written, and a repeated one is compared up to desugaring.
+:func:`match_axiom` reports formula bindings in desugared form.  Given
+bindings seed the match (:func:`is_instance`), so checking a bound
+proof line builds no instance of the schema.
 """
 from __future__ import annotations
 
@@ -19,7 +27,6 @@ from typing import Callable, Mapping
 
 from .formula import (
     And,
-    Atom,
     Box,
     Diamond,
     Formula,
@@ -30,6 +37,9 @@ from .formula import (
     _GradeSlot,
     as_grade,
     desugar,
+    SUGAR,
+    desugared_equal,
+    unfold,
 )
 
 
@@ -106,22 +116,18 @@ SCHEMAS: tuple[Schema, ...] = (
 
 _SCHEMA_BY_NAME = {s.name: s for s in SCHEMAS}
 
-# Templates in desugared form, for matching: (name, template, side condition).
-_MATCH_TEMPLATES = tuple((s.name, desugar(s.template), s.side_condition) for s in SCHEMAS)
-_MATCH_BY_NAME = {entry[0]: (entry,) for entry in _MATCH_TEMPLATES}
-
 #: The eight schema names proper (directional variants excluded).
 SCHEMA_NAMES = ("K", "T", "UM1", "TI", "UM2", "UM3", "D", "UM4")
 
 
 def _match_grade_slot(slot, grade: Fraction, bindings: dict, deferred: list) -> bool:
-    if isinstance(slot, GradeVar):
+    if type(slot) is GradeVar:
         bound = bindings.get(slot.name)
         if bound is None:
             bindings[slot.name] = grade
             return True
         return bound == grade
-    if isinstance(slot, GradeMaxOf):
+    if type(slot) is GradeMaxOf:
         # The constituent grades may not be bound yet; settle after the
         # structural pass.
         deferred.append((slot, grade))
@@ -130,47 +136,44 @@ def _match_grade_slot(slot, grade: Fraction, bindings: dict, deferred: list) -> 
 
 
 def _match(template: Formula, target: Formula, bindings: dict, deferred: list) -> bool:
-    if isinstance(template, FormulaVar):
+    """Whether ``target`` instantiates ``template`` up to desugaring, both as written (module docstring)."""
+    cls = type(template)
+    if cls is FormulaVar:
         bound = bindings.get(template.name)
         if bound is None:
             bindings[template.name] = target
             return True
-        return bound == target
-    if isinstance(template, Atom):
-        return template == target
-    if isinstance(template, Not):
-        return isinstance(target, Not) and _match(template.sub, target.sub, bindings, deferred)
-    if isinstance(template, And):
+        return desugared_equal(bound, target)
+    if cls is not type(target):
+        # Sugar unfolds to a negation, so it can meet only a negation or other sugar.
+        if (cls is Not or cls in SUGAR) and (type(target) is Not or type(target) in SUGAR):
+            return _match(unfold(template), unfold(target), bindings, deferred)
+        return False
+    if cls is Not:
+        return _match(template.sub, target.sub, bindings, deferred)
+    if cls is Box or cls is Diamond:
         return (
-            isinstance(target, And)
-            and _match(template.left, target.left, bindings, deferred)
-            and _match(template.right, target.right, bindings, deferred)
-        )
-    if isinstance(template, Box):
-        return (
-            isinstance(target, Box)
-            and _match_grade_slot(template.grade, target.grade, bindings, deferred)
+            _match_grade_slot(template.grade, target.grade, bindings, deferred)
             and _match(template.sub, target.sub, bindings, deferred)
+        )
+    if cls is And or cls is Or or cls is Implies:
+        return (
+            _match(template.left, target.left, bindings, deferred)
+            and _match(template.right, target.right, bindings, deferred)
         )
     raise TypeError(f"unexpected template node: {template!r}")
 
 
-def _match_schema(template: Formula, side_condition, target: Formula) -> dict | None:
-    """Bindings under which the desugared ``target`` instantiates one template, or None."""
-    bindings: dict = {}
+def _instance(schema: Schema, target: Formula, bindings: dict) -> bool:
+    """Whether ``target`` instantiates ``schema`` under ``bindings``, which the match extends."""
     deferred: list = []
-    if not _match(template, target, bindings, deferred):
-        return None
-    if any(
-        bindings.get(slot.a) is None
-        or bindings.get(slot.b) is None
-        or max(bindings[slot.a], bindings[slot.b]) != grade
-        for slot, grade in deferred
-    ):
-        return None
-    if side_condition is not None and side_condition(bindings) is not None:
-        return None
-    return bindings
+    if not _match(schema.template, target, bindings, deferred):
+        return False
+    for slot, grade in deferred:
+        a, b = bindings.get(slot.a), bindings.get(slot.b)
+        if a is None or b is None or max(a, b) != grade:
+            return False
+    return schema.side_condition is None or schema.side_condition(bindings) is None
 
 
 def match_axiom(f: Formula, name: str | None = None) -> list[tuple[str, dict]]:
@@ -181,14 +184,34 @@ def match_axiom(f: Formula, name: str | None = None) -> list[tuple[str, dict]]:
     desugared form.  Given a ``name``, only that schema is tried, and an
     unknown name matches nothing.
     """
-    target = desugar(f)
-    templates = _MATCH_TEMPLATES if name is None else _MATCH_BY_NAME.get(name, ())
+    schemas = SCHEMAS if name is None else [s for s in SCHEMAS if s.name == name]
     matches = []
-    for schema, template, side_condition in templates:
-        bindings = _match_schema(template, side_condition, target)
-        if bindings is not None:
-            matches.append((schema, bindings))
+    for schema in schemas:
+        bindings: dict = {}
+        if _instance(schema, f, bindings):
+            matches.append((schema.name, {key: desugar(value) if isinstance(value, Formula) else value
+                                          for key, value in bindings.items()}))
     return matches
+
+
+def is_instance(name: str, f: Formula, bindings: Mapping | None = None) -> bool:
+    """Whether ``f`` is an instance of schema ``name``, under ``bindings`` if given.
+
+    The bindings seed the match, so no instance is built.  They must give
+    every metavariable of the schema, a Formula for each formula
+    metavariable and a Fraction for each grade; otherwise this is False,
+    and :func:`instantiate_axiom` says what is wrong with them.  An
+    unknown name is False too.
+    """
+    schema = _SCHEMA_BY_NAME.get(name)
+    if schema is None:
+        return False
+    if bindings is None:
+        return _instance(schema, f, {})
+    if not (all(isinstance(bindings.get(var), Formula) for var in schema.formula_vars)
+            and all(type(bindings.get(var)) is Fraction for var in schema.grade_vars)):
+        return False
+    return _instance(schema, f, dict(bindings))
 
 
 def _substitute(template: Formula, bindings: Mapping) -> Formula:

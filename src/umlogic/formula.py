@@ -221,6 +221,31 @@ def desugar(f: Formula) -> Formula:
     return result
 
 
+#: The node kinds that :func:`desugar` rewrites; :func:`unfold` turns each into a negation.
+SUGAR = (Or, Implies, Diamond)
+
+
+def unfold(f: Formula) -> Formula:
+    """One step of :func:`desugar`: a sugar node rewritten into ~, & and box over its children as they are.
+
+    Any other node is returned as it is.  ``desugar(unfold(f))`` is
+    ``desugar(f)``, so a matcher can unfold a node only where it must.
+    """
+    cls = type(f)
+    if cls is Or:
+        return Not(And(Not(f.left), Not(f.right)))
+    if cls is Implies:
+        return Not(And(f.left, Not(f.right)))
+    if cls is Diamond:
+        return Not(Box(f.grade, Not(f.sub)))
+    return f
+
+
+def desugared_equal(a: Formula, b: Formula) -> bool:
+    """Whether ``a`` and ``b`` desugar alike.  Equal formulas do, so they are not desugared."""
+    return a == b or desugar(a) == desugar(b)
+
+
 def subformulas(f: Formula) -> list[Formula]:
     """All subterms of ``f``, each listed once, children before parents."""
     seen: dict[Formula, None] = {}

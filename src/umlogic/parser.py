@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the concrete formula syntax.
+"""Precedence-climbing parser for the concrete formula syntax.
 
 Grammar (loosest to tightest binding)::
 
@@ -11,6 +11,13 @@ Grammar (loosest to tightest binding)::
     grade    := NUMBER ('/' NUMBER)?            # "1/8", "0.125", "1"
 
 Atoms are identifiers.  Grade literals must denote rationals in [0, 1].
+
+The four binary levels are read by one loop (:meth:`_Parser.formula`),
+precedence climbing after Pratt's "Top down operator precedence" (POPL
+1973): an operand is one call to the prefix rule, not one call per
+level, and the loop takes each operator that binds at least as tightly as
+the level it was called at.  It builds the same trees as the grammar's
+one-rule-per-level descent, and opens the same levels.
 
 A formula may nest at most :data:`MAX_DEPTH` levels deep, counting one
 level per node of its syntax tree and one per pair of parentheses on the
@@ -30,8 +37,10 @@ built.  A token is its match; the line and column of a
 raised.  A bad character anywhere is still reported ahead of any other
 error: before a :class:`ParseError` leaves :func:`parse`, the text is
 scanned for one (:func:`_bad_character`), without building tokens.  A
-chain of prefixes (``~``, ``[g]``, ``<g>``) is read in a loop, and a
-modality with a plain ASCII grade in one match.  Grade literals are
+chain of prefixes (``~``, ``[g]``, ``<g>``) is read in a loop, one match
+of ``_PREFIX_RE`` per prefix, which gives its spelling, its grade text and
+where the next prefix starts; only a modality spaced inside its brackets
+or with other digits than ASCII is read token by token.  Grade literals are
 interned by their text (:func:`parse_grade`), so a grade written many
 times is read once and every modality carrying it shares one
 :class:`~fractions.Fraction`.
@@ -45,7 +54,8 @@ or a fresh one.  Equal spans parsed through one memo give one shared
   that parsed, mapped to the formula and the depth and size that a fresh
   parse of it sets.  A group's end comes from a map of the text's ``(``
   and ``)`` (:func:`_closing`), so a group whose text is in the memo is
-  skipped without reading its tokens;
+  skipped without reading its tokens.  The map is built when the first
+  group of a text is reached, so a text with no group builds none;
 * ``(prefix, id(sub))`` for each prefix (``~``, ``[g]`` or ``<g>``) of a
   chain, spelled as in the text, mapped to the node it builds over
   ``sub``, the node below it, which that node keeps alive.  A chain's
@@ -106,31 +116,36 @@ def _error(text: str, offset: int, message: str, expected: tuple[str, ...] = ())
 
 # One match is one token and the whitespace before it.  The name of the
 # group that matched is the token's kind: BAD is any other character that
-# is not whitespace, and EOF the end of the text.
+# is not whitespace, and EOF the end of the text.  The alternatives are
+# tried in order, so the kinds a proof file reads most come first; only
+# "<->" must come before "<", and BAD last.
 _TOKEN_RE = re.compile(
     r"""
     \s*
-    (?: (?P<NUMBER>\d+\.\d+|\d+)
+    (?: (?P<LPAREN>\() | (?P<LBRACK>\[) | (?P<RPAREN>\)) | (?P<EOF>)\Z | (?P<ARROW>->)
       | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<IFF><->) | (?P<ARROW>->)
-      | (?P<TILDE>~) | (?P<AMP>&) | (?P<PIPE>\|) | (?P<LPAREN>\() | (?P<RPAREN>\))
-      | (?P<LBRACK>\[) | (?P<RBRACK>\]) | (?P<LT><) | (?P<GT>>) | (?P<SLASH>/)
-      | (?P<BAD>\S)
-      | (?P<EOF>)\Z )
+      | (?P<IFF><->) | (?P<LT><) | (?P<TILDE>~) | (?P<AMP>&) | (?P<PIPE>\|)
+      | (?P<NUMBER>\d+\.\d+|\d+) | (?P<RBRACK>\]) | (?P<GT>>) | (?P<SLASH>/)
+      | (?P<BAD>\S) )
     """,
     re.VERBOSE,
 )
 
-# A modality with an ASCII grade in one match, its numerator and
-# denominator as groups 1 and 2.  What they take, the tokenizer reads as
-# the same tokens; a modality spelled any other way is read token by token.
-_GRADE = r"\s*([0-9]+(?:\.[0-9]+)?)\s*(?:/\s*([0-9]+)\s*)?"
-_BOX_RE = re.compile(rf"\[{_GRADE}\]")
-_DIAMOND_RE = re.compile(rf"<{_GRADE}>")
+# One prefix of a chain and the whitespace before it, in one match: group 1
+# is its spelling, group 2 the "[" of a box, group 3 the grade text of a
+# modality.  The grade is ASCII digits with no whitespace inside the
+# brackets, which the tokenizer reads as the same tokens; a modality
+# spelled any other way does not match here and is read token by token.
+_PREFIX_RE = re.compile(r"\s*(~|(?:(\[)|<)([0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)(?(2)\]|>))")
 
 _PREFIX_KINDS = frozenset(("TILDE", "LBRACK", "LT"))
 
+# How tightly each binary operator binds, and the node it builds (``<->`` builds two).
+_BINARY = {"IFF": (1, None), "ARROW": (2, Implies), "PIPE": (3, Or), "AMP": (4, And)}
+_OPERAND_END = (-1, None)
+
 _match_token = _TOKEN_RE.match
+_match_prefix = _PREFIX_RE.match
 
 
 def _bad_character(text: str) -> ParseError | None:
@@ -172,7 +187,7 @@ def parse_grade(text: str) -> Fraction:
 
 
 class _Parser:
-    """Recursive descent that also measures the depth and the size of what it builds.
+    """Precedence climbing that also measures the depth and the size of what it builds.
 
     ``match`` is the current token, ``kind`` its kind.  After each rule
     returns, ``depth`` and ``size`` hold the depth and the node count
@@ -182,7 +197,8 @@ class _Parser:
     the finished depth and size, which also bounds the flat ``&``, ``|``
     and ``<->`` chains that the rules build in loops.  ``budget`` is the
     number of characters that stored group keys may still copy (module
-    docstring).
+    docstring).  ``closing`` is the text's parenthesis map, None until
+    the first group needs it.
     """
 
     __slots__ = ("text", "memo", "closing", "budget", "match", "kind", "open", "depth", "size")
@@ -190,7 +206,7 @@ class _Parser:
     def __init__(self, text: str, memo: dict):
         self.text = text
         self.memo = memo
-        self.closing = _closing(text)
+        self.closing = None
         self.budget = len(text)
         self.open = self.depth = self.size = 0
         self.read(0)
@@ -211,60 +227,48 @@ class _Parser:
         match = self.match
         return self.error(f"unexpected {match[match.lastindex] or 'end of input'!r}", self.start(), expected)
 
-    def deeper(self, token: re.Match) -> None:
-        """Open one more level, below the operator ``token``."""
+    def deeper(self, offset: int) -> None:
+        """Open one more level, below the operator at ``offset``."""
         self.open += 1
         # Even a lone atom in there would sit MAX_DEPTH + 1 levels deep.
         if self.open >= MAX_DEPTH:
-            raise self.too_deep(token)
+            raise self.too_deep(offset)
 
-    def too_deep(self, token: re.Match) -> ParseError:
-        """The error for nesting too deep, at ``token``."""
-        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", token.start(token.lastindex))
+    def too_deep(self, offset: int) -> ParseError:
+        """The error for nesting too deep, at the operator at ``offset``."""
+        return self.error(f"formula nested deeper than {MAX_DEPTH} levels", offset)
 
-    def formula(self) -> Formula:
-        left = self.implies()
-        while self.kind == "IFF":
-            depth, size = self.depth, self.size
-            self.read(self.match.end())
-            right = self.implies()
-            left = And(Implies(left, right), Implies(right, left))
-            self.depth = max(depth, self.depth) + 2
-            self.size = 2 * (size + self.size) + 3
-        return left
+    def formula(self, least: int = 0) -> Formula:
+        """Operands joined by binary operators that bind at least as tightly as ``least``, by precedence climbing.
 
-    def implies(self) -> Formula:
-        left = self.or_()
-        if self.kind == "ARROW":
+        An operator's right operand is read at one level tighter than the
+        operator, or at its own level for the right-associative ``->``, so
+        ``p & q | r -> s <-> t`` groups as ``((p & q) | r) -> s`` first.
+        Only ``->`` opens a level below it, as the grammar's recursion would.
+        """
+        left = self.unary()
+        while True:
+            kind = self.kind
+            binds, node = _BINARY.get(kind, _OPERAND_END)
+            if binds < least:
+                return left
             depth, size = self.depth, self.size
             token = self.match
             self.read(token.end())
-            self.deeper(token)
-            left = Implies(left, self.implies())
-            self.open -= 1
-            self.depth = max(depth, self.depth) + 1
-            self.size += size + 1
-        return left
-
-    def or_(self) -> Formula:
-        left = self.and_()
-        while self.kind == "PIPE":
-            depth, size = self.depth, self.size
-            self.read(self.match.end())
-            left = Or(left, self.and_())
-            self.depth = max(depth, self.depth) + 1
-            self.size += size + 1
-        return left
-
-    def and_(self) -> Formula:
-        left = self.unary()
-        while self.kind == "AMP":
-            depth, size = self.depth, self.size
-            self.read(self.match.end())
-            left = And(left, self.unary())
-            self.depth = max(depth, self.depth) + 1
-            self.size += size + 1
-        return left
+            if kind == "ARROW":
+                self.deeper(token.start(token.lastindex))
+                right = self.formula(binds)
+                self.open -= 1
+            else:
+                right = self.unary() if kind == "AMP" else self.formula(binds + 1)
+            if node is None:
+                left = And(Implies(left, right), Implies(right, left))
+                self.depth = max(depth, self.depth) + 2
+                self.size = 2 * (size + self.size) + 3
+            else:
+                left = node(left, right)
+                self.depth = max(depth, self.depth) + 1
+                self.size += size + 1
 
     def unary(self) -> Formula:
         kind = self.kind
@@ -287,46 +291,47 @@ class _Parser:
     def chain(self) -> Formula:
         """A chain of ``~``, ``[g]`` and ``<g>`` over an atom or a group, its nodes shared through the memo.
 
-        The chain is read one prefix at a time, and each prefix opens one
-        level, as one recursion per prefix would.  ``ops`` lists
-        (constructor, grade or None, the prefix's text) from the outermost
-        prefix in.  Each node is the entry of (its prefix's text, the
-        identity of the node below it), so the tail ``[1/2]p`` of
-        ``[1/8]<1/8>[1/2]p`` is the node that the text ``[1/2]p`` parses to.
+        Each prefix is one match of ``_PREFIX_RE``, which gives its
+        spelling, its grade and where the next one starts; a modality it
+        does not take is read token by token.  Each prefix opens one level,
+        as one recursion per prefix would.  ``ops`` lists (grade or None for
+        ``~``, constructor, spelling) from the outermost prefix in.  Each
+        node is the entry of (its prefix's spelling, the identity of the
+        node below it), so the tail ``[1/2]p`` of ``[1/8]<1/8>[1/2]p`` is
+        the node that the text ``[1/2]p`` parses to.
         """
         opened = self.open
+        text = self.text
         ops = []
+        end = self.match.start()
         while True:
-            token = self.match
-            kind = self.kind
-            if kind == "TILDE":
-                ops.append((Not, None, "~"))
-                end = token.end()
-            elif kind == "LBRACK" or kind == "LT":
-                box = kind == "LBRACK"
-                found = (_BOX_RE if box else _DIAMOND_RE).match(self.text, token.end() - 1)
-                if found is not None:
-                    numerator, denominator = found.groups()
-                    grade = self.grade(numerator if denominator is None else f"{numerator}/{denominator}",
-                                       found.start(1))
-                    end = found.end()
-                else:
-                    self.read(token.end())
-                    grade = self.grade_tokens()
-                    if self.kind != ("RBRACK" if box else "GT"):
-                        raise self.unexpected(("']'",) if box else ("'>'",))
-                    end = self.match.end()
-                ops.append((Box if box else Diamond, grade, self.text[token.end() - 1:end]))
+            found = _match_prefix(text, end)
+            if found is not None:
+                spelled, box, grade = found.groups()
+                if grade is not None:
+                    grade = self.grade(grade, found.start(3))
+                end = found.end()
             else:
-                break
-            self.read(end)
-            self.deeper(token)
+                self.read(end)
+                kind = self.kind
+                if kind != "LBRACK" and kind != "LT":
+                    break
+                token = self.match
+                box = kind == "LBRACK"
+                self.read(token.end())
+                grade = self.grade_tokens()
+                if self.kind != ("RBRACK" if box else "GT"):
+                    raise self.unexpected(("']'",) if box else ("'>'",))
+                end = self.match.end()
+                spelled = text[token.start(token.lastindex):end]
+            ops.append((grade, Box if box else Diamond, spelled))
+            self.deeper(end - len(spelled))
         node = self.unary()
         self.open = opened
         self.depth += len(ops)
         self.size += len(ops)
         memo = self.memo
-        for cls, grade, spelled in reversed(ops):
+        for grade, cls, spelled in reversed(ops):
             key = (spelled, id(node))
             hit = memo.get(key)
             if hit is None:
@@ -342,7 +347,10 @@ class _Parser:
         """
         token = self.match
         start = token.end() - 1
-        end = self.closing.get(start)
+        closing = self.closing
+        if closing is None:
+            closing = self.closing = _closing(self.text)
+        end = closing.get(start)
         if end is not None:
             hit = self.memo.get(self.text[start:end + 1])
             # Inside the group a fresh parse opens fewer levels than its depth.
@@ -351,7 +359,7 @@ class _Parser:
                 self.read(end + 1)
                 return result
         self.read(token.end())
-        self.deeper(token)
+        self.deeper(start)
         result = self.formula()
         self.open -= 1
         if self.kind != "RPAREN":
@@ -414,7 +422,7 @@ def parse(text: str, memo: dict | None = None) -> Formula:
         if parser.kind != "EOF":
             raise parser.error(f"trailing input {parser.match[parser.match.lastindex]!r}", parser.start())
         if parser.depth > MAX_DEPTH:
-            raise parser.too_deep(first)
+            raise parser.too_deep(first.start(first.lastindex))
         if parser.size > MAX_NODES:
             raise parser.error(f"formula expands to more than {MAX_NODES} nodes", first.start(first.lastindex))
     except ParseError:

@@ -6,7 +6,12 @@ necessitation of an earlier line at some grade.  Formulas are compared up
 to desugaring, so a line may cite an implication written either as
 ``a -> b`` or ``~(a & ~b)``.  Each node caches its desugared form
 (:func:`~umlogic.formula.desugar`), so a subformula that the lines of a
-file share is desugared once for the whole check.
+file share is desugared once for the whole check.  An axiom line is
+matched as written against its schema as written, with its bindings, if
+it has any, fixed before the match (:func:`~umlogic.axioms.is_instance`):
+a node is desugared only where line and schema disagree, and no instance
+is built.  Only a bound line that the match refuses builds its instance,
+for the reason that names the expected formula.
 
 The JSON wire format is an array of objects
 ``{"n": int, "formula": str, "by": str, "bind": {..}?}`` where ``by`` is
@@ -19,7 +24,8 @@ text, atom and prefix chain of the file is parsed once, and so is each
 parenthesised group that the memo keeps (as many characters of group
 text as the line has); a repeated group is skipped without tokenizing
 it, and equal spans become one shared :class:`Formula`.  The memo lives
-for that one call, so nothing is kept between files.
+for that one call, so nothing is kept between files.  An entry's errors
+carry its place, ``entry i``, which is written only when one is raised.
 """
 from __future__ import annotations
 
@@ -27,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .axioms import SchemaError, instantiate_axiom, match_axiom
-from .formula import Box, Formula, GradeError, Implies, desugar, format_formula
+from .axioms import SchemaError, instantiate_axiom, is_instance
+from .formula import Box, Formula, GradeError, Implies, desugared_equal, format_formula
 from .modelio import read_json
 from .parser import ParseError, parse, parse_grade
 
@@ -84,25 +90,22 @@ class ProofVerdict:
     theorem_lines: tuple[int, ...] = ()
 
 
-def _same(a: Formula, b: Formula) -> bool:
-    """Equal up to desugaring.  Equal surface forms desugar alike, so they are not desugared."""
-    return a == b or desugar(a) == desugar(b)
-
-
 def _check_axiom_step(line: ProofLine, step: AxiomStep) -> str | None:
-    if step.bindings is not None:
-        try:
-            instance = instantiate_axiom(step.name, step.bindings)
-        except SchemaError as exc:
-            return str(exc)
-        if not _same(instance, line.formula):
-            return (
-                f"formula is not the {step.name} instance under the given bindings "
-                f"(expected {format_formula(instance)})"
-            )
+    if is_instance(step.name, line.formula, step.bindings):
         return None
-    if not match_axiom(line.formula, step.name):
+    if step.bindings is None:
         return f"formula is not an instance of schema {step.name}"
+    # A line that fails builds its instance, to say why; so does one whose grades are bound
+    # as text or ints, which instantiate_axiom reads.
+    try:
+        instance = instantiate_axiom(step.name, step.bindings)
+    except SchemaError as exc:
+        return str(exc)
+    if not desugared_equal(instance, line.formula):
+        return (
+            f"formula is not the {step.name} instance under the given bindings "
+            f"(expected {format_formula(instance)})"
+        )
     return None
 
 
@@ -136,7 +139,7 @@ def check_proof(proof: Proof) -> ProofVerdict:
             problem = earlier(just.antecedent) or earlier(just.implication)
             if problem is None:
                 expected = Implies(formulas[just.antecedent], line.formula)
-                if not _same(formulas[just.implication], expected):
+                if not desugared_equal(formulas[just.implication], expected):
                     problem = (
                         f"line {just.implication} is not the implication from "
                         f"line {just.antecedent} to this line"
@@ -146,7 +149,7 @@ def check_proof(proof: Proof) -> ProofVerdict:
         elif isinstance(just, Nec):
             problem = earlier(just.source)
             if problem is None:
-                if not _same(line.formula, Box(just.grade, formulas[just.source])):
+                if not desugared_equal(line.formula, Box(just.grade, formulas[just.source])):
                     problem = f"formula is not line {just.source} boxed at grade {just.grade}"
                 else:
                     tainted = premise_tainted[just.source]
@@ -167,22 +170,22 @@ _GRADE_KEYS = ("eps", "gamma", "delta")
 _FORMULA_KEYS = ("phi", "psi")
 
 
-def _parse_bindings(raw, context: str, memo: dict) -> dict:
+def _parse_bindings(raw, memo: dict) -> dict:
     if not isinstance(raw, dict):
-        raise ProofFormatError(f'{context}: "bind" must be an object')
+        raise ProofFormatError('"bind" must be an object')
     bindings: dict = {}
     for key, value in raw.items():
         if not isinstance(value, str):
-            raise ProofFormatError(f"{context}: binding {key!r} must be a string")
+            raise ProofFormatError(f"binding {key!r} must be a string")
         try:
             if key in _FORMULA_KEYS:
                 bindings[key] = parse(value, memo)
             elif key in _GRADE_KEYS:
                 bindings[key] = parse_grade(value)
             else:
-                raise ProofFormatError(f"{context}: unknown binding key {key!r}")
+                raise ProofFormatError(f"unknown binding key {key!r}")
         except (ParseError, GradeError) as exc:
-            raise ProofFormatError(f"{context}: binding {key!r}: {exc}") from None
+            raise ProofFormatError(f"binding {key!r}: {exc}") from None
     return bindings
 
 
@@ -192,54 +195,64 @@ def _line_number(text: str) -> bool:
     return text.isascii() and text.isdecimal()
 
 
-def _parse_justification(text, bind, context: str, memo: dict) -> Justification:
+def _parse_justification(text, bind, memo: dict) -> Justification:
     if not isinstance(text, str):
-        raise ProofFormatError(f'{context}: "by" must be a string')
-    if text == "premise":
+        raise ProofFormatError('"by" must be a string')
+    rule, colon, rest = text.partition(":")
+    if colon:
+        if rule == "axiom":
+            return AxiomStep(rest, None if bind is None else _parse_bindings(bind, memo))
+        if rule == "mp":
+            parts = rest.split(",")
+            if len(parts) != 2 or not (_line_number(parts[0]) and _line_number(parts[1])):
+                raise ProofFormatError(f"malformed modus ponens justification {text!r}")
+            return MP(int(parts[0]), int(parts[1]))
+        if rule == "nec":
+            parts = rest.split(":")
+            if len(parts) != 2 or not _line_number(parts[0]):
+                raise ProofFormatError(f"malformed necessitation justification {text!r}")
+            try:
+                grade = parse_grade(parts[1])
+            except GradeError as exc:
+                raise ProofFormatError(str(exc)) from None
+            return Nec(int(parts[0]), grade)
+    elif text == "premise":
         return Premise()
-    if text.startswith("axiom:"):
-        name = text[len("axiom:"):]
-        bindings = _parse_bindings(bind, context, memo) if bind is not None else None
-        return AxiomStep(name, bindings)
-    if text.startswith("mp:"):
-        parts = text[len("mp:"):].split(",")
-        if len(parts) != 2 or not all(_line_number(p) for p in parts):
-            raise ProofFormatError(f"{context}: malformed modus ponens justification {text!r}")
-        return MP(int(parts[0]), int(parts[1]))
-    if text.startswith("nec:"):
-        parts = text[len("nec:"):].split(":")
-        if len(parts) != 2 or not _line_number(parts[0]):
-            raise ProofFormatError(f"{context}: malformed necessitation justification {text!r}")
-        try:
-            grade = parse_grade(parts[1])
-        except GradeError as exc:
-            raise ProofFormatError(f"{context}: {exc}") from None
-        return Nec(int(parts[0]), grade)
-    raise ProofFormatError(f"{context}: unknown justification {text!r}")
+    raise ProofFormatError(f"unknown justification {text!r}")
+
+
+def _proof_line(entry, memo: dict) -> ProofLine:
+    if not isinstance(entry, dict):
+        raise ProofFormatError("proof lines must be objects")
+    number = entry.get("n")
+    if not isinstance(number, int) or isinstance(number, bool) or number < 1:
+        raise ProofFormatError('"n" must be a positive integer')
+    text = entry.get("formula")
+    if not isinstance(text, str):
+        raise ProofFormatError('"formula" must be a string')
+    try:
+        formula = parse(text, memo)
+    except ParseError as exc:
+        raise ProofFormatError(str(exc)) from None
+    return ProofLine(number, formula, _parse_justification(entry.get("by"), entry.get("bind"), memo))
 
 
 def proof_from_json(data) -> Proof:
-    """Parse the JSON array form of a proof, each repeated span once (module docstring)."""
+    """Parse the JSON array form of a proof, each repeated span once (module docstring).
+
+    An entry's errors are raised without its place, which is prefixed
+    here, so the ``entry i`` text is built only for an error.
+    """
     if not isinstance(data, list):
         raise ProofFormatError("proof file must be a JSON array of line objects")
-    lines = []
     memo: dict = {}
-    for i, entry in enumerate(data):
-        context = f"entry {i}"
-        if not isinstance(entry, dict):
-            raise ProofFormatError(f"{context}: proof lines must be objects")
-        number = entry.get("n")
-        if not isinstance(number, int) or isinstance(number, bool) or number < 1:
-            raise ProofFormatError(f'{context}: "n" must be a positive integer')
-        text = entry.get("formula")
-        if not isinstance(text, str):
-            raise ProofFormatError(f'{context}: "formula" must be a string')
-        try:
-            formula = parse(text, memo)
-        except ParseError as exc:
-            raise ProofFormatError(f"{context}: {exc}") from None
-        justification = _parse_justification(entry.get("by"), entry.get("bind"), context, memo)
-        lines.append(ProofLine(number, formula, justification))
+    lines = []
+    try:
+        for entry in data:
+            lines.append(_proof_line(entry, memo))
+    except ProofFormatError as exc:
+        # The entry that failed is the one after the lines read.
+        raise ProofFormatError(f"entry {len(lines)}: {exc}") from None
     return Proof(lines)
 
 

@@ -2,10 +2,12 @@
 
 The references below are the earlier implementations, kept verbatim in
 substance: a tokenizer that matches one token at a time and tracks line
-and column as it goes, the parser that read those tokens, and a proof
-checker that desugars both sides of every comparison and every schema
-template on each match.  The fast paths must give the same tokens,
-positions, formulas, error texts and verdicts.  The parser memo that a
+and column as it goes, the recursive-descent parser that read those
+tokens, one method per precedence level, and a proof checker that
+desugars both sides of every comparison and every schema template on
+each match, and builds the instance of every bound axiom line.  The
+fast paths must give the same tokens, positions, formulas, error texts
+and verdicts.  The parser memo that a
 proof load shares across its texts is checked against the reference
 parser, which reads each text fresh.
 """
@@ -26,14 +28,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umlogic import cli, proofs
-from umlogic.axioms import SCHEMAS, SchemaError, _match, instantiate_axiom, match_axiom
+from umlogic.axioms import SCHEMAS, FormulaVar, GradeMaxOf, GradeVar, SchemaError, instantiate_axiom, match_axiom
 from umlogic.formula import (
     And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade, desugar, format_formula,
 )
 from umlogic.generators import random_formula
 from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, _bad_character, _error, _Parser, parse
 from umlogic.proofs import (
-    MP, AxiomStep, Nec, Premise, Proof, ProofFormatError, ProofVerdict, check_proof, proof_from_json,
+    MP, AxiomStep, Nec, Premise, Proof, ProofFormatError, ProofLine, ProofVerdict, check_proof, proof_from_json,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -226,13 +228,47 @@ def ref_parse(text: str) -> Formula:
 
 # --- reference proof checker --------------------------------------------------
 
+def _ref_match_grade_slot(slot, grade, bindings, deferred):
+    if isinstance(slot, GradeVar):
+        bound = bindings.get(slot.name)
+        if bound is None:
+            bindings[slot.name] = grade
+            return True
+        return bound == grade
+    if isinstance(slot, GradeMaxOf):
+        deferred.append((slot, grade))
+        return True
+    return slot == grade
+
+
+def _ref_match(template, target, bindings, deferred):
+    """The desugared template against the desugared target, node by node."""
+    if isinstance(template, FormulaVar):
+        bound = bindings.get(template.name)
+        if bound is None:
+            bindings[template.name] = target
+            return True
+        return bound == target
+    if isinstance(template, Atom):
+        return template == target
+    if isinstance(template, Not):
+        return isinstance(target, Not) and _ref_match(template.sub, target.sub, bindings, deferred)
+    if isinstance(template, And):
+        return (isinstance(target, And) and _ref_match(template.left, target.left, bindings, deferred)
+                and _ref_match(template.right, target.right, bindings, deferred))
+    if isinstance(template, Box):
+        return (isinstance(target, Box) and _ref_match_grade_slot(template.grade, target.grade, bindings, deferred)
+                and _ref_match(template.sub, target.sub, bindings, deferred))
+    raise TypeError(f"unexpected template node: {template!r}")
+
+
 def ref_match_axiom(f: Formula) -> list[tuple[str, dict]]:
     target = desugar(f)
     matches = []
     for schema in SCHEMAS:
         bindings: dict = {}
         deferred: list = []
-        if not _match(desugar(schema.template), target, bindings, deferred):
+        if not _ref_match(desugar(schema.template), target, bindings, deferred):
             continue
         if any(
             bindings.get(slot.a) is None
@@ -393,7 +429,29 @@ HAND_WRITTEN = [
     "p\n\n q",
     "",
     "   \n  ",
+    # Precedence and associativity.
+    "p -> q -> r",
+    "p & q | r -> s <-> t",
+    "p -> q <-> r",
+    "p <-> q <-> r -> s | t & u",
+    "~p & [1/2]q | <1/4>r & s -> ~(p | q) -> r <-> (s)",
+    # Grades that the one-match path of a prefix does not take, and grade errors.
+    "[ 1 / 2 ]p",
+    "<\uff11/2>p",
+    "<1/0>p",
+    "<3/2>p",
+    "~ <1/0>p",
+    "[1/2]\n<3/2>p",
 ]
+# The depth limit reached through each kind of operator, one below MAX_DEPTH and at it.
+for n in (MAX_DEPTH - 1, MAX_DEPTH):
+    HAND_WRITTEN += [
+        "p -> " * n + "p", " & ".join(["p"] * (n + 1)), " | ".join(["p"] * (n + 1)),
+        "(" * (n - 2) + "p <-> q" + ")" * (n - 2),
+        "~" * n + "p", "[1/2]" * n + "p", "<1/4>" * n + "p", "[ 1/2 ]" * n + "p",
+        "(" * n + "p" + ")" * n, "~(" * (n // 2) + "p" + ")" * (n // 2),
+        "(p -> " * n + "p" + ")" * n, "p & (" * n + "p" + ")" * n, "p | ~" * n + "p",
+    ]
 
 
 @pytest.mark.parametrize("text", HAND_WRITTEN)
@@ -491,6 +549,44 @@ def mutants(rng: random.Random, lines: list[dict]) -> list[list[dict]]:
     target = rng.choice([line for line in mutated if "bind" in line])
     target["by"] = "axiom:" + rng.choice(["K", "T", "UM3", "UM4"])
     result.append(mutated)
+    return result + binding_mutants(rng, lines)
+
+
+def binding_mutants(rng: random.Random, lines: list[dict]) -> list[list[dict]]:
+    """Bound lines whose bindings no longer give their formula: a binding dropped, or wrong.
+
+    Checking a bound line by matching it with its bindings seeded must still
+    refuse each one, for the reason that building the instance gives.
+    """
+    result = []
+
+    def replace(index, **changes):
+        mutated = [dict(line) for line in lines]
+        mutated[index] = dict(mutated[index], **changes)
+        result.append(mutated)
+
+    bound = {}
+    for i, line in enumerate(lines):
+        if "bind" in line:
+            bound.setdefault(line["by"], []).append(i)
+    for by, indexes in bound.items():
+        i = rng.choice(indexes)
+        for key in lines[i]["bind"]:
+            replace(i, bind={k: v for k, v in lines[i]["bind"].items() if k != key})
+    i = rng.choice([i for indexes in bound.values() for i in indexes])
+    others = [line["formula"] for line in lines if line["by"] == "premise" and line["formula"] != lines[i]["bind"]["phi"]]
+    replace(i, bind=dict(lines[i]["bind"], phi=rng.choice(others)))
+    # UM3 with gamma < delta, and TI with the max that fits and with one that does not.
+    i = rng.choice(bound["axiom:UM3"])
+    phi = parse(lines[i]["bind"]["phi"])
+    lo, hi = Fraction(1, 4), Fraction(1, 2)
+    replace(i, formula=format_formula(Implies(Box(lo, phi), Box(hi, phi))),
+            bind=dict(lines[i]["bind"], gamma=str(lo), delta=str(hi)))
+    gamma, delta = Fraction(1, 4), Fraction(1, 8)
+    for top in (gamma, delta):
+        ltr = Implies(Box(gamma, Box(delta, phi)), Box(top, phi))
+        replace(i, by="axiom:TI", formula=format_formula(And(ltr, Implies(ltr.right, ltr.left))),
+                bind={"gamma": str(gamma), "delta": str(delta), "phi": lines[i]["bind"]["phi"]})
     return result
 
 
@@ -517,11 +613,37 @@ def test_named_schema_matching_matches_the_reference(seed):
         bind = {"phi": random_formula(rng, ["p"], GRADES, 2), "psi": Atom("q"),
                 "eps": rng.choice(GRADES), "gamma": Fraction(1), "delta": rng.choice(GRADES)}
         candidates.append(instantiate_axiom(schema.name, bind))
+        # Each occurrence of a metavariable spelled as written or desugared, at random.
+        bind["phi"] = Implies(Diamond(rng.choice(GRADES), Atom("p")), Or(Atom("q"), Atom("p")))
+        bind["psi"] = Or(Not(Atom("q")), Atom("p"))
+        for _ in range(3):
+            candidates.append(_spelled_apart(schema.template, bind, rng))
     for f in candidates:
         everything = ref_match_axiom(f)
         assert match_axiom(f) == everything
         for name in names:
             assert match_axiom(f, name) == [m for m in everything if m[0] == name]
+
+
+def _spelled_apart(template, bind, rng):
+    """An instance of ``template`` in which each occurrence of a formula metavariable is desugared or not, at random."""
+    if isinstance(template, FormulaVar):
+        value = bind[template.name]
+        return desugar(value) if rng.random() < 0.5 else value
+    if isinstance(template, Not):
+        return Not(_spelled_apart(template.sub, bind, rng))
+    if isinstance(template, (And, Implies)):
+        return type(template)(_spelled_apart(template.left, bind, rng), _spelled_apart(template.right, bind, rng))
+    slot = template.grade
+    grade = max(bind[slot.a], bind[slot.b]) if isinstance(slot, GradeMaxOf) else bind[slot.name]
+    return type(template)(grade, _spelled_apart(template.sub, bind, rng))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), 1, "1", "1/1", True, 1.0, Fraction(3, 2), None])
+def test_bound_grades_that_are_not_fractions_give_the_reference_verdict(eps):
+    """Bindings built in code may hold a grade as an int or text, which the instance reads, or as a bool or float, which it refuses."""
+    proof = Proof([ProofLine(1, parse("[1]p -> p"), AxiomStep("T", {"eps": eps, "phi": Atom("p")}))])
+    assert check_proof(proof) == ref_check_proof(proof)
 
 
 def test_unknown_schema_name_keeps_its_message():
