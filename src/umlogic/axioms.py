@@ -126,13 +126,13 @@ def _match_grade_slot(slot, grade: Fraction, bindings: dict, deferred: list) -> 
         if bound is None:
             bindings[slot.name] = grade
             return True
-        return bound == grade
+        return bound is grade or bound == grade
     if type(slot) is GradeMaxOf:
         # The constituent grades may not be bound yet; settle after the
         # structural pass.
         deferred.append((slot, grade))
         return True
-    return slot == grade
+    return slot is grade or slot == grade
 
 
 def _match(template: Formula, target: Formula, bindings: dict, deferred: list) -> bool:

@@ -38,7 +38,11 @@ point ``leaves[k]`` (:attr:`UltrametricSpace.leaves`), the tree's leaves,
 or ``arange(n)`` for a table, which is its own leaf order.  Names cross
 into and out of that order only here: :meth:`UltrametricSpace.mask_of`
 and :meth:`UltrametricSpace.names_of` for sets, and
-:meth:`UltrametricSpace.leaf` for one point's bit.
+:meth:`UltrametricSpace.leaf` for one point's bit.  Each space keeps its
+point names in leaf order, one read-only array built on first use, so a
+set is named by one selection from it with the mask's bits, and a ball
+on a tree by one slice of it at the ball's leaf bounds: no member is
+looked up by itself.
 
 Every number a caller gives (a matrix entry, a pair distance, a tree's
 height, a radius, and elsewhere a grade, a scaling constant or a
@@ -174,6 +178,7 @@ class UltrametricSpace:
         self._tops: dict[int, int] = {}
         self._run_bounds: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
         self._nesting: list[tuple[int, int, int, int | None]] | None = None
+        self._names: np.ndarray | None = None
         if ranks is not None and not (distances and distances[0]) and not np.diagonal(self._ranks).any():
             tree = _single_linkage(self._ranks)
         self._tree = None
@@ -256,8 +261,7 @@ class UltrametricSpace:
     def from_tree(cls, points: Sequence[str], distances: Sequence, leaves, adjacent) -> "UltrametricSpace":
         """The space held as a single-linkage tree: the inverse of :attr:`tree`, for any list of distances.
 
-        ``leaves`` lists each point index once, left to right, with every
-        group of twins in point order, as :func:`validate_space` expects.
+        ``leaves`` lists each point index once, left to right.
         ``adjacent[k]`` indexes the distance of leaves k and k + 1 in
         ``distances``, a list of exact distances in any order, which may
         repeat or hold entries no pair uses.  Each entry in use is read by
@@ -348,13 +352,31 @@ class UltrametricSpace:
         return _bitmask(indexes, self._position)
 
     def names_of(self, mask: int) -> frozenset[str]:
-        """The names of the points at the leaves set in a leaf-order bitmask (see :meth:`mask_of`)."""
-        return frozenset(map(self._points.__getitem__, self.leaves[self.members(mask)].tolist()))
+        """The names of the points at the leaves set in a leaf-order bitmask (see :meth:`mask_of`).
+
+        The mask's bits, unpacked in leaf order, select from the space's
+        names in leaf order (:meth:`_leaf_names`) in one pass.
+        """
+        return frozenset(self._leaf_names()[self._bits(mask).view(bool)].tolist())
 
     def members(self, mask: int) -> np.ndarray:
         """Ascending leaf positions of the bits set in ``mask``: point indexes on a space without a tree."""
+        return np.flatnonzero(self._bits(mask))
+
+    def _bits(self, mask: int) -> np.ndarray:
+        """The bits of ``mask`` below :attr:`n` as an array of 0s and 1s: entry k is bit k."""
         data = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
-        return np.flatnonzero(np.unpackbits(data, count=self.n, bitorder="little"))
+        return np.unpackbits(data, count=self.n, bitorder="little")
+
+    def _leaf_names(self) -> np.ndarray:
+        """The point names in leaf order as a read-only object array: entry k names bit k of every mask.
+
+        Built on first use and kept, so naming a set costs no lookup per member.
+        """
+        if self._names is None:
+            self._names = np.array(self._points, dtype=object)[self.leaves]
+            self._names.setflags(write=False)
+        return self._names
 
     def leaf(self, x: str) -> int:
         """The place of point ``x`` among the :attr:`leaves`, its bit in every mask."""
@@ -430,12 +452,17 @@ class UltrametricSpace:
         return balls
 
     def ball(self, x: str, eps: Fraction) -> frozenset[str]:
-        """The closed ball around ``x`` of radius ``eps``, or none for a negative radius; a run of leaves on a tree."""
+        """The closed ball around ``x`` of radius ``eps``, or none for a negative radius.
+
+        On a tree the ball is a run of leaves, named by slicing the names in
+        leaf order (:meth:`_leaf_names`) at :meth:`ball_run`'s bounds; a
+        table names the ball that the point's own row gives.
+        """
         if self._tree is None:
             i = self.index(x)
             return self.names_of(self.table_balls(self.rank_of(eps))[i])
         start, end = self.ball_run(x, eps)
-        return frozenset(map(self._points.__getitem__, self.leaves[start:end].tolist()))
+        return frozenset(self._leaf_names()[start:end].tolist())
 
     def ball_run(self, x: str, eps: Fraction) -> tuple[int, int]:
         """The closed ball around ``x`` of radius ``eps`` as leaf bounds: it is ``leaves[start:end]``; needs a tree.
@@ -562,10 +589,12 @@ def validate_space(space: UltrametricSpace) -> list[Violation]:
     pts = space.points
     if space.tree is not None:
         leaves, adjacent = space.tree
-        # Every constructor keeps each group of twins adjacent and in point
-        # order, so the least adjacent twin pair is the first in point order.
+        # A group of twins is a maximal run of twin pairs, its leaves in any
+        # order; the first pair in point order is the least of each group's
+        # two least points.
         equal = np.flatnonzero(adjacent == 0)
-        twins = min(zip(leaves[equal].tolist(), leaves[equal + 1].tolist()), default=None)
+        runs = np.split(equal, np.flatnonzero(np.diff(equal) > 1) + 1) if equal.size else []
+        twins = min((sorted(leaves[run[0]:run[-1] + 2].tolist())[:2] for run in runs), default=None)
         return [_indiscernible(pts, *twins)] if twins else []
     dist = space.realized_distances()
     rank = space._ranks

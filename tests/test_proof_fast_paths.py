@@ -28,12 +28,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umlogic import cli, proofs
-from umlogic.axioms import SCHEMAS, FormulaVar, GradeMaxOf, GradeVar, SchemaError, instantiate_axiom, match_axiom
+from umlogic.axioms import (
+    SCHEMAS,
+    FormulaVar,
+    GradeMaxOf,
+    GradeVar,
+    SchemaError,
+    _match_grade_slot,
+    instantiate_axiom,
+    match_axiom,
+)
 from umlogic.formula import (
     And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade, desugar, format_formula,
 )
 from umlogic.generators import random_formula
-from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, _bad_character, _error, _Parser, parse
+from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, _bad_character, _error, _Parser, parse, parse_grade
 from umlogic.proofs import (
     MP, AxiomStep, Nec, Premise, Proof, ProofFormatError, ProofLine, ProofVerdict, check_proof, proof_from_json,
 )
@@ -644,6 +653,28 @@ def test_bound_grades_that_are_not_fractions_give_the_reference_verdict(eps):
     """Bindings built in code may hold a grade as an int or text, which the instance reads, or as a bool or float, which it refuses."""
     proof = Proof([ProofLine(1, parse("[1]p -> p"), AxiomStep("T", {"eps": eps, "phi": Atom("p")}))])
     assert check_proof(proof) == ref_check_proof(proof)
+
+
+@pytest.mark.parametrize("line, bind, accepted", [
+    ("[1/2]p -> p", {"eps": "2/4", "phi": "p"}, True),
+    ("[2/4]p -> <1/2>p", None, True),
+    ("[1/2]p -> p", {"eps": "1/4", "phi": "p"}, False),
+    ("[1/2]p -> <1/4>p", None, False),
+], ids=["bound", "repeated", "bound-unequal", "repeated-unequal"])
+def test_equal_grades_spelled_apart_match_as_equal(line, bind, accepted):
+    """A grade slot compares by identity first; ``1/2`` and ``2/4`` are interned apart, so they take the ``==`` fallback."""
+    assert parse_grade("1/2") == parse_grade("2/4") and parse_grade("1/2") is not parse_grade("2/4")
+    schema = "T" if bind else "UM1"
+    proof = proof_from_json([{"n": 1, "formula": line, "by": f"axiom:{schema}", **({"bind": bind} if bind else {})}])
+    verdict = check_proof(proof)
+    assert verdict == ref_check_proof(proof)
+    assert verdict.accepted is accepted
+
+
+def test_a_fixed_grade_slot_matches_an_equal_grade_that_is_another_object():
+    half = parse_grade("1/2")
+    assert _match_grade_slot(half, half, {}, []) and _match_grade_slot(half, parse_grade("2/4"), {}, [])
+    assert not _match_grade_slot(half, parse_grade("1/4"), {}, [])
 
 
 def test_unknown_schema_name_keeps_its_message():

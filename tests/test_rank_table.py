@@ -703,6 +703,38 @@ def test_generated_history_validation_matches_both_references(case):
         space.points, table)
 
 
+def shuffle_twins(space, rnd):
+    """The same space from its tree with the leaves of each maximal run of twins (adjacent rank 0) in shuffled order."""
+    leaves, adjacent = (array.tolist() for array in space.tree)
+    start = 0
+    for k in range(len(leaves)):
+        if k == len(adjacent) or adjacent[k]:  # leaf k ends a run
+            run = leaves[start:k + 1]
+            rnd.shuffle(run)
+            leaves[start:k + 1] = run
+            start = k + 1
+    return UltrametricSpace.from_tree(space.points, space.realized_distances(), leaves, adjacent)
+
+
+def test_twins_out_of_point_order_report_the_first_pair_in_point_order():
+    space = UltrametricSpace.from_tree(list("abc"), [0], [1, 2, 0], [0, 0])
+    table = [[0] * 3] * 3
+    assert validate_space(space) == validate_space(UltrametricSpace(list("abc"), table)) == ref_validate(
+        space.points, table)
+    assert validate_space(space)[0].witness == ("a", "b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(history_files(), st.randoms(use_true_random=False))
+def test_shuffled_twin_validation_matches_the_law_by_law_path(case, rnd):
+    """Each group of twins laid out in any order still reports the first twin pair in point order."""
+    names, sequences = case
+    _, space, table = history_case("generated", names, sequences)
+    shuffled = shuffle_twins(space, rnd)
+    assert dense_table(shuffled) == table
+    assert validate_space(shuffled) == ref_validate(space.points, table)
+
+
 def test_history_validation_runs_no_table_pass(monkeypatch):
     """A tree is checked without its table; a broken table runs the sweep only when Prim refuses it."""
     expected = [ref_validate(space.points, table) for _, space, table in HISTORY_CASES]
@@ -1097,3 +1129,57 @@ def test_depth_14_truthset_allocates_no_table(tmp_path):
         tracemalloc.stop()
     assert len(points) == len(names[::3])
     assert peak < 64 * 2 ** 20, peak
+
+
+# --- names in leaf order ------------------------------------------------------
+
+def ref_names_of(space, mask):
+    """The names of a leaf-order mask, one lookup per member, as ``names_of`` once read them."""
+    return frozenset(map(space.points.__getitem__, space.leaves[space.members(mask)].tolist()))
+
+
+def ref_ball(space, x, eps):
+    """``ball`` as it once named a tree's run of leaves, one lookup per member; a table's row by ``ref_names_of``."""
+    if space.tree is None:
+        return ref_names_of(space, space.table_balls(space.rank_of(eps))[space.index(x)])
+    start, end = space.ball_run(x, eps)
+    return frozenset(map(space.points.__getitem__, space.leaves[start:end].tolist()))
+
+
+def byte_boundary_spaces():
+    """Trees and tables of 7, 8, 9, 63, 64 and 65 points, around the byte boundaries of a mask."""
+    spaces = []
+    for n in (7, 8, 9, 63, 64, 65):
+        tree = random_ultrametric_space(random.Random(n), n)
+        spaces += [(f"tree-{n}", tree), (f"table-{n}", held_as_table(tree))]
+    return spaces
+
+
+NAMED_SPACES = [(label, space) for label, space, _ in CASES] + EMPTY_SPACES + byte_boundary_spaces()
+
+
+@pytest.mark.parametrize("label, space", NAMED_SPACES, ids=[label for label, _ in NAMED_SPACES])
+def test_names_of_and_ball_match_one_lookup_per_member(label, space):
+    """``names_of`` and ``ball`` against the lookup per member they replaced, on masks at every edge."""
+    n, rng = space.n, random.Random(label)
+    masks = {0, space.full_mask, *(1 << k for k in range(n)), *(rng.getrandbits(n) for _ in range(20))}
+    if n:
+        masks |= {1, 1 << (n - 1), 1 | 1 << (n - 1)}  # the first and the last leaf
+    for mask in sorted(masks):
+        assert space.names_of(mask) == ref_names_of(space, mask), mask
+    for eps in tree_grades(space):
+        for x in space.points:
+            assert space.ball(x, eps) == ref_ball(space, x, eps), (x, eps)
+
+
+def test_the_names_in_leaf_order_are_read_only_and_built_once():
+    space = UltrametricSpace.from_sequences(["b", "c", "a"], {"a": "00", "b": "10", "c": "01"})
+    assert space._names is None
+    assert space.names_of(0b011) == {"a", "c"}
+    names = space._names
+    assert names.tolist() == ["a", "c", "b"] and names.dtype == object
+    assert not names.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        names[0] = "z"
+    assert space.ball("b", Fraction(1, 4)) == {"b"} and space.names_of(space.full_mask) == {"a", "b", "c"}
+    assert space._names is names

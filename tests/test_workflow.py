@@ -3,8 +3,8 @@
 A pinned step compares output with bytes fixed in the workflow, by
 ``sha256sum -c`` or ``cmp``.  Each runs here as on the runner: under
 ``bash -eo pipefail`` from the repository root, with ``python3`` resolving
-to the interpreter that runs the tests.  Together they take about 12 s
-on a 2-vCPU x86-64 VM, most of it the table-path step.
+to the interpreter that runs the tests.  Together they take about 17 s
+on a 2-vCPU x86-64 VM, about half of it the table-path step.
 """
 import os
 import re
