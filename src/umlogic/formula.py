@@ -140,26 +140,17 @@ class Diamond(_Graded):
     sub: Formula
 
 
-# Precedence levels used by the printer; prefix operators bind tightest.
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_PREFIX = 4
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    return _PREC_PREFIX
+#: Each binary connective's symbol and binding strength, declared once for
+#: the printer and the parser: a stronger connective binds tighter, and the
+#: prefix operators (``~``, ``[g]``, ``<g>``) bind tighter than all of them.
+#: ``->`` groups to the right, ``|`` and ``&`` to the left.
+BINARY = {Implies: ("->", 1), Or: ("|", 2), And: ("&", 3)}
+_PREFIX = 4
 
 
 def _wrap(f: Formula, minimum: int) -> str:
     text = format_formula(f)
-    if _prec(f) < minimum:
+    if BINARY.get(type(f), ("", _PREFIX))[1] < minimum:
         return f"({text})"
     return text
 
@@ -174,20 +165,17 @@ def format_formula(f: Formula) -> str:
     if isinstance(f, Atom):
         return f.name
     if isinstance(f, Not):
-        return "~" + _wrap(f.sub, _PREC_PREFIX)
+        return "~" + _wrap(f.sub, _PREFIX)
     if isinstance(f, Box):
-        return f"[{f.grade}]" + _wrap(f.sub, _PREC_PREFIX)
+        return f"[{f.grade}]" + _wrap(f.sub, _PREFIX)
     if isinstance(f, Diamond):
-        return f"<{f.grade}>" + _wrap(f.sub, _PREC_PREFIX)
-    if isinstance(f, And):
-        # Left-associative: the right operand needs parens when it is
-        # itself a conjunction, or anything binding more loosely.
-        return _wrap(f.left, _PREC_AND) + " & " + _wrap(f.right, _PREC_AND + 1)
-    if isinstance(f, Or):
-        return _wrap(f.left, _PREC_OR) + " | " + _wrap(f.right, _PREC_OR + 1)
-    if isinstance(f, Implies):
-        # Right-associative.
-        return _wrap(f.left, _PREC_IMPLIES + 1) + " -> " + _wrap(f.right, _PREC_IMPLIES)
+        return f"<{f.grade}>" + _wrap(f.sub, _PREFIX)
+    if type(f) in BINARY:
+        symbol, binds = BINARY[type(f)]
+        # The operand on the side a connective does not group to needs
+        # parentheses around a connective of the same strength too.
+        left, right = (binds + 1, binds) if type(f) is Implies else (binds, binds + 1)
+        return f"{_wrap(f.left, left)} {symbol} {_wrap(f.right, right)}"
     raise TypeError(f"not a formula: {f!r}")
 
 

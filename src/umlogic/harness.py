@@ -9,7 +9,7 @@ reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -310,17 +310,5 @@ def preservation_harness(config: HarnessConfig) -> HarnessReport:
 
 
 def report_to_dict(report: HarnessReport) -> dict:
-    return {
-        "seed": report.seed,
-        "ok": report.ok,
-        "properties": [
-            {
-                "name": p.name,
-                "samples": p.samples,
-                "discrepancies": p.discrepancies,
-                "first_witness": p.first_witness,
-            }
-            for p in report.properties
-        ],
-        "notes": list(report.notes),
-    }
+    """The report as plain data: its fields, each property's fields, and whether it is ``ok``."""
+    return {**asdict(report), "ok": report.ok}

@@ -83,7 +83,7 @@ import functools
 import re
 from fractions import Fraction
 
-from .formula import And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade
+from .formula import BINARY, And, Atom, Box, Diamond, Formula, GradeError, Implies, Not, Or, as_grade
 
 
 #: Deepest nesting :func:`parse` accepts; see the module docstring.
@@ -140,8 +140,10 @@ _PREFIX_RE = re.compile(r"\s*(~|(?:(\[)|<)([0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?)(?(2)
 
 _PREFIX_KINDS = frozenset(("TILDE", "LBRACK", "LT"))
 
-# How tightly each binary operator binds, and the node it builds (``<->`` builds two).
-_BINARY = {"IFF": (1, None), "ARROW": (2, Implies), "PIPE": (3, Or), "AMP": (4, And)}
+# How tightly each binary operator binds, and the node it builds: ``<->`` binds
+# loosest and builds two, and the others bind as :data:`~umlogic.formula.BINARY` says.
+_BINARY = {"IFF": (0, None), **{kind: (BINARY[node][1], node)
+                                for kind, node in (("ARROW", Implies), ("PIPE", Or), ("AMP", And))}}
 _OPERAND_END = (-1, None)
 
 _match_token = _TOKEN_RE.match

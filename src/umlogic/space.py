@@ -118,20 +118,6 @@ def _packed(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _bitmask(indexes: list[int], position: np.ndarray) -> int:
-    """The bitmask with bit ``position[i]`` set for each point index i given; i may repeat."""
-    places = position[indexes]
-    if len(indexes) < 256:  # below this, or-ing bits in one at a time beats numpy's fixed cost
-        mask = 0
-        for k in places.tolist():
-            mask |= 1 << k
-        return mask
-    low = int(places.min())
-    bits = np.zeros(int(places.max()) - low + 1, dtype=np.uint8)
-    bits[places - low] = 1
-    return _packed(bits) << low
-
-
 class UltrametricSpace:
     """Finite point set with exact distances held as ranks into a sorted list, by a tree or a table."""
 
@@ -349,7 +335,9 @@ class UltrametricSpace:
             indexes = [self._index[name] for name in names]
         except KeyError as exc:
             raise UnknownPointError(exc.args[0]) from None
-        return _bitmask(indexes, self._position)
+        bits = np.zeros(self.n, np.uint8)
+        bits[self._position[indexes]] = 1
+        return _packed(bits)
 
     def names_of(self, mask: int) -> frozenset[str]:
         """The names of the points at the leaves set in a leaf-order bitmask (see :meth:`mask_of`).

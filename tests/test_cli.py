@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -698,6 +699,53 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "MemoryError"}
+
+
+def valid_invocations(tmp_path, model):
+    """One invocation of every command that succeeds or gives a verdict, keyed by command."""
+    proof = tmp_path / "proof.json"
+    proof.write_text(json.dumps([{"n": 1, "formula": "p", "by": "premise"}]))
+    identity = tmp_path / "map.json"
+    identity.write_text(json.dumps({"k": "1", "map": {f"w{i}": f"w{i}" for i in range(8)}}))
+    query = ["--model", str(model), "--formula", "<1/2>p", "--world", "w0"]
+    return {
+        "check": query,
+        "truthset": query[:4],
+        "stability": query,
+        "plausibility": query,
+        "cantor": ["--depth", "2"],
+        "valid": ["--model", str(model), "--formula", "p -> p"],
+        "axiom": ["--formula", "[1]q -> q"],
+        "prove": ["--proof", str(proof)],
+        "union": ["--model", str(model), "--model", str(model)],
+        "ball": ["--model", str(model), "--world", "w0", "--grade", "1/4"],
+        "subspace": ["--model", str(model), "--world", "w0", "--grade", "1/4"],
+        "morphism": ["--model", str(model), "--model", str(model), "--map", str(identity)],
+        "harness": ["--seed", "1", "--samples", "2"],
+        "dot": ["--model", str(model)],
+        "validate-model": ["--model", str(model)],
+    }
+
+
+COMMANDS = ["check", "truthset", "stability", "plausibility", "cantor", "valid", "axiom", "prove", "union", "ball",
+            "subspace", "morphism", "harness", "dot", "validate-model"]
+
+
+class TestOutputContract:
+    def test_every_command_is_covered(self, tmp_path, tree_model):
+        subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == COMMANDS == list(valid_invocations(tmp_path, tree_model))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_into_a_missing_directory_exits_2(self, capsys, tmp_path, tree_model, command):
+        """The handler's payload is written by ``main``; a failed write is an operational error."""
+        argv = [command, *valid_invocations(tmp_path, tree_model)[command]]
+        code, _, _ = run(capsys, argv)
+        assert code in (0, 1)
+        code, out, err = run(capsys, [*argv, "--out", str(tmp_path / "missing" / "out.txt")])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and set(json.loads(err)) == {"error"}
+        assert not (tmp_path / "missing").exists()
 
 
 class TestEntryPoint:

@@ -96,6 +96,30 @@ class TestPrint:
         assert format_formula(f) == "(p -> q) -> p"
         assert parse(format_formula(f)) == f
 
+    # Every binary connective nested in every other, on the left and on the
+    # right, with the text printed when each connective's strength was spelled
+    # out in the printer and again in the parser.
+    NESTED = [
+        (Implies, Implies, "(p -> q) -> r", "p -> q -> r"),
+        (Implies, Or, "p | q -> r", "p -> q | r"),
+        (Implies, And, "p & q -> r", "p -> q & r"),
+        (Or, Implies, "(p -> q) | r", "p | (q -> r)"),
+        (Or, Or, "p | q | r", "p | (q | r)"),
+        (Or, And, "p & q | r", "p | q & r"),
+        (And, Implies, "(p -> q) & r", "p & (q -> r)"),
+        (And, Or, "(p | q) & r", "p & (q | r)"),
+        (And, And, "p & q & r", "p & (q & r)"),
+    ]
+
+    @pytest.mark.parametrize("outer, inner, left_text, right_text", NESTED,
+                             ids=[f"{o.__name__}-{i.__name__}" for o, i, *_ in NESTED])
+    def test_nested_binary_connectives_round_trip(self, outer, inner, left_text, right_text):
+        r = Atom("r")
+        for f, text in ((outer(inner(P, Q), r), left_text), (outer(P, inner(Q, r)), right_text)):
+            assert format_formula(f) == text
+            assert parse(text) == f
+            assert format_formula(Not(f)) == f"~({text})" and parse(f"~({text})") == Not(f)
+
     def test_roundtrip_random_formulas(self):
         rng = random.Random(91)
         grades = [Fraction(0), Fraction(1), Fraction(1, 8), Fraction(2, 3)]

@@ -73,6 +73,7 @@ from umlogic.semantics import (
 from umlogic.space import (
     Model,
     UltrametricSpace,
+    UnknownPointError,
     Violation,
     cantor_sequences,
     cantor_space,
@@ -1170,6 +1171,54 @@ def test_names_of_and_ball_match_one_lookup_per_member(label, space):
     for eps in tree_grades(space):
         for x in space.points:
             assert space.ball(x, eps) == ref_ball(space, x, eps), (x, eps)
+
+
+def ref_mask_of(space, names):
+    """The leaf-order mask of ``names``, one bit or-ed in per name given, at the leaf ``leaves`` puts its point."""
+    index = {name: i for i, name in enumerate(space.points)}
+    leaf = {i: k for k, i in enumerate(space.leaves.tolist())}
+    mask = 0
+    for name in names:
+        mask |= 1 << leaf[index[name]]
+    return mask
+
+
+def mask_spaces():
+    """Trees and tables of 0, 1, 7, 8, 9, 63, 64, 65, 511, 512 and 513 points, around byte and old size boundaries.
+
+    Each tree is read from distinct random histories, so its leaf order is
+    the histories' order and not the order its points are listed in.
+    """
+    spaces = list(EMPTY_SPACES)
+    for n in (1, 7, 8, 9, 63, 64, 65, 511, 512, 513):
+        rng = random.Random(n)
+        names = [f"x{i}" for i in range(n)]
+        histories = [format(k, "012b") for k in rng.sample(range(1 << 12), n)]
+        tree = UltrametricSpace.from_sequences(names, dict(zip(names, histories)))
+        assert n == 1 or tree.leaves.tolist() != list(range(n))
+        spaces += [(f"tree-{n}", tree), (f"table-{n}", held_as_table(tree))]
+    return spaces
+
+
+MASK_SPACES = mask_spaces()
+
+
+@pytest.mark.parametrize("label, space", MASK_SPACES, ids=[label for label, _ in MASK_SPACES])
+def test_mask_of_matches_one_bit_per_name(label, space):
+    """``mask_of`` against a bit or-ed in per name: every name, sets of 255-257 names, repeats and any order."""
+    names, rng = list(space.points), random.Random(label)
+    sets = [[], names, names[::-1], names[:1], names[-1:], rng.sample(names, len(names)), names + names[::2]]
+    for size in (255, 256, 257):
+        if size <= len(names):
+            sets += [rng.sample(names, size), sorted(rng.sample(names, size))]
+            repeated = rng.sample(names, size // 2)
+            sets.append(rng.sample(repeated * 2, len(repeated) * 2))
+    for chosen in sets:
+        assert space.mask_of(chosen) == space.mask_of(iter(chosen)) == ref_mask_of(space, chosen), chosen
+    for chosen in (["zz"], names + ["zz", "yy"], ["yy", *names, "zz"]):
+        with pytest.raises(UnknownPointError) as caught:
+            space.mask_of(chosen)
+        assert caught.value.args == (next(name for name in chosen if name not in names),)
 
 
 def test_the_names_in_leaf_order_are_read_only_and_built_once():
