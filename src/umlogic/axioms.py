@@ -18,6 +18,14 @@ subformula as written, and a repeated one is compared up to desugaring.
 :func:`match_axiom` reports formula bindings in desugared form.  Given
 bindings seed the match (:func:`is_instance`), so checking a bound
 proof line builds no instance of the schema.
+
+The connectives are declared in :mod:`umlogic.formula`: which are binary
+(:data:`~umlogic.formula.BINARY`) or prefix
+(:data:`~umlogic.formula.PREFIX`), which are sugar and how each unfolds
+(:func:`~umlogic.formula.unfold`), and how a node is rebuilt over new
+children (:func:`~umlogic.formula.map_children`).  This module reads
+them, and declares only what a template adds: the formula and grade
+metavariables.
 """
 from __future__ import annotations
 
@@ -26,6 +34,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .formula import (
+    BINARY,
+    PREFIX,
     And,
     Box,
     Diamond,
@@ -33,12 +43,12 @@ from .formula import (
     GradeError,
     Implies,
     Not,
-    Or,
     _GradeSlot,
     as_grade,
     desugar,
     SUGAR,
     desugared_equal,
+    map_children,
     unfold,
 )
 
@@ -151,12 +161,12 @@ def _match(template: Formula, target: Formula, bindings: dict, deferred: list) -
         return False
     if cls is Not:
         return _match(template.sub, target.sub, bindings, deferred)
-    if cls is Box or cls is Diamond:
+    if cls in PREFIX:
         return (
             _match_grade_slot(template.grade, target.grade, bindings, deferred)
             and _match(template.sub, target.sub, bindings, deferred)
         )
-    if cls is And or cls is Or or cls is Implies:
+    if cls in BINARY:
         return (
             _match(template.left, target.left, bindings, deferred)
             and _match(template.right, target.right, bindings, deferred)
@@ -215,26 +225,13 @@ def is_instance(name: str, f: Formula, bindings: Mapping | None = None) -> bool:
 
 
 def _substitute(template: Formula, bindings: Mapping) -> Formula:
-    if isinstance(template, FormulaVar):
+    if type(template) is FormulaVar:
         return bindings[template.name]
-    if isinstance(template, Not):
-        return Not(_substitute(template.sub, bindings))
-    if isinstance(template, And):
-        return And(_substitute(template.left, bindings), _substitute(template.right, bindings))
-    if isinstance(template, Or):
-        return Or(_substitute(template.left, bindings), _substitute(template.right, bindings))
-    if isinstance(template, Implies):
-        return Implies(_substitute(template.left, bindings), _substitute(template.right, bindings))
-    if isinstance(template, (Box, Diamond)):
-        slot = template.grade
-        if isinstance(slot, GradeVar):
-            grade = bindings[slot.name]
-        elif isinstance(slot, GradeMaxOf):
-            grade = max(bindings[slot.a], bindings[slot.b])
-        else:
-            grade = slot
+    slot = getattr(template, "grade", None)
+    if isinstance(slot, _GradeSlot):
+        grade = bindings[slot.name] if type(slot) is GradeVar else max(bindings[slot.a], bindings[slot.b])
         return type(template)(grade, _substitute(template.sub, bindings))
-    return template
+    return map_children(template, lambda child: _substitute(child, bindings))
 
 
 def instantiate_axiom(name: str, bindings: Mapping) -> Formula:

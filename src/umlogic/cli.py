@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,12 +146,7 @@ def _cmd_morphism(args):
             # Only the interpreter's limit on the digits of integer text stops str().
             raise ValueError(f"tightest_k has more than {sys.get_int_max_str_digits()} digits, "
                              "the limit for printing an integer") from None
-        return {
-            "ok": report.ok,
-            "reason": report.reason,
-            "tightest_k": tightest,
-            "satisfied_by_supplied_k": report.satisfied_by_supplied_k,
-        }, 0 if report.ok else 1
+        return {**asdict(report), "tightest_k": tightest}, 0 if report.ok else 1
     if args.frame:
         check = check_frame_morphism(src.space, tgt.space, pm)
     else:
@@ -180,10 +176,7 @@ def _cmd_validate_model(args):
     violations = validate_space(load_model(args.model, validate=False).space)
     return {
         "valid": not violations,
-        "violations": [
-            {"condition": v.condition, "witness": list(v.witness), "detail": v.detail}
-            for v in violations
-        ],
+        "violations": [asdict(v) for v in violations],
     }, 0 if not violations else 1
 
 
@@ -219,10 +212,10 @@ _COMMANDS = (
         "bilipschitz": {"action": "store_true", "help": "two-sided bounds of a bijection"},
     }),
     ("harness", _cmd_harness, "seeded preservation checks", (), {
-        "seed": {"type": int, "default": 2024},
-        "samples": {"type": int, "default": 100},
-        "depth": {"type": int, "default": 3},
-        "points": {"type": int, "default": 4},
+        "seed": {"type": int, "default": HarnessConfig.seed},
+        "samples": {"type": int, "default": HarnessConfig.samples},
+        "depth": {"type": int, "default": HarnessConfig.formula_depth},
+        "points": {"type": int, "default": HarnessConfig.component_points},
     }),
     ("dot", _cmd_dot, "ball-nesting dendrogram as DOT", ("model",), {}),
     ("validate-model", _cmd_validate_model, "metric-law report for a model file", ("model",), {}),

@@ -5,11 +5,20 @@ modalities ``[g]`` (box) and ``<g>`` (diamond); disjunction, implication
 and diamond are definitional sugar that :func:`desugar` eliminates.
 Grades are exact rationals in [0, 1], kept as :class:`fractions.Fraction`
 so that comparisons against distances never involve rounding.
+
+Each connective is declared once, here: its node class; its symbol, in
+:data:`BINARY` with its binding strength or in :data:`PREFIX`; its
+rewrite into ``~``, ``&`` and box, in :func:`unfold`, if it is sugar; and
+its children, through :func:`map_children`.  Every walker of formulas
+reads these declarations instead of restating them kind by kind, except
+:func:`umlogic.semantics.evaluate`, whose dispatch on the seven kinds is
+its hot loop.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .space import read_rational
 
@@ -145,12 +154,29 @@ class Diamond(_Graded):
 #: prefix operators (``~``, ``[g]``, ``<g>``) bind tighter than all of them.
 #: ``->`` groups to the right, ``|`` and ``&`` to the left.
 BINARY = {Implies: ("->", 1), Or: ("|", 2), And: ("&", 3)}
-_PREFIX = 4
+#: Each prefix connective's symbol, with ``{}`` where a modality's grade goes.
+PREFIX = {Not: "~", Box: "[{}]", Diamond: "<{}>"}
+_TIGHTEST = 4  # the binding strength of a prefix connective, an atom or a group
+
+
+def map_children(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """A node of ``f``'s kind, and of its grade if it has one, over ``fn`` of each child.
+
+    A leaf (an atom, or a schema's metavariable) is returned unchanged.
+    """
+    cls = type(f)
+    if cls in BINARY:
+        return cls(fn(f.left), fn(f.right))
+    if cls is Not:
+        return Not(fn(f.sub))
+    if cls in PREFIX:
+        return cls(f.grade, fn(f.sub))
+    return f
 
 
 def _wrap(f: Formula, minimum: int) -> str:
     text = format_formula(f)
-    if BINARY.get(type(f), ("", _PREFIX))[1] < minimum:
+    if BINARY.get(type(f), ("", _TIGHTEST))[1] < minimum:
         return f"({text})"
     return text
 
@@ -164,12 +190,8 @@ def format_formula(f: Formula) -> str:
     """
     if isinstance(f, Atom):
         return f.name
-    if isinstance(f, Not):
-        return "~" + _wrap(f.sub, _PREFIX)
-    if isinstance(f, Box):
-        return f"[{f.grade}]" + _wrap(f.sub, _PREFIX)
-    if isinstance(f, Diamond):
-        return f"<{f.grade}>" + _wrap(f.sub, _PREFIX)
+    if type(f) in PREFIX:
+        return PREFIX[type(f)].format(getattr(f, "grade", None)) + _wrap(f.sub, _TIGHTEST)
     if type(f) in BINARY:
         symbol, binds = BINARY[type(f)]
         # The operand on the side a connective does not group to needs
@@ -182,30 +204,18 @@ def format_formula(f: Formula) -> str:
 def desugar(f: Formula) -> Formula:
     """Rewrite ``f`` so only atoms, ~, & and box remain.
 
-    Or(a, b) becomes ~(~a & ~b), Implies(a, b) becomes ~(a & ~b), and
-    Diamond(g, a) becomes ~[g]~a.  The result is logically equivalent to
-    ``f`` in every model.  It is cached on ``f`` as ``_desugared``, and
-    it is a new node for every node but a leaf, which is its own result
-    and caches nothing.
+    A sugar node is unfolded (:func:`unfold`) over its children
+    desugared, and any other node is rebuilt over them.  The result is
+    logically equivalent to ``f`` in every model.  It is cached on ``f``
+    as ``_desugared``, and it is a new node for every node but a leaf,
+    which is its own result and caches nothing.
     """
     result = f._desugared
     if result is not None:
         return result
-    if isinstance(f, Not):
-        result = Not(desugar(f.sub))
-    elif isinstance(f, And):
-        result = And(desugar(f.left), desugar(f.right))
-    elif isinstance(f, Or):
-        result = Not(And(Not(desugar(f.left)), Not(desugar(f.right))))
-    elif isinstance(f, Implies):
-        result = Not(And(desugar(f.left), Not(desugar(f.right))))
-    elif isinstance(f, Box):
-        result = Box(f.grade, desugar(f.sub))
-    elif isinstance(f, Diamond):
-        result = Not(Box(f.grade, Not(desugar(f.sub))))
-    else:
-        return f
-    object.__setattr__(f, "_desugared", result)
+    result = unfold(f, desugar) if type(f) in SUGAR else map_children(f, desugar)
+    if result is not f:
+        object.__setattr__(f, "_desugared", result)
     return result
 
 
@@ -213,19 +223,27 @@ def desugar(f: Formula) -> Formula:
 SUGAR = (Or, Implies, Diamond)
 
 
-def unfold(f: Formula) -> Formula:
-    """One step of :func:`desugar`: a sugar node rewritten into ~, & and box over its children as they are.
+def _same(f: Formula) -> Formula:
+    return f
 
-    Any other node is returned as it is.  ``desugar(unfold(f))`` is
-    ``desugar(f)``, so a matcher can unfold a node only where it must.
+
+def unfold(f: Formula, fn: Callable[[Formula], Formula] = _same) -> Formula:
+    """A sugar node rewritten into ~, & and box over ``fn`` of its children, by default the children as they are.
+
+    Or(a, b) becomes ~(~a & ~b), Implies(a, b) becomes ~(a & ~b), and
+    Diamond(g, a) becomes ~[g]~a; these three rewrites are written only
+    here.  Any other node is returned as it is.  ``desugar(unfold(f))``
+    is ``desugar(f)``, so a matcher can unfold a node only where it must;
+    :func:`desugar` passes itself as ``fn``, so that it builds no node of
+    an unfolding twice and recurses two frames a level.
     """
     cls = type(f)
     if cls is Or:
-        return Not(And(Not(f.left), Not(f.right)))
+        return Not(And(Not(fn(f.left)), Not(fn(f.right))))
     if cls is Implies:
-        return Not(And(f.left, Not(f.right)))
+        return Not(And(fn(f.left), Not(fn(f.right))))
     if cls is Diamond:
-        return Not(Box(f.grade, Not(f.sub)))
+        return Not(Box(f.grade, Not(fn(f.sub))))
     return f
 
 
@@ -249,9 +267,9 @@ def _walk(g: Formula, seen: dict[Formula, None]) -> None:
     """
     if g in seen:
         return
-    if isinstance(g, (Not, Box, Diamond)):
+    if type(g) in PREFIX:
         _walk(g.sub, seen)
-    elif isinstance(g, (And, Or, Implies)):
+    elif type(g) in BINARY:
         _walk(g.left, seen)
         _walk(g.right, seen)
     seen[g] = None
@@ -259,11 +277,7 @@ def _walk(g: Formula, seen: dict[Formula, None]) -> None:
 
 def grade_set(f: Formula) -> set[Fraction]:
     """The grades occurring in modalities of ``f``."""
-    grades: set[Fraction] = set()
-    for g in subformulas(f):
-        if isinstance(g, (Box, Diamond)):
-            grades.add(g.grade)
-    return grades
+    return {g.grade for g in subformulas(f) if isinstance(g, _Graded)}
 
 
 def atoms(f: Formula) -> set[str]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .axioms import instantiate_axiom
-from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or
+from .formula import BINARY, And, Atom, Box, Diamond, Formula, Implies, Not, Or
 from .space import Model, UltrametricSpace, read_rational
 
 #: Default distance levels for random spaces: dyadic plus a few thirds.
@@ -89,18 +89,16 @@ def random_formula(
     """A random formula of height at most ``max_depth`` over the given atoms and grades."""
     if max_depth <= 0:
         return Atom(rng.choice(list(atom_names)))
-    kind = rng.choice(("atom", "not", "and", "or", "implies", "box", "diamond"))
-    if kind == "atom":
+    cls = rng.choice((Atom, Not, And, Or, Implies, Box, Diamond))
+    if cls is Atom:
         return Atom(rng.choice(list(atom_names)))
-    if kind == "not":
+    if cls is Not:
         return Not(random_formula(rng, atom_names, grades, max_depth - 1))
-    if kind in ("and", "or", "implies"):
-        left = random_formula(rng, atom_names, grades, max_depth - 1)
-        right = random_formula(rng, atom_names, grades, max_depth - 1)
-        return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
-    grade = rng.choice(list(grades))
-    sub = random_formula(rng, atom_names, grades, max_depth - 1)
-    return Box(grade, sub) if kind == "box" else Diamond(grade, sub)
+    if cls in BINARY:  # the left operand is drawn first
+        return cls(random_formula(rng, atom_names, grades, max_depth - 1),
+                   random_formula(rng, atom_names, grades, max_depth - 1))
+    grade = rng.choice(list(grades))  # the grade is drawn before the operand
+    return cls(grade, random_formula(rng, atom_names, grades, max_depth - 1))
 
 
 def formula_grades(space: UltrametricSpace) -> list[Fraction]:

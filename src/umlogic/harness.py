@@ -93,7 +93,11 @@ def axiom_instances(
 
 
 def check_union_invariance(models: Sequence[Model], formulas: Sequence[Formula]) -> PropertyReport:
-    """Satisfaction of each formula at component worlds is unchanged by the union."""
+    """Satisfaction of each formula at component worlds is unchanged by the union.
+
+    Worlds are compared formula by formula, then component by component,
+    each component's worlds in point order.
+    """
     union = disjoint_union(models)
     report = PropertyReport("union-invariance")
     for f in formulas:
@@ -123,7 +127,11 @@ def check_union_invariance_exhaustive(
     over the realized distances at most 1, which loses nothing because
     balls only change at realized radii.  The union's leaves are its
     components' leaves one after another, so its mask of a formula must be
-    theirs, each shifted by the points before it.
+    theirs, each shifted by the points before it.  A discrepancy is a
+    formula whose signature is new and breaks that, named by the first
+    formula found with it: the atoms in the order given, then level by
+    level, each level's negations and modalities before its binary
+    connectives.
     """
     union = disjoint_union(models)
     spaces = [m.space for m in models]
@@ -184,7 +192,11 @@ def check_union_validity(
     formulas: Sequence[Formula],
     cap: int = DEFAULT_CAP,
 ) -> PropertyReport:
-    """Formulas valid on every component stay valid on the disjoint union."""
+    """Formulas valid on every component stay valid on the disjoint union.
+
+    Formula by formula: one invalid on a component is reported for the
+    first such component and is not checked on the union.
+    """
     union_space = disjoint_union([Model(s) for s in spaces]).space
     report = PropertyReport("union-validity")
     for f in formulas:
@@ -207,7 +219,12 @@ def check_subspace_validity(
     formulas: Sequence[Formula],
     cap: int = DEFAULT_CAP,
 ) -> PropertyReport:
-    """Formulas valid on the space stay valid on every ball subspace."""
+    """Formulas valid on the space stay valid on every ball subspace.
+
+    Formula by formula: on the space, then on each ball by diameter and
+    then by its least point.  One invalid on the space is not checked on
+    its balls.
+    """
     shell = Model(space)
     leaves, radii = required_tree(space)[0].tolist(), space.realized_distances()
     subspaces = []
@@ -235,7 +252,6 @@ def check_morphism_transfer(
     tgt: Model,
     pm: PointMap,
     formulas: Sequence[Formula],
-    grades: Sequence[Fraction] | None = None,
 ) -> PropertyReport:
     """Satisfaction transfer along an accepted bounded morphism.
 
@@ -243,13 +259,12 @@ def check_morphism_transfer(
     image of w.  With k != 1 the exact transfer is checked for
     modality-free formulas, and diamonds over them transfer forward with
     the grade rescaled by k (when the rescaled grade stays a grade).
+    Worlds are compared formula by formula, in point order.
     """
     verdict = check_bounded_morphism(src, tgt, pm)
     if not verdict.ok:
         raise ValueError("not an accepted bounded morphism: " + "; ".join(verdict.failures()))
-    if grades is None:
-        grades = formula_grades(src.space)
-
+    grades = formula_grades(src.space)
     report = PropertyReport("morphism-transfer")
 
     def compare(f_src: Formula, f_tgt: Formula, forward_only: bool) -> None:

@@ -54,7 +54,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or, subformulas
+from .formula import BINARY, And, Atom, Box, Diamond, Formula, Implies, Not, Or, subformulas
 from .space import Model, UltrametricSpace
 
 
@@ -154,18 +154,15 @@ def _program(f: Formula) -> tuple:
         slot: dict[Formula, int] = {}
         steps = []
         for g in subformulas(f):
-            if isinstance(g, Atom):
+            cls = type(g)
+            if cls is Atom:
                 step = (Atom, g.name, None)
-            elif isinstance(g, Not):
+            elif cls is Not:
                 step = (Not, slot[g.sub], None)
-            elif isinstance(g, And):
-                step = (And, slot[g.left], slot[g.right])
-            elif isinstance(g, Or):
-                step = (Or, slot[g.left], slot[g.right])
-            elif isinstance(g, Implies):
-                step = (Implies, slot[g.left], slot[g.right])
-            elif isinstance(g, (Box, Diamond)):
-                step = (type(g), slot[g.sub], UltrametricSpace.grade_key(g.grade))
+            elif cls in BINARY:
+                step = (cls, slot[g.left], slot[g.right])
+            elif cls is Box or cls is Diamond:
+                step = (cls, slot[g.sub], UltrametricSpace.grade_key(g.grade))
             else:
                 raise TypeError(f"not a formula: {g!r}")
             slot[g] = len(steps)

@@ -6,11 +6,14 @@ import pytest
 from umlogic.axioms import (
     SCHEMA_NAMES,
     SCHEMAS,
+    FormulaVar,
+    GradeMaxOf,
+    GradeVar,
     SchemaError,
     instantiate_axiom,
     match_axiom,
 )
-from umlogic.formula import And, Atom, Box, Formula, Or, desugar, format_formula
+from umlogic.formula import And, Atom, Box, Diamond, Formula, Implies, Not, Or, desugar, format_formula
 from umlogic.generators import random_schema_instance
 from umlogic.parser import parse
 
@@ -109,6 +112,30 @@ class TestInstantiate:
         assert instantiate_axiom("T", {"eps": "0.5", "phi": P}) == parse("[1/2]p -> p")
 
 
+def ref_substitute(template, bindings):
+    """The substitution that spelled out each connective, kept as the reference for :func:`instantiate_axiom`."""
+    if isinstance(template, FormulaVar):
+        return bindings[template.name]
+    if isinstance(template, Not):
+        return Not(ref_substitute(template.sub, bindings))
+    if isinstance(template, And):
+        return And(ref_substitute(template.left, bindings), ref_substitute(template.right, bindings))
+    if isinstance(template, Or):
+        return Or(ref_substitute(template.left, bindings), ref_substitute(template.right, bindings))
+    if isinstance(template, Implies):
+        return Implies(ref_substitute(template.left, bindings), ref_substitute(template.right, bindings))
+    if isinstance(template, (Box, Diamond)):
+        slot = template.grade
+        if isinstance(slot, GradeVar):
+            grade = bindings[slot.name]
+        elif isinstance(slot, GradeMaxOf):
+            grade = max(bindings[slot.a], bindings[slot.b])
+        else:
+            grade = slot
+        return type(template)(grade, ref_substitute(template.sub, bindings))
+    return template
+
+
 class TestRoundTrip:
     def test_every_schema_matches_its_own_instances(self):
         rng = random.Random(21)
@@ -123,6 +150,18 @@ class TestRoundTrip:
                 }
                 instance = instantiate_axiom(name, normalized)
                 assert (name, normalized) in match_axiom(instance)
+
+    @pytest.mark.parametrize("schema", SCHEMAS, ids=[s.name for s in SCHEMAS])
+    def test_instances_match_the_reference_substitution(self, schema):
+        rng = random.Random(schema.name)
+        grades = [Fraction(0), QUARTER, Fraction(1, 3), HALF, Fraction(1)]
+        for _ in range(40):
+            instance, bindings = random_schema_instance(rng, schema.name, ("p", "q", "r"), grades, formula_depth=3)
+            expected = ref_substitute(schema.template, bindings)
+            assert instance == expected
+            assert format_formula(instance) == format_formula(expected)
+            core = {k: desugar(v) if isinstance(v, Formula) else v for k, v in bindings.items()}
+            assert instantiate_axiom(schema.name, core) == ref_substitute(schema.template, core)
 
     def test_schema_names_cover_the_axiom_list(self):
         assert SCHEMA_NAMES == ("K", "T", "UM1", "TI", "UM2", "UM3", "D", "UM4")

@@ -12,12 +12,15 @@ from umlogic.formula import (
     Implies,
     Not,
     Or,
+    SUGAR,
     as_grade,
     atoms,
     desugar,
     format_formula,
     grade_set,
+    map_children,
     subformulas,
+    unfold,
 )
 from umlogic.generators import random_formula
 from umlogic.parser import MAX_DEPTH, MAX_NODES, ParseError, parse
@@ -116,7 +119,7 @@ class TestPrint:
     def test_nested_binary_connectives_round_trip(self, outer, inner, left_text, right_text):
         r = Atom("r")
         for f, text in ((outer(inner(P, Q), r), left_text), (outer(P, inner(Q, r)), right_text)):
-            assert format_formula(f) == text
+            assert format_formula(f) == text == str(f)
             assert parse(text) == f
             assert format_formula(Not(f)) == f"~({text})" and parse(f"~({text})") == Not(f)
 
@@ -126,6 +129,23 @@ class TestPrint:
         for _ in range(400):
             f = random_formula(rng, ("p", "q", "r_1"), grades, max_depth=4)
             assert parse(format_formula(f)) == f
+
+
+def ref_desugar(f):
+    """The six-branch desugaring that spelled out each connective's rewrite, kept as the reference."""
+    if isinstance(f, Not):
+        return Not(ref_desugar(f.sub))
+    if isinstance(f, And):
+        return And(ref_desugar(f.left), ref_desugar(f.right))
+    if isinstance(f, Or):
+        return Not(And(Not(ref_desugar(f.left)), Not(ref_desugar(f.right))))
+    if isinstance(f, Implies):
+        return Not(And(ref_desugar(f.left), Not(ref_desugar(f.right))))
+    if isinstance(f, Box):
+        return Box(f.grade, ref_desugar(f.sub))
+    if isinstance(f, Diamond):
+        return Not(Box(f.grade, Not(ref_desugar(f.sub))))
+    return f
 
 
 class TestDesugar:
@@ -150,6 +170,59 @@ class TestDesugar:
             assert all(
                 isinstance(g, (Atom, Not, And, Box)) for g in subformulas(f)
             )
+
+    def test_matches_the_six_branch_reference(self):
+        rng = random.Random(18)
+        grades = [Fraction(0), Fraction(1, 4), Fraction(2, 3), Fraction(1)]
+        for _ in range(300):
+            f = random_formula(rng, ("p", "q", "r"), grades, max_depth=5)
+            expected = ref_desugar(f)
+            assert desugar(f) == expected
+            assert desugar(f) is desugar(f)  # cached on the node
+            assert format_formula(desugar(f)) == format_formula(expected)
+
+    def test_a_leaf_is_its_own_result_and_caches_nothing(self):
+        assert desugar(P) is P
+        assert P._desugared is None
+
+    @pytest.mark.parametrize("sugar", [lambda f: Diamond(Fraction(1, 2), f), lambda f: Implies(Q, f)],
+                             ids=["diamond", "arrow"])
+    def test_a_chain_300_deep_desugars_under_the_default_recursion_limit(self, sugar):
+        """A formula built in code can nest deeper than the parser's cap of 100; desugaring it takes two frames a level."""
+        f = P
+        for _ in range(300):
+            f = sugar(f)
+        node, kinds = desugar(f), []
+        while type(node) is not Atom:  # each level unfolds to three core nodes; follow the chain down
+            kinds.append(type(node))
+            node = node.right if type(node) is And else node.sub
+        assert node == P and len(kinds) == 900 and set(kinds) <= {Not, And, Box}
+
+
+class TestMapChildren:
+    HALF = Fraction(1, 2)
+    KINDS = [Not(P), And(P, Q), Or(P, Q), Implies(P, Q), Box(HALF, P), Diamond(HALF, Q)]
+
+    @pytest.mark.parametrize("f", KINDS, ids=[type(f).__name__ for f in KINDS])
+    def test_rebuilds_each_kind_over_new_children(self, f):
+        got = map_children(f, Not)
+        assert type(got) is type(f)
+        assert getattr(got, "grade", None) == getattr(f, "grade", None)
+        children = ("left", "right") if hasattr(f, "left") else ("sub",)
+        assert [getattr(got, c) for c in children] == [Not(getattr(f, c)) for c in children]
+
+    def test_a_leaf_is_returned_unchanged(self):
+        assert map_children(P, Not) is P
+
+    @pytest.mark.parametrize("f, unfolded", [
+        (Or(P, Diamond(HALF, Q)), Not(And(Not(P), Not(Diamond(HALF, Q))))),
+        (Implies(P, Or(P, Q)), Not(And(P, Not(Or(P, Q))))),
+        (Diamond(HALF, Implies(P, Q)), Not(Box(HALF, Not(Implies(P, Q))))),
+        (And(P, Or(P, Q)), And(P, Or(P, Q))),
+    ], ids=["or", "implies", "diamond", "core"])
+    def test_unfold_rewrites_one_level_over_fn_of_the_children(self, f, unfolded):
+        assert unfold(f) == unfolded
+        assert unfold(f, desugar) == (desugar(f) if type(f) in SUGAR else f)
 
 
 class TestSubformulas:

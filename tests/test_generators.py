@@ -96,6 +96,19 @@ class TestRandomFormulas:
         b = [random_formula(random.Random(68), ("p", "q"), grades, 3) for _ in range(5)]
         assert a == b
 
+    def test_seeded_draws_are_pinned(self):
+        """One seed's formulas, as drawn when each kind was a name: the harness and the bench rely on these draws."""
+        rng = random.Random(5)
+        grades = [Fraction(1, 2), Fraction(1)]
+        assert [str(random_formula(rng, ("p", "q"), grades, 3)) for _ in range(6)] == [
+            "[1]p & <1>p -> [1/2]~p",
+            "(<1/2>q | (p -> p)) & p",
+            "~q & ~p | ~(q -> p)",
+            "~p",
+            "~<1/2>~p",
+            "~p & ~p & (p & q | (p | p))",
+        ]
+
 
 class TestFormulaGrades:
     def test_includes_endpoints_and_drops_sentinel(self):

@@ -5,7 +5,7 @@ import pytest
 
 import umlogic.harness as harness
 from test_rank_table import LEAF_CASES, PERTURBED_CASES, ref_distinct_balls
-from umlogic.constructions import PointMap, scale_space
+from umlogic.constructions import PointMap, check_bounded_morphism, disjoint_union, epsilon_subspace, scale_space
 from umlogic.generators import formula_grades, random_formula, random_model, random_ultrametric_space
 from umlogic.harness import (
     HarnessConfig,
@@ -19,7 +19,7 @@ from umlogic.harness import (
     report_to_dict,
 )
 from umlogic.parser import parse
-from umlogic.space import Model, cantor_space
+from umlogic.space import Model, UltrametricSpace, cantor_space
 
 
 def two_models(seed: int, n: int = 4):
@@ -150,3 +150,62 @@ class TestHarness:
         a = report_to_dict(preservation_harness(HarnessConfig(seed=93, samples=10)))
         b = report_to_dict(preservation_harness(HarnessConfig(seed=94, samples=10)))
         assert a != b
+
+
+def halved(model: Model) -> Model:
+    """The model with every distance halved: a wrong construction that still gives an ultrametric space."""
+    return Model(scale_space(model.space, Fraction(1, 2)), model.valuation)
+
+
+def parsed(*texts):
+    return [parse(text) for text in texts]
+
+
+class TestWitnesses:
+    """Each check run on one wrong construction counts every discrepancy and keeps the first, in its documented order."""
+
+    # Two one-point components, p at a only.  The union joined at distance 1
+    # instead of 2 puts a and b inside each other's balls of grade 1.
+    MODELS = [Model(UltrametricSpace(["a"], [[0]]), {"p": ["a"]}), Model(UltrametricSpace(["b"], [[0]]), {})]
+    # a and b at distance 1; each ball of it halved makes balls of grade 1/2 meet both.
+    PAIR = UltrametricSpace.from_pairs(["a", "b"], {("a", "b"): "1"})
+
+    @pytest.fixture
+    def union_at_distance_1(self, monkeypatch):
+        monkeypatch.setattr(harness, "disjoint_union", lambda models: halved(disjoint_union(models)))
+
+    def test_union_invariance(self, union_at_distance_1):
+        report = check_union_invariance(self.MODELS, parsed("p", "[1]p", "<1>p", "<1/2>p"))
+        assert (report.samples, report.discrepancies) == (8, 2)
+        assert report.first_witness == "[1]p at component 0 world a"
+
+    def test_union_invariance_exhaustive(self, union_at_distance_1):
+        report = check_union_invariance_exhaustive(self.MODELS, max_depth=1, atom_names=("p",))
+        # p, ~p, [1]p, <1>p and p -> p; the grade-0 modalities repeat p's signature.
+        assert (report.samples, report.discrepancies) == (5, 2)
+        assert report.first_witness == "[1]p"
+
+    def test_union_validity(self, union_at_distance_1):
+        report = check_union_validity([m.space for m in self.MODELS],
+                                      parsed("[1/2]p -> p", "p -> [1]p", "p", "<1>p -> p"))
+        # p fails on component 0 and is not checked further; the union's witness is the least valuation.
+        assert (report.samples, report.discrepancies) == (10, 3)
+        assert report.first_witness == "p -> [1]p invalid on the union at world 0:a"
+
+    def test_subspace_validity(self, monkeypatch):
+        monkeypatch.setattr(harness, "epsilon_subspace", lambda model, center, eps: halved(
+            epsilon_subspace(model, center, eps)))
+        report = check_subspace_validity(self.PAIR, parsed("p", "p -> [1/2]p", "[1]p -> p", "<1/2>p -> p"))
+        # p fails on the parent, so its three balls are skipped; the others fail only on the whole space halved.
+        assert (report.samples, report.discrepancies) == (13, 3)
+        assert report.first_witness == "p invalid on the parent space"
+        report = check_subspace_validity(self.PAIR, parsed("[1]p -> p", "<1/2>p -> p"))
+        assert report.first_witness == "<1/2>p -> p invalid on the ball around a of radius 1"
+
+    def test_morphism_transfer(self, monkeypatch):
+        # The morphism check run against the source itself accepts a map that moves p from a to b.
+        monkeypatch.setattr(harness, "check_bounded_morphism", lambda src, tgt, pm: check_bounded_morphism(src, src, pm))
+        src, tgt = Model(self.PAIR, {"p": ["a"]}), Model(self.PAIR, {"p": ["b"]})
+        report = check_morphism_transfer(src, tgt, PointMap({"a": "a", "b": "b"}), parsed("q", "p", "[1]p", "~p"))
+        assert (report.samples, report.discrepancies) == (8, 4)
+        assert report.first_witness == "p vs p at a"

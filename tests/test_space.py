@@ -241,8 +241,10 @@ class TestFromTree:
         ([0, "1/2"], [1, 2], [1], ValueError),
         ([0, "1/2"], [0, 1], [2], ValueError),
         ([0, "1/2"], [0, 1], [-1], ValueError),
+        ([0, "1/2"], [0], [1], ValueError),
+        ([0, "1/2"], [0, 1], [1, 1], ValueError),
     ], ids=["negative-height", "float-height", "repeated-leaf", "leaf-out-of-range", "index-past-the-list",
-            "negative-index"])
+            "negative-index", "one-leaf-short", "one-pair-too-many"])
     def test_a_broken_tree_is_refused_before_a_space_is_built(self, distances, leaves, adjacent, error):
         with mock.patch.object(UltrametricSpace, "_setup") as setup, pytest.raises(error):
             UltrametricSpace.from_tree(["a", "b"], distances, leaves, adjacent)

@@ -83,6 +83,7 @@ class TestValidInModel:
             expected_valid, expected_val, expected_world = brute_valid(s, f)
             result = valid_in_model(s, f)
             assert result.valid == expected_valid
+            assert bool(result) is result.valid
             if not result.valid:
                 assert result.witness.world == expected_world
                 assert result.witness.valuation == expected_val
