@@ -255,23 +255,30 @@ def desugared_equal(a: Formula, b: Formula) -> bool:
 def subformulas(f: Formula) -> list[Formula]:
     """All subterms of ``f``, each listed once, children before parents."""
     seen: dict[Formula, None] = {}
-    _walk(f, seen)
+    _walk(f, seen, set())
     return list(seen)
 
 
-def _walk(g: Formula, seen: dict[Formula, None]) -> None:
+def _walk(g: Formula, seen: dict[Formula, None], walked: set[int]) -> None:
     """Add the subterms of ``g`` not yet in ``seen``, left before right, children first.
 
-    A module-level function, not a closure over ``seen``: a self-recursive
-    closure is a reference cycle, left for the collector on every call.
+    Each node object is walked once, guarded by its identity in
+    ``walked``, and hashed only after its children, whose hashes are
+    cached by then: hashing a fresh node first would recurse through every
+    node below it, and exhaust the stack on a deep formula.  A node equal
+    to one already listed walks its children again, but adds nothing to
+    ``seen`` and moves nothing in it.  A module-level function, not a
+    closure over ``seen``: a self-recursive closure is a reference cycle,
+    left for the collector on every call.
     """
-    if g in seen:
+    if id(g) in walked:
         return
+    walked.add(id(g))
     if type(g) in PREFIX:
-        _walk(g.sub, seen)
+        _walk(g.sub, seen, walked)
     elif type(g) in BINARY:
-        _walk(g.left, seen)
-        _walk(g.right, seen)
+        _walk(g.left, seen, walked)
+        _walk(g.right, seen, walked)
     seen[g] = None
 
 

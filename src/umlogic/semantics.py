@@ -22,9 +22,13 @@ step runs depends on the value type, and is chosen once per call:
 * One Python-int mask (:func:`truth_mask`, :func:`interior_mask` and
   :func:`closure_mask`): a closure step carries each run's bits into the
   run's last bit (:meth:`UltrametricSpace.tops`) with one addition, then
-  spreads every top reached down its run by doubling shifts: O(log
-  longest run) big-int operations, however many balls the grade has
-  (Knuth, TAOCP 4A, 7.1.3).  An interior step is the dual.
+  spreads every top reached down its run.  Where every ball of the grade
+  has the same size, as on the full space of histories of one length,
+  the spread is one subtraction, and a grade of one-point balls needs
+  none; where their sizes differ it takes doubling shifts, O(log longest
+  run) big-int operations.  Either way the count does not grow with the
+  number of balls (Knuth, TAOCP 4A, 7.1.3).  An interior step is the
+  dual.
 * A bit-sliced batch (:func:`umlogic.validity.valid_in_model`), a 2-D
   ``uint64`` array with one row per point and one bit per valuation
   (Biham 1997): a box ANDs the rows of each run of
@@ -107,21 +111,30 @@ def _leaf_step(space: UltrametricSpace, value: int, rank: int, meets: bool) -> i
     ``value`` is a leaf-order mask on a space with a tree.  The diamond adds
     each run's bits below its top to the run's bits of ``value``, which
     carries into the top iff the run meets ``value``, then spreads the tops
-    down their runs in doubling strides: after stride d, ``keep`` holds the
-    leaves at least 2d below their run's top.  The box is the dual.
+    down their runs.  When every run has L leaves (:meth:`UltrametricSpace.tops`)
+    the spread is one subtraction: a run from leaf s to its top e adds
+    2^(e+1) - 2^s, the bits s..e, and no borrow leaves a run; one-leaf
+    balls need no step at all.  Runs of differing sizes are spread in
+    doubling strides: after stride d, ``keep`` holds the leaves at least 2d
+    below their run's top.  The box is the dual.
     """
     full = space.full_mask
     if not rank:  # a negative radius: every ball is empty
         return 0 if meets else full
+    tops, size = space.tops(rank)
+    if size == 1:
+        return value & full
     x = value if meets else full ^ value
-    tops = space.tops(rank)
     rest = full ^ tops
     y = (((x & rest) + rest) | x) & tops
-    d, keep = 1, rest
-    while keep:
-        y |= (y >> d) & keep
-        keep &= keep >> d
-        d <<= 1
+    if size:
+        y = (y << 1) - (y >> (size - 1))
+    else:
+        d, keep = 1, rest
+        while keep:
+            y |= (y >> d) & keep
+            keep &= keep >> d
+            d <<= 1
     return y if meets else full ^ y
 
 

@@ -24,8 +24,9 @@ only at realized distances, so every reader of a grade's balls takes the
 rank, and caches what it builds per rank.  On a tree each ball of a
 grade is a run of adjacent leaves, the one form of a grade's balls a
 tree keeps: one integer marks the last leaf of every run
-(:meth:`UltrametricSpace.tops`), which the modal step on a mask reads and
-which bounds a single ball (:meth:`UltrametricSpace.ball_run`), and the
+(:meth:`UltrametricSpace.tops`), kept with the size that every run
+shares, if they share one, which the modal step on a mask reads; the
+integer bounds a single ball (:meth:`UltrametricSpace.ball_run`), and the
 same runs as bounds (:meth:`UltrametricSpace.runs`) are what validity's
 bit-sliced batches reduce.  Each ball of every grade is listed once by
 :meth:`UltrametricSpace.tree_balls`, and the nearest member of a mask is
@@ -161,7 +162,7 @@ class UltrametricSpace:
         self._ranks = None if ranks is None else self._frozen(ranks)
         self._grade_ranks: dict[tuple[int, int], int] = {}
         self._table_balls: dict[int, tuple[int, ...]] = {}
-        self._tops: dict[int, int] = {}
+        self._tops: dict[int, tuple[int, int]] = {}
         self._run_bounds: dict[int, tuple[tuple[tuple[int, int], ...], ...]] = {}
         self._nesting: list[tuple[int, int, int, int | None]] | None = None
         self._names: np.ndarray | None = None
@@ -398,17 +399,27 @@ class UltrametricSpace:
             rank = self._grade_ranks[key] = bisect_right(self._distances, Fraction(*key))
         return rank
 
-    def tops(self, rank: int) -> int:
-        """Leaf-order bitmask of the last leaf of each ball of the radii below ``rank``; needs a tree.
+    def tops(self, rank: int) -> tuple[int, int]:
+        """Leaf-order bitmask of the last leaf of each ball of the radii below ``rank``, and the balls' one size; needs a tree.
 
         Those balls are the runs of leaves that adjacent ranks of at least
         ``rank`` cut, so leaf k is a run's last unless pair k joins a
-        lower rank.  Cached per rank.
+        lower rank.  The size is L when every run has L leaves, and 0 when
+        runs differ or there is no leaf.  The first run ends at the lowest
+        top, so L is that top's place plus one, and the runs all have L
+        leaves iff the tops are the first one and themselves moved up by
+        L.  Both are cached per rank, in one entry, so the modal step on a
+        mask reads them with one dict lookup.
         """
-        tops = self._tops.get(rank)
-        if tops is None:
-            tops = self._tops[rank] = _packed(np.append(required_tree(self)[1] >= rank, True)) & self.full_mask
-        return tops
+        cached = self._tops.get(rank)
+        if cached is None:
+            full = self.full_mask
+            tops = _packed(np.append(required_tree(self)[1] >= rank, True)) & full
+            size = (tops & -tops).bit_length()
+            if not tops or tops != ((tops << size) & full) | (1 << (size - 1)):
+                size = 0
+            cached = self._tops[rank] = (tops, size)
+        return cached
 
     def runs(self, rank: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """The balls of the radii below ``rank`` as ``(runs, singles)`` of leaf bounds; needs a tree.
@@ -461,7 +472,7 @@ class UltrametricSpace:
         k, rank = self.leaf(x), self.rank_of(eps)
         if not rank:
             return 0, 0
-        tops = self.tops(rank)
+        tops = self.tops(rank)[0]
         return (tops & ((1 << k) - 1)).bit_length(), k + (tops >> k & -(tops >> k)).bit_length()
 
     def nearest_leaf(self, k: int, mask: int) -> Fraction | None:

@@ -188,7 +188,11 @@ class TestDesugar:
     @pytest.mark.parametrize("sugar", [lambda f: Diamond(Fraction(1, 2), f), lambda f: Implies(Q, f)],
                              ids=["diamond", "arrow"])
     def test_a_chain_300_deep_desugars_under_the_default_recursion_limit(self, sugar):
-        """A formula built in code can nest deeper than the parser's cap of 100; desugaring it takes two frames a level."""
+        """A formula built in code can nest deeper than the parser's cap of 100; desugaring it takes two frames a level.
+
+        The desugared chain, 901 nodes deep, is evaluated as the chain
+        itself is: listing its subterms hashes no node before its children.
+        """
         f = P
         for _ in range(300):
             f = sugar(f)
@@ -197,6 +201,8 @@ class TestDesugar:
             kinds.append(type(node))
             node = node.right if type(node) is And else node.sub
         assert node == P and len(kinds) == 900 and set(kinds) <= {Not, And, Box}
+        model = Model(w_named_space(3), {"p": ["w0", "w3", "w5"], "q": ["w1", "w3"]})
+        assert truth_mask(model, desugar(f)) == truth_mask(model, f)
 
 
 class TestMapChildren:
@@ -238,6 +244,30 @@ class TestSubformulas:
         f = Not(Not(P))
         assert subformulas(f) == [P, Not(P), f]
         assert subformulas(And(P, P)) == [P, And(P, P)]
+
+    def test_random_formulas_list_as_the_walk_that_hashes_first(self):
+        """Against a walk that looks each node up before its children, on subtrees shared by identity or equal only."""
+
+        def ref_subformulas(f):
+            seen = {}
+
+            def walk(g):
+                if g in seen:
+                    return
+                for child in (getattr(g, name) for name in ("sub", "left", "right") if hasattr(g, name)):
+                    walk(child)
+                seen[g] = None
+
+            walk(f)
+            return list(seen)
+
+        rng = random.Random(31)
+        grades = [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
+        for _ in range(200):
+            f = random_formula(rng, ("p", "q"), grades, max_depth=5)
+            g = random_formula(rng, ("p", "q"), grades, max_depth=3)
+            for h in (f, Or(And(g, f), Not(g)), parse(str(Implies(f, And(f, g))))):
+                assert subformulas(h) == ref_subformulas(h), h
 
 
 class TestGrades:

@@ -59,8 +59,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_table, held_as_table, point_mask, point_names
-from test_rank_table import (CASES, IDS, LEAF_CASES, listed_tree_balls, probe_grades, ref_ball_masks,
-                             ref_distinct_balls, ref_realized)
+from test_rank_table import (CASES, HISTORY_CASES, IDS, LEAF_CASES, SPREAD_CASES, listed_tree_balls, probe_grades,
+                             ref_ball_masks, ref_distinct_balls, ref_realized, tree_grades)
 from umlogic import semantics, validity
 from umlogic.formula import And, Atom, Box, Diamond, Implies, Not, Or, atoms, desugar, subformulas
 from umlogic.generators import random_formula, random_schema_instance, random_ultrametric_space
@@ -327,13 +327,21 @@ class TestAgainstPerWorldLoops:
 
 
 TREE_CASES = [case for case in CASES if case[1].tree is not None]
+#: With the leaf-step cases of ``test_rank_table`` that have a table and are not in CASES: balls of
+#: one size at every grade, of differing sizes, twins, one point and no point.
+LEAF_STEP_CASES = TREE_CASES + [case for case in SPREAD_CASES + HISTORY_CASES
+                                if case[2] is not None and case[0] not in IDS]
 
 
-@pytest.mark.parametrize("label, space, table", TREE_CASES, ids=[label for label, _, _ in TREE_CASES])
+@pytest.mark.parametrize("label, space, table", LEAF_STEP_CASES, ids=[label for label, _, _ in LEAF_STEP_CASES])
 def test_leaf_step(label, space, table):
-    """On a tree, the step in leaf order against the per-world loops, at every probe grade."""
+    """On a tree, the step in leaf order against the per-world loops, at every probe grade.
+
+    The cases reach both spreads of a step: one subtraction where the
+    balls of a grade have one size, and doubling strides where they differ.
+    """
     rng = random.Random(label)
-    for eps in probe_grades(ref_realized(table)):
+    for eps in tree_grades(space):
         for mask in sample_masks(rng, space.n):
             points, rank = point_mask(space, mask), space.rank_of(eps)
             assert point_mask(space, _leaf_step(space, mask, rank, False)) == ref_interior(table, points, eps)

@@ -876,6 +876,29 @@ def union_case():
 LEAF_CASES = TREE_CASES + [shuffled_matrix(), union_case()]
 
 
+def shuffled_cantor_file(depth):
+    """A cantor file's histories listed in shuffled order: every ball of a grade has one size."""
+    seqs = cantor_sequences(depth)
+    names = [f"w{i}" for i in range(len(seqs))]
+    listed = random.Random(depth).sample(names, len(names))
+    return history_case(f"shuffled-cantor-{depth}", listed, dict(zip(names, seqs)))
+
+
+def thinned_cantor(depth):
+    """Cantor histories with about a third removed: the balls of a grade differ in size."""
+    rng = random.Random(depth)
+    seqs = [seq for seq in cantor_sequences(depth) if rng.random() < 0.65]
+    return history_case(f"thinned-cantor-{depth}", seqs, dict(zip(seqs, seqs)))
+
+
+#: More trees for the leaf step's two spreads: cantor depths 7-12, whose
+#: tables are not built, a shuffled cantor file and a history set with
+#: points removed.  Cantor depths 1-6, twins, one point and the empty space
+#: are among the LEAF_CASES.
+SPREAD_CASES = [(f"cantor-{depth}", cantor_space(depth), None) for depth in range(7, 13)]
+SPREAD_CASES += [shuffled_cantor_file(5), thinned_cantor(6)]
+
+
 def leaf_grades(space):
     """``tree_grades`` with grade 0, grade 1 and a negative radius added."""
     return tree_grades(space) + [Fraction(0), Fraction(1), Fraction(-1, 2)]
@@ -886,12 +909,25 @@ def leaf_masks(rng, space):
             *(rng.getrandbits(space.n) for _ in range(8))]
 
 
-@pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=labels(LEAF_CASES))
+def ball_size(space, rank):
+    """The one size of the balls of the radii below ``rank``, read from their runs and singles; 0 if sizes differ."""
+    runs, singles = space.runs(rank)
+    sizes = {end - start for start, end in runs} | ({1} if singles else set())
+    return sizes.pop() if len(sizes) == 1 else 0
+
+
+@pytest.mark.parametrize("label, space, table", LEAF_CASES + SPREAD_CASES, ids=labels(LEAF_CASES + SPREAD_CASES))
 def test_leaf_step_matches_the_ball_step(label, space, table):
     """Both modalities, in leaf order by carries and spreads, against the per-ball step in point order.
 
     The per-ball step reads the same space held as a table (``held_as_table``).
+    At every rank, ``tops`` marks the last leaf of each run and gives the
+    balls' one size exactly when they all have it.
     """
+    for rank in range(1, len(space.realized_distances()) + 1):
+        runs, singles = space.runs(rank)
+        ends = [end for start, end in runs] + [k + 1 for start, end in singles for k in range(start, end)]
+        assert space.tops(rank) == (sum(1 << (end - 1) for end in ends), ball_size(space, rank)), rank
     rng = random.Random(label)
     per_ball = held_as_table(space)
     for mask in leaf_masks(rng, space):
@@ -901,6 +937,16 @@ def test_leaf_step_matches_the_ball_step(label, space, table):
             for meets in (False, True):
                 got = point_mask(space, _leaf_step(space, mask, space.rank_of(eps), meets))
                 assert got == _ball_step(per_ball, points, per_ball.rank_of(eps), meets), (mask, eps, meets)
+
+
+def test_the_leaf_step_cases_reach_both_spreads():
+    """Balls of one size above 1 (one subtraction), of one leaf (no spread) and of differing sizes (doubling strides)."""
+    sizes = {label: {ball_size(space, rank) for rank in range(1, len(space.realized_distances()) + 1)}
+             for label, space, _ in LEAF_CASES + SPREAD_CASES}
+    assert sizes["cantor-12"] == {1 << k for k in range(13)}
+    assert sizes["shuffled-cantor-5"] == {1 << k for k in range(6)}
+    assert 0 in sizes["thinned-cantor-6"] and 0 in sizes["wide"]
+    assert sizes["one-point"] == {1} and sizes["two-equal"] == {2} and sizes["empty"] == set()
 
 
 @pytest.mark.parametrize("label, space, table", LEAF_CASES, ids=labels(LEAF_CASES))
